@@ -7,11 +7,15 @@ the quadratic family
     lam^2 (beta p, q) + i lam (zeta p, q)_boundary - (alpha_inv grad p, grad q) = 0,
 
 so accretive zeta (Re zeta >= 0) pushes eigenvalues into the closed lower
-half-plane. Everything here is dense and desk-scale on purpose: assembly is
-exact for piecewise-constant data, the companion eigensolve picks the real
-LAPACK driver whenever the coefficient structure allows it, and the
-Crank-Nicolson march satisfies a per-step energy identity exactly, so decay
-checks test the model rather than integrator artifacts.
+half-plane. The matrices are assembled dense and desk-scale on purpose:
+assembly is exact for piecewise-constant data. The eigensolve has two paths.
+When few modes are wanted from a large enough mesh, shift-invert
+Lanczos/Arnoldi on a sparse first-order pencil computes only those modes and
+certifies that none nearer the origin was missed. Otherwise the dense
+companion solve picks the real LAPACK driver whenever the coefficient
+structure allows it; it is also the reference the sparse path is tested
+against. The Crank-Nicolson march satisfies a per-step energy identity
+exactly, so decay checks test the model rather than integrator artifacts.
 """
 
 import math
@@ -30,6 +34,18 @@ QEP_RESIDUAL_TOL = 1e-8
 ARTIFACT_RADIUS = 1e-8
 # companion matrices are dense 2n x 2n; past this the desk-scale pitch breaks
 MAX_SOLVE_VERTICES = 2048
+# assembly allocates dense n x n matrices and runs a dense kernel check;
+# checked before any of them is allocated. At this size fem peaks near 1 GB
+# resident and march near 1.5 GB.
+MAX_ASSEMBLE_VERTICES = 4096
+# shift-invert replaces the dense companion from this many vertices on, while
+# the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
+# thread for 32 modes: dense wins up to 145 vertices, shift-invert from 257;
+# at 577 vertices shift-invert wins up to n/6 modes and loses at n/4.
+SPARSE_MIN_VERTICES = 192
+SPARSE_MAX_SHARE = 6
+# ARPACK's default start vector is random; a fixed one makes reruns identical
+ARPACK_SEED = 20240801
 
 MESH_HEADER = "mesh2d v1"
 
@@ -345,9 +361,14 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     zeta may be a number (applied to every boundary label), a callable of
     position, or a dict mapping each boundary label to either.
     """
+    n = mesh.n_vertices
+    if n > MAX_ASSEMBLE_VERTICES:
+        raise InvalidInputError(
+            f"dense assembly capped at {MAX_ASSEMBLE_VERTICES} vertices, got {n}"
+        )
+    _check_connected(mesh)
     mat = mat if mat is not None else MaterialCoefficients()
     alpha, beta = mat.resolve(mesh)
-    n = mesh.n_vertices
     areas = mesh.signed_areas()
 
     pts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
@@ -399,6 +420,22 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     return QepMatrices(k_stiff.astype(complex), c_bdry, m_mass.astype(complex), meta)
 
 
+def _check_connected(mesh: Mesh) -> None:
+    # a second component (or a vertex in no triangle) adds a second constant
+    # direction to the stiffness kernel; that is bad input, not a solver fault
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    tri = mesh.triangles
+    edges = coo_array(
+        (np.ones(tri.size), (tri.ravel(), tri[:, [1, 2, 0]].ravel())),
+        shape=(mesh.n_vertices, mesh.n_vertices),
+    )
+    count, _ = connected_components(edges, directed=False)
+    if count > 1:
+        raise InvalidInputError(f"mesh is not connected: {count} components")
+
+
 def _check_qep_invariants(k, c, m, min_re_zeta):
     scale_k = np.abs(k).max()
     if np.abs(k - k.T).max() > 1e-12 * scale_k:
@@ -448,111 +485,223 @@ def _is_constant_direction(p: np.ndarray) -> bool:
     return np.linalg.norm(p - p.mean()) <= 1e-6 * nrm
 
 
-def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
-    """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin.
+def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
+    """lam = +-sqrt(mu) for ascending eigenpairs of K p = mu M p.
 
-    The first-order companion is solved by the cheapest applicable dense
-    driver: a generalized Hermitian solve when C = 0, a real companion when
-    C is purely real (rotate by lam = -i mu) or purely imaginary, and the
-    complex driver otherwise. Near-zero pairs whose eigenvector is constant
-    are tagged quotient-artifact: they live in the direction the stiffness
-    energy cannot see.
+    mu_top is the largest mu or a lower bound on it; it scales the roundoff
+    floor under which the constant mode counts as mu = 0.
     """
-    if n_want < 1:
-        raise InvalidInputError("n_want must be at least 1")
-    n = q.dim
-    if n > MAX_SOLVE_VERTICES:
-        raise InvalidInputError(
-            f"dense companion solve capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
-        )
-    k = np.asarray(q.k_stiff, dtype=complex)
-    c = np.asarray(q.c_bdry, dtype=complex)
-    m = np.asarray(q.m_mass, dtype=complex)
-    if max(np.abs(k.imag).max(), np.abs(m.imag).max()) > 1e-14 * max(np.abs(k).max(), 1.0):
-        raise InvalidInputError("stiffness and mass must be real symmetric")
-    kr, mr = k.real, m.real
-
-    zeta_zero = not np.any(c)
-    c_scale = np.abs(c).max() if not zeta_zero else 0.0
-    c_real = (not zeta_zero) and np.abs(c.imag).max() <= 1e-14 * c_scale
-    c_imag = (not zeta_zero) and np.abs(c.real).max() <= 1e-14 * c_scale
-
-    if zeta_zero:
-        path = "hermitian"
-        mu, vecs = sla.eigh(kr, mr)
-        # the constant mode sits at mu = 0 up to roundoff; clamp it so the
-        # genuine zero eigenvalue is reported once instead of as +-sqrt(eps)
-        floor = 1e-12 * max(abs(mu[-1]), 1.0)
-        lams, pvecs = [], []
-        for j, m_j in enumerate(mu):
-            if abs(m_j) <= floor and _is_constant_direction(vecs[:, j]):
-                lams.append(0.0 + 0.0j)
-                pvecs.append(vecs[:, j].astype(complex))
-                continue
-            root = math.sqrt(max(m_j, 0.0))
-            lams.append(complex(root))
+    # the constant mode sits at mu = 0 up to roundoff; clamp it so the
+    # genuine zero eigenvalue is reported once instead of as +-sqrt(eps)
+    floor = 1e-12 * max(abs(mu_top), 1.0)
+    lams, pvecs = [], []
+    for j, m_j in enumerate(mu):
+        if abs(m_j) <= floor and _is_constant_direction(vecs[:, j]):
+            lams.append(0.0 + 0.0j)
             pvecs.append(vecs[:, j].astype(complex))
-            if root > 0.0:
-                lams.append(complex(-root))
-                pvecs.append(vecs[:, j].astype(complex))
-        lams = np.array(lams)
-        pvecs = np.array(pvecs).T
-    else:
-        try:
-            if c_real:
-                path = "real-rotated"
-                top = np.hstack([sla.solve(mr, c.real, assume_a="pos"),
-                                 -sla.solve(mr, kr, assume_a="pos")])
-                comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
-                w, v = sla.eig(comp)
-                lams = -1j * w
-            elif c_imag:
-                path = "real-direct"
-                top = np.hstack([sla.solve(mr, c.imag, assume_a="pos"),
-                                 sla.solve(mr, kr, assume_a="pos")])
-                comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
-                w, v = sla.eig(comp)
-                lams = w.astype(complex)
-            else:
-                path = "complex"
-                top = np.hstack([sla.solve(mr, -1j * c),
-                                 sla.solve(mr, kr, assume_a="pos").astype(complex)])
-                comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))]).astype(complex)])
-                w, v = sla.eig(comp)
-                lams = w
-        except sla.LinAlgError as exc:
-            raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
-        if not np.all(np.isfinite(lams)):
-            raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
-        pvecs = v[n:, :]
+            continue
+        root = math.sqrt(max(m_j, 0.0))
+        lams.append(complex(root))
+        pvecs.append(vecs[:, j].astype(complex))
+        if root > 0.0:
+            lams.append(complex(-root))
+            pvecs.append(vecs[:, j].astype(complex))
+    return np.array(lams), np.array(pvecs).T
 
-    norm_k = _spectral_norm_hermitian(kr)
-    norm_m = _spectral_norm_hermitian(mr)
-    norm_c = _spectral_norm_boundary(c)
 
-    # classify first, then check residuals for the selected columns in one
-    # BLAS-3 pass instead of a matvec per eigenpair
+def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, zeta_zero: bool):
+    """Indices of the n_want genuine modes nearest the origin and of the
+    quotient artifacts, each in order of |lam|."""
     order = np.argsort(np.abs(lams), kind="stable")
     kept_idx, artifact_idx = [], []
     for j in order:
         p = pvecs[:, j]
         if not np.any(p):
             continue
-        if (
-            path != "hermitian"
-            and abs(lams[j]) < ARTIFACT_RADIUS
-            and _is_constant_direction(p)
-        ):
+        if not zeta_zero and abs(lams[j]) < ARTIFACT_RADIUS and _is_constant_direction(p):
             artifact_idx.append(j)
         elif len(kept_idx) < n_want:
             kept_idx.append(j)
+    return kept_idx, artifact_idx
+
+
+def _uses_shift_invert(n: int, n_want: int) -> bool:
+    return n >= SPARSE_MIN_VERTICES and SPARSE_MAX_SHARE * n_want <= n
+
+
+def _solve_dense(kr, mr, c, zeta_zero: bool):
+    """All eigenpairs of the dense companion: (path, lams, p-vectors)."""
+    n = kr.shape[0]
+    if zeta_zero:
+        mu, vecs = sla.eigh(kr, mr)
+        lams, pvecs = _lambdas_from_mu(mu, vecs, mu[-1])
+        return "hermitian", lams, pvecs
+    c_scale = np.abs(c).max()
+    try:
+        if np.abs(c.imag).max() <= 1e-14 * c_scale:
+            path = "real-rotated"
+            top = np.hstack([sla.solve(mr, c.real, assume_a="pos"),
+                             -sla.solve(mr, kr, assume_a="pos")])
+            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
+            w, v = sla.eig(comp)
+            lams = -1j * w
+        elif np.abs(c.real).max() <= 1e-14 * c_scale:
+            path = "real-direct"
+            top = np.hstack([sla.solve(mr, c.imag, assume_a="pos"),
+                             sla.solve(mr, kr, assume_a="pos")])
+            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
+            w, v = sla.eig(comp)
+            lams = w.astype(complex)
+        else:
+            path = "complex"
+            top = np.hstack([sla.solve(mr, -1j * c),
+                             sla.solve(mr, kr, assume_a="pos").astype(complex)])
+            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))]).astype(complex)])
+            w, v = sla.eig(comp)
+            lams = w
+    except sla.LinAlgError as exc:
+        raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(lams)):
+        raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
+    return path, lams, v[n:, :]
+
+
+def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool):
+    """The modes nearest the origin by shift-invert ARPACK on sparse copies
+    of the matrices: (path, lams, p-vectors, ||K||, ||M||, (M, C, K)), or None
+    when the dense companion should take over.
+
+    C = 0: Lanczos on K p = mu M p with sigma = -s^2, so K - sigma M is SPD
+    and lam = +-sqrt(mu) stays exactly real. Otherwise Arnoldi on the pencil
+    A = [[0, I], [K, -iC]], B = diag(I, M) acting on [p; lam p] with
+    sigma = i s, which accretive zeta keeps off the spectrum (every eigenvalue
+    has Im lam <= 0). Every eigenvalue ARPACK does not return lies at least
+    R = max |lam_j - sigma| from sigma, so the k returned ones are accepted
+    when r_sel + |sigma| < R, r_sel being the modulus of the n_want-th genuine
+    mode nearest the origin: no mode with |lam| <= r_sel was missed.
+    Otherwise k grows by half, up to a quarter of the pencil dimension.
+    """
+    # scipy.sparse loads on first use, so importing this module costs no
+    # more than the dense solver needs
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n = kr.shape[0]
+    k_s, m_s, c_s = sp.csc_array(kr), sp.csc_array(mr), sp.csc_array(c)
+    rng = np.random.default_rng(ARPACK_SEED)
+    # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
+    # them are never smaller than with the exact norms
+    v0 = rng.standard_normal(n)
+    norm_k, norm_m = (
+        float(abs(spla.eigsh(x, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]))
+        for x in (k_s, m_s)
+    )
+    # sqrt(tr K / (n tr M)) is of the order of the lowest nonzero |lam|; a
+    # quarter of it keeps sigma well off the artifact at lam = 0 while the
+    # certificate needs few modes beyond the wanted ones
+    s = 0.25 * math.sqrt(np.trace(kr) / (n * np.trace(mr)))
+    # the first k covers the wanted modes (each mu > 0 gives two) plus the
+    # thin band beyond them that the certificate needs
+    if zeta_zero:
+        path, a, b, sigma = "shift-invert-lanczos", k_s, m_s, -s * s
+        v0 = rng.standard_normal(n)
+        n_eig = n_want // 2 + 4 + n_want // 16
+    else:
+        eye = sp.identity(n, format="csc")
+        a = sp.block_array([[None, eye], [k_s, -1j * c_s]], format="csc")
+        b = sp.block_diag((eye, m_s), format="csc")
+        path, sigma = "shift-invert-arnoldi", 1j * s
+        v0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        n_eig = n_want + 8 + n_want // 8
+    try:
+        lu = spla.splu(sp.csc_array(a - sigma * b))
+    except RuntimeError as exc:
+        if accretive:
+            raise NumericalFailureError(f"shift-invert factorization failed: {exc}") from exc
+        return None
+    op = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+    solver = spla.eigsh if zeta_zero else spla.eigs
+    limit = a.shape[0] // 4
+    while True:
+        try:
+            vals, vecs = solver(a, k=n_eig, M=b, sigma=sigma, OPinv=op, which="LM", v0=v0)
+        except spla.ArpackError:
+            return None
+        if zeta_zero:
+            order = np.argsort(vals, kind="stable")
+            lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], norm_k / norm_m)
+        else:
+            lams, pvecs = vals, vecs[:n, :]
+        kept_idx, _ = _select_modes(lams, pvecs, n_want, zeta_zero)
+        if len(kept_idx) == n_want:
+            r_sel = abs(lams[kept_idx[-1]])
+            # in the mu variable the certificate reads r_sel^2 + |sigma| < R
+            r_cert = r_sel * r_sel if zeta_zero else r_sel
+            if r_cert + abs(sigma) < np.abs(vals - sigma).max():
+                return path, lams, pvecs, norm_k, norm_m, (m_s, c_s, k_s)
+        if n_eig >= limit:
+            return None
+        n_eig = min(n_eig + n_eig // 2, limit)
+
+
+def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
+    """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin.
+
+    When the mesh has at least SPARSE_MIN_VERTICES vertices and n_want is at
+    most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos (C = 0) or
+    Arnoldi (C != 0) on sparse copies of the matrices computes the wanted
+    modes and certifies that none nearer the origin was missed; if it cannot,
+    the dense path takes over within its cap. The dense path solves the
+    first-order companion with the cheapest applicable driver: a generalized
+    Hermitian solve when C = 0, a real companion when C is purely real
+    (rotate by lam = -i mu) or purely imaginary, and the complex driver
+    otherwise. metadata["path"] names the solver that ran. Near-zero pairs
+    whose eigenvector is constant are tagged quotient-artifact: they live in
+    the direction the stiffness energy cannot see.
+    """
+    if n_want < 1:
+        raise InvalidInputError("n_want must be at least 1")
+    n = q.dim
+    k = np.asarray(q.k_stiff, dtype=complex)
+    c = np.asarray(q.c_bdry, dtype=complex)
+    m = np.asarray(q.m_mass, dtype=complex)
+    if max(np.abs(k.imag).max(), np.abs(m.imag).max()) > 1e-14 * max(np.abs(k).max(), 1.0):
+        raise InvalidInputError("stiffness and mass must be real symmetric")
+    kr, mr = k.real, m.real
+    zeta_zero = not np.any(c)
+    norm_c = _spectral_norm_boundary(c)
+
+    solved = None
+    if _uses_shift_invert(n, n_want):
+        accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
+        solved = _solve_shift_invert(kr, mr, c, zeta_zero, n_want, accretive)
+        if solved is None and n > MAX_SOLVE_VERTICES:
+            raise NumericalFailureError(
+                f"shift-invert gave no certified set of {n_want} modes and the dense "
+                f"companion solve is capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
+            )
+    elif n > MAX_SOLVE_VERTICES:
+        raise InvalidInputError(
+            f"dense companion solve capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
+        )
+    if solved is None:
+        path, lams, pvecs = _solve_dense(kr, mr, c, zeta_zero)
+        norm_k, norm_m = _spectral_norm_hermitian(kr), _spectral_norm_hermitian(mr)
+        ops = (m, c, k)
+    else:
+        path, lams, pvecs, norm_k, norm_m, ops = solved
+
+    # classify first, then check residuals for the selected columns in one
+    # pass instead of a matvec per eigenpair
+    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, zeta_zero)
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
+    m_op, c_op, k_op = ops
     qep_cols = (
-        (m @ p_sel) * (lam_sel * lam_sel)[None, :]
-        + (c @ p_sel) * (1j * lam_sel)[None, :]
-        - k @ p_sel
+        (m_op @ p_sel) * (lam_sel * lam_sel)[None, :]
+        + (c_op @ p_sel) * (1j * lam_sel)[None, :]
+        - k_op @ p_sel
     )
     denom = (
         np.abs(lam_sel) ** 2 * norm_m + np.abs(lam_sel) * norm_c + norm_k

@@ -175,6 +175,19 @@ class TestOutputs:
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
+    # both commands run the shift-invert eigensolver, which ARPACK starts
+    # from a random vector unless it is given one
+    @pytest.mark.parametrize("argv", [
+        ["fem", "--shape", "square", "--n", "16", "--zeta", "1.0", "--nev", "8"],
+        ["converge", "--shape", "disk_polygon", "--levels", "4,8", "--zeta", "0.5"],
+    ])
+    def test_shift_invert_reruns_byte_identical(self, tmp_path, capsys, argv):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+
     def test_string_critical_message(self, capsys):
         assert run(["string", "--zeta", "1.0"]) == 0
         assert "critically damped" in capsys.readouterr().out
@@ -214,6 +227,10 @@ class TestOutputs:
         assert run(["fem", "--shape", "square", "--n", "6", "--zeta", "const:0,0.5", "--nev", "4"]) == 0
         assert "path real-direct" in capsys.readouterr().out
 
+    def test_fem_summary_names_shift_invert_path(self, capsys):
+        assert run(["fem", "--shape", "square", "--n", "16", "--zeta", "const:0,0.5", "--nev", "4"]) == 0
+        assert "path shift-invert-arnoldi" in capsys.readouterr().out
+
     def test_mesh_file_shape_roundtrip(self, tmp_path, capsys):
         from impedbench.fem import square_mesh
 
@@ -225,3 +242,19 @@ class TestOutputs:
     def test_n_with_braced_spec_exit3(self, capsys):
         assert run(["fem", "--shape", "square{8}", "--n", "4", "--zeta", "0.5"]) == 3
         capsys.readouterr()
+
+    def test_disconnected_mesh_exit3(self, tmp_path, capsys):
+        path = tmp_path / "two.mesh"
+        path.write_text(
+            "mesh2d v1\n6\n"
+            "v 0 0\nv 1 0\nv 0 1\nv 3 0\nv 4 0\nv 3 1\n"
+            "t 0 1 2\nt 3 4 5\n"
+            "b 0 1 rim\nb 1 2 rim\nb 2 0 rim\nb 3 4 rim\nb 4 5 rim\nb 5 3 rim\n"
+        )
+        assert run(["fem", "--shape", str(path), "--zeta", "0.5"]) == 3
+        assert "not connected: 2 components" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fem", "march"])
+    def test_mesh_over_assembly_cap_exit3(self, capsys, command):
+        assert run([command, "--shape", "square", "--n", "64", "--zeta", "0.5"]) == 3
+        assert "assembly capped" in capsys.readouterr().err

@@ -1,10 +1,17 @@
 """Tests for mesh handling, P1 assembly, the QEP solve, and the energy march."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.optimize import linear_sum_assignment
 
+from impedbench import fem as fem_module
 from impedbench.errors import InvalidInputError, NumericalFailureError
 from impedbench.fem import (
+    MAX_ASSEMBLE_VERTICES,
+    QEP_RESIDUAL_TOL,
     Mesh,
     MaterialCoefficients,
     QepMatrices,
@@ -20,6 +27,7 @@ from impedbench.fem import (
 from impedbench.reports import ModeEntry, SpectrumReport
 
 SEED = 20240801
+MIXED_ZETA = {"bottom": 1.0, "right": 0.0, "top": 0.0, "left": 0.0}
 
 
 def reference_triangle_mesh():
@@ -185,6 +193,19 @@ class TestAssemble:
         with pytest.raises(InvalidInputError, match="left"):
             assemble(mesh, zeta={"bottom": 1.0, "right": 0.0, "top": 0.0})
 
+    def test_vertex_cap_checked_before_allocation(self):
+        mesh = square_mesh(64)  # 4225 vertices
+        assert mesh.n_vertices > MAX_ASSEMBLE_VERTICES
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="assembly capped"):
+                assemble(mesh, zeta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense n x n float matrix alone would take 143 MB
+        assert peak < 8 * mesh.n_vertices ** 2 / 100
+
     def test_anisotropic_flux_scales_stiffness(self):
         mesh = reference_triangle_mesh()
         mat = MaterialCoefficients(alpha_inv=np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -194,9 +215,12 @@ class TestAssemble:
 
 
 class TestSolveQep:
-    def test_neumann_square_matches_closed_form(self):
-        rep = solve_qep(assemble(build_mesh("square{16}"), zeta=0.0), n_want=9)
-        assert rep.metadata["path"] == "hermitian"
+    # each check runs once on the dense side of the solver switch and once,
+    # in its _shift_invert twin, on the sparse side
+
+    def _check_neumann_square(self, spec, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=0.0), n_want=9)
+        assert rep.metadata["path"] == path
         vals = [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
         assert all(abs(v.imag) == 0.0 for v in vals)
         nonzero = sorted(abs(v) for v in vals if abs(v) > 1e-6)
@@ -209,9 +233,15 @@ class TestSolveQep:
         negatives = sorted(-v.real for v in vals if v.real < -1e-6)
         assert np.allclose(positives, negatives, atol=1e-12)
 
-    def test_real_damping_enclosure_and_artifact(self):
-        rep = solve_qep(assemble(build_mesh("square{8}"), zeta=1.0), n_want=200)
-        assert rep.metadata["path"] == "real-rotated"
+    def test_neumann_square_matches_closed_form(self):
+        self._check_neumann_square("square{8}", "hermitian")
+
+    def test_neumann_square_matches_closed_form_shift_invert(self):
+        self._check_neumann_square("square{16}", "shift-invert-lanczos")
+
+    def _check_real_damping(self, spec, n_want, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=1.0), n_want=n_want)
+        assert rep.metadata["path"] == path
         fem = [e for e in rep.entries if e.mode_tag == "fem"]
         art = [e for e in rep.entries if e.mode_tag == "quotient-artifact"]
         assert len(art) == 1
@@ -219,25 +249,49 @@ class TestSolveQep:
         assert max(e.im_lambda for e in fem) <= 1e-8
         assert all(e.residual <= 1e-8 for e in rep.entries)
 
-    def test_imaginary_damping_real_spectrum(self):
-        rep = solve_qep(assemble(build_mesh("square{8}"), zeta=0.5j), n_want=160)
-        assert rep.metadata["path"] == "real-direct"
+    def test_real_damping_enclosure_and_artifact(self):
+        self._check_real_damping("square{8}", 200, "real-rotated")
+
+    def test_real_damping_enclosure_and_artifact_shift_invert(self):
+        self._check_real_damping("square{16}", 24, "shift-invert-arnoldi")
+
+    def _check_imaginary_damping(self, spec, n_want, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=0.5j), n_want=n_want)
+        assert rep.metadata["path"] == path
         fem = [e for e in rep.entries if e.mode_tag == "fem"]
         assert max(abs(e.im_lambda) for e in fem) <= 1e-8
 
-    def test_general_complex_path(self):
-        rep = solve_qep(assemble(build_mesh("square{6}"), zeta=0.3 + 0.4j), n_want=12)
-        assert rep.metadata["path"] == "complex"
+    def test_imaginary_damping_real_spectrum(self):
+        self._check_imaginary_damping("square{8}", 160, "real-direct")
+
+    def test_imaginary_damping_real_spectrum_shift_invert(self):
+        self._check_imaginary_damping("square{16}", 24, "shift-invert-arnoldi")
+
+    def _check_general_complex(self, spec, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=0.3 + 0.4j), n_want=12)
+        assert rep.metadata["path"] == path
         fem = [e for e in rep.entries if e.mode_tag == "fem"]
         assert len(fem) == 12
         assert max(e.im_lambda for e in fem) <= 1e-8
         assert rep.metadata["artifacts"] == 1
 
-    def test_mixed_boundary_labels(self):
-        zeta = {"bottom": 1.0, "right": 0.0, "top": 0.0, "left": 0.0}
-        rep = solve_qep(assemble(build_mesh("square{6}"), zeta=zeta), n_want=20)
+    def test_general_complex_path(self):
+        self._check_general_complex("square{6}", "complex")
+
+    def test_general_complex_path_shift_invert(self):
+        self._check_general_complex("square{16}", "shift-invert-arnoldi")
+
+    def _check_mixed_labels(self, spec, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=MIXED_ZETA), n_want=20)
+        assert rep.metadata["path"] == path
         fem = [e for e in rep.entries if e.mode_tag == "fem"]
         assert max(e.im_lambda for e in fem) <= 1e-8
+
+    def test_mixed_boundary_labels(self):
+        self._check_mixed_labels("square{6}", "real-rotated")
+
+    def test_mixed_boundary_labels_shift_invert(self):
+        self._check_mixed_labels("square{16}", "shift-invert-arnoldi")
 
     def test_n_want_and_validation(self):
         q = assemble(build_mesh("square{4}"), zeta=1.0)
@@ -249,8 +303,80 @@ class TestSolveQep:
     def test_dense_cap(self):
         mesh = build_mesh("square{46}")  # 2209 vertices
         q = assemble(mesh, zeta=0.0)
-        with pytest.raises(InvalidInputError, match="capped"):
-            solve_qep(q, n_want=4)
+        with pytest.raises(InvalidInputError, match="dense companion solve capped"):
+            solve_qep(q, n_want=q.dim)
+        # the cap binds the dense companion only
+        assert solve_qep(q, n_want=4).metadata["path"] == "shift-invert-lanczos"
+
+    def test_failed_factorization_falls_back_only_when_nonaccretive(self, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        mesh = build_mesh("square{16}")
+        with pytest.raises(NumericalFailureError, match="factorization failed"):
+            solve_qep(assemble(mesh, zeta=0.5), n_want=8)
+        assert solve_qep(assemble(mesh, zeta=-0.5), n_want=8).metadata["path"] == "real-rotated"
+
+    def test_uncertified_modes_fall_back_to_dense(self, monkeypatch):
+        calls = []
+        eigs = spla.eigs
+
+        def nearest_nine(*args, **kwargs):
+            # the artifact and the eight genuine modes nearest sigma: enough
+            # modes, but by the triangle inequality never a certified set
+            calls.append(kwargs["k"])
+            vals, vecs = eigs(*args, **kwargs)
+            keep = np.argsort(np.abs(vals - kwargs["sigma"]))[:9]
+            return vals[keep], vecs[:, keep]
+
+        monkeypatch.setattr(spla, "eigs", nearest_nine)
+        monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w: True)
+        q = assemble(build_mesh("square{8}"), zeta=0.5)
+        rep = solve_qep(q, n_want=8)
+        assert rep.metadata["path"] == "real-rotated"
+        assert rep.metadata["returned"] == 8
+        # k grew by half each time, up to a quarter of the pencil dimension
+        assert calls[0] == 17 and calls[-1] == 2 * q.dim // 4
+        assert all(b == min(a + a // 2, 2 * q.dim // 4) for a, b in zip(calls, calls[1:]))
+
+
+CROSS_CHECK_CASES = [
+    (spec, zeta)
+    for spec in ("square{8}", "square{16}", "disk_polygon{8,32}")
+    for zeta in (0.0, 0.5, 0.5j, 0.3 + 0.4j)
+] + [("square{8}", MIXED_ZETA), ("square{16}", MIXED_ZETA)]
+
+
+class TestShiftInvertMatchesDense:
+    """The dense companion is the reference for the shift-invert path."""
+
+    @pytest.mark.parametrize("spec,zeta", CROSS_CHECK_CASES)
+    def test_eigenvalues_artifacts_and_residuals(self, monkeypatch, spec, zeta):
+        q = assemble(build_mesh(spec), zeta=zeta)
+        n_want = 16 if q.dim < 128 else 32
+        reports = {}
+        for forced in (True, False):
+            monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w, f=forced: f)
+            reports[forced] = solve_qep(q, n_want=n_want)
+        sparse, dense = reports[True], reports[False]
+        assert sparse.metadata["path"].startswith("shift-invert")
+        assert not dense.metadata["path"].startswith("shift-invert")
+        assert sparse.metadata["artifacts"] == dense.metadata["artifacts"]
+        assert all(e.residual <= QEP_RESIDUAL_TOL for e in sparse.entries + dense.entries)
+
+        def fem_values(rep):
+            return np.array([complex(e.re_lambda, e.im_lambda)
+                             for e in rep.entries if e.mode_tag == "fem"])
+
+        a, b = fem_values(sparse), fem_values(dense)
+        # +- pairs of equal modulus may be cut differently at the n_want-th
+        # mode, so compare only the modes strictly inside its modulus
+        r_sel = np.abs(b).max() * (1 - 1e-9)
+        a, b = a[np.abs(a) < r_sel], b[np.abs(b) < r_sel]
+        assert len(a) == len(b) >= n_want // 2
+        rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+        assert np.abs(a[rows] - b[cols]).max() <= 1e-10
 
 
 class TestEnergyMarch:
