@@ -12,6 +12,7 @@ the command handlers.
 """
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -55,20 +56,24 @@ class _UsageError(argparse.ArgumentTypeError):
 
 
 def parse_scalar_impedance(text: str) -> complex:
-    """const:re,im or a plain real/complex literal."""
+    """const:re,im or a plain real/complex literal, finite."""
     text = text.strip()
     if text.startswith("const:"):
         parts = text[len("const:"):].split(",")
         if len(parts) != 2:
             raise _UsageError(f"expected const:re,im, got '{text}'")
         try:
-            return complex(float(parts[0]), float(parts[1]))
+            value = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise _UsageError(f"malformed const impedance '{text}'")
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise _UsageError(f"cannot parse impedance '{text}'")
+    else:
+        try:
+            value = complex(text.replace(" ", ""))
+        except ValueError:
+            raise _UsageError(f"cannot parse impedance '{text}'")
+    if not cmath.isfinite(value):
+        raise _UsageError(f"impedance must be finite, got '{text}'")
+    return value
 
 
 def parse_coefficient(text: str):
@@ -197,12 +202,6 @@ class _EnclosureRefusal(Exception):
     pass
 
 
-def _write_payload(payload: dict, path: str) -> None:
-    from .reports import write_json
-
-    write_json(path, payload)
-
-
 def _emit_report(report, path: str) -> None:
     if path.endswith(".json"):
         report.write_json(path)
@@ -216,13 +215,15 @@ def _emit_report(report, path: str) -> None:
 
 def _cmd_green_check(args) -> int:
     from .fixtures import get_fixture, green_check
+    from .reports import write_json
 
     result = green_check(
         get_fixture(args.fixture), trials=args.trials, seed=args.seed, tol=args.tol
     )
     print(result.summary())
     if args.out:
-        _write_payload(
+        write_json(
+            args.out,
             {
                 "fixture": result.label,
                 "trials": result.trials,
@@ -230,7 +231,6 @@ def _cmd_green_check(args) -> int:
                 "tolerance": result.tolerance,
                 "passed": result.passed,
             },
-            args.out,
         )
     return EXIT_OK if result.passed else EXIT_INVARIANT
 
@@ -255,6 +255,7 @@ def _cmd_extension_cayley(args) -> int:
         impedance_to_contraction,
     )
     from .fixtures import get_fixture
+    from .reports import write_json
 
     fx = get_fixture(args.fixture)
     dim = fx.boundary.trace_dim
@@ -275,7 +276,8 @@ def _cmd_extension_cayley(args) -> int:
         f"({args.trials} trials) {'ok' if ok else 'FAIL'}"
     )
     if args.out:
-        _write_payload(
+        write_json(
+            args.out,
             {
                 "fixture": args.fixture,
                 "trials": args.trials,
@@ -285,7 +287,6 @@ def _cmd_extension_cayley(args) -> int:
                 "tolerance": args.tol,
                 "passed": ok,
             },
-            args.out,
         )
     return EXIT_OK if ok else EXIT_INVARIANT
 
@@ -295,6 +296,7 @@ def _cmd_extension_mdiss(args) -> int:
 
     from .extensions import mdissipativity_report, restrict_extension
     from .fixtures import get_fixture
+    from .reports import write_json
 
     fx = get_fixture(args.fixture)
     rng = np.random.default_rng(args.seed)
@@ -310,7 +312,7 @@ def _cmd_extension_mdiss(args) -> int:
         f"dissipative {report['dissipative']} {'ok' if ok else 'FAIL'}"
     )
     if args.out:
-        _write_payload(report, args.out)
+        write_json(args.out, report)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
@@ -319,6 +321,7 @@ def _cmd_extension_rank(args) -> int:
 
     from .extensions import impedance_to_contraction, resolvent_difference_rank
     from .fixtures import get_fixture
+    from .reports import write_json
 
     fx = get_fixture(args.fixture)
     dim = fx.boundary.trace_dim
@@ -335,7 +338,8 @@ def _cmd_extension_rank(args) -> int:
     report = resolvent_difference_rank(fx, k1, k2, z=args.z, tol=args.tol)
     print(report.summary())
     if args.out:
-        _write_payload(
+        write_json(
+            args.out,
             {
                 "fixture": args.fixture,
                 "z": [report.z.real, report.z.imag],
@@ -344,7 +348,6 @@ def _cmd_extension_rank(args) -> int:
                 "satisfied": report.satisfied,
                 "realization_residual": report.realization_residual,
             },
-            args.out,
         )
     return EXIT_OK if report.satisfied else EXIT_INVARIANT
 
@@ -369,6 +372,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_lq(args) -> int:
     from .circle import lq_report
+    from .reports import write_json
 
     coef = parse_coefficient(args.zeta)
     report = lq_report(coef, s=args.s, q=args.q)
@@ -378,7 +382,7 @@ def _cmd_lq(args) -> int:
         f"theorem_applies {report['theorem_applies']}"
     )
     if args.out:
-        _write_payload(report, args.out)
+        write_json(args.out, report)
     return EXIT_OK
 
 
@@ -437,8 +441,7 @@ def _cmd_fem(args) -> int:
     spec = _mesh_spec(args.shape, args.n)
     mesh = build_mesh(spec)
     q = assemble(mesh, zeta=zeta)
-    nev = args.nev if args.nev is not None else 24
-    report = solve_qep(q, n_want=nev)
+    report = solve_qep(q, n_want=args.nev)
     fem_entries = [e for e in report.entries if e.mode_tag == "fem"]
     max_im = max((e.im_lambda for e in fem_entries), default=float("-inf"))
     print(
@@ -488,7 +491,7 @@ def _cmd_converge(args) -> int:
 
     from .fem import convergence_study, convergence_table_csv
     from .models import disk_mode_roots
-    from .reports import ModeEntry, SpectrumReport, write_text_atomic
+    from .reports import ModeEntry, SpectrumReport, write_json, write_text_atomic
 
     zeta = parse_scalar_impedance(args.zeta)
     _require_accretive(zeta, args.allow_nonaccretive, "converge")
@@ -513,7 +516,7 @@ def _cmd_converge(args) -> int:
     )
     if args.out:
         if args.out.endswith(".json"):
-            _write_payload(study, args.out)
+            write_json(args.out, study)
         else:
             write_text_atomic(args.out, convergence_table_csv(study))
     return EXIT_OK
@@ -530,15 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default: float):
-        p.add_argument("--tol", type=float, default=tol_default, help="pass/fail tolerance")
-        p.add_argument("--out", default=None, help="output file (.csv or .json)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
+    # each subcommand takes --tol and --seed only if its handler reads them
     p = sub.add_parser("green-check", help="integration-by-parts defect on a fixture")
     p.add_argument("--fixture", required=True)
     p.add_argument("--trials", type=int, default=100)
-    common(p, 1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_green_check)
 
     p = sub.add_parser("extension", help="boundary-condition parametrization checks")
@@ -547,41 +548,47 @@ def build_parser() -> argparse.ArgumentParser:
     pc = modes.add_parser("cayley", help="round-trip and identity defects")
     pc.add_argument("--fixture", required=True)
     pc.add_argument("--trials", type=int, default=50)
-    common(pc, 1e-9)
+    pc.add_argument("--tol", type=float, default=1e-9, help="pass/fail tolerance")
+    pc.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pc.set_defaults(handler=_cmd_extension_cayley)
 
     pm = modes.add_parser("mdiss", help="dissipativity report for a random admissible condition")
     pm.add_argument("--fixture", required=True)
     pm.add_argument("--skew", action="store_true", help="use the selfadjoint (skew) case")
-    common(pm, 1e-10)
+    pm.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pm.set_defaults(handler=_cmd_extension_mdiss)
 
     pr = modes.add_parser("rank", help="resolvent-difference rank inequality")
     pr.add_argument("--fixture", required=True)
     pr.add_argument("--rank", type=int, default=1, help="rank of the condition perturbation")
     pr.add_argument("--z", type=parse_scalar_impedance, default=1j, help="spectral point")
-    common(pr, 1e-8)
+    pr.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    pr.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pr.set_defaults(handler=_cmd_extension_rank)
 
     p = sub.add_parser("gate", help="finite-section compactness gate on the circle")
     p.add_argument("--zeta", required=True, help="const:re,im | power:a=..,c=.. | file:path")
     p.add_argument("--s", type=float, default=0.5, help="trace smoothness index")
     p.add_argument("--sections", type=parse_int_list, default=[16, 32, 64, 128])
-    common(p, 1e-2)
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_gate)
 
     p = sub.add_parser("lq", help="integrability sufficient condition")
     p.add_argument("--zeta", required=True)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--q", type=float, default=2.0)
-    common(p, 1e-2)
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_lq)
 
     p = sub.add_parser("string", help="damped string spectrum (closed form)")
     p.add_argument("--zeta", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    common(p, 1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="pass/fail tolerance")
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_string)
 
     p = sub.add_parser("disk", help="impedance-rim disk spectrum (contour counted)")
@@ -590,16 +597,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None, help="re_min,re_max,im_min,im_max")
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    common(p, 1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_disk)
 
     p = sub.add_parser("fem", help="P1 discretization eigenvalues")
     p.add_argument("--shape", default="square")
     p.add_argument("--n", type=int, default=None, help="resolution for bare shapes")
     p.add_argument("--zeta", required=True)
-    p.add_argument("--nev", type=int, default=None)
+    p.add_argument("--nev", type=int, default=24)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    common(p, 1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_fem)
 
     p = sub.add_parser("march", help="Crank-Nicolson energy decay march")
@@ -609,7 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    common(p, 1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="pass/fail tolerance")
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_march)
 
     p = sub.add_parser("converge", help="FEM refinement study against oracles")
@@ -617,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=parse_int_list, default=[8, 16, 32])
     p.add_argument("--zeta", default="0")
     p.add_argument("--allow-nonaccretive", action="store_true")
-    common(p, 1e-2)
+    p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_converge)
 
     return parser

@@ -28,7 +28,6 @@ from .tuples import (
     BoundaryTupleModel,
     TupleFixture,
     _as_trace_operator,
-    accretivity_defect,
     to_boundary_triple,
 )
 
@@ -416,8 +415,3 @@ def resolvent_difference_rank(
         tolerance=tol,
         realization_residual=res,
     )
-
-
-def accretivity_of_impedance(z, fx: TupleFixture) -> float:
-    """Convenience re-export: smallest real part of the impedance form."""
-    return accretivity_defect(z, fx.boundary)

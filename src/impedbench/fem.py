@@ -35,8 +35,8 @@ ARTIFACT_RADIUS = 1e-8
 # companion matrices are dense 2n x 2n; past this the desk-scale pitch breaks
 MAX_SOLVE_VERTICES = 2048
 # assembly allocates dense n x n matrices and runs a dense kernel check;
-# checked before any of them is allocated. At this size fem peaks near 1 GB
-# resident and march near 1.5 GB.
+# checked before any of them is allocated (for braced specs, before the mesh
+# is built). At this size fem peaks near 1 GB resident and march near 1.5 GB.
 MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert replaces the dense companion from this many vertices on, while
 # the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
@@ -169,8 +169,8 @@ def square_mesh(n: int, lx: float = 1.0, ly: float = 1.0, nx: int = None, ny: in
     ny = n if ny is None else ny
     if nx < 1 or ny < 1:
         raise InvalidInputError("subdivision counts must be at least 1")
-    if lx <= 0 or ly <= 0:
-        raise InvalidInputError("side lengths must be positive")
+    if not (0 < lx < math.inf and 0 < ly < math.inf):
+        raise InvalidInputError("side lengths must be finite and positive")
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
     vid = lambda i, j: j * (nx + 1) + i
@@ -270,22 +270,36 @@ def mesh_from_file(path: str) -> Mesh:
 
 
 def build_mesh(shape: str) -> Mesh:
-    """Dispatch on 'square{n}', 'rectangle{nx,ny,lx,ly}', 'disk_polygon{nr,nt}', or a file path."""
+    """Dispatch on 'square{n}', 'rectangle{nx,ny,lx,ly}', 'disk_polygon{nr,nt}', or a file path.
+
+    A braced spec whose vertex count exceeds MAX_ASSEMBLE_VERTICES is refused
+    before its vertex list is built.
+    """
     shape = shape.strip()
     if shape.endswith("}") and "{" in shape:
         name, _, argstr = shape[:-1].partition("{")
         args = [a.strip() for a in argstr.split(",")] if argstr.strip() else []
         try:
             if name == "square" and len(args) == 1:
-                return square_mesh(int(args[0]))
-            if name == "rectangle" and len(args) == 4:
-                return square_mesh(0, nx=int(args[0]), ny=int(args[1]),
-                                   lx=float(args[2]), ly=float(args[3]))
-            if name == "disk_polygon" and len(args) == 2:
-                return disk_polygon_mesh(int(args[0]), int(args[1]))
+                n = int(args[0])
+                count, build = (n + 1) ** 2, lambda: square_mesh(n)
+            elif name == "rectangle" and len(args) == 4:
+                nx, ny, lx, ly = int(args[0]), int(args[1]), float(args[2]), float(args[3])
+                count = (nx + 1) * (ny + 1)
+                build = lambda: square_mesh(0, nx=nx, ny=ny, lx=lx, ly=ly)
+            elif name == "disk_polygon" and len(args) == 2:
+                n_r, n_theta = int(args[0]), int(args[1])
+                count, build = 1 + n_r * n_theta, lambda: disk_polygon_mesh(n_r, n_theta)
+            else:
+                raise InvalidInputError(f"unknown shape '{shape}'")
+            if count > MAX_ASSEMBLE_VERTICES:
+                raise InvalidInputError(
+                    f"'{shape}' has {count} vertices; dense assembly capped at "
+                    f"{MAX_ASSEMBLE_VERTICES}"
+                )
+            return build()
         except ValueError:
             raise InvalidInputError(f"malformed shape arguments in '{shape}'")
-        raise InvalidInputError(f"unknown shape '{shape}'")
     return mesh_from_file(shape)
 
 
@@ -333,7 +347,10 @@ class MaterialCoefficients:
 
 @dataclass
 class QepMatrices:
-    """Stiffness, boundary damping, and mass matrices of the quadratic family."""
+    """Stiffness, boundary damping, and mass matrices of the quadratic family.
+
+    assemble returns K and M real and C complex.
+    """
 
     k_stiff: np.ndarray
     c_bdry: np.ndarray
@@ -417,7 +434,7 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
         "boundary_edges": int(mesh.boundary_edges.shape[0]),
         "min_sampled_re_zeta": float(min_sampled_re),
     }
-    return QepMatrices(k_stiff.astype(complex), c_bdry, m_mass.astype(complex), meta)
+    return QepMatrices(k_stiff, c_bdry, m_mass, meta)
 
 
 def _check_connected(mesh: Mesh) -> None:
@@ -536,31 +553,22 @@ def _solve_dense(kr, mr, c, zeta_zero: bool):
         mu, vecs = sla.eigh(kr, mr)
         lams, pvecs = _lambdas_from_mu(mu, vecs, mu[-1])
         return "hermitian", lams, pvecs
+    # one companion [[M^{-1} D, s M^{-1} K], [I, 0]] for all three paths: real
+    # C in the variable mu = i lam, purely imaginary C in lam itself, both in
+    # real arithmetic; general C in complex arithmetic
     c_scale = np.abs(c).max()
+    if np.abs(c.imag).max() <= 1e-14 * c_scale:
+        path, d, s = "real-rotated", c.real, -1.0
+    elif np.abs(c.real).max() <= 1e-14 * c_scale:
+        path, d, s = "real-direct", c.imag, 1.0
+    else:
+        path, d, s = "complex", -1j * c, 1.0
     try:
-        if np.abs(c.imag).max() <= 1e-14 * c_scale:
-            path = "real-rotated"
-            top = np.hstack([sla.solve(mr, c.real, assume_a="pos"),
-                             -sla.solve(mr, kr, assume_a="pos")])
-            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
-            w, v = sla.eig(comp)
-            lams = -1j * w
-        elif np.abs(c.real).max() <= 1e-14 * c_scale:
-            path = "real-direct"
-            top = np.hstack([sla.solve(mr, c.imag, assume_a="pos"),
-                             sla.solve(mr, kr, assume_a="pos")])
-            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])])
-            w, v = sla.eig(comp)
-            lams = w.astype(complex)
-        else:
-            path = "complex"
-            top = np.hstack([sla.solve(mr, -1j * c),
-                             sla.solve(mr, kr, assume_a="pos").astype(complex)])
-            comp = np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))]).astype(complex)])
-            w, v = sla.eig(comp)
-            lams = w
+        top = np.hstack([sla.solve(mr, d, assume_a="pos"), s * sla.solve(mr, kr, assume_a="pos")])
+        w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])]))
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
+    lams = -1j * w if path == "real-rotated" else w
     if not np.all(np.isfinite(lams)):
         raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
     return path, lams, v[n:, :]
@@ -662,9 +670,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     if n_want < 1:
         raise InvalidInputError("n_want must be at least 1")
     n = q.dim
-    k = np.asarray(q.k_stiff, dtype=complex)
+    k, m = np.asarray(q.k_stiff), np.asarray(q.m_mass)
     c = np.asarray(q.c_bdry, dtype=complex)
-    m = np.asarray(q.m_mass, dtype=complex)
     if max(np.abs(k.imag).max(), np.abs(m.imag).max()) > 1e-14 * max(np.abs(k).max(), 1.0):
         raise InvalidInputError("stiffness and mass must be real symmetric")
     kr, mr = k.real, m.real
@@ -687,7 +694,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     if solved is None:
         path, lams, pvecs = _solve_dense(kr, mr, c, zeta_zero)
         norm_k, norm_m = _spectral_norm_hermitian(kr), _spectral_norm_hermitian(mr)
-        ops = (m, c, k)
+        ops = (mr, c, kr)
     else:
         path, lams, pvecs, norm_k, norm_m, ops = solved
 
@@ -742,8 +749,8 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     a property of the scheme, not an observation about step size. Constant
     shifts of u never enter E (the stiffness annihilates them).
     """
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidInputError("dt must be finite and positive")
     if steps < 0:
         raise InvalidInputError("steps must be nonnegative")
     u0, p0 = initial
@@ -754,8 +761,11 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
         raise InvalidInputError("initial state size does not match the matrices")
     k, c, m = q.k_stiff, q.c_bdry, q.m_mass
 
-    lhs = m + 0.25 * dt * dt * k + 0.5 * dt * c
-    rhs = m - 0.25 * dt * dt * k - 0.5 * dt * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing dt leaves non-finite entries, refused below
+        lhs = m + 0.25 * dt * dt * k + 0.5 * dt * c
+    if not np.isfinite(lhs).all():
+        raise InvalidInputError(f"time-step matrix is not finite at dt = {dt:g}")
     try:
         with warnings.catch_warnings():
             # singularity is checked explicitly on the factor below
@@ -766,6 +776,13 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * max(diag.max(), 1.0):
         raise NumericalFailureError("time-step system is singular at this dt")
+    # lu is a copy of lhs; dropping lhs first and recasting K and M only
+    # after rhs is built keeps the peak at six n x n complex matrices
+    del lhs
+    rhs = m - 0.25 * dt * dt * k - 0.5 * dt * c
+    # a real matrix times a complex vector recasts the matrix on every
+    # product, so the loop gets complex copies
+    k, m = np.asarray(k, dtype=complex), np.asarray(m, dtype=complex)
 
     def energy(uv, pv) -> float:
         return float((uv.conj() @ (k @ uv)).real + (pv.conj() @ (m @ pv)).real)

@@ -244,9 +244,7 @@ def green_check(fx: TupleFixture, trials: int = 100, seed: int = 20240801,
                 tol: float | None = None) -> GreenCheckResult:
     """Sample pairs of states and report the worst integration-by-parts defect.
 
-    Registry fixtures draw random smooth functions on their collocation grid;
-    fixtures loaded from JSON fall back to plain random vectors, which is
-    exact for any model satisfying the identity at matrix level.
+    The states are random smooth functions on the fixture's collocation grid.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")

@@ -5,19 +5,14 @@ attach residual checks, and speak the workbench error taxonomy. Matrices are
 numpy arrays; sizes are desk scale (a few thousand at most).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 
 __all__ = [
     "as_complex_matrix",
     "GramMatrix",
-    "svd",
-    "solve_pencil",
-    "PencilEigens",
     "numerical_rank",
     "gram_operator_norm",
 ]
@@ -77,10 +72,6 @@ class GramMatrix:
             raise InvalidInputError("gram dimension must be positive")
         return cls(np.eye(dim))
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(self.dim), atol=1e-14))
-
     def inner(self, u, v) -> complex:
         """(u|v) = v^H G u."""
         u = np.asarray(u, dtype=complex).reshape(-1)
@@ -101,57 +92,6 @@ class GramMatrix:
         b = np.atleast_2d(np.asarray(basis, dtype=complex))
         q, _ = np.linalg.qr(self.chol_upper @ b)
         return sla.solve_triangular(self.chol_upper, q, lower=False)
-
-
-def svd(m):
-    """Economy SVD (u, s, vh). Raises NumericalFailureError on non-convergence."""
-    a = as_complex_matrix(m, "svd input")
-    try:
-        return sla.svd(a, full_matrices=False, lapack_driver="gesdd")
-    except sla.LinAlgError:
-        pass
-    try:
-        return sla.svd(a, full_matrices=False, lapack_driver="gesvd")
-    except sla.LinAlgError as exc:
-        raise NumericalFailureError("SVD iteration failed to converge") from exc
-
-
-@dataclass
-class PencilEigens:
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-    cond_b: float
-
-
-def solve_pencil(a, b, residual_tol: float = 1e-8, cond_cap: float = 1e12) -> PencilEigens:
-    """Eigenpairs of a x = lambda b x for invertible b.
-
-    Eigenvalues come back sorted lexicographically by (Re, Im) so repeated
-    runs are bit-stable. Each returned pair satisfies
-    ||a x - lambda b x|| / (||a|| + |lambda| ||b||) <= residual_tol for unit x,
-    otherwise NumericalFailureError is raised.
-    """
-    a = as_complex_matrix(a, "pencil lhs")
-    b = as_complex_matrix(b, "pencil rhs")
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise InvalidInputError(f"pencil matrices must be square and matched, got {a.shape} vs {b.shape}")
-    sb = sla.svdvals(b)
-    if sb[-1] == 0.0 or sb[0] / sb[-1] > cond_cap:
-        cond = np.inf if sb[-1] == 0.0 else sb[0] / sb[-1]
-        raise InvalidInputError(f"pencil rhs is numerically singular (condition estimate {cond:.3e})")
-    cond_b = float(sb[0] / sb[-1])
-    w, v = sla.eig(a, b)
-    order = np.lexsort((w.imag, w.real))
-    w, v = w[order], v[:, order]
-    v = v / np.linalg.norm(v, axis=0, keepdims=True)
-    na, nb = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
-    res = np.linalg.norm(a @ v - (b @ v) * w[None, :], axis=0) / (na + np.abs(w) * nb)
-    if np.any(res > residual_tol):
-        raise NumericalFailureError(
-            f"pencil eigenpair residual {res.max():.3e} exceeds {residual_tol:.1e}"
-        )
-    return PencilEigens(values=w, vectors=v, residuals=res, cond_b=cond_b)
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -11,6 +11,7 @@ only in the test suite as oracles.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ SERIES_RADIUS = 12.0
 MAX_BESSEL_ORDER = 60
 
 CRITICAL_MATCH_TOL = 1e-13
+# seeds the outward nudges of a search box whose contour hits a zero
+BOX_NUDGE_SEED = 20240801
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +127,12 @@ def _bessel_table_series(m_max: int, z: np.ndarray) -> np.ndarray:
     half = z / 2.0
     for m in range(m_max + 1):
         # term_k = (-1)^k (z/2)^{2k+m} / (k! (k+m)!)
-        term = half**m / _factorial(m)
+        term = half**m / float(math.factorial(m))
         acc = term.copy()
         for k in range(1, 60):
             term = term * (-(half * half)) / (k * (k + m))
             acc += term
         out[m] = acc
-    return out
-
-
-def _factorial(k: int) -> float:
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
     return out
 
 
@@ -394,7 +390,6 @@ def disk_mode_roots(
     zeta,
     box: SearchBox = None,
     samples: int = 2048,
-    seed: int = 20240801,
 ) -> dict:
     """All characteristic roots of one angular sector inside a search box.
 
@@ -404,10 +399,12 @@ def disk_mode_roots(
     outward a few times before giving up. Returns roots, the contour count,
     and per-root residuals.
     """
+    if samples < 1:
+        raise InvalidInputError("contour samples must be at least 1")
     problem = DiskModeProblem(m=int(m), zeta=complex(zeta))
     if box is None:
         box = SearchBox(0.05, 20.0, -5.0, 0.05)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BOX_NUDGE_SEED)
 
     outer = box
     for attempt in range(6):

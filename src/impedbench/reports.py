@@ -157,7 +157,6 @@ class CompactnessReport:
     verdict: str
     re_defect: float
     thresholds: dict = field(default_factory=dict)
-    lq: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["N,k,sigma_k"]
@@ -177,7 +176,6 @@ class CompactnessReport:
             "verdict": self.verdict,
             "re_defect": self.re_defect,
             "thresholds": self.thresholds,
-            "lq": self.lq,
         }
 
     def write_csv(self, path: str) -> None:

@@ -19,7 +19,6 @@ Conventions, used consistently everywhere:
   which vanishes (to model tolerance) when the tuple is consistent.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "to_boundary_triple",
     "natural_adjoint",
     "accretivity_defect",
-    "fixture_to_json",
-    "fixture_from_json",
 ]
 
 
@@ -176,10 +173,9 @@ class TupleFixture:
     model: OperatorModel
     boundary: BoundaryTupleModel
     transform: TupleTransform
+    # grid-aware sampler of smooth state vectors: rng -> state vector
+    smooth_sampler: object = field(repr=False)
     tolerance: float = 1e-8
-    # Grid-aware sampler of smooth state vectors; None for file-loaded
-    # fixtures, where plain random vectors are used instead.
-    smooth_sampler: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.boundary.state_dim != self.model.dim:
@@ -192,10 +188,7 @@ class TupleFixture:
         return self.model.label
 
     def sample_state(self, rng) -> np.ndarray:
-        if self.smooth_sampler is not None:
-            return self.smooth_sampler(rng)
-        n = self.model.dim
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return self.smooth_sampler(rng)
 
 
 def green_defect(model: OperatorModel, tup: BoundaryTupleModel, f, g) -> complex:
@@ -296,67 +289,3 @@ def _as_trace_operator(z, tup: BoundaryTupleModel) -> np.ndarray:
             f"trace operator must be {tup.gamma1.shape[0]}x{tup.gamma0.shape[0]}, got {q}x{p}"
         )
     return z
-
-
-# ---------------------------------------------------------------------------
-# JSON fixture serialization
-
-
-def _encode_matrix(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-
-def _decode_matrix(rows, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"fixture field {what!r} is not a matrix of [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise InvalidInputError(f"fixture field {what!r} must be rows of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def fixture_to_json(fx: TupleFixture) -> str:
-    doc = {
-        "label": fx.label,
-        "tolerance": fx.tolerance,
-        "astar": _encode_matrix(fx.model.astar),
-        "gram_x": _encode_matrix(fx.model.gram_x.matrix),
-        "gamma0": _encode_matrix(fx.boundary.gamma0),
-        "gamma1": _encode_matrix(fx.boundary.gamma1),
-        "grams": {
-            "minus": _encode_matrix(fx.boundary.gram_minus.matrix),
-            "pivot": _encode_matrix(fx.boundary.gram_pivot.matrix),
-            "plus": _encode_matrix(fx.boundary.gram_plus.matrix),
-        },
-        "pairing": _encode_matrix(fx.boundary.pairing),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def fixture_from_json(text: str) -> TupleFixture:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"fixture JSON is malformed: {exc}") from exc
-    for key in ("astar", "gram_x", "gamma0", "gamma1", "grams", "pairing", "tolerance"):
-        if key not in doc:
-            raise InvalidInputError(f"fixture JSON is missing field {key!r}")
-    model = OperatorModel(
-        astar=_decode_matrix(doc["astar"], "astar"),
-        gram_x=GramMatrix(_decode_matrix(doc["gram_x"], "gram_x")),
-        label=str(doc.get("label", "")),
-    )
-    tup = BoundaryTupleModel(
-        gamma0=_decode_matrix(doc["gamma0"], "gamma0"),
-        gamma1=_decode_matrix(doc["gamma1"], "gamma1"),
-        gram_minus=GramMatrix(_decode_matrix(doc["grams"]["minus"], "grams.minus")),
-        gram_pivot=GramMatrix(_decode_matrix(doc["grams"]["pivot"], "grams.pivot")),
-        gram_plus=GramMatrix(_decode_matrix(doc["grams"]["plus"], "grams.plus")),
-        pairing=_decode_matrix(doc["pairing"], "pairing"),
-    )
-    transform = TupleTransform.from_v(np.eye(tup.trace_dim), tup)
-    return TupleFixture(
-        model=model, boundary=tup, transform=transform, tolerance=float(doc["tolerance"])
-    )

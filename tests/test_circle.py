@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from impedbench.circle import (
+    MAX_SECTION_CUTOFF,
     ImpedanceCoefficient,
     SobolevScale,
     compactness_gate,
@@ -230,6 +231,14 @@ class TestCompactnessGate:
             compactness_gate(c, schedule=(16,))
         with pytest.raises(InvalidInputError, match="schedule"):
             compactness_gate(c, schedule=(32, 16))
+
+    def test_cutoff_cap_checked_before_coefficients(self, monkeypatch):
+        def never(self, n_max):
+            raise AssertionError("coefficients computed before the cutoff cap was checked")
+
+        monkeypatch.setattr(ImpedanceCoefficient, "fourier_coeffs", never)
+        with pytest.raises(InvalidInputError, match="cap"):
+            compactness_gate(ImpedanceCoefficient.power(0.3), schedule=(16, MAX_SECTION_CUTOFF + 1))
 
     def test_provider_shape_checked(self):
         with pytest.raises(InvalidInputError, match="shape"):

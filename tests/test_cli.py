@@ -1,16 +1,32 @@
 """Exit codes, argument grammar, and output determinism of the CLI."""
 
 import json
-import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from impedbench import cli
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run(argv):
     return cli.main(argv)
+
+
+def quick_start_examples():
+    """(argv, printed line) for each `$ impedbench ...` line of the README quick start."""
+    lines = README.read_text(encoding="utf-8").split("## Quick start", 1)[1].splitlines()
+    return [
+        (shlex.split(line)[2:], lines[i + 1])
+        for i, line in enumerate(lines)
+        if line.startswith("$ impedbench ")
+    ]
+
+
+QUICK_START = quick_start_examples()
 
 
 class TestGrammar:
@@ -108,6 +124,44 @@ class TestExitCodes:
         assert run(["string", "--zeta", "0.5"]) == 3
         capsys.readouterr()
 
+    # flags no handler reads are not accepted
+    @pytest.mark.parametrize("argv", [
+        ["gate", "--zeta", "power:a=0.5", "--tol", "5"],
+        ["gate", "--zeta", "power:a=0.5", "--seed", "1"],
+        ["lq", "--zeta", "power:a=0.5", "--tol", "5"],
+        ["lq", "--zeta", "power:a=0.5", "--seed", "1"],
+        ["converge", "--levels", "4,8", "--tol", "7"],
+        ["converge", "--levels", "4,8", "--seed", "1"],
+        ["extension", "mdiss", "--fixture", "transport-64", "--tol", "-1"],
+        ["string", "--zeta", "0.5", "--seed", "1"],
+        ["disk", "--zeta", "0.5", "--seed", "1"],
+        ["fem", "--n", "4", "--zeta", "0.5", "--seed", "1"],
+    ])
+    def test_removed_flag_exit3(self, capsys, argv):
+        assert run(argv) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fem", "--n", "4", "--zeta", "nan"],
+        ["fem", "--n", "4", "--zeta", "inf"],
+        ["fem", "--n", "4", "--zeta", "const:0,inf"],
+        ["fem", "--shape", "rectangle{2,2,inf,1}", "--zeta", "0.5"],
+        ["fem", "--shape", "rectangle{2,2,1,nan}", "--zeta", "0.5"],
+        ["march", "--n", "4", "--zeta", "nan"],
+        ["march", "--n", "4", "--zeta", "1.0", "--dt", "nan"],
+        ["march", "--n", "4", "--zeta", "1.0", "--dt", "inf"],
+        ["march", "--n", "4", "--zeta", "1.0", "--dt", "1e308"],
+        ["disk", "--zeta", "nan", "--m-max", "0"],
+        ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "-5"],
+        ["lq", "--zeta", "power:a=0.3", "--q", "nan"],
+        ["gate", "--zeta", "power:a=0.3", "--sections", "16,2048"],
+        ["fem", "--shape", "square{100000}", "--zeta", "0.5"],
+        ["march", "--shape", "disk_polygon{1000,4000}", "--zeta", "0.5"],
+    ])
+    def test_bad_value_exit3(self, capsys, argv):
+        assert run(argv) == 3
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestExtension:
     def test_cayley_mode(self, capsys, tmp_path):
@@ -148,6 +202,17 @@ class TestExtension:
     def test_rank_too_large_exit3(self, capsys):
         assert run(["extension", "rank", "--fixture", "transport-64", "--rank", "99"]) == 3
         capsys.readouterr()
+
+
+class TestQuickStart:
+    # the README promises these exact lines; a refactor must not move them
+    @pytest.mark.parametrize("argv,line", QUICK_START, ids=[a[0] for a, _ in QUICK_START])
+    def test_readme_line(self, capsys, argv, line):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_examples_found(self):
+        assert len(QUICK_START) == 5
 
 
 class TestOutputs:

@@ -10,7 +10,7 @@ import impedbench.extensions as ex
 from impedbench.errors import InvalidInputError
 from impedbench.fixtures import get_fixture
 from impedbench.linalg import GramMatrix
-from impedbench.tuples import accretivity_defect, to_boundary_triple
+from impedbench.tuples import accretivity_defect
 
 SEED = 20240801
 

@@ -19,7 +19,6 @@ from impedbench.fem import (
     build_mesh,
     cn_energy_march,
     convergence_study,
-    disk_polygon_mesh,
     mesh_from_file,
     solve_qep,
     square_mesh,
@@ -120,6 +119,21 @@ class TestMesh:
             build_mesh("square{a}")
         with pytest.raises(InvalidInputError):
             build_mesh("/nonexistent/path.mesh")
+
+    @pytest.mark.parametrize("spec", [
+        "square{64}", "rectangle{100000,1,1.0,1.0}", "disk_polygon{64,64}",
+    ])
+    def test_spec_over_cap_refused_before_building(self, monkeypatch, spec):
+        def never(*args, **kwargs):
+            raise AssertionError("mesh built before the vertex cap was checked")
+
+        monkeypatch.setattr(fem_module, "square_mesh", never)
+        monkeypatch.setattr(fem_module, "disk_polygon_mesh", never)
+        with pytest.raises(InvalidInputError, match="assembly capped"):
+            build_mesh(spec)
+
+    def test_spec_at_cap_builds(self):
+        assert build_mesh("square{63}").n_vertices == MAX_ASSEMBLE_VERTICES
 
 
 class TestMaterials:

@@ -8,16 +8,12 @@ from impedbench.fixtures import (
     get_fixture,
     green_check,
     lgl_points_weights,
-    transport_fixture,
-    two_channel_transport_fixture,
 )
 from impedbench.linalg import GramMatrix
 from impedbench.tuples import (
     BoundaryTupleModel,
     TupleTransform,
     accretivity_defect,
-    fixture_from_json,
-    fixture_to_json,
     green_defect,
     natural_adjoint,
     to_boundary_triple,
@@ -217,36 +213,6 @@ class TestAccretivityDefect:
         assert accretivity_defect(1.0, fx.boundary) == pytest.approx(1.0 / 6.0)
 
 
-class TestFixtureJson:
-    def test_round_trip(self):
-        fx = transport_fixture(32)
-        text = fixture_to_json(fx)
-        back = fixture_from_json(text)
-        assert back.label == fx.label
-        assert back.tolerance == fx.tolerance
-        assert np.allclose(back.model.astar, fx.model.astar)
-        assert np.allclose(back.boundary.gamma0, fx.boundary.gamma0)
-        assert np.allclose(back.boundary.pairing, fx.boundary.pairing)
-        # loaded fixture still satisfies the identity on rough vectors
-        rng = np.random.default_rng(15)
-        f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        g = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert abs(green_defect(back.model, back.boundary, f, g)) < 1e-10
-
-    def test_malformed_json(self):
-        with pytest.raises(InvalidInputError):
-            fixture_from_json("{not json")
-
-    def test_missing_field(self):
-        with pytest.raises(InvalidInputError, match="missing"):
-            fixture_from_json("{}")
-
-    def test_trace_rank_full(self):
-        for name in fixture_registry():
-            fx = get_fixture(name)
-            assert fx.boundary.stacked_trace_rank() == 2 * fx.boundary.trace_dim
-
-
 class TestTupleValidation:
     def test_singular_pairing_rejected(self):
         with pytest.raises(InvalidInputError, match="singular"):
@@ -269,3 +235,8 @@ class TestTupleValidation:
                 gram_plus=GramMatrix.identity(1),
                 pairing=np.ones((2, 1)),
             )
+
+    def test_trace_rank_full(self):
+        for name in fixture_registry():
+            fx = get_fixture(name)
+            assert fx.boundary.stacked_trace_rank() == 2 * fx.boundary.trace_dim
