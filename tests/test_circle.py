@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from impedbench.circle import (
@@ -32,6 +33,39 @@ def fresnel_cosine_moment(n: int) -> float:
     return float(np.sqrt(2.0 * np.pi / n) * c / np.pi)
 
 
+# (target, whether its sections are exactly Hermitian; None where that rests
+# on the rounding of the FFT)
+GATE_TARGETS = {
+    "const-real": (ImpedanceCoefficient.constant(-1.5), True),
+    "power-0.3": (ImpedanceCoefficient.power(0.3), True),
+    "power-0.4-complex": (ImpedanceCoefficient.power(0.4, 1 + 1j), False),
+    # c_{-k} = conj(c_k) exactly: a real-valued coefficient with complex modes
+    "fourier-hermitian": (
+        ImpedanceCoefficient.fourier(
+            [0.05j, 0.1 - 0.2j, 0.3 + 0.1j, 2.0, 0.3 - 0.1j, 0.1 + 0.2j, -0.05j], "hermitian"
+        ),
+        True,
+    ),
+    "sampled-real": (
+        ImpedanceCoefficient.sampled(lambda t: 1.0 + 0.3 * np.cos(t) + 0.2 * np.sin(3 * t), "real"),
+        None,
+    ),
+    "first-order": (lambda n: first_order_symbol_section(SobolevScale(0.5), n), False),
+}
+
+
+def reference_sections(target, scale, schedule):
+    """The gate's sections, built the way the gate builds them."""
+    if callable(target):
+        return [np.asarray(target(n), dtype=complex) for n in schedule]
+    coeffs = target.fourier_coeffs(2 * schedule[-1])
+    center = 2 * schedule[-1]
+    return [
+        multiplier_section(target, scale, n, coeffs=coeffs[center - 2 * n : center + 2 * n + 1])
+        for n in schedule
+    ]
+
+
 class TestSobolevScale:
     def test_weights(self):
         scale = SobolevScale(0.5)
@@ -44,6 +78,11 @@ class TestSobolevScale:
             SobolevScale(0.0)
         with pytest.raises(InvalidInputError, match="positive"):
             SobolevScale(-1.0)
+
+    def test_rejects_nonfinite_s(self):
+        for s in (float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError, match="finite"):
+                SobolevScale(s)
 
 
 class TestFourierCoefficients:
@@ -73,6 +112,17 @@ class TestFourierCoefficients:
         mask[5] = False
         assert np.abs(f[mask]).max() < 1e-12
 
+    @pytest.mark.parametrize("n_max", [40, 127, 128, 300])
+    def test_sampled_matches_direct_sum(self, n_max):
+        # the grid has max(1024, 8 (n_max + 1)) points: 1024 up to n_max = 127
+        func = lambda t: np.exp(np.cos(t)) + 0.3j * np.sin(2 * t) + np.abs(t)  # noqa: E731
+        m = max(1024, 8 * (n_max + 1))
+        theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
+        k = np.arange(-n_max, n_max + 1)
+        direct = np.exp(-1j * np.outer(k, theta)) @ func(theta) / m
+        got = ImpedanceCoefficient.sampled(func, "mix").fourier_coeffs(n_max)
+        assert np.abs(got - direct).max() < 1e-13
+
     def test_sampled_cosine_mix(self):
         c = ImpedanceCoefficient.sampled(lambda t: 1.0 + 0.3 * np.cos(t), "mix")
         f = c.fourier_coeffs(2)
@@ -88,9 +138,9 @@ class TestFourierCoefficients:
 
     def test_power_against_fresnel_oracle(self):
         c = ImpedanceCoefficient.power(0.5)
-        f = c.fourier_coeffs(8)
-        for n in range(9):
-            assert abs(f[8 + n].real - fresnel_cosine_moment(n)) < 1e-10
+        f = c.fourier_coeffs(512)
+        for n in range(513):
+            assert abs(f[512 + n].real - fresnel_cosine_moment(n)) < 1e-10
 
     def test_power_even_symmetry(self):
         c = ImpedanceCoefficient.power(0.3, amplitude=2.0)
@@ -239,6 +289,35 @@ class TestCompactnessGate:
         monkeypatch.setattr(ImpedanceCoefficient, "fourier_coeffs", never)
         with pytest.raises(InvalidInputError, match="cap"):
             compactness_gate(ImpedanceCoefficient.power(0.3), schedule=(16, MAX_SECTION_CUTOFF + 1))
+
+    def test_overflowing_weights_checked_before_coefficients(self, monkeypatch):
+        def never(self, n_max):
+            raise AssertionError("coefficients computed before the weights were checked")
+
+        monkeypatch.setattr(ImpedanceCoefficient, "fourier_coeffs", never)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            compactness_gate(ImpedanceCoefficient.power(0.3), s=1e3)
+
+    @pytest.mark.parametrize("name", sorted(GATE_TARGETS))
+    def test_matches_svd_and_full_eigensolve(self, name):
+        # eigenvalue moduli stand in for singular values on Hermitian
+        # sections; both routes must agree with a plain SVD
+        target, hermitian = GATE_TARGETS[name]
+        schedule = (16, 32, 64)
+        g = compactness_gate(target, s=0.5, schedule=schedule, label=name)
+        sections = reference_sections(target, SobolevScale(0.5), schedule)
+        if hermitian is not None:
+            assert np.array_equal(sections[-1], sections[-1].conj().T) == hermitian
+        for n_cut, section, t, norm in zip(schedule, sections, g.indicators, g.section_norms):
+            outer = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
+            corner = scipy.linalg.svdvals(section[np.ix_(outer, outer)])
+            full = scipy.linalg.svdvals(section)[0]
+            assert norm == pytest.approx(full, rel=1e-12)
+            assert t == pytest.approx(corner[0] / full, rel=1e-12)
+            np.testing.assert_allclose(g.corner_sigmas[n_cut], corner[:16], rtol=1e-12)
+        last = sections[-1]
+        re_defect = scipy.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
+        assert abs(g.re_defect - re_defect) <= 1e-12 * max(abs(re_defect), 1.0)
 
     def test_provider_shape_checked(self):
         with pytest.raises(InvalidInputError, match="shape"):

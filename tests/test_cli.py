@@ -153,8 +153,11 @@ class TestExitCodes:
         ["march", "--n", "4", "--zeta", "1.0", "--dt", "1e308"],
         ["disk", "--zeta", "nan", "--m-max", "0"],
         ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "-5"],
+        ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "100000000"],
         ["lq", "--zeta", "power:a=0.3", "--q", "nan"],
         ["gate", "--zeta", "power:a=0.3", "--sections", "16,2048"],
+        ["gate", "--zeta", "power:a=0.3", "--s", "inf"],
+        ["gate", "--zeta", "power:a=0.3", "--s", "1e3"],
         ["fem", "--shape", "square{100000}", "--zeta", "0.5"],
         ["march", "--shape", "disk_polygon{1000,4000}", "--zeta", "0.5"],
     ])

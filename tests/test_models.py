@@ -5,7 +5,9 @@ import pytest
 import scipy.special
 
 from impedbench.errors import InvalidInputError
+from impedbench import models
 from impedbench.models import (
+    MAX_CONTOUR_SAMPLES,
     DiskModeProblem,
     SearchBox,
     StringSpec,
@@ -230,6 +232,14 @@ class TestDiskRoots:
     def test_order_cap(self):
         with pytest.raises(InvalidInputError, match="0..20"):
             disk_mode_roots(21, 0.0)
+
+    def test_sample_cap_checked_before_contour(self, monkeypatch):
+        def never(box, n):
+            raise AssertionError("contour sampled before the sample cap was checked")
+
+        monkeypatch.setattr(models, "_boundary_samples", never)
+        with pytest.raises(InvalidInputError, match="cap"):
+            disk_mode_roots(0, 0.5, samples=MAX_CONTOUR_SAMPLES + 1)
 
 
 class TestDiskSpectrum:
