@@ -10,11 +10,11 @@ so accretive zeta (Re zeta >= 0) pushes eigenvalues into the closed lower
 half-plane. The matrices are assembled dense and desk-scale on purpose:
 assembly is exact for piecewise-constant data. The eigensolve has two paths.
 When few modes are wanted from a large enough mesh, shift-invert
-Lanczos/Arnoldi on a sparse first-order pencil computes only those modes and
-certifies that none nearer the origin was missed. Otherwise the dense
-companion solve picks the real LAPACK driver whenever the coefficient
-structure allows it; it is also the reference the sparse path is tested
-against. The Crank-Nicolson march satisfies a per-step energy identity
+Lanczos/Arnoldi on a sparse first-order pencil, applied through one n x n
+sparse LU, computes only those modes and certifies that none nearer the
+origin was missed. Otherwise the dense companion solve picks the real LAPACK
+driver whenever the coefficient structure allows it; it is also the
+reference the sparse path is tested against. The Crank-Nicolson march satisfies a per-step energy identity
 exactly, so decay checks test the model rather than integrator artifacts.
 """
 
@@ -574,19 +574,47 @@ def _solve_dense(kr, mr, c, zeta_zero: bool):
     return path, lams, v[n:, :]
 
 
+def _mu_pencil_operator(k_s, c_s, m_s, s: float):
+    """(A - sigma B)^{-1} B as a LinearOperator on [p; mu p], for the pencil
+    A = [[0, I], [-K, C]], B = diag(I, M) of mu^2 M p - mu C p + K p = 0 at
+    sigma = -s.
+
+    The first block row of (A - sigma B) z = B x reads s z1 + z2 = x1, so the
+    second reduces to z1 = (K + sC + s^2 M)^{-1} ((C + sM) x1 - M x2): one
+    sparse LU of an n x n matrix, factored here once, in real arithmetic when
+    C is real. Raises RuntimeError when that matrix is singular.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n = k_s.shape[0]
+    shifted = sp.csc_array(k_s + s * c_s + (s * s) * m_s)
+    lu = spla.splu(shifted)
+    rhs = sp.hstack([c_s + s * m_s, -m_s], format="csr")
+
+    def matvec(x):
+        z1 = lu.solve(rhs @ x)
+        return np.concatenate([z1, x[:n] - s * z1])
+
+    return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
+
+
 def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool):
     """The modes nearest the origin by shift-invert ARPACK on sparse copies
-    of the matrices: (path, lams, p-vectors, ||K||, ||M||, (M, C, K)), or None
-    when the dense companion should take over.
+    of the matrices: (path, lams, p-vectors, ||K||, ||M||, (M, C, K), info),
+    info holding the arithmetic and the final ARPACK k, or None when the
+    dense companion should take over.
 
     C = 0: Lanczos on K p = mu M p with sigma = -s^2, so K - sigma M is SPD
-    and lam = +-sqrt(mu) stays exactly real. Otherwise Arnoldi on the pencil
-    A = [[0, I], [K, -iC]], B = diag(I, M) acting on [p; lam p] with
-    sigma = i s, which accretive zeta keeps off the spectrum (every eigenvalue
-    has Im lam <= 0). Every eigenvalue ARPACK does not return lies at least
+    and lam = +-sqrt(mu) stays exactly real. Otherwise standard-mode Arnoldi
+    on _mu_pencil_operator, in the variable mu = i lam at sigma_mu = -s
+    (sigma = i s in lam), which accretive zeta keeps off the spectrum (every
+    eigenvalue has Im lam <= 0); it runs in real arithmetic when C is real.
+    Its eigenvalues nu give lam = i s - i/nu, so |lam - sigma| = 1/|nu|.
+    Every eigenvalue ARPACK does not return lies at least
     R = max |lam_j - sigma| from sigma, so the k returned ones are accepted
-    when r_sel + |sigma| < R, r_sel being the modulus of the n_want-th genuine
-    mode nearest the origin: no mode with |lam| <= r_sel was missed.
+    when r_sel + |sigma| < R, r_sel being the modulus of the n_want-th
+    genuine mode nearest the origin: no mode with |lam| <= r_sel was missed.
     Otherwise k grows by half, up to a quarter of the pencil dimension.
     """
     # scipy.sparse loads on first use, so importing this module costs no
@@ -595,7 +623,10 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
     import scipy.sparse.linalg as spla
 
     n = kr.shape[0]
-    k_s, m_s, c_s = sp.csc_array(kr), sp.csc_array(mr), sp.csc_array(c)
+    # assemble leaves Im C exactly zero for real zeta; C then goes in real,
+    # and with it the factorization and the Arnoldi run
+    k_s, m_s = sp.csc_array(kr), sp.csc_array(mr)
+    c_s = sp.csc_array(c if np.any(c.imag) else c.real)
     rng = np.random.default_rng(ARPACK_SEED)
     # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
     # them are never smaller than with the exact norms
@@ -611,42 +642,48 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
     # the first k covers the wanted modes (each mu > 0 gives two) plus the
     # thin band beyond them that the certificate needs
     if zeta_zero:
-        path, a, b, sigma = "shift-invert-lanczos", k_s, m_s, -s * s
-        v0 = rng.standard_normal(n)
+        path, sigma = "shift-invert-lanczos", -s * s
         n_eig = n_want // 2 + 4 + n_want // 16
     else:
-        eye = sp.identity(n, format="csc")
-        a = sp.block_array([[None, eye], [k_s, -1j * c_s]], format="csc")
-        b = sp.block_diag((eye, m_s), format="csc")
         path, sigma = "shift-invert-arnoldi", 1j * s
-        v0 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
         n_eig = n_want + 8 + n_want // 8
     try:
-        lu = spla.splu(sp.csc_array(a - sigma * b))
+        if zeta_zero:
+            lu = spla.splu(sp.csc_array(k_s - sigma * m_s))
+            op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+        else:
+            op = _mu_pencil_operator(k_s, c_s, m_s, s)
     except RuntimeError as exc:
         if accretive:
             raise NumericalFailureError(f"shift-invert factorization failed: {exc}") from exc
         return None
-    op = spla.LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
-    solver = spla.eigsh if zeta_zero else spla.eigs
-    limit = a.shape[0] // 4
+    v0 = rng.standard_normal(op.shape[0]).astype(op.dtype)
+    limit = op.shape[0] // 4
     while True:
         try:
-            vals, vecs = solver(a, k=n_eig, M=b, sigma=sigma, OPinv=op, which="LM", v0=v0)
+            if zeta_zero:
+                vals, vecs = spla.eigsh(k_s, k=n_eig, M=m_s, sigma=sigma, OPinv=op,
+                                        which="LM", v0=v0)
+            else:
+                vals, vecs = spla.eigs(op, k=n_eig, which="LM", v0=v0)
         except spla.ArpackError:
             return None
         if zeta_zero:
             order = np.argsort(vals, kind="stable")
             lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], norm_k / norm_m)
+            far = np.abs(vals - sigma).max()
         else:
-            lams, pvecs = vals, vecs[:n, :]
+            lams, pvecs = 1j * (s - 1.0 / vals), vecs[:n, :]
+            far = np.abs(lams - sigma).max()
         kept_idx, _ = _select_modes(lams, pvecs, n_want, zeta_zero)
         if len(kept_idx) == n_want:
             r_sel = abs(lams[kept_idx[-1]])
             # in the mu variable the certificate reads r_sel^2 + |sigma| < R
             r_cert = r_sel * r_sel if zeta_zero else r_sel
-            if r_cert + abs(sigma) < np.abs(vals - sigma).max():
-                return path, lams, pvecs, norm_k, norm_m, (m_s, c_s, k_s)
+            if r_cert + abs(sigma) < far:
+                info = {"arithmetic": "real" if op.dtype == float else "complex",
+                        "arpack_k": n_eig}
+                return path, lams, pvecs, norm_k, norm_m, (m_s, c_s, k_s), info
         if n_eig >= limit:
             return None
         n_eig = min(n_eig + n_eig // 2, limit)
@@ -657,13 +694,15 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
 
     When the mesh has at least SPARSE_MIN_VERTICES vertices and n_want is at
     most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos (C = 0) or
-    Arnoldi (C != 0) on sparse copies of the matrices computes the wanted
-    modes and certifies that none nearer the origin was missed; if it cannot,
-    the dense path takes over within its cap. The dense path solves the
-    first-order companion with the cheapest applicable driver: a generalized
-    Hermitian solve when C = 0, a real companion when C is purely real
-    (rotate by lam = -i mu) or purely imaginary, and the complex driver
-    otherwise. metadata["path"] names the solver that ran. Near-zero pairs
+    Arnoldi (C != 0, through one sparse LU of K + sC + s^2 M, real when C is
+    real) on sparse copies of the matrices computes the wanted modes and
+    certifies that none nearer the origin was missed; metadata["arithmetic"]
+    and metadata["arpack_k"] then record the arithmetic and the final ARPACK
+    k. If it cannot certify them, the dense path takes over within its cap.
+    The dense path solves the first-order companion with the cheapest
+    applicable driver: a generalized Hermitian solve when C = 0, a real
+    companion when C is purely real (rotate by lam = -i mu) or purely
+    imaginary, and the complex driver otherwise. metadata["path"] names the solver that ran. Near-zero pairs
     whose eigenvector is constant are tagged quotient-artifact: they live in
     the direction the stiffness energy cannot see.
     """
@@ -694,9 +733,9 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     if solved is None:
         path, lams, pvecs = _solve_dense(kr, mr, c, zeta_zero)
         norm_k, norm_m = _spectral_norm_hermitian(kr), _spectral_norm_hermitian(mr)
-        ops = (mr, c, kr)
+        ops, info = (mr, c, kr), {}
     else:
-        path, lams, pvecs, norm_k, norm_m, ops = solved
+        path, lams, pvecs, norm_k, norm_m, ops, info = solved
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
@@ -733,6 +772,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
         "requested": n_want,
         "returned": len(kept_idx),
         "artifacts": len(artifact_idx),
+        **info,
     }
     return SpectrumReport("fem", entries, metadata=meta)
 

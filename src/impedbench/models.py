@@ -26,6 +26,12 @@ SERIES_RADIUS = 12.0
 MAX_BESSEL_ORDER = 60
 
 CRITICAL_MATCH_TOL = 1e-13
+# string residuals are relative to the size of the characteristic's terms
+STRING_RESIDUAL_TOL = 1e-10
+# The rounding of a double lam alone leaves a residual near 5e-17 |lam|, so
+# the gate would fail from |lam| near 2e6 on. At this count (|lam| < 3.2e5)
+# `string --zeta 0.5` took 1.0 s with a largest residual of 1.5e-11.
+MAX_STRING_COUNT = 100000
 # seeds the outward nudges of a search box whose contour hits a zero
 BOX_NUDGE_SEED = 20240801
 # Largest contour sample count (32x the default); a winding count may take up
@@ -75,8 +81,8 @@ def string_spectrum(spec: StringSpec, count: int = 10) -> SpectrumReport:
     through the boundary in finite time); the report records that as
     critical damping instead of inventing modes.
     """
-    if count < 1:
-        raise InvalidInputError("count must be at least 1")
+    if not 1 <= count <= MAX_STRING_COUNT:
+        raise InvalidInputError(f"count must be between 1 and {MAX_STRING_COUNT}")
     zeta = complex(spec.zeta)
     meta = {
         "model": "string",
@@ -95,12 +101,19 @@ def string_spectrum(spec: StringSpec, count: int = 10) -> SpectrumReport:
         lam = base + k * np.pi
         lam = _newton_polish_string(spec, lam)
         residual = abs(string_characteristic(spec, lam))
+        # |sin|, |cos| <= max |e^{+-i lam}|, and zeta multiplies sin
         scale = max(abs(np.exp(complex(0, 1) * lam)), abs(np.exp(complex(0, -1) * lam)))
+        residual = float(residual / max(scale, 1.0) / max(abs(zeta), 1.0))
+        if not residual <= STRING_RESIDUAL_TOL:
+            raise NumericalFailureError(
+                f"string mode at {lam:.6g} has residual {residual:.3e} above "
+                f"{STRING_RESIDUAL_TOL:g}"
+            )
         entries.append(
             ModeEntry(
                 re_lambda=float(lam.real),
                 im_lambda=float(lam.imag),
-                residual=float(residual / max(scale, 1.0)),
+                residual=residual,
                 mode_tag="string",
             )
         )
@@ -127,16 +140,18 @@ def _newton_polish_string(spec: StringSpec, lam: complex) -> complex:
 
 def _bessel_table_series(m_max: int, z: np.ndarray) -> np.ndarray:
     """Ascending series for all orders 0..m_max, valid for small |z|."""
-    out = np.zeros((m_max + 1, z.size), dtype=complex)
     half = z / 2.0
-    for m in range(m_max + 1):
-        # term_k = (-1)^k (z/2)^{2k+m} / (k! (k+m)!)
-        term = half**m / float(math.factorial(m))
-        acc = term.copy()
-        for k in range(1, 60):
-            term = term * (-(half * half)) / (k * (k + m))
-            acc += term
-        out[m] = acc
+    step = -(half * half)
+    # term_k = (-1)^k (z/2)^{2k+m} / (k! (k+m)!), a fixed 60 terms, with one
+    # row per order m. The rows start from half**m with m a Python int; an
+    # array power of half rounds differently.
+    terms = [half**m / float(math.factorial(m)) for m in range(m_max + 1)]
+    term = np.array(terms, dtype=complex).reshape(m_max + 1, z.size)
+    orders = np.arange(m_max + 1, dtype=float)[:, None]
+    out = term.copy()
+    for k in range(1, 60):
+        term = term * step / (k * (k + orders))
+        out += term
     return out
 
 

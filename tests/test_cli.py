@@ -155,6 +155,8 @@ class TestExitCodes:
         ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "-5"],
         ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "100000000"],
         ["lq", "--zeta", "power:a=0.3", "--q", "nan"],
+        ["string", "--zeta", "0.5", "--count", "0"],
+        ["string", "--zeta", "0.5", "--count", "100001"],
         ["gate", "--zeta", "power:a=0.3", "--sections", "16,2048"],
         ["gate", "--zeta", "power:a=0.3", "--s", "inf"],
         ["gate", "--zeta", "power:a=0.3", "--s", "1e3"],
@@ -256,6 +258,21 @@ class TestOutputs:
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
 
+    def test_string_residual_relative_to_huge_zeta(self, capsys):
+        # zeta sin(lam) is as large as |zeta| times the rounding of lam
+        assert run(["string", "--zeta", "1e308", "--count", "2"]) == 0
+        worst = float(capsys.readouterr().out.rsplit("max residual ", 1)[1])
+        assert worst <= 1e-15
+
+    def test_string_residual_gated_exit4(self, monkeypatch, capsys):
+        from impedbench import models
+
+        polish = models._newton_polish_string
+        monkeypatch.setattr(models, "_newton_polish_string",
+                            lambda spec, lam: polish(spec, lam) + 1e-6)
+        assert run(["string", "--zeta", "0.5"]) == 4
+        assert "residual" in capsys.readouterr().err
+
     def test_string_critical_message(self, capsys):
         assert run(["string", "--zeta", "1.0"]) == 0
         assert "critically damped" in capsys.readouterr().out
@@ -298,6 +315,17 @@ class TestOutputs:
     def test_fem_summary_names_shift_invert_path(self, capsys):
         assert run(["fem", "--shape", "square", "--n", "16", "--zeta", "const:0,0.5", "--nev", "4"]) == 0
         assert "path shift-invert-arnoldi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zeta,arithmetic", [("0.5", "real"), ("const:0,0.5", "complex")])
+    def test_fem_out_names_shift_invert_arithmetic(self, tmp_path, capsys, zeta, arithmetic):
+        out = tmp_path / "fem.json"
+        argv = ["fem", "--shape", "square", "--n", "16", "--zeta", zeta, "--nev", "8"]
+        assert run(argv + ["--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["path"] == "shift-invert-arnoldi"
+        assert meta["arithmetic"] == arithmetic
+        assert meta["arpack_k"] >= 8
+        capsys.readouterr()
 
     def test_mesh_file_shape_roundtrip(self, tmp_path, capsys):
         from impedbench.fem import square_mesh
