@@ -157,6 +157,7 @@ class CompactnessReport:
     verdict: str
     re_defect: float
     thresholds: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["N,k,sigma_k"]
@@ -176,6 +177,7 @@ class CompactnessReport:
             "verdict": self.verdict,
             "re_defect": self.re_defect,
             "thresholds": self.thresholds,
+            "metadata": self.metadata,
         }
 
     def write_csv(self, path: str) -> None:

@@ -1,12 +1,17 @@
 """Tests for boundary multiplier sections and the compactness gate."""
 
+import importlib.util
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
 
+from impedbench import circle, cli
 from impedbench.circle import (
     MAX_SECTION_CUTOFF,
     ImpedanceCoefficient,
@@ -33,24 +38,56 @@ def fresnel_cosine_moment(n: int) -> float:
     return float(np.sqrt(2.0 * np.pi / n) * c / np.pi)
 
 
-# (target, whether its sections are exactly Hermitian; None where that rests
-# on the rounding of the FFT)
+def bench_coefficient(seed: int = 1) -> ImpedanceCoefficient:
+    """The complex sampled coefficient the boundary-checks benchmark gates."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with tempfile.TemporaryDirectory() as tmp:
+        workloads.write_inputs("boundary-checks", seed, tmp)
+        return cli.parse_coefficient("file:" + os.path.join(tmp, workloads.COEFFICIENT_FILE))
+
+
+def random_complex_section(n_cut: int) -> np.ndarray:
+    rng = np.random.default_rng(n_cut)
+    shape = (2 * n_cut + 1, 2 * n_cut + 1)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rank_one_section(n_cut: int) -> np.ndarray:
+    idx = np.arange(-n_cut, n_cut + 1)
+    u = np.exp(0.7j * idx) / (1.0 + (idx - 1) ** 2)
+    v = (1.0 + np.abs(idx)) ** -0.5 + 0.2j * np.sin(idx)
+    return np.outer(u, v.conj())
+
+
+# (target, whether its sections are exactly Hermitian, the arithmetic of the
+# re_defect eigensolve; None where either rests on the rounding of the FFT)
 GATE_TARGETS = {
-    "const-real": (ImpedanceCoefficient.constant(-1.5), True),
-    "power-0.3": (ImpedanceCoefficient.power(0.3), True),
-    "power-0.4-complex": (ImpedanceCoefficient.power(0.4, 1 + 1j), False),
+    "const-real": (ImpedanceCoefficient.constant(-1.5), True, "real"),
+    "power-0.3": (ImpedanceCoefficient.power(0.3), True, "real"),
+    "power-0.4-complex": (ImpedanceCoefficient.power(0.4, 1 + 1j), False, "real"),
     # c_{-k} = conj(c_k) exactly: a real-valued coefficient with complex modes
     "fourier-hermitian": (
         ImpedanceCoefficient.fourier(
             [0.05j, 0.1 - 0.2j, 0.3 + 0.1j, 2.0, 0.3 - 0.1j, 0.1 + 0.2j, -0.05j], "hermitian"
         ),
         True,
+        "complex",
     ),
     "sampled-real": (
         ImpedanceCoefficient.sampled(lambda t: 1.0 + 0.3 * np.cos(t) + 0.2 * np.sin(3 * t), "real"),
         None,
+        None,
     ),
-    "first-order": (lambda n: first_order_symbol_section(SobolevScale(0.5), n), False),
+    "sampled-bench-complex": (bench_coefficient(), False, "real"),
+    "first-order": (lambda n: first_order_symbol_section(SobolevScale(0.5), n), False, "real"),
+    # its top singular values (1 + n^2)^{0.2} at n = N, N - 1, ... cluster
+    "first-order-0.3": (lambda n: first_order_symbol_section(SobolevScale(0.3), n), False, "real"),
+    # Hermitian part not centro-Hermitian: the complex eigensolve runs
+    "random-complex": (random_complex_section, False, "complex"),
+    "rank-one": (rank_one_section, False, "complex"),
 }
 
 
@@ -301,23 +338,95 @@ class TestCompactnessGate:
     @pytest.mark.parametrize("name", sorted(GATE_TARGETS))
     def test_matches_svd_and_full_eigensolve(self, name):
         # eigenvalue moduli stand in for singular values on Hermitian
-        # sections; both routes must agree with a plain SVD
-        target, hermitian = GATE_TARGETS[name]
+        # sections, Lanczos for the norm of the others, a real eigensolve for
+        # a centro-Hermitian herm(S); every route must agree with a plain SVD
+        # and a full complex eigensolve
+        target, hermitian, arithmetic = GATE_TARGETS[name]
         schedule = (16, 32, 64)
         g = compactness_gate(target, s=0.5, schedule=schedule, label=name)
         sections = reference_sections(target, SobolevScale(0.5), schedule)
         if hermitian is not None:
             assert np.array_equal(sections[-1], sections[-1].conj().T) == hermitian
-        for n_cut, section, t, norm in zip(schedule, sections, g.indicators, g.section_norms):
+        if arithmetic is not None:
+            assert g.metadata["re_defect_arithmetic"] == arithmetic
+        eps = np.finfo(float).eps
+        for n_cut, section, t, norm, steps in zip(
+            schedule, sections, g.indicators, g.section_norms, g.metadata["norm_steps"]
+        ):
             outer = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
             corner = scipy.linalg.svdvals(section[np.ix_(outer, outer)])
             full = scipy.linalg.svdvals(section)[0]
             assert norm == pytest.approx(full, rel=1e-12)
             assert t == pytest.approx(corner[0] / full, rel=1e-12)
-            np.testing.assert_allclose(g.corner_sigmas[n_cut], corner[:16], rtol=1e-12)
+            # values under the corner's rounding floor are written as 0
+            got = g.corner_sigmas[n_cut]
+            floor = corner.size * eps * got[0]
+            assert np.all((got == 0) | (got >= floor))
+            np.testing.assert_allclose(got, corner[:16], rtol=1e-12, atol=floor)
+            if hermitian:
+                assert steps is None
+            if name == "rank-one":
+                # the Krylov space of S^H S from the start vector v is
+                # span{v, S^H u}; Lanczos stops when it is exhausted
+                assert steps <= 2
         last = sections[-1]
         re_defect = scipy.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
         assert abs(g.re_defect - re_defect) <= 1e-12 * max(abs(re_defect), 1.0)
+
+    def test_lanczos_steps_do_not_depend_on_scale(self):
+        # the stopping test compares like powers of the norm, so scaling the
+        # section by a power of two (exact in floating point) changes nothing
+        # but the result's scale
+        target = GATE_TARGETS["sampled-bench-complex"][0]
+        section = reference_sections(target, SobolevScale(0.5), (64,))[0]
+        base, steps = circle._largest_singular_value(section)
+        assert steps is not None
+        for power in (-40, 40):
+            norm, scaled_steps = circle._largest_singular_value(section * 2.0**power)
+            assert scaled_steps == steps
+            assert norm == pytest.approx(base * 2.0**power, rel=1e-15)
+
+    def test_budget_overrun_sends_later_cutoffs_to_svd(self, monkeypatch):
+        # equally spaced singular values 1 + 1e-9 j outrun the step budget at
+        # the first cutoff; the rank-one sections after it would converge at once
+        def provider(n_cut):
+            if n_cut == 32:
+                return np.exp(0.3j) * np.diag(1.0 + 1e-9 * np.arange(2 * n_cut + 1))
+            return rank_one_section(n_cut)
+
+        lanczos_dims, svd_dims = [], []
+        lanczos, svdvals = circle._largest_singular_value, scipy.linalg.svdvals
+
+        def counted_lanczos(section):
+            lanczos_dims.append(section.shape[0])
+            return lanczos(section)
+
+        def counted_svdvals(a, *args, **kwargs):
+            svd_dims.append(a.shape[0])
+            return svdvals(a, *args, **kwargs)
+
+        monkeypatch.setattr(circle, "_largest_singular_value", counted_lanczos)
+        monkeypatch.setattr(circle.sla, "svdvals", counted_svdvals)
+        schedule = (32, 64, 128)
+        g = compactness_gate(provider, s=0.5, schedule=schedule)
+        assert lanczos_dims == [65]
+        # one full-section SVD per cutoff (the first after the overrun) and
+        # one corner SVD per cutoff
+        assert sorted(svd_dims) == sorted([65, 129, 257] + [2 * (n - n // 2) for n in schedule])
+        assert g.metadata["norm_steps"] == [None, None, None]
+        assert g.section_norms[0] == pytest.approx(1.0 + 64e-9, rel=1e-15)
+
+    def test_corner_rounding_noise_written_as_zero(self):
+        # at s = 60 the corner's small singular values are rounding noise
+        g = compactness_gate(ImpedanceCoefficient.power(0.3), s=60)
+        zeros = 0
+        for n_cut in g.schedule:
+            sig = g.corner_sigmas[n_cut]
+            floor = 2 * (n_cut - n_cut // 2) * np.finfo(float).eps * sig[0]
+            assert sig[0] > 0
+            assert np.all((sig == 0) | (sig >= floor))
+            zeros += int(np.count_nonzero(sig == 0))
+        assert zeros > 0
 
     def test_provider_shape_checked(self):
         with pytest.raises(InvalidInputError, match="shape"):

@@ -1,7 +1,10 @@
 """Exit codes, argument grammar, and output determinism of the CLI."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +232,37 @@ class TestOutputs:
         sidecar = json.loads((tmp_path / "gate.json").read_text())
         assert sidecar["verdict"] == "compact"
         assert len(sidecar["indicators"]) == 3
+        # real diagonal sections: symmetric eigensolves throughout
+        assert sidecar["metadata"] == {"norm_steps": [None] * 3, "re_defect_arithmetic": "real"}
         capsys.readouterr()
+
+    def test_gate_file_runs_lanczos_without_sparse_import(self, tmp_path):
+        # a complex sampled coefficient takes the Lanczos norm; the gate must
+        # not load scipy.sparse (ARPACK), which costs the CLI memory
+        coef = tmp_path / "coef.json"
+        coef.write_text(json.dumps(
+            [[1.0 + 0.2 * np.cos(t), 0.1 * np.sin(2 * t)]
+             for t in np.linspace(-np.pi, np.pi, 32, endpoint=False)]
+        ))
+        out = tmp_path / "gate.csv"
+        script = (
+            "import sys\n"
+            "from impedbench import cli\n"
+            f"code = cli.main(['gate', '--zeta', 'file:{coef}', '--out', '{out}'])\n"
+            "print(code, 'scipy.sparse' in sys.modules)\n"
+        )
+        src = str(README.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+        metadata = json.loads((tmp_path / "gate.json").read_text())["metadata"]
+        assert all(isinstance(steps, int) for steps in metadata["norm_steps"])
+        assert metadata["re_defect_arithmetic"] == "real"
 
     def test_lq_json(self, tmp_path, capsys):
         out = tmp_path / "lq.json"
