@@ -28,7 +28,7 @@ AMBIENT_DIM = 2
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
-# the cutoff; at 1024 it took 3.0 s and 258 MB for a complex sampled
+# the cutoff; at 1024 it took 3.2 s and 258 MB for a complex sampled
 # coefficient, 2.0 s and 266 MB for power(0.3), whose sections are Hermitian
 # (one thread, 2-vCPU VM).
 MAX_SECTION_CUTOFF = 1024
@@ -288,8 +288,15 @@ def _largest_singular_value(section: np.ndarray):
     B_k^H B_k is a Ritz pair of S^H S with residual norm beta_k |alpha_k y_k|;
     theta is accepted once that is at most 4 eps theta. Past a budget of
     max(32, d // 8) steps the dense SVD answers instead, and the step count
-    is None.
+    is None. The recurrence runs on the section divided by the power of two
+    at or below its largest entry, exact in floating point, so the squares
+    of alpha and beta neither overflow nor underflow whatever its scale.
     """
+    # 2^e <= max |S_ij| < 2^(e + 1); two exact products give S / 2^e, since
+    # 2^-e alone overflows for subnormal entries
+    e = int(np.frexp(np.abs(section).max())[1]) - 1
+    section = section * 2.0 ** -(e // 2)
+    section *= 2.0 ** (e // 2 - e)
     dim = section.shape[0]
     budget = max(32, dim // 8)
     eps = np.finfo(float).eps
@@ -318,10 +325,10 @@ def _largest_singular_value(section: np.ndarray):
             diag, alphas[:k] * betas[:k], select="i", select_range=(k, k)
         )
         if beta * abs(alpha * y[k, 0]) <= 4.0 * eps * theta[0]:
-            return math.sqrt(theta[0]), k + 1
+            return 2.0**e * math.sqrt(theta[0]), k + 1
         betas[k] = beta
         right[k + 1] = v / beta
-    return float(sla.svdvals(section)[0]), None
+    return 2.0**e * float(sla.svdvals(section)[0]), None
 
 
 def _smallest_hermitian_part_eigenvalue(section: np.ndarray):

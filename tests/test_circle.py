@@ -62,32 +62,49 @@ def rank_one_section(n_cut: int) -> np.ndarray:
     return np.outer(u, v.conj())
 
 
-# (target, whether its sections are exactly Hermitian, the arithmetic of the
-# re_defect eigensolve; None where either rests on the rounding of the FFT)
+# (a zero-argument factory of the target, whether its sections are exactly
+# Hermitian, the arithmetic of the re_defect eigensolve; None where either
+# rests on the rounding of the FFT)
 GATE_TARGETS = {
-    "const-real": (ImpedanceCoefficient.constant(-1.5), True, "real"),
-    "power-0.3": (ImpedanceCoefficient.power(0.3), True, "real"),
-    "power-0.4-complex": (ImpedanceCoefficient.power(0.4, 1 + 1j), False, "real"),
+    "const-real": (lambda: ImpedanceCoefficient.constant(-1.5), True, "real"),
+    # squares of the section's entries overflow and underflow; for the
+    # subnormal constant 2^-e, the reciprocal of its largest entry's scale,
+    # overflows too
+    "const-huge-imag": (lambda: ImpedanceCoefficient.constant(1e200j), False, "real"),
+    "const-tiny-imag": (lambda: ImpedanceCoefficient.constant(1e-170j), False, "real"),
+    "const-subnormal-imag": (lambda: ImpedanceCoefficient.constant(4e-322j), False, "real"),
+    "power-0.3": (lambda: ImpedanceCoefficient.power(0.3), True, "real"),
+    "power-0.4-complex": (lambda: ImpedanceCoefficient.power(0.4, 1 + 1j), False, "real"),
     # c_{-k} = conj(c_k) exactly: a real-valued coefficient with complex modes
     "fourier-hermitian": (
-        ImpedanceCoefficient.fourier(
+        lambda: ImpedanceCoefficient.fourier(
             [0.05j, 0.1 - 0.2j, 0.3 + 0.1j, 2.0, 0.3 - 0.1j, 0.1 + 0.2j, -0.05j], "hermitian"
         ),
         True,
         "complex",
     ),
     "sampled-real": (
-        ImpedanceCoefficient.sampled(lambda t: 1.0 + 0.3 * np.cos(t) + 0.2 * np.sin(3 * t), "real"),
+        lambda: ImpedanceCoefficient.sampled(
+            lambda t: 1.0 + 0.3 * np.cos(t) + 0.2 * np.sin(3 * t), "real"
+        ),
         None,
         None,
     ),
-    "sampled-bench-complex": (bench_coefficient(), False, "real"),
-    "first-order": (lambda n: first_order_symbol_section(SobolevScale(0.5), n), False, "real"),
+    "sampled-bench-complex": (bench_coefficient, False, "real"),
+    "first-order": (
+        lambda: lambda n: first_order_symbol_section(SobolevScale(0.5), n),
+        False,
+        "real",
+    ),
     # its top singular values (1 + n^2)^{0.2} at n = N, N - 1, ... cluster
-    "first-order-0.3": (lambda n: first_order_symbol_section(SobolevScale(0.3), n), False, "real"),
+    "first-order-0.3": (
+        lambda: lambda n: first_order_symbol_section(SobolevScale(0.3), n),
+        False,
+        "real",
+    ),
     # Hermitian part not centro-Hermitian: the complex eigensolve runs
-    "random-complex": (random_complex_section, False, "complex"),
-    "rank-one": (rank_one_section, False, "complex"),
+    "random-complex": (lambda: random_complex_section, False, "complex"),
+    "rank-one": (lambda: rank_one_section, False, "complex"),
 }
 
 
@@ -341,7 +358,8 @@ class TestCompactnessGate:
         # sections, Lanczos for the norm of the others, a real eigensolve for
         # a centro-Hermitian herm(S); every route must agree with a plain SVD
         # and a full complex eigensolve
-        target, hermitian, arithmetic = GATE_TARGETS[name]
+        factory, hermitian, arithmetic = GATE_TARGETS[name]
+        target = factory()
         schedule = (16, 32, 64)
         g = compactness_gate(target, s=0.5, schedule=schedule, label=name)
         sections = reference_sections(target, SobolevScale(0.5), schedule)
@@ -356,13 +374,15 @@ class TestCompactnessGate:
             outer = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
             corner = scipy.linalg.svdvals(section[np.ix_(outer, outer)])
             full = scipy.linalg.svdvals(section)[0]
-            assert norm == pytest.approx(full, rel=1e-12)
-            assert t == pytest.approx(corner[0] / full, rel=1e-12)
+            assert norm == pytest.approx(full, rel=1e-12, abs=0)
+            assert t == pytest.approx(corner[0] / full, rel=1e-12, abs=0)
             # values under the corner's rounding floor are written as 0
             got = g.corner_sigmas[n_cut]
             floor = corner.size * eps * got[0]
-            assert np.all((got == 0) | (got >= floor))
-            np.testing.assert_allclose(got, corner[:16], rtol=1e-12, atol=floor)
+            nonzero = got > 0
+            assert np.all(got[nonzero] >= floor)
+            np.testing.assert_allclose(got[nonzero], corner[:16][nonzero], rtol=1e-12)
+            assert np.all(corner[:16][~nonzero] <= floor * (1 + 1e-12))
             if hermitian:
                 assert steps is None
             if name == "rank-one":
@@ -374,17 +394,19 @@ class TestCompactnessGate:
         assert abs(g.re_defect - re_defect) <= 1e-12 * max(abs(re_defect), 1.0)
 
     def test_lanczos_steps_do_not_depend_on_scale(self):
-        # the stopping test compares like powers of the norm, so scaling the
-        # section by a power of two (exact in floating point) changes nothing
-        # but the result's scale
-        target = GATE_TARGETS["sampled-bench-complex"][0]
-        section = reference_sections(target, SobolevScale(0.5), (64,))[0]
+        # the recurrence runs on the section over a power of two, so scaling
+        # it by another (exact in floating point) changes nothing but the
+        # result's scale, even where the squares of its entries would leave
+        # the range of doubles
+        section = reference_sections(bench_coefficient(), SobolevScale(0.5), (64,))[0]
         base, steps = circle._largest_singular_value(section)
         assert steps is not None
-        for power in (-40, 40):
-            norm, scaled_steps = circle._largest_singular_value(section * 2.0**power)
+        for power in (-600, -40, 40, 600):
+            scaled = section * 2.0**power
+            norm, scaled_steps = circle._largest_singular_value(scaled)
             assert scaled_steps == steps
-            assert norm == pytest.approx(base * 2.0**power, rel=1e-15)
+            assert norm == pytest.approx(base * 2.0**power, rel=1e-15, abs=0)
+            assert norm == pytest.approx(scipy.linalg.svdvals(scaled)[0], rel=1e-12, abs=0)
 
     def test_budget_overrun_sends_later_cutoffs_to_svd(self, monkeypatch):
         # equally spaced singular values 1 + 1e-9 j outrun the step budget at

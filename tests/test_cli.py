@@ -236,6 +236,27 @@ class TestOutputs:
         assert sidecar["metadata"] == {"norm_steps": [None] * 3, "re_defect_arithmetic": "real"}
         capsys.readouterr()
 
+    def test_gate_norm_survives_extreme_coefficient_scale(self, tmp_path, capsys):
+        # purely imaginary constants take the Lanczos norm; squaring entries
+        # of 1e200 overflows and of 1e-170 underflows, yet the verdict and
+        # indicators must match the unit constant's
+        sidecars = {}
+        for im in ("1", "1e200", "1e-170"):
+            out = tmp_path / f"gate-{im}.csv"
+            argv = ["gate", "--zeta", f"const:0,{im}", "--sections", "8,16,32", "--out", str(out)]
+            assert run(argv) == 0
+            sidecars[im] = json.loads((tmp_path / f"gate-{im}.json").read_text())
+        capsys.readouterr()
+        unit = sidecars["1"]
+        for im in ("1e200", "1e-170"):
+            sidecar = sidecars[im]
+            assert sidecar["verdict"] == unit["verdict"]
+            assert all(steps is not None for steps in sidecar["metadata"]["norm_steps"])
+            np.testing.assert_allclose(sidecar["indicators"], unit["indicators"], rtol=1e-12)
+            np.testing.assert_allclose(
+                sidecar["section_norms"], float(im) * np.array(unit["section_norms"]), rtol=1e-12
+            )
+
     def test_gate_file_runs_lanczos_without_sparse_import(self, tmp_path):
         # a complex sampled coefficient takes the Lanczos norm; the gate must
         # not load scipy.sparse (ARPACK), which costs the CLI memory
