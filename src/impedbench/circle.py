@@ -28,9 +28,10 @@ AMBIENT_DIM = 2
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
-# the cutoff; at 1024 it took 3.2 s and 258 MB for a complex sampled
-# coefficient, 2.0 s and 266 MB for power(0.3), whose sections are Hermitian
-# (one thread, 2-vCPU VM).
+# the cutoff; at 1024 it took 3.2-4.5 s and 258 MB peak resident for a complex
+# sampled coefficient, 2.2-2.5 s and 237 MB for power(0.3), whose sections are
+# Hermitian (one thread, 2-vCPU VM). Building one 2049 x 2049 section peaks
+# at 96 MB traced.
 MAX_SECTION_CUTOFF = 1024
 
 # Verdict thresholds, pinned by the golden fixtures in the test suite.
@@ -244,8 +245,8 @@ def multiplier_section(
         raise InvalidInputError("coefficient array too short for this section")
     idx = np.arange(-n_cut, n_cut + 1)
     w = scale.weight(idx)
-    toeplitz = coeffs[np.subtract.outer(idx, idx) + center]
-    return toeplitz / np.outer(w, w)
+    section = coeffs[np.subtract.outer(idx, idx) + center]
+    return np.divide(section, np.outer(w, w), out=section)
 
 
 def first_order_symbol_section(scale: SobolevScale, n_cut: int) -> np.ndarray:

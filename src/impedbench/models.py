@@ -164,19 +164,20 @@ def _bessel_table_miller(m_max: int, z: np.ndarray) -> np.ndarray:
     e^{|Im z|}-sized terms collapsing to 1, so off-axis points instead use
     J_0 - 2 J_2 + 2 J_4 - ... = cos z, whose value is as large as its
     terms. Rescaling guards keep the unnormalized sweep in double range.
+    Each point has its own start order and rescaling, so its value does not
+    depend on the other points of the array.
     """
-    amax = float(np.abs(z).max())
-    start = int(amax + 12 + 9 * amax ** (1.0 / 3.0))
-    start = max(start, m_max + 12)
-    if start % 2 == 1:
-        start += 1
+    mag = np.abs(z)
+    start = np.maximum((mag + 12 + 9 * mag ** (1.0 / 3.0)).astype(int), m_max + 12)
+    start += start % 2
+    first = int(start.min())
 
     jp = np.zeros(z.size, dtype=complex)
     jc = np.full(z.size, 1e-200, dtype=complex)
     rows = np.zeros((m_max + 1, z.size), dtype=complex)
     norm_one = np.zeros(z.size, dtype=complex)
     norm_cos = np.zeros(z.size, dtype=complex)
-    for k in range(start, 0, -1):
+    for k in range(int(start.max()), 0, -1):
         jm = (2.0 * k) * jc / z - jp
         jp = jc
         jc = jm
@@ -188,13 +189,20 @@ def _bessel_table_miller(m_max: int, z: np.ndarray) -> np.ndarray:
             term = jc if order == 0 else 2.0 * jc
             norm_one += term
             norm_cos += -term if half_parity else term
-        peak = np.abs(jc).max()
-        if peak > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm_one *= 1e-250
-            norm_cos *= 1e-250
-            rows *= 1e-250
+        if k > first:
+            # points whose recurrence starts below k keep their seed values
+            idle = start < k
+            jp[idle] = 0.0
+            jc[idle] = 1e-200
+            norm_one[idle] = 0.0
+            norm_cos[idle] = 0.0
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jc[big] *= 1e-250
+            jp[big] *= 1e-250
+            norm_one[big] *= 1e-250
+            norm_cos[big] *= 1e-250
+            rows[:, big] *= 1e-250
     off_axis = np.abs(z.imag) > 1.0
     scaled_cos = np.where(off_axis, np.cos(z), 1.0)
     norm = np.where(off_axis, norm_cos / scaled_cos, norm_one)
@@ -315,12 +323,6 @@ class SearchBox:
     def diameter(self) -> float:
         return float(np.hypot(self.re_max - self.re_min, self.im_max - self.im_min))
 
-    def contains(self, lam: complex, slack: float = 0.0) -> bool:
-        return (
-            self.re_min - slack <= lam.real <= self.re_max + slack
-            and self.im_min - slack <= lam.imag <= self.im_max + slack
-        )
-
     def split(self):
         if (self.re_max - self.re_min) >= (self.im_max - self.im_min):
             mid = 0.5 * (self.re_min + self.re_max)
@@ -362,13 +364,14 @@ def _boundary_samples(box: SearchBox, n: int) -> np.ndarray:
     )
 
 
-def _winding_number(problem: DiskModeProblem, box: SearchBox, samples: int) -> int:
+def _winding_number(problem: DiskModeProblem, box: SearchBox, samples: int, work: dict) -> int:
     # A zero on (or numerically on) the contour shows up as a phase jump that
     # survives refinement, or as an outright underflow. A merely tiny |h| is
     # normal: near the origin the characteristic of sector m is analytically
     # smaller than its contour max by ~(re_min)^m, and the phase stays smooth.
     for n in (samples, 2 * samples, 4 * samples):
         pts = _boundary_samples(box, n)
+        work["contour_points"] += pts.size
         vals = problem.char(pts)
         mags = np.abs(vals)
         if not np.all(np.isfinite(vals)) or mags.min() <= 1e-300:
@@ -379,29 +382,78 @@ def _winding_number(problem: DiskModeProblem, box: SearchBox, samples: int) -> i
             continue
         total = turns.sum() / (2.0 * np.pi)
         if abs(total - round(total)) < 0.05:
+            work["boxes_counted"] += 1
             return int(round(total))
     raise _BoundaryTooClose
 
 
-def _newton_root(problem: DiskModeProblem, start: complex, box: SearchBox):
-    lam = complex(start)
+def _count_in(
+    problem: DiskModeProblem, box: SearchBox, samples: int, rng, work: dict, failure: str
+):
+    """Winding count of box, nudged outward a few times off contour zeros.
+
+    Returns the box the count holds for and the count.
+    """
+    sub = box
+    for attempt in range(6):
+        try:
+            return sub, _winding_number(problem, sub, samples, work)
+        except _BoundaryTooClose:
+            if attempt == 5:
+                raise NumericalFailureError(failure)
+            work["box_nudges"] += 1
+            sub = box.perturbed(rng, 1e-4 * (attempt + 1))
+
+
+def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
+    """Newton iterations from every start at once, one evaluation per step.
+
+    Iterate i stops when its step falls below 1e-13 max(|lam|, 1), and drops
+    out when the derivative vanishes or when it leaves boxes[i] widened by
+    2 diameter + 0.5. A root is accepted when its residual, relative to
+    max(1, |zeta|) because the characteristic carries a factor zeta, is at
+    most 1e-10 and it lies in its box: the contour count attributed the zero
+    to that box, so a polished point far outside (e.g. the trivial origin
+    zero of higher sectors) is a miss. Returns (lam, residual) or None per
+    start.
+    """
+    lam = np.array(starts, dtype=complex)
+    edges = np.array([(b.re_min, b.re_max, b.im_min, b.im_max) for b in boxes]).T
+    slack = np.array([2.0 * b.diameter + 0.5 for b in boxes])
+
+    def inside(i, pad):
+        re_min, re_max, im_min, im_max = edges[:, i]
+        z = lam[i]
+        return (
+            (re_min - pad <= z.real) & (z.real <= re_max + pad)
+            & (im_min - pad <= z.imag) & (z.imag <= im_max + pad)
+        )
+
+    alive = np.ones(lam.size, dtype=bool)
+    active = np.arange(lam.size)
     for _ in range(60):
-        f, df = problem.char_and_deriv(np.array([lam]))
-        f, df = f[0], df[0]
-        if abs(df) == 0.0:
-            return None
-        step = f / df
-        lam = lam - step
-        if not box.contains(lam, slack=2.0 * box.diameter + 0.5):
-            return None
-        if abs(step) < 1e-13 * max(abs(lam), 1.0):
+        if not active.size:
             break
-    resid = abs(problem.char(np.array([lam]))[0])
-    # the contour count attributed this zero to `box`; a polished point far
-    # outside (e.g. the trivial origin zero of higher sectors) is a miss
-    if resid <= 1e-10 and box.contains(lam, slack=1e-6):
-        return lam, resid
-    return None
+        f, df = problem.char_and_deriv(lam[active])
+        work["newton_evals"] += 1
+        work["newton_steps"] += active.size
+        flat = df == 0.0
+        alive[active[flat]] = False
+        active, f, df = active[~flat], f[~flat], df[~flat]
+        step = f / df
+        lam[active] -= step
+        left = ~inside(active, slack[active])
+        alive[active[left]] = False
+        done = np.abs(step) < 1e-13 * np.maximum(np.abs(lam[active]), 1.0)
+        active = active[~(left | done)]
+    out = [None] * lam.size
+    kept = np.nonzero(alive)[0]
+    if kept.size:
+        resid = np.abs(problem.char(lam[kept])) / max(1.0, abs(complex(problem.zeta)))
+        for i, r in zip(kept, resid):
+            if r <= 1e-10 and inside(i, 1e-6):
+                out[i] = (complex(lam[i]), float(r))
+    return out
 
 
 def disk_mode_roots(
@@ -413,10 +465,12 @@ def disk_mode_roots(
     """All characteristic roots of one angular sector inside a search box.
 
     Counts zeros by the phase winding of the characteristic function along
-    the box boundary, bisects until each sub-box holds one, and polishes
-    with Newton steps. When a zero sits on a contour the box is nudged
-    outward a few times before giving up. Returns roots, the contour count,
-    and per-root residuals.
+    the box boundary and bisects until each sub-box holds one (or shrinks
+    below 2e-2 around a cluster). Those leaf boxes are then polished together
+    by batched Newton steps from their centers, then from three shifted
+    starts; a leaf that still fails is bisected further. When a zero sits on
+    a contour the box is nudged outward a few times before giving up.
+    Returns roots, the contour count, per-root residuals and the work done.
     """
     if samples < 1:
         raise InvalidInputError("contour samples must be at least 1")
@@ -428,61 +482,63 @@ def disk_mode_roots(
     if box is None:
         box = SearchBox(0.05, 20.0, -5.0, 0.05)
     rng = np.random.default_rng(BOX_NUDGE_SEED)
+    work = dict.fromkeys(
+        ("contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps"), 0
+    )
 
-    outer = box
-    for attempt in range(6):
-        try:
-            expected = _winding_number(problem, outer, samples)
-            break
-        except _BoundaryTooClose:
-            if attempt == 5:
-                raise NumericalFailureError(
-                    "could not move the search contour off a characteristic zero"
-                )
-            outer = box.perturbed(rng, 1e-4 * (attempt + 1))
+    outer, expected = _count_in(
+        problem, box, samples, rng, work,
+        "could not move the search contour off a characteristic zero",
+    )
+
+    def halves(current):
+        counted = []
+        for piece in current.split():
+            sub, c = _count_in(
+                problem, piece, max(samples // 2, 512), rng, work,
+                "bisection could not isolate the characteristic zeros",
+            )
+            if c:
+                counted.append((sub, c))
+        return counted
+
     roots, residuals = [], []
-    stack = [(outer, expected)]
+    stack = [(outer, expected)] if expected else []
     while stack:
-        current, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1 or current.diameter < 2e-2:
-            got = _newton_root(problem, current.center, current)
-            if got is None:
-                # fall back on a few shifted starts before splitting further
-                for shift in (0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.3j):
-                    got = _newton_root(
-                        problem, current.center + shift * current.diameter, current
-                    )
-                    if got is not None:
-                        break
-            if got is not None and count == 1:
-                roots.append(got[0])
-                residuals.append(got[1])
-                continue
-            if got is not None and current.diameter < 2e-2:
-                # a tight cluster the contour says holds several zeros
-                roots.extend([got[0]] * count)
-                residuals.extend([got[1]] * count)
-                continue
-            if current.diameter < 1e-6:
+        leaves = []
+        while stack:
+            current, count = stack.pop()
+            if count == 1 or current.diameter < 2e-2:
+                leaves.append((current, count))
+            else:
+                stack.extend(halves(current))
+        boxes = [leaf for leaf, _ in leaves]
+        got = _newton_batch(problem, [b.center for b in boxes], boxes, work)
+        # fall back on a few shifted starts before splitting further
+        for shift in (0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.3j):
+            retry = [i for i, g in enumerate(got) if g is None]
+            if not retry:
+                break
+            again = _newton_batch(
+                problem,
+                [boxes[i].center + shift * boxes[i].diameter for i in retry],
+                [boxes[i] for i in retry],
+                work,
+            )
+            for i, g in zip(retry, again):
+                got[i] = g
+        for (current, count), g in zip(leaves, got):
+            if g is not None:
+                # count > 1 only for a tight cluster the contour says holds
+                # several zeros
+                roots.extend([g[0]] * count)
+                residuals.extend([g[1]] * count)
+            elif current.diameter < 1e-6:
                 raise NumericalFailureError(
                     f"failed to converge on a root near {current.center:g}"
                 )
-        pieces = current.split()
-        for piece in pieces:
-            sub = piece
-            for attempt in range(6):
-                try:
-                    c = _winding_number(problem, sub, max(samples // 2, 512))
-                    stack.append((sub, c))
-                    break
-                except _BoundaryTooClose:
-                    if attempt == 5:
-                        raise NumericalFailureError(
-                            "bisection could not isolate the characteristic zeros"
-                        )
-                    sub = piece.perturbed(rng, 1e-4 * (attempt + 1))
+            else:
+                stack.extend(halves(current))
 
     # merge duplicates found through overlapping perturbed sub-boxes
     merged, merged_res = [], []
@@ -500,6 +556,7 @@ def disk_mode_roots(
         "residuals": np.array(merged_res, dtype=float),
         "expected_count": int(expected),
         "count_matches": len(merged) == int(expected),
+        "work": work,
     }
 
 
@@ -519,10 +576,12 @@ def disk_spectrum(
     entries = []
     counts = {}
     matches = {}
+    work = {}
     for m in range(m_max + 1):
         result = disk_mode_roots(m, zeta, box=box, samples=samples)
         counts[str(m)] = int(result["roots"].size)
         matches[str(m)] = bool(result["count_matches"])
+        work[str(m)] = result["work"]
         for lam, res in zip(result["roots"], result["residuals"]):
             entries.append(
                 ModeEntry(
@@ -541,5 +600,6 @@ def disk_spectrum(
         "roots_per_order": counts,
         "count_matches": matches,
         "all_counts_match": bool(all(matches.values())),
+        "work_per_order": work,
     }
     return SpectrumReport("disk", entries, metadata=meta)

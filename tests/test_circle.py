@@ -261,6 +261,19 @@ class TestMultiplierSection:
         b = multiplier_section(ImpedanceCoefficient.power(0.4), SobolevScale(0.5), 8)
         assert np.linalg.norm(b - b.conj().T, 2) < 1e-13
 
+    def test_weighted_in_place_and_leaves_coefficients_alone(self):
+        # the division by the weights reuses the gathered Toeplitz array; the
+        # reference divides a fresh gather
+        scale = SobolevScale(0.5)
+        coeffs = ImpedanceCoefficient.power(0.3).fourier_coeffs(16) * (1.0 + 0.5j)
+        kept = coeffs.copy()
+        b = multiplier_section(None, scale, 8, coeffs=coeffs)
+        idx = np.arange(-8, 9)
+        w = scale.weight(idx)
+        reference = coeffs[np.subtract.outer(idx, idx) + 16] / np.outer(w, w)
+        assert np.array_equal(b, reference)
+        assert np.array_equal(coeffs, kept)
+
     def test_input_validation(self):
         c = ImpedanceCoefficient.constant(1.0)
         with pytest.raises(InvalidInputError, match="cutoff"):

@@ -338,6 +338,15 @@ class TestOutputs:
         assert payload["metadata"]["all_counts_match"] is True
         capsys.readouterr()
 
+    def test_disk_huge_zeta_exit0(self, tmp_path, capsys):
+        # the root residual is gated relative to max(1, |zeta|)
+        out = tmp_path / "disk.json"
+        assert run(["disk", "--zeta", "1e6", "--m-max", "0", "--out", str(out)]) == 0
+        assert "6 modes over m<=0" in capsys.readouterr().out
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["count_matches"] == {"0": True}
+        assert meta["work_per_order"]["0"]["newton_evals"] > 0
+
     def test_march_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "march.csv"
         code = run([

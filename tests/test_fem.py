@@ -82,6 +82,29 @@ class TestMesh:
             edges = np.vstack([sq.boundary_edges, [(0, 4)]])
             Mesh(sq.vertices, sq.triangles, edges, sq.boundary_labels + ["x"])
 
+    def test_rejects_boundary_edge_listed_twice(self):
+        sq = square_mesh(2)
+        a, b = sq.boundary_edges[3]
+        edges = np.vstack([sq.boundary_edges, [(b, a)]])
+        twice = f"boundary edge {min(a, b)}-{max(a, b)} listed twice"
+        with pytest.raises(InvalidInputError, match=twice):
+            Mesh(sq.vertices, sq.triangles, edges, sq.boundary_labels + ["x"])
+
+    def test_boundary_messages_name_the_smallest_offender(self):
+        sq = square_mesh(2)
+        # two interior edges declared: the message names the smaller one
+        edges = np.vstack([sq.boundary_edges, [(4, 7), (1, 4)]])
+        with pytest.raises(InvalidInputError, match="edge 1-4 is declared boundary"):
+            Mesh(sq.vertices, sq.triangles, edges, sq.boundary_labels + ["x", "y"])
+        # two rim edges dropped: the message names the smaller one
+        keys = [tuple(sorted(e)) for e in sq.boundary_edges]
+        drop = sorted(keys)[:2]
+        kept = [i for i, key in enumerate(keys) if key not in drop]
+        missing = f"rim edge {drop[0][0]}-{drop[0][1]} is missing"
+        with pytest.raises(InvalidInputError, match=missing):
+            Mesh(sq.vertices, sq.triangles, sq.boundary_edges[kept],
+                 [sq.boundary_labels[i] for i in kept])
+
     def test_rejects_bowtie_boundary(self):
         vertices = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
         tris = np.array([(0, 1, 2), (0, 3, 4)])
@@ -229,6 +252,82 @@ class TestAssemble:
         assert np.abs(q.k_stiff - 2.0 * q_unit.k_stiff).max() < 1e-14
 
 
+def invariant_inputs(spec="square{4}", zeta=0.5):
+    """Assembled K, C, M of spec and the arguments of the invariant check."""
+    mesh = build_mesh(spec)
+    q = assemble(mesh, zeta=zeta)
+    return q.k_stiff.copy(), q.c_bdry.copy(), q.m_mass.copy(), np.unique(mesh.boundary_edges)
+
+
+def lonely_triangle(mesh):
+    """A triangle holding a vertex that no other triangle touches."""
+    uses = np.bincount(mesh.triangles.ravel())
+    vertex = int(np.nonzero(uses == 1)[0][0])
+    return int(np.nonzero((mesh.triangles == vertex).any(axis=1))[0][0]), vertex
+
+
+class TestInvariantChecks:
+    @pytest.mark.parametrize(
+        "spec", ["square{4}", "disk_polygon{3,12}", "rectangle{40,1,100.0,0.01}"]
+    )
+    def test_assembled_matrices_pass(self, spec):
+        k, c, m, rim = invariant_inputs(spec)
+        fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+
+    def test_indefinite_stiffness_with_constant_kernel_rejected(self):
+        k, c, m, rim = invariant_inputs()
+        i, j = 3, 7
+        e = np.zeros(k.shape[0])
+        e[i], e[j] = 1.0, -1.0
+        k += -10.0 * np.abs(k).max() * np.outer(e, e)
+        assert np.abs(k @ np.ones(k.shape[0])).max() < 1e-12
+        with pytest.raises(NumericalFailureError, match="stiffness kernel"):
+            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+
+    def test_second_eigenvalue_below_threshold_rejected(self):
+        # K stays PSD with the constant kernel, but its second eigenvalue sits
+        # at tau / 2, under the threshold tau; only the shifted pivots see it
+        k, c, m, rim = invariant_inputs()
+        tau = 1e-10 * max(np.abs(k).max(), 1.0)
+        w, v = np.linalg.eigh(k)
+        k -= (w[1] - 0.5 * tau) * np.outer(v[:, 1], v[:, 1])
+        assert 0.0 < np.linalg.eigvalsh(k)[1] < tau
+        with pytest.raises(NumericalFailureError, match="stiffness kernel"):
+            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+
+    def test_negative_local_mass_rejected(self):
+        mesh = build_mesh("square{4}")
+        k, c, m, rim = invariant_inputs()
+        t, vertex = lonely_triangle(mesh)
+        # the vertex's diagonal is its one triangle's 2 beta area / 12
+        local = 0.5 * m[vertex, vertex] * (np.ones((3, 3)) + np.eye(3))
+        m[np.ix_(mesh.triangles[t], mesh.triangles[t])] -= 2.0 * local
+        with pytest.raises(NumericalFailureError, match="mass matrix"):
+            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+
+    def test_negative_damping_under_accretive_coefficients_rejected(self):
+        k, c, m, rim = invariant_inputs()
+        c[rim[2], rim[2]] -= 10.0 * np.abs(c).max()
+        with pytest.raises(NumericalFailureError, match="damping lost positivity"):
+            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+        # a nonaccretive coefficient may make C indefinite
+        fem_module._check_qep_invariants(k, c, m, -0.5, rim)
+
+    def test_negative_local_mass_exits_4(self, monkeypatch, capsys):
+        from impedbench import cli
+
+        resolve = MaterialCoefficients.resolve
+
+        def flipped(self, mesh):
+            alpha, beta = resolve(self, mesh)
+            beta[lonely_triangle(mesh)[0]] *= -1.0
+            return alpha, beta
+
+        monkeypatch.setattr(MaterialCoefficients, "resolve", flipped)
+        assert cli.main(["fem", "--shape", "square", "--n", "4", "--zeta", "0.5"]) == 4
+        assert "mass matrix is not positive definite" in capsys.readouterr().err
+
+
 class TestSolveQep:
     # each check runs once on the dense side of the solver switch and once,
     # in its _shift_invert twin, on the sparse side
@@ -327,11 +426,13 @@ class TestSolveQep:
         def singular(matrix):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(spla, "splu", singular)
+        # assembly's own invariant check factors K and M, so assemble first
         mesh = build_mesh("square{16}")
+        accretive, nonaccretive = assemble(mesh, zeta=0.5), assemble(mesh, zeta=-0.5)
+        monkeypatch.setattr(spla, "splu", singular)
         with pytest.raises(NumericalFailureError, match="factorization failed"):
-            solve_qep(assemble(mesh, zeta=0.5), n_want=8)
-        assert solve_qep(assemble(mesh, zeta=-0.5), n_want=8).metadata["path"] == "real-rotated"
+            solve_qep(accretive, n_want=8)
+        assert solve_qep(nonaccretive, n_want=8).metadata["path"] == "real-rotated"
 
     def test_uncertified_modes_fall_back_to_dense(self, monkeypatch):
         calls = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from impedbench.errors import InvalidInputError
+from impedbench.errors import InvalidInputError, NumericalFailureError
 from impedbench import models
 from impedbench.models import (
     MAX_CONTOUR_SAMPLES,
@@ -242,7 +242,117 @@ class TestDiskRoots:
             disk_mode_roots(0, 0.5, samples=MAX_CONTOUR_SAMPLES + 1)
 
 
+# Roots per sector 0..4 in the default search box.
+DISK_COUNTS = {
+    0.0: [6, 6, 6, 5, 5],
+    0.5: [6, 6, 6, 5, 5],
+    0.3j: [7, 6, 6, 5, 5],
+    1e6: [6, 6, 5, 5, 4],
+}
+
+
+def scipy_disk_root(m: int, zeta: complex, start: complex) -> complex:
+    """Newton polish of a disk characteristic root on scipy.special."""
+    lam = complex(start)
+    for _ in range(20):
+        jm, jp = scipy.special.jv(m, lam), scipy.special.jvp(m, lam)
+        step = (1j * zeta * jm - jp) / (1j * zeta * jp - scipy.special.jvp(m, lam, 2))
+        lam -= step
+        if abs(step) < 1e-15 * abs(lam):
+            break
+    return lam
+
+
+class TestDiskOracleReferences:
+    def test_roots_match_mpmath(self):
+        # every returned root is a root of the characteristic at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for zeta, counts in DISK_COUNTS.items():
+                z = mpmath.mpc(zeta)
+                for m, count in enumerate(counts):
+                    result = disk_mode_roots(m, zeta)
+                    assert result["count_matches"]
+                    assert result["roots"].size == count
+
+                    def char(lam, m=m):
+                        return 1j * z * mpmath.besselj(m, lam) - mpmath.besselj(m, lam, 1)
+
+                    for lam in result["roots"]:
+                        ref = mpmath.findroot(char, mpmath.mpc(lam))
+                        assert abs(mpmath.mpc(lam) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("zeta", [1e6, 1e4, 50.0])
+    def test_residual_relative_to_large_zeta(self, zeta):
+        # the characteristic carries a factor zeta, so its rounding at a root
+        # grows with |zeta|; the residual gate divides by max(1, |zeta|)
+        result = disk_mode_roots(0, zeta)
+        assert result["count_matches"]
+        assert result["roots"].size == 6
+        assert result["residuals"].max() <= 1e-10
+        for lam in result["roots"]:
+            ref = scipy_disk_root(0, zeta, lam)
+            assert abs(lam - ref) <= 1e-12 * abs(ref)
+
+
+class TestBatchedNewton:
+    def test_matches_one_start_at_a_time(self):
+        # the reference runs the same iteration on one start at a time
+        problem = DiskModeProblem(m=2, zeta=0.5)
+        boxes = [
+            *SearchBox(0.05, 20.0, -5.0, 0.05).split(),
+            SearchBox(5.0, 7.0, -1.0, 0.0),
+            SearchBox(8.0, 8.5, 2.0, 2.5),  # no root inside
+            SearchBox(11.0, 14.0, -2.0, 0.0),
+        ]
+        starts = [b.center for b in boxes[:-1]] + [12.5 - 0.6j]
+        work = {"newton_evals": 0, "newton_steps": 0}
+        batched = models._newton_batch(problem, starts, boxes, work)
+        alone = [
+            models._newton_batch(problem, [start], [box], dict(work))[0]
+            for start, box in zip(starts, boxes)
+        ]
+        assert [g is None for g in batched] == [False, False, False, True, False]
+        assert [g is None for g in alone] == [g is None for g in batched]
+        for got, ref in zip(batched, alone):
+            if got is not None:
+                assert abs(got[0] - ref[0]) <= 1e-14 * abs(ref[0])
+        # one evaluation per step of the whole batch
+        assert work["newton_evals"] < work["newton_steps"] <= len(starts) * work["newton_evals"]
+
+    def test_work_counts(self):
+        result = disk_mode_roots(0, 0.5)
+        work = result["work"]
+        assert work["contour_points"] >= 2048
+        assert work["boxes_counted"] >= 2 * result["expected_count"] - 1
+        assert work["box_nudges"] == 0
+        # one evaluation per Newton step of the whole batch of leaves
+        assert work["newton_evals"] < work["newton_steps"]
+        assert work["newton_steps"] >= result["roots"].size
+
+    def test_nudges_counted(self):
+        box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
+        assert disk_mode_roots(0, 0.0, box=box)["work"]["box_nudges"] >= 1
+
+    def test_unconverged_leaf_reported(self, monkeypatch):
+        monkeypatch.setattr(
+            models, "_newton_batch", lambda problem, starts, boxes, work: [None] * len(starts)
+        )
+        with pytest.raises(NumericalFailureError, match="failed to converge on a root near"):
+            disk_mode_roots(0, 0.0, box=SearchBox(3.0, 4.5, -0.5, 0.05))
+
+
 class TestDiskSpectrum:
+    def test_metadata_carries_work_per_order(self):
+        report = disk_spectrum(0.5, m_max=1)
+        work = report.metadata["work_per_order"]
+        assert sorted(work) == ["0", "1"]
+        for counts in work.values():
+            assert set(counts) == {
+                "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps"
+            }
+            assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+
     def test_tags_multiplicity_and_verdict(self):
         report = disk_spectrum(0.5, m_max=2)
         tags = {e.mode_tag for e in report.entries}
