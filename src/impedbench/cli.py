@@ -495,6 +495,7 @@ def _cmd_converge(args) -> int:
 
     zeta = parse_scalar_impedance(args.zeta)
     _require_accretive(zeta, args.allow_nonaccretive, "converge")
+    oracle_work = {}
     if args.shape == "square":
         if zeta != 0:
             raise _UsageError(
@@ -502,12 +503,17 @@ def _cmd_converge(args) -> int:
             )
         ref = SpectrumReport("square-exact", [ModeEntry(float(np.pi), 0.0, 0.0, "exact")])
     else:
+        # the references are the lowest roots of sectors 0 and 1
         entries = []
         for m in (0, 1):
-            roots = disk_mode_roots(m, zeta)["roots"]
-            entries.append(ModeEntry(float(roots[0].real), float(roots[0].imag), 0.0, f"m{m}"))
+            oracle = disk_mode_roots(m, zeta, lowest=1)
+            lam = oracle["roots"][0]
+            oracle_work[str(m)] = oracle["work"]
+            entries.append(ModeEntry(float(lam.real), float(lam.imag), 0.0, f"m{m}"))
         ref = SpectrumReport("disk-oracle", entries)
     study = convergence_study(args.shape, args.levels, zeta, ref)
+    if oracle_work:
+        study["oracle_work"] = oracle_work
     orders = ["none" if p is None else f"{p:.2f}" for p in study["finest_orders"]]
     finest = ["unmatched" if e is None else f"{e:.3e}" for e in study["errors"][-1]]
     print(

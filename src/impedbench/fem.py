@@ -53,6 +53,9 @@ SPARSE_MIN_VERTICES = 192
 SPARSE_MAX_SHARE = 6
 # ARPACK's default start vector is random; a fixed one makes reruns identical
 ARPACK_SEED = 20240801
+# a convergence study pairs a reference with the nearest FEM eigenvalue
+# closer than this
+MATCH_GAP = 0.5
 
 MESH_HEADER = "mesh2d v1"
 
@@ -877,14 +880,39 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
 # Convergence study
 
 
-def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport,
-                      n_want: int = 32) -> dict:
+def _modes_within(q: QepMatrices, n_want: int, match_radius: float):
+    """FEM eigenvalues of q from n_want modes on, doubling the request while
+    all of them came back and the farthest lies inside match_radius.
+
+    Returns the eigenvalues, the requests and the largest |lam|.
+    """
+    asked = [n_want]
+    while True:
+        rep = solve_qep(q, n_want=asked[-1])
+        computed = np.array(
+            [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
+        )
+        radius = float(np.abs(computed).max()) if computed.size else 0.0
+        if rep.metadata["returned"] < asked[-1] or radius >= match_radius:
+            return computed, asked, radius
+        asked.append(2 * asked[-1])
+
+
+def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -> dict:
     """Eigenvalue errors against a trusted reference over a refinement ladder.
 
     shape is 'square' (level n means square{n}) or 'disk_polygon' (level n
     means disk_polygon{n, 4n}). Each reference eigenvalue pairs with the
-    nearest computed non-artifact eigenvalue when the gap is below 0.5;
+    nearest computed non-artifact eigenvalue when the gap is below MATCH_GAP;
     unmatched references are reported, not fatal.
+
+    Only an eigenvalue with |lam| < max |ref| + MATCH_GAP can match. Each
+    level asks solve_qep for 4 len(ref) + 8 modes and doubles the request
+    while all of them came back and the farthest lies inside that radius.
+    solve_qep certifies that no mode nearer the origin than the returned ones
+    was missed, so every eigenvalue that could match is among them. The
+    result records the requests per level (modes_requested) and the largest
+    |lam| of the last solve (radius_reached).
     """
     levels = [int(x) for x in h_schedule]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
@@ -894,16 +922,18 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport,
     ref_vals = [complex(e.re_lambda, e.im_lambda) for e in reference.entries]
     if not ref_vals:
         raise InvalidInputError("reference spectrum is empty")
+    match_radius = max(abs(v) for v in ref_vals) + MATCH_GAP
 
-    specs, errors = [], []
+    specs, errors, requests, reached = [], [], [], []
     for n in levels:
         spec = f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
         specs.append(spec)
-        mesh = build_mesh(spec)
-        rep = solve_qep(assemble(mesh, zeta=zeta), n_want=max(n_want, 4 * len(ref_vals) + 8))
-        computed = np.array(
-            [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
+        # the matrices go out of scope before the next level is assembled
+        computed, asked, radius = _modes_within(
+            assemble(build_mesh(spec), zeta=zeta), 4 * len(ref_vals) + 8, match_radius
         )
+        requests.append(asked)
+        reached.append(radius)
         row = []
         for rv in ref_vals:
             if computed.size == 0:
@@ -911,7 +941,7 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport,
                 continue
             gaps = np.abs(computed - rv)
             jbest = int(np.argmin(gaps))
-            row.append(float(gaps[jbest]) if gaps[jbest] < 0.5 else None)
+            row.append(float(gaps[jbest]) if gaps[jbest] < MATCH_GAP else None)
         errors.append(row)
 
     orders = []
@@ -936,6 +966,9 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport,
         "orders": orders,
         "finest_orders": orders[-1] if orders else [],
         "unmatched": unmatched,
+        "match_radius": match_radius,
+        "modes_requested": requests,
+        "radius_reached": reached,
     }
 
 

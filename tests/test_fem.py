@@ -24,6 +24,7 @@ from impedbench.fem import (
     solve_qep,
     square_mesh,
 )
+from impedbench.models import disk_mode_roots
 from impedbench.reports import ModeEntry, SpectrumReport
 
 SEED = 20240801
@@ -616,6 +617,50 @@ class TestConvergence:
         assert study["errors"][0][1] is None
         assert study["unmatched"] == 2
         assert study["finest_orders"][1] is None
+
+    @staticmethod
+    def disk_reference(zeta):
+        entries = []
+        for m in (0, 1):
+            lam = disk_mode_roots(m, zeta, lowest=1)["roots"][0]
+            entries.append(ModeEntry(lam.real, lam.imag, 0.0, f"m{m}"))
+        return SpectrumReport("disk-oracle", entries)
+
+    @staticmethod
+    def record_requests(monkeypatch):
+        requests = []
+        solve = fem_module.solve_qep
+
+        def recording(q, n_want=24):
+            requests.append(n_want)
+            return solve(q, n_want=n_want)
+
+        monkeypatch.setattr(fem_module, "solve_qep", recording)
+        return requests
+
+    def test_modes_requested_once_when_they_reach_the_match_radius(self, monkeypatch):
+        ref = self.disk_reference(0.5)
+        requests = self.record_requests(monkeypatch)
+        study = convergence_study("disk_polygon", [4, 8], 0.5, ref)
+        # 4 len(ref) + 8 modes, one solve per level
+        assert requests == [16, 16]
+        assert study["modes_requested"] == [[16], [16]]
+        assert study["match_radius"] == max(abs(complex(*v)) for v in study["reference"]) + 0.5
+        assert min(study["radius_reached"]) >= study["match_radius"]
+        assert study["unmatched"] == 0
+
+    def test_request_grows_to_the_match_radius(self, monkeypatch):
+        # overdamped rim modes crowd the origin at large zeta: 16 modes end
+        # inside the radius where a reference could still match
+        ref = self.disk_reference(1000.0)
+        requests = self.record_requests(monkeypatch)
+        study = convergence_study("disk_polygon", [4, 8], 1000.0, ref)
+        assert requests == [n for asked in study["modes_requested"] for n in asked]
+        assert len(requests) > 2
+        for asked in study["modes_requested"]:
+            assert asked == [16 * 2**i for i in range(len(asked))]
+        assert min(study["radius_reached"]) >= study["match_radius"]
+        assert study["unmatched"] == 0
 
     def test_schedule_validation(self):
         ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])

@@ -294,6 +294,69 @@ class TestDiskOracleReferences:
             ref = scipy_disk_root(0, zeta, lam)
             assert abs(lam - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("zeta, m", [(1e6, 0), (50.0, 0), (0.5, 6)])
+    def test_roots_near_twelve_match_mpmath(self, zeta, m):
+        # at |lam| near 12 the terms of the ascending series reach 3e3 before
+        # they cancel to J_m; the Miller branch there keeps full accuracy
+        mpmath = pytest.importorskip("mpmath")
+        roots = disk_mode_roots(m, zeta)["roots"]
+        lam = roots[np.argmin(np.abs(roots - 11.76))]
+        assert 11.7 < lam.real < 11.8
+        with mpmath.workdps(30):
+            z = mpmath.mpc(zeta)
+            ref = mpmath.findroot(
+                lambda x: 1j * z * mpmath.besselj(m, x) - mpmath.besselj(m, x, 1),
+                mpmath.mpc(lam),
+            )
+            assert abs(mpmath.mpc(lam) - ref) <= 1e-14 * abs(ref)
+
+
+# the reference impedances of the best-first tests, each for sectors 0 and 1
+LOWEST_ZETAS = [0.0, 0.5, 1.0, 2.0, 5.0, 0.3j, 0.3 + 0.4j, 1e6]
+
+
+class TestLowestRoots:
+    @pytest.mark.parametrize("zeta", LOWEST_ZETAS)
+    def test_lowest_root_is_bitwise_the_full_searchs_first(self, zeta):
+        for m in (0, 1):
+            full = disk_mode_roots(m, zeta)
+            one = disk_mode_roots(m, zeta, lowest=1)
+            assert one["roots"].tobytes() == full["roots"][:1].tobytes()
+            assert one["residuals"].tobytes() == full["residuals"][:1].tobytes()
+            assert one["expected_count"] == full["expected_count"]
+            assert one["count_matches"]
+            assert one["work"]["contour_points"] < full["work"]["contour_points"]
+
+    @pytest.mark.parametrize("zeta, m", [(0.5, 0), (0.5, 2), (0.3j, 0), (0.3j, 2)])
+    def test_lowest_three_are_the_full_searchs_first_three(self, zeta, m):
+        full = disk_mode_roots(m, zeta)
+        three = disk_mode_roots(m, zeta, lowest=3)
+        assert three["roots"].tobytes() == full["roots"][:3].tobytes()
+        assert three["residuals"].tobytes() == full["residuals"][:3].tobytes()
+        assert three["count_matches"]
+
+    def test_box_straddling_the_cut_is_kept(self):
+        # the box is taller than wide, so it splits along Im first, and the
+        # upper half's root near 4.91 - 1.47i is polished first; the lower
+        # half reaches right of it but holds the lowest root, near 0.30 - 3.03i
+        box = SearchBox(0.05, 5.0, -5.0, 0.05)
+        full = disk_mode_roots(1, 0.9, box=box)
+        one = disk_mode_roots(1, 0.9, box=box, lowest=1)
+        assert full["roots"].size == 2 and full["roots"][0].real < 1.0
+        assert one["roots"].tobytes() == full["roots"][:1].tobytes()
+
+    def test_lowest_beyond_the_count_finds_every_root(self):
+        full = disk_mode_roots(0, 0.5)
+        every = disk_mode_roots(0, 0.5, lowest=10)
+        assert every["roots"].tobytes() == full["roots"].tobytes()
+        assert every["expected_count"] == 6
+        # min(lowest, expected_count) roots were returned
+        assert every["count_matches"]
+
+    def test_lowest_validation(self):
+        with pytest.raises(InvalidInputError, match="lowest"):
+            disk_mode_roots(0, 0.5, lowest=0)
+
 
 class TestBatchedNewton:
     def test_matches_one_start_at_a_time(self):
