@@ -141,6 +141,8 @@ class ImpedanceCoefficient:
     @classmethod
     def fourier(cls, centered_coeffs, label: str) -> "ImpedanceCoefficient":
         arr = np.asarray(centered_coeffs, dtype=complex).ravel()
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("Fourier coefficients must be finite")
         if arr.size % 2 != 1:
             raise InvalidInputError(
                 "centered coefficient array must have odd length (indices -K..K)"
@@ -153,6 +155,8 @@ class ImpedanceCoefficient:
             raise InvalidInputError(
                 "power coefficient needs an exponent in (0, 1) to stay integrable"
             )
+        if not np.isfinite(complex(amplitude)):
+            raise InvalidInputError("power coefficient amplitude must be finite")
         return cls(
             kind="power",
             label=f"power(a={exponent:g},c={complex(amplitude):g})",
@@ -182,7 +186,7 @@ class ImpedanceCoefficient:
         if self.kind == "sampled":
             m = max(1024, 8 * (n_max + 1))
             theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
-            vals = np.asarray(self.func(theta), dtype=complex)
+            vals = self._evaluate(theta)
             if vals.shape != theta.shape:
                 raise InvalidInputError("sampled coefficient must map grids to grids")
             # theta_j = -pi + 2 pi j / m, so the quadrature sum for c_k is
@@ -212,12 +216,15 @@ class ImpedanceCoefficient:
                 return float("inf")
             return float(abs(self.amplitude) * (np.pi**-aq / (1.0 - aq)) ** (1.0 / q))
         theta = -np.pi + 2.0 * np.pi * np.arange(8192) / 8192
-        vals = np.abs(np.asarray(self._evaluate(theta), dtype=complex))
+        vals = np.abs(self._evaluate(theta))
         return float(np.mean(vals**q) ** (1.0 / q))
 
     def _evaluate(self, theta):
         if self.kind == "sampled":
-            return self.func(theta)
+            vals = np.asarray(self.func(theta), dtype=complex)
+            if not np.isfinite(vals).all():
+                raise InvalidInputError("sampled coefficient values must be finite")
+            return vals
         if self.kind == "fourier":
             half = (self.stored.size - 1) // 2
             freqs = np.arange(-half, half + 1)

@@ -16,6 +16,8 @@ import cmath
 import os
 import sys
 
+from .errors import InvalidInputError, InvariantViolationError, NumericalFailureError
+
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_INVALID = 3
@@ -130,6 +132,8 @@ def _coefficient_from_file(path: str):
                 vals.append(complex(item))
             else:
                 raise _UsageError(f"coefficient file {path}: bad entry {item!r}")
+            if not cmath.isfinite(vals[-1]):
+                raise _UsageError(f"coefficient file {path}: entry {item!r} is not finite")
         return np.array(vals, dtype=complex)
 
     if isinstance(data, dict):
@@ -166,6 +170,17 @@ def parse_int_list(text: str):
     return vals
 
 
+def _parse_tol(text: str) -> float:
+    """A pass/fail tolerance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise _UsageError(f"expected a number, got '{text}'")
+    if not 0 <= value < float("inf"):
+        raise _UsageError(f"tolerance must be finite and >= 0, got '{text}'")
+    return value
+
+
 def parse_box(text: str):
     from .models import SearchBox
 
@@ -192,14 +207,10 @@ def _mesh_spec(shape: str, n) -> str:
 
 def _require_accretive(zeta: complex, allow: bool, what: str) -> None:
     if zeta.real < 0 and not allow:
-        raise _EnclosureRefusal(
+        raise InvariantViolationError(
             f"{what}: impedance {zeta:g} has negative real part, which breaks the "
             "lower-half-plane enclosure; pass --allow-nonaccretive to study it anyway"
         )
-
-
-class _EnclosureRefusal(Exception):
-    pass
 
 
 def _emit_report(report, path: str) -> None:
@@ -543,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green-check", help="integration-by-parts defect on a fixture")
     p.add_argument("--fixture", required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_green_check)
@@ -554,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = modes.add_parser("cayley", help="round-trip and identity defects")
     pc.add_argument("--fixture", required=True)
     pc.add_argument("--trials", type=int, default=50)
-    pc.add_argument("--tol", type=float, default=1e-9, help="pass/fail tolerance")
+    pc.add_argument("--tol", type=_parse_tol, default=1e-9, help="pass/fail tolerance")
     pc.add_argument("--out", default=None, help="output file (.csv or .json)")
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pc.set_defaults(handler=_cmd_extension_cayley)
@@ -570,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--fixture", required=True)
     pr.add_argument("--rank", type=int, default=1, help="rank of the condition perturbation")
     pr.add_argument("--z", type=parse_scalar_impedance, default=1j, help="spectral point")
-    pr.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    pr.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     pr.add_argument("--out", default=None, help="output file (.csv or .json)")
     pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pr.set_defaults(handler=_cmd_extension_rank)
@@ -593,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", required=True)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12, help="pass/fail tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-12, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_string)
 
@@ -603,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default=None, help="re_min,re_max,im_min,im_max")
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10, help="pass/fail tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-10, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_disk)
 
@@ -613,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", required=True)
     p.add_argument("--nev", type=int, default=24)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_fem)
 
@@ -624,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--allow-nonaccretive", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12, help="pass/fail tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-12, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_march)
@@ -653,16 +664,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on grammar errors and 0 on --help
         return EXIT_OK if exc.code == 0 else EXIT_INVALID
 
-    from .errors import InvalidInputError, InvariantViolationError, NumericalFailureError
-
     try:
         return args.handler(args)
     except _UsageError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except _EnclosureRefusal as exc:
-        print(f"invariant refused: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

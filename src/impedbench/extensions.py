@@ -318,11 +318,13 @@ class ResolventRankReport:
 def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     """Shared boundary-value machinery for resolvents at a fixed point z.
 
-    Returns (y0, hb, triple) where y0 is the resolvent of the reference
-    condition gamma1_v = 0 composed with the projection onto its attainable
-    range, and hb spans the state vectors whose image under (op - z) is
-    invisible to that range. Every resolvent realized from these pieces maps
-    onto its constraint kernel and agrees with y0 up to an hb-correction.
+    Returns (y0, hb, triple, m_z, e) where y0 is the resolvent of the
+    reference condition gamma1_v = 0 composed with the projection onto its
+    attainable range, hb spans the state vectors whose image under (op - z)
+    is invisible to that range, triple is the fixture's boundary triple,
+    m_z = astar - z and e is an orthonormal basis of the attainable range.
+    Every resolvent realized from these pieces maps onto its constraint
+    kernel and agrees with y0 up to an hb-correction.
     """
     tup = fx.boundary
     triple, _ = to_boundary_triple(tup, fx.transform)

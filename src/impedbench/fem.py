@@ -86,6 +86,8 @@ class Mesh:
         self.boundary_labels = [str(s) for s in self.boundary_labels]
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise InvalidInputError("vertices must be an (n, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise InvalidInputError("vertex coordinates must be finite")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise InvalidInputError("triangles must be an (m, 3) index array")
         if self.boundary_edges.ndim != 2 or self.boundary_edges.shape[1] != 2:

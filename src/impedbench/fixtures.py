@@ -93,111 +93,73 @@ def _smooth_interval_sampler(grid: np.ndarray, channels: int = 1):
     return sample
 
 
-def transport_fixture(n_points: int = 64, weighted: bool = False) -> TupleFixture:
-    """First-order transport model i d/dx on [0, 1] with endpoint traces.
+def _transport(n_points: int, speeds: tuple, label: str, weighted: bool = False) -> TupleFixture:
+    """Decoupled transport channels i c d/dx on [0, 1], one per speed c.
 
-    The traces are the balanced combinations
-    gamma0 f = (f(0) + f(1)) / sqrt(2) and gamma1 f = i (f(1) - f(0)) / sqrt(2),
-    which satisfy the integration-by-parts identity exactly at matrix level on
-    the LGL grid. ``weighted=True`` rescales the two trace spaces and adjusts
-    the pairing accordingly, exercising the non-trivial duality code path.
+    Channel k has the traces sqrt(c_k) (f(0) + f(1)) / sqrt(2) and
+    i sqrt(c_k) (f(1) - f(0)) / sqrt(2), which satisfy the
+    integration-by-parts identity exactly at matrix level on the LGL grid.
+    ``weighted=True`` rescales the two trace spaces and adjusts the pairing
+    accordingly, exercising the non-trivial duality code path.
     """
     grid, w = _unit_interval_collocation(n_points)
     d = 2.0 * differentiation_matrix(2.0 * grid - 1.0)
-    astar = 1j * d
-    gram_x = GramMatrix(np.diag(w))
-    n = n_points
+    n, k = n_points, len(speeds)
     e0 = np.zeros(n)
     e0[0] = 1.0
     e1 = np.zeros(n)
     e1[-1] = 1.0
-    g0 = ((e0 + e1) / np.sqrt(2.0)).reshape(1, -1).astype(complex)
-    g1 = (1j * (e1 - e0) / np.sqrt(2.0)).reshape(1, -1)
-    if not weighted:
-        label = f"transport-{n_points}"
-        boundary = BoundaryTupleModel(
-            gamma0=g0,
-            gamma1=g1,
-            gram_minus=GramMatrix.identity(1),
-            gram_pivot=GramMatrix.identity(1),
-            gram_plus=GramMatrix.identity(1),
-            pairing=np.eye(1, dtype=complex),
-        )
-        transform = TupleTransform.from_v(np.eye(1), boundary)
-    else:
+    astar = np.zeros((k * n, k * n), dtype=complex)
+    gamma0 = np.zeros((k, k * n), dtype=complex)
+    gamma1 = np.zeros((k, k * n), dtype=complex)
+    for i, c in enumerate(speeds):
+        block = slice(i * n, (i + 1) * n)
+        astar[block, block] = 1j * c * d
+        gamma0[i, block] = np.sqrt(c) * (e0 + e1) / np.sqrt(2.0)
+        gamma1[i, block] = 1j * np.sqrt(c) * (e1 - e0) / np.sqrt(2.0)
+    eye = np.eye(k)
+    shrink = stretch = 1.0
+    if weighted:
         # Rescale: minus trace shrunk by 2, plus trace stretched by 3. The
         # pairing compensates so the boundary form is unchanged.
-        label = f"transport-{n_points}-weighted"
-        boundary = BoundaryTupleModel(
-            gamma0=g0 / 2.0,
-            gamma1=3.0 * g1,
-            gram_minus=GramMatrix(np.array([[4.0]])),
-            gram_pivot=GramMatrix.identity(1),
-            gram_plus=GramMatrix(np.array([[1.0 / 9.0]])),
-            pairing=np.array([[2.0 / 3.0]], dtype=complex),
-        )
-        transform = TupleTransform.from_v(np.array([[0.5]]), boundary)
-    model = OperatorModel(astar=astar, gram_x=gram_x, label=label)
+        shrink, stretch = 2.0, 3.0
+        gamma0, gamma1 = gamma0 / shrink, stretch * gamma1
+    boundary = BoundaryTupleModel(
+        gamma0=gamma0,
+        gamma1=gamma1,
+        gram_minus=GramMatrix(eye * shrink**2),
+        gram_pivot=GramMatrix(eye),
+        gram_plus=GramMatrix(eye / stretch**2),
+        pairing=eye * shrink / stretch,
+    )
+    model = OperatorModel(astar=astar, gram_x=GramMatrix(np.diag(np.tile(w, k))), label=label)
     return TupleFixture(
         model=model,
         boundary=boundary,
-        transform=transform,
+        transform=TupleTransform.from_v(eye / shrink, boundary),
         tolerance=1e-8,
-        smooth_sampler=_smooth_interval_sampler(grid),
+        smooth_sampler=_smooth_interval_sampler(grid, channels=k),
     )
+
+
+def transport_fixture(n_points: int = 64, weighted: bool = False) -> TupleFixture:
+    """First-order transport model i d/dx on [0, 1] with endpoint traces.
+
+    The traces are the balanced combinations
+    gamma0 f = (f(0) + f(1)) / sqrt(2) and gamma1 f = i (f(1) - f(0)) / sqrt(2).
+    ``weighted=True`` rescales the two trace spaces (see ``_transport``).
+    """
+    label = f"transport-{n_points}" + ("-weighted" if weighted else "")
+    return _transport(n_points, (1.0,), label, weighted)
 
 
 def two_channel_transport_fixture(n_points: int = 48) -> TupleFixture:
     """Two decoupled transport channels with speeds 1 and 2.
 
     The trace space is two dimensional, so contraction parameters are genuine
-    matrices and rank-one versus full-rank perturbations are distinct. Trace
-    rows carry sqrt(speed) factors to keep the identity exact per channel.
+    matrices and rank-one versus full-rank perturbations are distinct.
     """
-    grid, w = _unit_interval_collocation(n_points)
-    d = 2.0 * differentiation_matrix(2.0 * grid - 1.0)
-    speeds = (1.0, 2.0)
-    n = n_points
-    blocks = [1j * c * d for c in speeds]
-    astar = np.block(
-        [
-            [blocks[0], np.zeros((n, n))],
-            [np.zeros((n, n)), blocks[1]],
-        ]
-    )
-    gram_x = GramMatrix(np.diag(np.concatenate([w, w])))
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    e1 = np.zeros(n)
-    e1[-1] = 1.0
-    zero = np.zeros(n)
-    rows0, rows1 = [], []
-    for k, c in enumerate(speeds):
-        r0 = np.sqrt(c) * (e0 + e1) / np.sqrt(2.0)
-        r1 = 1j * np.sqrt(c) * (e1 - e0) / np.sqrt(2.0)
-        pads = [zero, zero]
-        pads[k] = r0
-        rows0.append(np.concatenate(pads))
-        pads = [zero + 0j, zero + 0j]
-        pads[k] = r1
-        rows1.append(np.concatenate(pads))
-    boundary = BoundaryTupleModel(
-        gamma0=np.vstack(rows0).astype(complex),
-        gamma1=np.vstack(rows1),
-        gram_minus=GramMatrix.identity(2),
-        gram_pivot=GramMatrix.identity(2),
-        gram_plus=GramMatrix.identity(2),
-        pairing=np.eye(2, dtype=complex),
-    )
-    transform = TupleTransform.from_v(np.eye(2), boundary)
-    model = OperatorModel(astar=astar, gram_x=gram_x, label=f"transport2-{n_points}")
-    return TupleFixture(
-        model=model,
-        boundary=boundary,
-        transform=transform,
-        tolerance=1e-8,
-        smooth_sampler=_smooth_interval_sampler(grid, channels=2),
-    )
+    return _transport(n_points, (1.0, 2.0), f"transport2-{n_points}")
 
 
 _REGISTRY = {

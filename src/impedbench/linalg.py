@@ -96,7 +96,7 @@ class GramMatrix:
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above tol times the largest."""
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("rank tolerance must be positive")
     a = as_complex_matrix(m, "rank input")
     s = sla.svdvals(a)

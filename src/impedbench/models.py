@@ -28,6 +28,8 @@ BESSEL_ARG_CAP = 200.0
 # rest up to BESSEL_ARG_CAP.
 SERIES_RADIUS = 6.0
 MAX_BESSEL_ORDER = 60
+# largest angular order of a disk sector
+MAX_SECTOR_ORDER = 20
 
 CRITICAL_MATCH_TOL = 1e-13
 # string residuals are relative to the size of the characteristic's terms
@@ -234,29 +236,26 @@ def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _order(table: np.ndarray, k: int) -> np.ndarray:
+    """J_k for any integer k from a table of orders 0..|k|, by the reflection
+    J_{-k} = (-1)^k J_k."""
+    row = table[abs(k)]
+    return -row if k < 0 and k % 2 else row
+
+
+def _derivative(table: np.ndarray, k: int) -> np.ndarray:
+    """J_k' = (J_{k-1} - J_{k+1}) / 2 from a table of orders 0..|k|+1."""
+    return (_order(table, k - 1) - _order(table, k + 1)) / 2.0
+
+
 def bessel_j(order: int, z, derivative: bool = False):
     """First-kind cylinder function of integer order (or its derivative)."""
     order = int(order)
-    sign = 1.0
-    if order < 0:
-        sign = (-1.0) ** (-order)
-        order = -order
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    flat = z.ravel()
-    table = _bessel_table(order + 1, flat)
-    if derivative:
-        if order == 0:
-            vals = -table[1]
-        else:
-            lower = table[order - 1]
-            vals = (lower - table[order + 1]) / 2.0
-    else:
-        vals = table[order]
-    # reflection J_{-m} = (-1)^m J_m carries the same sign to the derivative
-    vals = sign * vals
+    table = _bessel_table(abs(order) + 1, z.ravel())
+    vals = _derivative(table, order) if derivative else _order(table, order)
     out = vals.reshape(z.shape)
-    return complex(out[()]) if scalar else out
+    return complex(out[()]) if z.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -275,37 +274,25 @@ class DiskModeProblem:
     zeta: complex
 
     def __post_init__(self):
-        if self.m < 0 or self.m > 20:
-            raise InvalidInputError("angular order must lie in 0..20")
+        if self.m < 0 or self.m > MAX_SECTOR_ORDER:
+            raise InvalidInputError(f"angular order must lie in 0..{MAX_SECTOR_ORDER}")
+
+    def _jet(self, lam):
+        """J_m, J_m' and J_m'' at the points lam."""
+        table = _bessel_table(self.m + 2, np.asarray(lam, dtype=complex).ravel())
+        m = self.m
+        jm = table[m]
+        jpp = (_order(table, m - 2) - 2.0 * jm + table[m + 2]) / 4.0
+        return jm, _derivative(table, m), jpp
 
     def char(self, lam) -> np.ndarray:
-        lam = np.asarray(lam, dtype=complex).ravel()
-        table = _bessel_table(self.m + 2, lam)
-        jm = table[self.m]
-        jp = self._deriv(table, lam)
+        jm, jp, _ = self._jet(lam)
         return 1j * complex(self.zeta) * jm - jp
 
     def char_and_deriv(self, lam):
-        lam = np.asarray(lam, dtype=complex).ravel()
-        table = _bessel_table(self.m + 2, lam)
-        m = self.m
-        jm = table[m]
-        lower = table[m - 1] if m >= 1 else -table[1]
-        jp = (lower - table[m + 1]) / 2.0
-        if m >= 2:
-            lower2 = table[m - 2]
-        elif m == 1:
-            lower2 = -table[1]  # J_{-1} = -J_1
-        else:
-            lower2 = table[2]  # J_{-2} = J_2
-        jpp = (lower2 - 2.0 * jm + table[m + 2]) / 4.0
+        jm, jp, jpp = self._jet(lam)
         zeta = complex(self.zeta)
         return 1j * zeta * jm - jp, 1j * zeta * jp - jpp
-
-    def _deriv(self, table, lam) -> np.ndarray:
-        m = self.m
-        lower = table[m - 1] if m >= 1 else -table[1]
-        return (lower - table[m + 1]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -522,22 +509,9 @@ def disk_mode_roots(
         problem, box, samples, rng, work,
         "could not move the search contour off a characteristic zero",
     )
-
-    def counted(piece):
-        return _count_in(
-            problem, piece, max(samples // 2, 512), rng, work,
-            "bisection could not isolate the characteristic zeros",
-        )
-
-    def halves(current):
-        # the full search counts both halves at once; the best-first one
-        # counts a half only when it comes up for refinement
-        if lowest is not None:
-            return [(piece, None) for piece in current.split()]
-        return [(sub, c) for sub, c in map(counted, current.split()) if c]
-
     roots, residuals = [], []
     cut = math.inf  # real part of the lowest-th root polished so far
+    # a box is counted when it is popped; only the outer box enters counted
     stack = [(outer, expected)] if expected else []
     while stack:
         leaves = []
@@ -554,13 +528,16 @@ def disk_mode_roots(
                     break
             current, count = stack.pop()
             if count is None:
-                current, count = counted(current)
+                current, count = _count_in(
+                    problem, current, max(samples // 2, 512), rng, work,
+                    "bisection could not isolate the characteristic zeros",
+                )
                 if not count:
                     continue
             if count == 1 or current.diameter < 2e-2:
                 leaves.append((current, count))
             else:
-                stack.extend(halves(current))
+                stack.extend((piece, None) for piece in current.split())
         boxes = [leaf for leaf, _ in leaves]
         got = _newton_batch(problem, [b.center for b in boxes], boxes, work)
         # fall back on a few shifted starts before splitting further
@@ -587,7 +564,7 @@ def disk_mode_roots(
                     f"failed to converge on a root near {current.center:g}"
                 )
             else:
-                stack.extend(halves(current))
+                stack.extend((piece, None) for piece in current.split())
         if lowest is not None:
             found, _ = _merge_roots(roots, residuals)
             if len(found) >= lowest:
@@ -620,8 +597,8 @@ def disk_spectrum(
     Angular order zero contributes simple eigenvalues; every higher order
     carries the two rotation directions and is reported with multiplicity 2.
     """
-    if m_max < 0 or m_max > 20:
-        raise InvalidInputError("m_max must lie in 0..20")
+    if m_max < 0 or m_max > MAX_SECTOR_ORDER:
+        raise InvalidInputError(f"m_max must lie in 0..{MAX_SECTOR_ORDER}")
     entries = []
     counts = {}
     matches = {}

@@ -216,6 +216,20 @@ class TestFourierCoefficients:
         with pytest.raises(InvalidInputError, match="nonnegative"):
             ImpedanceCoefficient.constant(1.0).fourier_coeffs(-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_non_finite_data_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            ImpedanceCoefficient.fourier([0.0, bad, 0.0], "bad")
+        with pytest.raises(InvalidInputError, match="finite"):
+            ImpedanceCoefficient.power(0.3, bad)
+        sampled = ImpedanceCoefficient.sampled(
+            lambda t: np.where(t > 1.0, bad, 1.0 + 0.0 * t), "bad"
+        )
+        with pytest.raises(InvalidInputError, match="finite"):
+            sampled.fourier_coeffs(4)
+        with pytest.raises(InvalidInputError, match="finite"):
+            sampled.lq_norm(2.0)
+
 
 class TestLqNorm:
     def test_constant(self):

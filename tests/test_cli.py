@@ -31,6 +31,14 @@ def quick_start_examples():
 
 QUICK_START = quick_start_examples()
 
+# input files holding a non-finite number; Python's json reads NaN and Infinity
+NON_FINITE_INPUT_FILES = {
+    "nan-samples.json": "[0.5, NaN, 1.0]",
+    "inf-pairs.json": "[[0.5, 0.0], [1.0, Infinity], [1.0, 0.0]]",
+    "nan-fourier.json": '{"kind": "fourier", "coeffs": [[0, 0], [NaN, 0], [0, 0]]}',
+    "nan.mesh": "mesh2d v1\n3\nv 0 0\nv 1 0\nv nan 1\nt 0 1 2\nb 0 1 rim\nb 1 2 rim\nb 2 0 rim\n",
+}
+
 
 class TestGrammar:
     def test_scalar_forms(self):
@@ -111,6 +119,11 @@ class TestExitCodes:
         assert run(["fem", "--shape", "square", "--n", "8", "--zeta", "-1.0"]) == 2
         assert "allow-nonaccretive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["string", "disk", "fem", "march", "converge"])
+    def test_nonaccretive_refusal_is_an_invariant_violation(self, capsys, command):
+        assert run([command, "--zeta", "-0.5"]) == 2
+        assert capsys.readouterr().err.startswith("invariant violation: ")
+
     def test_nonaccretive_string_escape_hatch(self, capsys):
         assert run(["string", "--zeta", "-0.5"]) == 2
         capsys.readouterr()
@@ -165,10 +178,35 @@ class TestExitCodes:
         ["gate", "--zeta", "power:a=0.3", "--s", "1e3"],
         ["fem", "--shape", "square{100000}", "--zeta", "0.5"],
         ["march", "--shape", "disk_polygon{1000,4000}", "--zeta", "0.5"],
+        ["gate", "--zeta", "power:a=0.3,c=nan"],
+        ["gate", "--zeta", "power:a=0.3,c=inf"],
+        ["lq", "--zeta", "power:a=0.3,c=nan"],
+        ["gate", "--zeta", "file:nan-samples.json"],
+        ["gate", "--zeta", "file:inf-pairs.json"],
+        ["gate", "--zeta", "file:nan-fourier.json"],
+        ["lq", "--zeta", "file:nan-samples.json"],
+        ["fem", "--shape", "nan.mesh", "--zeta", "0.5"],
     ])
-    def test_bad_value_exit3(self, capsys, argv):
+    def test_bad_value_exit3(self, capsys, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in NON_FINITE_INPUT_FILES.items():
+            (tmp_path / name).write_text(text)
         assert run(argv) == 3
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["green-check", "--fixture", "transport-64"],
+        ["extension", "cayley", "--fixture", "transport-64"],
+        ["extension", "rank", "--fixture", "transport2-48", "--rank", "2"],
+        ["string", "--zeta", "0.5"],
+        ["disk", "--zeta", "0.5", "--m-max", "0"],
+        ["fem", "--n", "4", "--zeta", "0.5"],
+        ["march", "--n", "4", "--zeta", "0.5"],
+    ])
+    def test_bad_tol_exit3(self, capsys, command, value):
+        assert run(command + ["--tol", value]) == 3
+        assert "argument --tol" in capsys.readouterr().err
 
 
 class TestExtension:

@@ -137,6 +137,16 @@ class TestMesh:
             with pytest.raises(InvalidInputError, match=needle):
                 mesh_from_file(str(path))
 
+    @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+    def test_mesh_file_rejects_non_finite_vertices(self, tmp_path, coord):
+        path = tmp_path / "nan.mesh"
+        path.write_text(
+            f"mesh2d v1\n3\nv 0 0\nv 1 0\nv {coord} 1\nt 0 1 2\n"
+            "b 0 1 rim\nb 1 2 rim\nb 2 0 rim\n"
+        )
+        with pytest.raises(InvalidInputError, match="finite"):
+            mesh_from_file(str(path))
+
     def test_build_mesh_grammar_errors(self):
         with pytest.raises(InvalidInputError, match="unknown shape"):
             build_mesh("hexagon{3}")

@@ -71,6 +71,9 @@ class TestNumericalRank:
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidInputError):
             numerical_rank(np.eye(2), 0.0)
+        # NaN compares false both ways, so it would count no singular value
+        with pytest.raises(InvalidInputError):
+            numerical_rank(np.eye(2), float("nan"))
 
 
 class TestGramOperatorNorm:
