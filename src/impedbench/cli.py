@@ -181,6 +181,13 @@ def _parse_tol(text: str) -> float:
     return value
 
 
+def _json_path(text: str) -> str:
+    """An --out name for the subcommands that write only JSON."""
+    if not text.endswith(".json"):
+        raise _UsageError(f"this subcommand writes only JSON; expected a .json name, got '{text}'")
+    return text
+
+
 def parse_box(text: str):
     from .models import SearchBox
 
@@ -268,6 +275,8 @@ def _cmd_extension_cayley(args) -> int:
     from .fixtures import get_fixture
     from .reports import write_json
 
+    if args.trials < 1:
+        raise InvalidInputError("trials must be >= 1")
     fx = get_fixture(args.fixture)
     dim = fx.boundary.trace_dim
     rng = np.random.default_rng(args.seed)
@@ -308,6 +317,7 @@ def _cmd_extension_mdiss(args) -> int:
     from .extensions import mdissipativity_report, restrict_extension
     from .fixtures import get_fixture
     from .reports import write_json
+    from .tuples import accretivity_defect
 
     fx = get_fixture(args.fixture)
     rng = np.random.default_rng(args.seed)
@@ -316,11 +326,16 @@ def _cmd_extension_mdiss(args) -> int:
         z = 0.5 * (z - z.conj().T)  # accretivity defect exactly zero
     model = restrict_extension(fx, z=z)
     report = mdissipativity_report(model)
-    ok = bool(report["all_checks_ok"])
+    # the boundary-form route: the extension is dissipative iff z is accretive
+    # in the fixture's duality
+    report["accretivity_defect"] = accretivity_defect(z, fx.boundary)
+    agree = report["dissipative"] == (report["accretivity_defect"] >= -1e-10)
+    ok = bool(report["all_checks_ok"]) and agree
     print(
         f"extension mdiss {args.fixture}: dim {report['dim']} "
         f"max Im numrange {report['max_im_numrange']:.3e} "
-        f"dissipative {report['dissipative']} {'ok' if ok else 'FAIL'}"
+        f"dissipative {report['dissipative']} "
+        f"accretivity defect {report['accretivity_defect']:.3e} {'ok' if ok else 'FAIL'}"
     )
     if args.out:
         write_json(args.out, report)
@@ -402,7 +417,7 @@ def _cmd_string(args) -> int:
 
     zeta = parse_scalar_impedance(args.zeta)
     _require_accretive(zeta, args.allow_nonaccretive, "string")
-    spec = StringSpec(zeta, allow_nonaccretive=args.allow_nonaccretive)
+    spec = StringSpec(zeta)
     report = string_spectrum(spec, count=args.count)
     if spec.critically_damped:
         print(f"string zeta={zeta:g}: critically damped, spectrum empty")
@@ -555,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
-    p.add_argument("--out", default=None, help="output file (.csv or .json)")
+    p.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_green_check)
 
@@ -566,14 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fixture", required=True)
     pc.add_argument("--trials", type=int, default=50)
     pc.add_argument("--tol", type=_parse_tol, default=1e-9, help="pass/fail tolerance")
-    pc.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pc.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pc.set_defaults(handler=_cmd_extension_cayley)
 
     pm = modes.add_parser("mdiss", help="dissipativity report for a random admissible condition")
     pm.add_argument("--fixture", required=True)
     pm.add_argument("--skew", action="store_true", help="use the selfadjoint (skew) case")
-    pm.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pm.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     pm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pm.set_defaults(handler=_cmd_extension_mdiss)
 
@@ -582,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--rank", type=int, default=1, help="rank of the condition perturbation")
     pr.add_argument("--z", type=parse_scalar_impedance, default=1j, help="spectral point")
     pr.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
-    pr.add_argument("--out", default=None, help="output file (.csv or .json)")
+    pr.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pr.set_defaults(handler=_cmd_extension_rank)
 
@@ -597,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", required=True)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--out", default=None, help="output file (.csv or .json)")
+    p.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     p.set_defaults(handler=_cmd_lq)
 
     p = sub.add_parser("string", help="damped string spectrum (closed form)")

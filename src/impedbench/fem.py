@@ -10,22 +10,22 @@ so accretive zeta (Re zeta >= 0) pushes eigenvalues into the closed lower
 half-plane. The matrices are assembled dense and desk-scale on purpose:
 assembly is exact for piecewise-constant data. Its invariant checks need no
 eigensolve: sparse symmetric LDL^T pivots of K pinned at one vertex prove
-that its kernel is the constant direction, and those of M prove it SPD.
-On disk_polygon{12,48} (577 vertices) assemble takes about 30 ms, 19 ms of
-it in the checks (45 ms with a dense eigvalsh and Cholesky); on square{63}
-it takes 1.2-2.1 s (8-12 s). The eigensolve has two paths. When few modes
-are wanted from a large enough mesh, shift-invert Lanczos/Arnoldi on a
+that its kernel is the constant direction, and those of M prove it SPD. On
+disk_polygon{12,48} (577 vertices) assemble takes about 30 ms, 19 ms of it
+in the checks (45 ms with a dense eigvalsh and Cholesky); on square{63} it
+takes 1.2-2.1 s (8-12 s). The eigensolve and the march work on sparse copies
+of K, C and M; only the dense companion solve reads the dense ones. When few
+modes are wanted from a large enough mesh, shift-invert Lanczos/Arnoldi on a
 sparse first-order pencil, applied through one n x n sparse LU, computes
 only those modes and certifies that none nearer the origin was missed.
 Otherwise the dense companion solve picks the real LAPACK driver whenever
-the coefficient structure allows it; it is also the reference the sparse
-path is tested against. The Crank-Nicolson march satisfies a per-step
-energy identity exactly, so decay checks test the model rather than
-integrator artifacts.
+the structure of C allows it; it is also the reference the sparse path is
+tested against. The Crank-Nicolson march factors its system once by sparse
+LU and satisfies a per-step energy identity exactly, so decay checks test
+the model rather than integrator artifacts.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +42,8 @@ ARTIFACT_RADIUS = 1e-8
 MAX_SOLVE_VERTICES = 2048
 # assembly allocates dense n x n matrices and checks them in sparse form;
 # the cap is checked before any of them is allocated (for braced specs, before
-# the mesh is built). At this size assemble takes 1.2-2.1 s, fem peaks near
-# 710 MB resident and march near 1.5 GB (one thread, 2-vCPU VM).
+# the mesh is built). At this size assemble takes 1.2-2.1 s, and fem and march
+# (200 steps) both peak near 710 MB resident (one thread, 2-vCPU VM).
 MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert replaces the dense companion from this many vertices on, while
 # the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
@@ -524,16 +524,12 @@ def _ldlt_pivots_positive(a) -> bool:
 # Quadratic eigenvalue solve
 
 
-def _spectral_norm_hermitian(a: np.ndarray) -> float:
-    w = sla.eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def _spectral_norm_boundary(c: np.ndarray) -> float:
-    live = np.nonzero(np.abs(c).sum(axis=1) + np.abs(c).sum(axis=0))[0]
+def _spectral_norm_boundary(c) -> float:
+    """2-norm of the sparse C from its block on the rows and columns in use."""
+    live = np.union1d(c.indices, np.nonzero(np.diff(c.indptr))[0])
     if live.size == 0:
         return 0.0
-    return float(sla.svdvals(c[np.ix_(live, live)])[0])
+    return float(sla.svdvals(c[np.ix_(live, live)].toarray())[0])
 
 
 def _is_constant_direction(p: np.ndarray) -> bool:
@@ -587,23 +583,24 @@ def _uses_shift_invert(n: int, n_want: int) -> bool:
     return n >= SPARSE_MIN_VERTICES and SPARSE_MAX_SHARE * n_want <= n
 
 
-def _solve_dense(kr, mr, c, zeta_zero: bool):
-    """All eigenpairs of the dense companion: (path, lams, p-vectors)."""
+def _solve_dense(q: QepMatrices, path: str):
+    """All eigenpairs (lams, p-vectors) of q's dense companion, by the driver
+    that path names: hermitian, real-rotated, real-direct or complex."""
+    kr, mr = np.asarray(q.k_stiff).real, np.asarray(q.m_mass).real
     n = kr.shape[0]
-    if zeta_zero:
+    if path == "hermitian":
         mu, vecs = sla.eigh(kr, mr)
-        lams, pvecs = _lambdas_from_mu(mu, vecs, mu[-1])
-        return "hermitian", lams, pvecs
+        return _lambdas_from_mu(mu, vecs, mu[-1])
     # one companion [[M^{-1} D, s M^{-1} K], [I, 0]] for all three paths: real
     # C in the variable mu = i lam, purely imaginary C in lam itself, both in
     # real arithmetic; general C in complex arithmetic
-    c_scale = np.abs(c).max()
-    if np.abs(c.imag).max() <= 1e-14 * c_scale:
-        path, d, s = "real-rotated", c.real, -1.0
-    elif np.abs(c.real).max() <= 1e-14 * c_scale:
-        path, d, s = "real-direct", c.imag, 1.0
+    c = np.asarray(q.c_bdry, dtype=complex)
+    if path == "real-rotated":
+        d, s = c.real, -1.0
+    elif path == "real-direct":
+        d, s = c.imag, 1.0
     else:
-        path, d, s = "complex", -1j * c, 1.0
+        d, s = -1j * c, 1.0
     try:
         top = np.hstack([sla.solve(mr, d, assume_a="pos"), s * sla.solve(mr, kr, assume_a="pos")])
         w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])]))
@@ -612,7 +609,7 @@ def _solve_dense(kr, mr, c, zeta_zero: bool):
     lams = -1j * w if path == "real-rotated" else w
     if not np.all(np.isfinite(lams)):
         raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
-    return path, lams, v[n:, :]
+    return lams, v[n:, :]
 
 
 def _mu_pencil_operator(k_s, c_s, m_s, s: float):
@@ -640,11 +637,11 @@ def _mu_pencil_operator(k_s, c_s, m_s, s: float):
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
 
-def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool):
-    """The modes nearest the origin by shift-invert ARPACK on sparse copies
-    of the matrices: (path, lams, p-vectors, ||K||, ||M||, (M, C, K), info),
+def _solve_shift_invert(k_s, c_s, m_s, n_want: int, accretive: bool, rng, mu_top: float):
+    """The modes nearest the origin by shift-invert ARPACK on the sparse K, C
+    and M, started from a vector rng draws: (path, lams, p-vectors, info),
     info holding the arithmetic and the final ARPACK k, or None when the
-    dense companion should take over.
+    dense companion should take over. mu_top is at most the largest mu.
 
     C = 0: Lanczos on K p = mu M p with sigma = -s^2, so K - sigma M is SPD
     and lam = +-sqrt(mu) stays exactly real. Otherwise standard-mode Arnoldi
@@ -658,28 +655,14 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
     genuine mode nearest the origin: no mode with |lam| <= r_sel was missed.
     Otherwise k grows by half, up to a quarter of the pencil dimension.
     """
-    # scipy.sparse loads on first use, so importing this module costs no
-    # more than the dense solver needs
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    n = kr.shape[0]
-    # assemble leaves Im C exactly zero for real zeta; C then goes in real,
-    # and with it the factorization and the Arnoldi run
-    k_s, m_s = sp.csc_array(kr), sp.csc_array(mr)
-    c_s = sp.csc_array(c if np.any(c.imag) else c.real)
-    rng = np.random.default_rng(ARPACK_SEED)
-    # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
-    # them are never smaller than with the exact norms
-    v0 = rng.standard_normal(n)
-    norm_k, norm_m = (
-        float(abs(spla.eigsh(x, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]))
-        for x in (k_s, m_s)
-    )
+    n = k_s.shape[0]
+    zeta_zero = c_s.nnz == 0
     # sqrt(tr K / (n tr M)) is of the order of the lowest nonzero |lam|; a
     # quarter of it keeps sigma well off the artifact at lam = 0 while the
     # certificate needs few modes beyond the wanted ones
-    s = 0.25 * math.sqrt(np.trace(kr) / (n * np.trace(mr)))
+    s = 0.25 * math.sqrt(k_s.trace() / (n * m_s.trace()))
     # the first k covers the wanted modes (each mu > 0 gives two) plus the
     # thin band beyond them that the certificate needs
     if zeta_zero:
@@ -690,7 +673,7 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
         n_eig = n_want + 8 + n_want // 8
     try:
         if zeta_zero:
-            lu = spla.splu(sp.csc_array(k_s - sigma * m_s))
+            lu = spla.splu(k_s - sigma * m_s)
             op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         else:
             op = _mu_pencil_operator(k_s, c_s, m_s, s)
@@ -711,7 +694,7 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
             return None
         if zeta_zero:
             order = np.argsort(vals, kind="stable")
-            lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], norm_k / norm_m)
+            lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], mu_top)
             far = np.abs(vals - sigma).max()
         else:
             lams, pvecs = 1j * (s - 1.0 / vals), vecs[:n, :]
@@ -724,7 +707,7 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
             if r_cert + abs(sigma) < far:
                 info = {"arithmetic": "real" if op.dtype == float else "complex",
                         "arpack_k": n_eig}
-                return path, lams, pvecs, norm_k, norm_m, (m_s, c_s, k_s), info
+                return path, lams, pvecs, info
         if n_eig >= limit:
             return None
         n_eig = min(n_eig + n_eig // 2, limit)
@@ -733,62 +716,80 @@ def _solve_shift_invert(kr, mr, c, zeta_zero: bool, n_want: int, accretive: bool
 def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin.
 
-    When the mesh has at least SPARSE_MIN_VERTICES vertices and n_want is at
-    most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos (C = 0) or
-    Arnoldi (C != 0, through one sparse LU of K + sC + s^2 M, real when C is
-    real) on sparse copies of the matrices computes the wanted modes and
-    certifies that none nearer the origin was missed; metadata["arithmetic"]
-    and metadata["arpack_k"] then record the arithmetic and the final ARPACK
-    k. If it cannot certify them, the dense path takes over within its cap.
-    The dense path solves the first-order companion with the cheapest
-    applicable driver: a generalized Hermitian solve when C = 0, a real
-    companion when C is purely real (rotate by lam = -i mu) or purely
-    imaginary, and the complex driver otherwise. metadata["path"] names the solver that ran. Near-zero pairs
-    whose eigenvector is constant are tagged quotient-artifact: they live in
-    the direction the stiffness energy cannot see.
+    All but the dense companion runs on sparse copies of K, C and M. When the
+    mesh has at least SPARSE_MIN_VERTICES vertices and n_want is at most a
+    SPARSE_MAX_SHARE-th of them, shift-invert Lanczos (C = 0) or Arnoldi
+    (C != 0, through one sparse LU of K + sC + s^2 M, real when C is real)
+    computes the wanted modes and certifies that none nearer the origin was
+    missed; metadata["arithmetic"] and metadata["arpack_k"] then record the
+    arithmetic and the final ARPACK k. If it cannot certify them, the dense
+    path takes over within its cap. It solves the first-order companion with
+    the cheapest driver: a generalized Hermitian solve when C = 0, a real
+    companion when C is exactly real (rotate by lam = -i mu) or exactly
+    imaginary, and the complex driver otherwise. metadata["path"] names the
+    solver that ran. Near-zero pairs whose eigenvector is constant are tagged
+    quotient-artifact: they live in the direction the stiffness energy cannot
+    see.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if n_want < 1:
         raise InvalidInputError("n_want must be at least 1")
     n = q.dim
-    k, m = np.asarray(q.k_stiff), np.asarray(q.m_mass)
-    c = np.asarray(q.c_bdry, dtype=complex)
-    if max(np.abs(k.imag).max(), np.abs(m.imag).max()) > 1e-14 * max(np.abs(k).max(), 1.0):
+    sparse = _uses_shift_invert(n, n_want)
+    if not sparse and n > MAX_SOLVE_VERTICES:
+        raise InvalidInputError(
+            f"dense companion solve capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
+        )
+    k_s, m_s = sp.csc_array(q.k_stiff), sp.csc_array(q.m_mass)
+    if max(abs(k_s.imag).max(), abs(m_s.imag).max()) > 1e-14 * max(abs(k_s).max(), 1.0):
         raise InvalidInputError("stiffness and mass must be real symmetric")
-    kr, mr = k.real, m.real
-    zeta_zero = not np.any(c)
-    norm_c = _spectral_norm_boundary(c)
+    k_s, m_s = k_s.real, m_s.real
+    c_s = sp.csc_array(q.c_bdry, dtype=complex)
+    norm_c = _spectral_norm_boundary(c_s)
+    # assemble leaves Im C exactly zero for real zeta and Re C for imaginary
+    # zeta; a real C makes the factorization and the Arnoldi run real
+    if c_s.nnz == 0:
+        dense_path = "hermitian"
+    elif not np.any(c_s.data.imag):
+        dense_path, c_s = "real-rotated", c_s.real
+    else:
+        dense_path = "complex" if np.any(c_s.data.real) else "real-direct"
+    rng = np.random.default_rng(ARPACK_SEED)
+    # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
+    # them are never smaller than with the exact norms
+    v0 = rng.standard_normal(n)
+    norm_k, norm_m = (
+        float(abs(spla.eigsh(x, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]))
+        for x in (k_s, m_s)
+    )
 
     solved = None
-    if _uses_shift_invert(n, n_want):
+    if sparse:
         accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
-        solved = _solve_shift_invert(kr, mr, c, zeta_zero, n_want, accretive)
+        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, accretive, rng, norm_k / norm_m)
         if solved is None and n > MAX_SOLVE_VERTICES:
             raise NumericalFailureError(
                 f"shift-invert gave no certified set of {n_want} modes and the dense "
                 f"companion solve is capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
             )
-    elif n > MAX_SOLVE_VERTICES:
-        raise InvalidInputError(
-            f"dense companion solve capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
-        )
     if solved is None:
-        path, lams, pvecs = _solve_dense(kr, mr, c, zeta_zero)
-        norm_k, norm_m = _spectral_norm_hermitian(kr), _spectral_norm_hermitian(mr)
-        ops, info = (mr, c, kr), {}
+        path, info = dense_path, {}
+        lams, pvecs = _solve_dense(q, path)
     else:
-        path, lams, pvecs, norm_k, norm_m, ops, info = solved
+        path, lams, pvecs, info = solved
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
-    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, zeta_zero)
+    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, c_s.nnz == 0)
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
-    m_op, c_op, k_op = ops
     qep_cols = (
-        (m_op @ p_sel) * (lam_sel * lam_sel)[None, :]
-        + (c_op @ p_sel) * (1j * lam_sel)[None, :]
-        - k_op @ p_sel
+        (m_s @ p_sel) * (lam_sel * lam_sel)[None, :]
+        + (c_s @ p_sel) * (1j * lam_sel)[None, :]
+        - k_s @ p_sel
     )
     denom = (
         np.abs(lam_sel) ** 2 * norm_m + np.abs(lam_sel) * norm_c + norm_k
@@ -828,8 +829,13 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     The trapezoidal update satisfies E_next - E = -(dt/2) s* Herm(C) s with
     s = p_next + p exactly, so monotone decay for accretive coefficients is
     a property of the scheme, not an observation about step size. Constant
-    shifts of u never enter E (the stiffness annihilates them).
+    shifts of u never enter E (the stiffness annihilates them). The system
+    matrix M + dt^2/4 K + dt/2 C is factored once by sparse LU, so each step
+    costs O(nnz) work.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidInputError("dt must be finite and positive")
     if steps < 0:
@@ -840,37 +846,30 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     n = q.dim
     if u.size != n or p.size != n:
         raise InvalidInputError("initial state size does not match the matrices")
-    k, c, m = q.k_stiff, q.c_bdry, q.m_mass
+    # C goes in complex, so that the factor solves for the complex state
+    k, m = sp.csc_array(q.k_stiff), sp.csc_array(q.m_mass)
+    c = sp.csc_array(q.c_bdry, dtype=complex)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflowing dt leaves non-finite entries, refused below
         lhs = m + 0.25 * dt * dt * k + 0.5 * dt * c
-    if not np.isfinite(lhs).all():
+    if not np.isfinite(lhs.data).all():
         raise InvalidInputError(f"time-step matrix is not finite at dt = {dt:g}")
     try:
-        with warnings.catch_warnings():
-            # singularity is checked explicitly on the factor below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(lhs)
-    except sla.LinAlgError as exc:
-        raise NumericalFailureError(f"time-step system could not be factored: {exc}") from exc
-    diag = np.abs(np.diag(lu))
+        lu = splu(lhs)
+    except RuntimeError as exc:  # exactly singular
+        raise NumericalFailureError("time-step system is singular at this dt") from exc
+    diag = np.abs(lu.U.diagonal())
     if diag.min() <= 1e-14 * max(diag.max(), 1.0):
         raise NumericalFailureError("time-step system is singular at this dt")
-    # lu is a copy of lhs; dropping lhs first and recasting K and M only
-    # after rhs is built keeps the peak at six n x n complex matrices
-    del lhs
     rhs = m - 0.25 * dt * dt * k - 0.5 * dt * c
-    # a real matrix times a complex vector recasts the matrix on every
-    # product, so the loop gets complex copies
-    k, m = np.asarray(k, dtype=complex), np.asarray(m, dtype=complex)
 
     def energy(uv, pv) -> float:
         return float((uv.conj() @ (k @ uv)).real + (pv.conj() @ (m @ pv)).real)
 
     energies = [energy(u, p)]
     for _ in range(steps):
-        p_next = sla.lu_solve((lu, piv), rhs @ p - dt * (k @ u))
+        p_next = lu.solve(rhs @ p - dt * (k @ u))
         u = u + 0.5 * dt * (p + p_next)
         p = p_next
         energies.append(energy(u, p))

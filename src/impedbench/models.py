@@ -55,17 +55,11 @@ class StringSpec:
     """Unit string, fixed left end, impedance load zeta at the right end."""
 
     zeta: complex
-    allow_nonaccretive: bool = False
 
     def __post_init__(self):
         z = complex(self.zeta)
         if not (np.isfinite(z.real) and np.isfinite(z.imag)):
             raise InvalidInputError("string impedance must be finite")
-        if z.real < 0 and not self.allow_nonaccretive:
-            raise InvalidInputError(
-                "string impedance has negative real part; pass "
-                "allow_nonaccretive=True to study it anyway"
-            )
 
     @property
     def critically_damped(self) -> bool:
@@ -303,6 +297,8 @@ class SearchBox:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise InvalidInputError("search box edges must be finite")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise InvalidInputError("search box must have positive extent")
 

@@ -34,7 +34,6 @@ __all__ = [
     "TupleFixture",
     "green_defect",
     "to_boundary_triple",
-    "natural_adjoint",
     "accretivity_defect",
 ]
 
@@ -242,27 +241,6 @@ def to_boundary_triple(tup: BoundaryTupleModel, t: TupleTransform):
         pairing=g_h.matrix.copy(),
     )
     return triple, dual
-
-
-def natural_adjoint(z, tup: BoundaryTupleModel) -> np.ndarray:
-    """Pairing-adjoint of an operator from the minus to the plus trace space.
-
-    Defined by pair(z f, g) = conj(pair(z_nat g, f)) for all trace vectors
-    f, g; in matrix form z_nat = P^{-1} z^H P^H. Under the trivial duality
-    (P = I) this is the conjugate transpose. The defining identity and the
-    involution property are re-verified numerically before returning.
-    """
-    z = _as_trace_operator(z, tup)
-    p = tup.pairing
-    z_nat = np.linalg.solve(p, z.conj().T @ p.conj().T)
-    scale = 1.0 + float(np.linalg.norm(z))
-    ident = np.linalg.norm(p @ z - z_nat.conj().T @ p.conj().T)
-    if ident > 1e-10 * scale:
-        raise NumericalFailureError(f"natural adjoint identity residual {ident:.3e}")
-    again = np.linalg.solve(p, z_nat.conj().T @ p.conj().T)
-    if np.linalg.norm(again - z) > 1e-12 * scale * np.linalg.cond(p):
-        raise NumericalFailureError("natural adjoint involution drift")
-    return z_nat
 
 
 def accretivity_defect(z, tup: BoundaryTupleModel) -> float:

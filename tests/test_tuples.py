@@ -15,7 +15,6 @@ from impedbench.tuples import (
     TupleTransform,
     accretivity_defect,
     green_defect,
-    natural_adjoint,
     to_boundary_triple,
 )
 
@@ -150,40 +149,6 @@ class TestBoundaryTriple:
         assert np.allclose(triple.gamma1, plain.boundary.gamma1, atol=1e-12)
 
 
-class TestNaturalAdjoint:
-    def test_trivial_duality_is_conj_transpose(self):
-        fx = get_fixture("transport2-48")
-        rng = np.random.default_rng(12)
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.allclose(natural_adjoint(z, fx.boundary), z.conj().T)
-
-    def test_multiplication_by_i_flips_sign(self):
-        fx = get_fixture("transport-64")
-        zn = natural_adjoint(1j, fx.boundary)
-        assert np.allclose(zn, -1j * np.eye(1))
-
-    def test_weighted_duality_formula(self):
-        # real diagonal pairing: adjoint is the pairing-conjugated transpose
-        fx = get_fixture("transport-64-weighted")
-        z = np.array([[0.7 - 0.2j]])
-        zn = natural_adjoint(z, fx.boundary)
-        p = fx.boundary.pairing
-        expected = np.linalg.solve(p, z.conj().T @ p.conj().T)
-        assert np.allclose(zn, expected)
-
-    def test_involution(self):
-        fx = get_fixture("transport2-48")
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            assert np.allclose(natural_adjoint(natural_adjoint(z, fx.boundary), fx.boundary), z)
-
-    def test_shape_guard(self):
-        fx = get_fixture("transport-64")
-        with pytest.raises(InvalidInputError):
-            natural_adjoint(np.eye(2), fx.boundary)
-
-
 class TestAccretivityDefect:
     def test_identity_operator(self):
         fx = get_fixture("transport-64")
@@ -206,6 +171,11 @@ class TestAccretivityDefect:
         for c in (0.25, 1.0, 3.5):
             shifted = accretivity_defect(z + c * np.eye(2), fx.boundary)
             assert shifted == pytest.approx(base + c, abs=1e-10)
+
+    def test_shape_guard(self):
+        fx = get_fixture("transport-64")
+        with pytest.raises(InvalidInputError):
+            accretivity_defect(np.eye(2), fx.boundary)
 
     def test_weighted_duality_value(self):
         # pairing 2/3, minus-gram 4: Re pair(y, y)/||y||^2 = (2/3)/4 = 1/6
