@@ -626,7 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disk", help="impedance-rim disk spectrum (contour counted)")
     p.add_argument("--zeta", required=True)
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--box", default=None, help="re_min,re_max,im_min,im_max")
+    p.add_argument(
+        "--box",
+        default=None,
+        help="re_min,re_max,im_min,im_max; a negative first edge needs the = form, "
+        "--box=-2,2,-2,0",
+    )
     p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--tol", type=_parse_tol, default=1e-10, help="pass/fail tolerance")

@@ -106,9 +106,6 @@ class ContractionParam:
         """Operator norm in the gram metric."""
         return gram_operator_norm(self.matrix, self.gram, self.gram)
 
-    def is_contraction(self, tol: float = 1e-10) -> bool:
-        return self.norm <= 1.0 + tol
-
 
 def impedance_to_contraction(z, fx: TupleFixture) -> ContractionParam:
     """Cayley-transform an impedance operator into its pivot contraction.

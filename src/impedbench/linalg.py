@@ -78,10 +78,6 @@ class GramMatrix:
         v = np.asarray(v, dtype=complex).reshape(-1)
         return complex(v.conj() @ (self.matrix @ u))
 
-    def norm_of(self, v) -> float:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return float(np.linalg.norm(self.chol_upper @ v))
-
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} rhs via the cached factor."""
         y = sla.solve_triangular(self.chol_upper, rhs, trans="C", lower=False)

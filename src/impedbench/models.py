@@ -4,10 +4,10 @@ Two concrete resonators anchor the matrix experiments to continuum
 predictions: a unit string with one damped end, whose eigenvalues come from
 a single complex logarithm, and the unit disk with an impedance rim, whose
 eigenvalues are roots of a combination of a cylinder function and its
-derivative. The cylinder function is evaluated in-house (ascending series
-near the origin, backward recurrence elsewhere) so the root finder does not
-lean on the libraries it is being checked against; library routines appear
-only in the test suite as oracles.
+derivative. The cylinder function is evaluated in-house (one backward
+recurrence for every argument, the leading power term at the origin) so the
+root finder does not lean on the libraries it is being checked against;
+library routines appear only in the test suite as oracles.
 """
 
 import cmath
@@ -22,11 +22,6 @@ from .reports import ModeEntry, SpectrumReport
 # Beyond this modulus the backward recurrence start order grows past what a
 # desk-scale run needs; inputs are rejected instead of silently degrading.
 BESSEL_ARG_CAP = 200.0
-# The ascending series serves |z| <= SERIES_RADIUS. Its terms peak near
-# e^{|z|} / (pi |z|) while J_m stays O(1), so it cancels away about 1.3
-# digits at |z| = 6 and 3.6 at |z| = 12; the backward recurrence takes the
-# rest up to BESSEL_ARG_CAP.
-SERIES_RADIUS = 6.0
 MAX_BESSEL_ORDER = 60
 # largest angular order of a disk sector
 MAX_SECTOR_ORDER = 20
@@ -138,40 +133,43 @@ def _newton_polish_string(spec: StringSpec, lam: complex) -> complex:
 # Cylinder functions
 
 
-def _bessel_table_series(m_max: int, z: np.ndarray) -> np.ndarray:
-    """Ascending series for all orders 0..m_max, valid for small |z|."""
-    half = z / 2.0
-    step = -(half * half)
-    # term_k = (-1)^k (z/2)^{2k+m} / (k! (k+m)!), a fixed 60 terms, with one
-    # row per order m. The rows start from half**m with m a Python int; an
-    # array power of half rounds differently.
-    terms = [half**m / float(math.factorial(m)) for m in range(m_max + 1)]
-    term = np.array(terms, dtype=complex).reshape(m_max + 1, z.size)
-    orders = np.arange(m_max + 1, dtype=float)[:, None]
-    out = term.copy()
-    for k in range(1, 60):
-        term = term * step / (k * (k + orders))
-        out += term
-    return out
+def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
+    """J_m(z) for m = 0..m_max over a flat complex array.
 
-
-def _bessel_table_miller(m_max: int, z: np.ndarray) -> np.ndarray:
-    """Backward recurrence with a cancellation-safe normalization.
-
-    Runs the three-term recurrence downward from an order well above both
-    m_max and |z|, then rescales against one of two even-order sum rules:
-    J_0 + 2 J_2 + 2 J_4 + ... = 1 away from the real axis is a sum of
-    e^{|Im z|}-sized terms collapsing to 1, so off-axis points instead use
-    J_0 - 2 J_2 + 2 J_4 - ... = cos z, whose value is as large as its
-    terms. Rescaling guards keep the unnormalized sweep in double range.
-    Each point has its own start order and rescaling, so its value does not
-    depend on the other points of the array.
+    Every point with |z| >= 1e-8 runs the three-term recurrence downward
+    from an order well above both m_max and |z| (Miller), then rescales
+    against one of two even-order sum rules: J_0 + 2 J_2 + 2 J_4 + ... = 1
+    away from the real axis is a sum of e^{|Im z|}-sized terms collapsing to
+    1, so off-axis points instead use J_0 - 2 J_2 + 2 J_4 - ... = cos z,
+    whose value is as large as its terms. Rescaling guards keep the
+    unnormalized sweep in double range. Each point has its own start order
+    and rescaling, so its value does not depend on the other points of the
+    array. Below 1e-8 the sweep, which divides by z, gives way to the
+    leading term (z/2)^m / m!, exact at z = 0 and within
+    |z|^2 / (4 (m + 1)) relative elsewhere (docs/derivations.md section 10).
     """
+    if m_max < 0 or m_max > MAX_BESSEL_ORDER:
+        raise InvalidInputError(f"order must lie in 0..{MAX_BESSEL_ORDER}")
+    z = np.asarray(z, dtype=complex).ravel()
     mag = np.abs(z)
+    if z.size and mag.max() > BESSEL_ARG_CAP:
+        raise InvalidInputError(
+            f"cylinder function argument exceeds the workbench cap {BESSEL_ARG_CAP:g}"
+        )
+    out = np.empty((m_max + 1, z.size), dtype=complex)
+    tiny = mag < 1e-8
+    if tiny.any():
+        half = z[tiny] / 2.0
+        for m in range(m_max + 1):
+            out[m, tiny] = half**m / float(math.factorial(m))
+    swept = ~tiny
+    if not swept.any():
+        return out
+    z, mag = z[swept], mag[swept]
+
     start = np.maximum((mag + 12 + 9 * mag ** (1.0 / 3.0)).astype(int), m_max + 12)
     start += start % 2
     first = int(start.min())
-
     jp = np.zeros(z.size, dtype=complex)
     jc = np.full(z.size, 1e-200, dtype=complex)
     rows = np.zeros((m_max + 1, z.size), dtype=complex)
@@ -208,25 +206,7 @@ def _bessel_table_miller(m_max: int, z: np.ndarray) -> np.ndarray:
     norm = np.where(off_axis, norm_cos / scaled_cos, norm_one)
     if (np.abs(norm) < 1e-280).any():
         raise NumericalFailureError("cylinder recurrence normalization collapsed")
-    return rows / norm
-
-
-def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
-    """J_m(z) for m = 0..m_max over a flat complex array."""
-    if m_max < 0 or m_max > MAX_BESSEL_ORDER:
-        raise InvalidInputError(f"order must lie in 0..{MAX_BESSEL_ORDER}")
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size and np.abs(z).max() > BESSEL_ARG_CAP:
-        raise InvalidInputError(
-            f"cylinder function argument exceeds the workbench cap {BESSEL_ARG_CAP:g}"
-        )
-    out = np.zeros((m_max + 1, z.size), dtype=complex)
-    small = np.abs(z) <= SERIES_RADIUS
-    if small.any():
-        out[:, small] = _bessel_table_series(m_max, z[small])
-    large = ~small
-    if large.any():
-        out[:, large] = _bessel_table_miller(m_max, z[large])
+    out[:, swept] = rows / norm
     return out
 
 
@@ -481,7 +461,9 @@ def disk_mode_roots(
     box had to be nudged (see docs/derivations.md section 7).
 
     Returns the roots sorted by real part, per-root residuals, the count of
-    the whole box (expected_count), count_matches and the work done.
+    the whole box (expected_count), count_matches and the work done; its
+    max_depth is the deepest bisection level of any counted box, the outer
+    box being level 0.
     count_matches says that expected_count roots were returned, or
     min(lowest, expected_count) with lowest set.
     """
@@ -498,7 +480,11 @@ def disk_mode_roots(
         box = SearchBox(0.05, 20.0, -5.0, 0.05)
     rng = np.random.default_rng(BOX_NUDGE_SEED)
     work = dict.fromkeys(
-        ("contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps"), 0
+        (
+            "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps",
+            "max_depth",
+        ),
+        0,
     )
 
     outer, expected = _count_in(
@@ -507,8 +493,9 @@ def disk_mode_roots(
     )
     roots, residuals = [], []
     cut = math.inf  # real part of the lowest-th root polished so far
-    # a box is counted when it is popped; only the outer box enters counted
-    stack = [(outer, expected)] if expected else []
+    # a box is counted when it is popped; only the outer box enters counted.
+    # Each entry carries its bisection depth, the outer box's being 0.
+    stack = [(outer, expected, 0)] if expected else []
     while stack:
         leaves = []
         while stack:
@@ -522,19 +509,20 @@ def disk_mode_roots(
                 stack.sort(key=lambda item: item[0].re_min, reverse=True)
                 if not stack:
                     break
-            current, count = stack.pop()
+            current, count, depth = stack.pop()
             if count is None:
                 current, count = _count_in(
                     problem, current, max(samples // 2, 512), rng, work,
                     "bisection could not isolate the characteristic zeros",
                 )
+                work["max_depth"] = max(work["max_depth"], depth)
                 if not count:
                     continue
             if count == 1 or current.diameter < 2e-2:
-                leaves.append((current, count))
+                leaves.append((current, count, depth))
             else:
-                stack.extend((piece, None) for piece in current.split())
-        boxes = [leaf for leaf, _ in leaves]
+                stack.extend((piece, None, depth + 1) for piece in current.split())
+        boxes = [leaf for leaf, _, _ in leaves]
         got = _newton_batch(problem, [b.center for b in boxes], boxes, work)
         # fall back on a few shifted starts before splitting further
         for shift in (0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.3j):
@@ -549,7 +537,7 @@ def disk_mode_roots(
             )
             for i, g in zip(retry, again):
                 got[i] = g
-        for (current, count), g in zip(leaves, got):
+        for (current, count, depth), g in zip(leaves, got):
             if g is not None:
                 # count > 1 only for a tight cluster the contour says holds
                 # several zeros
@@ -560,7 +548,7 @@ def disk_mode_roots(
                     f"failed to converge on a root near {current.center:g}"
                 )
             else:
-                stack.extend((piece, None) for piece in current.split())
+                stack.extend((piece, None, depth + 1) for piece in current.split())
         if lowest is not None:
             found, _ = _merge_roots(roots, residuals)
             if len(found) >= lowest:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import GramMatrix, as_complex_matrix, numerical_rank
+from .linalg import GramMatrix, as_complex_matrix
 
 __all__ = [
     "OperatorModel",
@@ -108,16 +108,6 @@ class BoundaryTupleModel:
         x = np.asarray(x_plus, dtype=complex).reshape(-1)
         y = np.asarray(y_minus, dtype=complex).reshape(-1)
         return complex(y.conj() @ (self.pairing @ x))
-
-    def stacked_trace_rank(self, tol: float = 1e-10) -> int:
-        """Numerical row rank of [gamma0; gamma1].
-
-        Full row rank (= 2 * trace_dim) is the desk-scale stand-in for
-        surjectivity of the combined trace map; it is a necessary condition
-        only, and the only one a finite section can certify.
-        """
-        stacked = np.vstack([self.gamma0, self.gamma1])
-        return numerical_rank(stacked, tol)
 
 
 @dataclass

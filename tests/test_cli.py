@@ -430,6 +430,14 @@ class TestOutputs:
         assert meta["count_matches"] == {"0": True}
         assert meta["work_per_order"]["0"]["newton_evals"] > 0
 
+    def test_disk_box_with_negative_first_edge(self, capsys):
+        # the = form keeps argparse from reading -2,... as an option; the top
+        # edge samples lam = 0, where J_m is its leading term
+        assert run(["disk", "--zeta", "0.5", "--m-max", "1", "--box=-2,2,-2,0"]) == 0
+        out = capsys.readouterr().out
+        assert "3 modes over m<=1" in out
+        assert "counts match" in out
+
     def test_march_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "march.csv"
         code = run([

@@ -1,5 +1,9 @@
 """Tests for the string and disk eigenvalue models and the cylinder functions."""
 
+import cmath
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -86,6 +90,28 @@ class TestBessel:
                 continue
             ours = bessel_j(m, z, derivative=True)
             assert mixed_err(ours, scipy.special.jvp(m, z)) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-100, 1e-60, 1e-20, 1e-9, 2e-8, -1e-200j])
+    def test_tiny_arguments_give_the_leading_term(self, z):
+        # (z/2)^m / m! is J_m to |z|^2 / (4 (m + 1)) relative; the recurrence
+        # divides by z, so it must not run at the origin or overflow near it
+        for m in (0, 1, 5, 20):
+            ref = cmath.rect((abs(z) / 2.0) ** m / math.factorial(m), m * cmath.phase(z))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = bessel_j(m, z)
+            assert abs(ours - ref) <= 1e-15 * abs(ref)
+
+    def test_relative_accuracy_against_library(self):
+        # the contour phase of the high sectors reads small J_m, which the
+        # mixed error of the checks above does not resolve
+        rng = np.random.default_rng(SEED + 4)
+        mags = rng.uniform(0.05, 12.0, 300)
+        z = mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 300))
+        orders = rng.integers(0, 21, 300)
+        for m, point in zip(orders, z):
+            ref = scipy.special.jv(m, point)
+            assert abs(bessel_j(int(m), point) - ref) <= 1e-13 * abs(ref)
 
     def test_negative_order_reflection(self):
         z = 2.3 - 0.7j
@@ -390,6 +416,17 @@ class TestBatchedNewton:
         assert work["newton_evals"] < work["newton_steps"]
         assert work["newton_steps"] >= result["roots"].size
 
+    def test_depth_counted(self):
+        for m, zeta in ((0, 0.5), (1, 0.0), (3, 0.3j)):
+            result = disk_mode_roots(m, zeta)
+            assert result["expected_count"] > 1
+            assert result["work"]["max_depth"] >= 1
+
+    def test_isolated_root_needs_no_bisection(self):
+        result = disk_mode_roots(0, 0.0, box=SearchBox(3.0, 4.5, -0.5, 0.05))
+        assert result["expected_count"] == 1
+        assert result["work"]["max_depth"] == 0
+
     def test_nudges_counted(self):
         box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
         assert disk_mode_roots(0, 0.0, box=box)["work"]["box_nudges"] >= 1
@@ -409,7 +446,8 @@ class TestDiskSpectrum:
         assert sorted(work) == ["0", "1"]
         for counts in work.values():
             assert set(counts) == {
-                "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps"
+                "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps",
+                "max_depth",
             }
             assert all(isinstance(v, int) and v >= 0 for v in counts.values())
 

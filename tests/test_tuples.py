@@ -9,7 +9,7 @@ from impedbench.fixtures import (
     green_check,
     lgl_points_weights,
 )
-from impedbench.linalg import GramMatrix
+from impedbench.linalg import GramMatrix, numerical_rank
 from impedbench.tuples import (
     BoundaryTupleModel,
     TupleTransform,
@@ -207,6 +207,8 @@ class TestTupleValidation:
             )
 
     def test_trace_rank_full(self):
+        # full row rank of [gamma0; gamma1] is the desk-scale stand-in for
+        # surjectivity of the combined trace map
         for name in fixture_registry():
-            fx = get_fixture(name)
-            assert fx.boundary.stacked_trace_rank() == 2 * fx.boundary.trace_dim
+            b = get_fixture(name).boundary
+            assert numerical_rank(np.vstack([b.gamma0, b.gamma1]), 1e-10) == 2 * b.trace_dim
