@@ -293,7 +293,6 @@ class ResolventRankReport:
     z: complex
     fixture_label: str
     sigma_resolvent: np.ndarray
-    sigma_parameter: np.ndarray
     rank_resolvent: int
     rank_parameter: int
     tolerance: float
@@ -408,7 +407,6 @@ def resolvent_difference_rank(
         z=z,
         fixture_label=fx.label,
         sigma_resolvent=sigma_res,
-        sigma_parameter=sigma_par,
         rank_resolvent=rank_res,
         rank_parameter=rank_par,
         tolerance=tol,

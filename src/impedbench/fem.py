@@ -14,15 +14,15 @@ that its kernel is the constant direction, and those of M prove it SPD. On
 disk_polygon{12,48} (577 vertices) assemble takes about 30 ms, 19 ms of it
 in the checks (45 ms with a dense eigvalsh and Cholesky); on square{63} it
 takes 1.2-2.1 s (8-12 s). The eigensolve and the march work on sparse copies
-of K, C and M; only the dense companion solve reads the dense ones. When few
-modes are wanted from a large enough mesh, shift-invert Lanczos/Arnoldi on a
-sparse first-order pencil, applied through one n x n sparse LU, computes
-only those modes and certifies that none nearer the origin was missed.
-Otherwise the dense companion solve picks the real LAPACK driver whenever
-the structure of C allows it; it is also the reference the sparse path is
-tested against. The Crank-Nicolson march factors its system once by sparse
-LU and satisfies a per-step energy identity exactly, so decay checks test
-the model rather than integrator artifacts.
+of K, C and M; only the dense companion solve reads the dense ones. Both
+eigensolvers use one first-order pencil, real when C is real or purely
+imaginary. When few modes are wanted from a large enough mesh, shift-invert
+Lanczos/Arnoldi through one n x n sparse LU computes only those and
+certifies that none nearer the origin was missed; otherwise the dense
+companion, the sparse path's test reference, computes all. The
+Crank-Nicolson march factors its system once by sparse LU and satisfies a
+per-step energy identity exactly, so decay checks test the model rather
+than integrator artifacts.
 """
 
 import math
@@ -583,6 +583,20 @@ def _uses_shift_invert(n: int, n_want: int) -> bool:
     return n >= SPARSE_MIN_VERTICES and SPARSE_MAX_SHARE * n_want <= n
 
 
+def _linearization(path: str, c):
+    """(rho, D, sigma_K, sigma_w / s) for C of the class path names: w = rho lam
+    turns lam^2 M p + i lam C p - K p = 0 into w^2 M p = w D p + sigma_K K p,
+    real unless C is general complex. The shift-invert shift sigma = i s,
+    which accretive zeta keeps off the spectrum, becomes the real sigma = s
+    for purely imaginary C, whose factor and Arnoldi then stay real.
+    """
+    if path == "real-rotated":
+        return 1j, c.real, -1.0, -1.0
+    if path == "real-direct":
+        return 1.0, c.imag, 1.0, 1.0
+    return 1.0, -1j * c, 1.0, 1j
+
+
 def _solve_dense(q: QepMatrices, path: str):
     """All eigenpairs (lams, p-vectors) of q's dense companion, by the driver
     that path names: hermitian, real-rotated, real-direct or complex."""
@@ -591,94 +605,88 @@ def _solve_dense(q: QepMatrices, path: str):
     if path == "hermitian":
         mu, vecs = sla.eigh(kr, mr)
         return _lambdas_from_mu(mu, vecs, mu[-1])
-    # one companion [[M^{-1} D, s M^{-1} K], [I, 0]] for all three paths: real
-    # C in the variable mu = i lam, purely imaginary C in lam itself, both in
-    # real arithmetic; general C in complex arithmetic
-    c = np.asarray(q.c_bdry, dtype=complex)
-    if path == "real-rotated":
-        d, s = c.real, -1.0
-    elif path == "real-direct":
-        d, s = c.imag, 1.0
-    else:
-        d, s = -1j * c, 1.0
+    # the companion [[M^{-1} D, sigma_K M^{-1} K], [I, 0]] on [w p; p]
+    rho, d, sigma_k, _ = _linearization(path, np.asarray(q.c_bdry, dtype=complex))
     try:
-        top = np.hstack([sla.solve(mr, d, assume_a="pos"), s * sla.solve(mr, kr, assume_a="pos")])
+        top = np.hstack([sla.solve(mr, d, assume_a="pos"),
+                         sigma_k * sla.solve(mr, kr, assume_a="pos")])
         w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])]))
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
-    lams = -1j * w if path == "real-rotated" else w
+    lams = w / rho
     if not np.all(np.isfinite(lams)):
         raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
     return lams, v[n:, :]
 
 
-def _mu_pencil_operator(k_s, c_s, m_s, s: float):
-    """(A - sigma B)^{-1} B as a LinearOperator on [p; mu p], for the pencil
-    A = [[0, I], [-K, C]], B = diag(I, M) of mu^2 M p - mu C p + K p = 0 at
-    sigma = -s.
+def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
+    """(A - sigma_w B)^{-1} B on [p; w p] for A = [[0, I], [sigma_K K, D]] and
+    B = diag(I, M), the pencil of w^2 M p = w D p + sigma_K K p.
 
-    The first block row of (A - sigma B) z = B x reads s z1 + z2 = x1, so the
-    second reduces to z1 = (K + sC + s^2 M)^{-1} ((C + sM) x1 - M x2): one
-    sparse LU of an n x n matrix, factored here once, in real arithmetic when
-    C is real. Raises RuntimeError when that matrix is singular.
+    (A - sigma_w B) z = B x gives z2 = x1 + sigma_w z1 and, with
+    tau = sigma_K sigma_w, (K + tau D - sigma_K sigma_w^2 M) z1 =
+    (tau M - sigma_K D) x1 + sigma_K M x2: one sparse n x n LU, factored here
+    once, real when D and sigma_w are. Raises RuntimeError if it is singular.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n = k_s.shape[0]
-    shifted = sp.csc_array(k_s + s * c_s + (s * s) * m_s)
+    tau = sigma_k * sigma_w
+    shifted = sp.csc_array(k_s + tau * d_s + (-sigma_k * sigma_w * sigma_w) * m_s)
     lu = spla.splu(shifted)
-    rhs = sp.hstack([c_s + s * m_s, -m_s], format="csr")
+    rhs = sp.hstack([tau * m_s - sigma_k * d_s, sigma_k * m_s], format="csr")
 
     def matvec(x):
         z1 = lu.solve(rhs @ x)
-        return np.concatenate([z1, x[:n] - s * z1])
+        return np.concatenate([z1, x[:n] + sigma_w * z1])
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
 
-def _solve_shift_invert(k_s, c_s, m_s, n_want: int, accretive: bool, rng, mu_top: float):
+def _solve_shift_invert(k_s, c_s, m_s, n_want: int, linearization: str, accretive: bool,
+                        rng, mu_top: float):
     """The modes nearest the origin by shift-invert ARPACK on the sparse K, C
-    and M, started from a vector rng draws: (path, lams, p-vectors, info),
-    info holding the arithmetic and the final ARPACK k, or None when the
-    dense companion should take over. mu_top is at most the largest mu.
+    (of class linearization) and M from a start vector rng draws: (path,
+    lams, p-vectors, info), info holding the arithmetic and the final ARPACK
+    k, or None when the dense companion should take over. mu_top is at most
+    the largest mu.
 
     C = 0: Lanczos on K p = mu M p with sigma = -s^2, so K - sigma M is SPD
     and lam = +-sqrt(mu) stays exactly real. Otherwise standard-mode Arnoldi
-    on _mu_pencil_operator, in the variable mu = i lam at sigma_mu = -s
-    (sigma = i s in lam), which accretive zeta keeps off the spectrum (every
-    eigenvalue has Im lam <= 0); it runs in real arithmetic when C is real.
-    Its eigenvalues nu give lam = i s - i/nu, so |lam - sigma| = 1/|nu|.
-    Every eigenvalue ARPACK does not return lies at least
-    R = max |lam_j - sigma| from sigma, so the k returned ones are accepted
-    when r_sel + |sigma| < R, r_sel being the modulus of the n_want-th
-    genuine mode nearest the origin: no mode with |lam| <= r_sel was missed.
-    Otherwise k grows by half, up to a quarter of the pencil dimension.
+    on _pencil_operator at sigma_w = rho sigma, whose eigenvalues nu give
+    lam = (sigma_w + 1/nu) / rho at |lam - sigma| = 1/|nu|. Every mode not
+    returned lies at least R = max |lam_j - sigma| from sigma, so no mode
+    with |lam| <= r_sel, the n_want-th genuine modulus, was missed when
+    r_sel + |sigma| < R. Otherwise k grows by half, up to a quarter of the
+    pencil dimension.
     """
     import scipy.sparse.linalg as spla
 
     n = k_s.shape[0]
-    zeta_zero = c_s.nnz == 0
+    zeta_zero = linearization == "hermitian"
     # sqrt(tr K / (n tr M)) is of the order of the lowest nonzero |lam|; a
     # quarter of it keeps sigma well off the artifact at lam = 0 while the
     # certificate needs few modes beyond the wanted ones
     s = 0.25 * math.sqrt(k_s.trace() / (n * m_s.trace()))
     # the first k covers the wanted modes (each mu > 0 gives two) plus the
     # thin band beyond them that the certificate needs
-    if zeta_zero:
-        path, sigma = "shift-invert-lanczos", -s * s
-        n_eig = n_want // 2 + 4 + n_want // 16
-    else:
-        path, sigma = "shift-invert-arnoldi", 1j * s
-        n_eig = n_want + 8 + n_want // 8
     try:
         if zeta_zero:
+            path, sigma = "shift-invert-lanczos", -s * s
+            n_eig = n_want // 2 + 4 + n_want // 16
             lu = spla.splu(k_s - sigma * m_s)
             op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         else:
-            op = _mu_pencil_operator(k_s, c_s, m_s, s)
+            rho, d_s, sigma_k, shift = _linearization(linearization, c_s)
+            sigma_w = shift * s
+            path, sigma = "shift-invert-arnoldi", sigma_w / rho
+            n_eig = n_want + 8 + n_want // 8
+            op = _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
     except RuntimeError as exc:
-        if accretive:
+        # accretive zeta keeps sigma = i s off the spectrum; nothing keeps
+        # the real shift of a reactive rim off it
+        if accretive and linearization != "real-direct":
             raise NumericalFailureError(f"shift-invert factorization failed: {exc}") from exc
         return None
     v0 = rng.standard_normal(op.shape[0]).astype(op.dtype)
@@ -697,7 +705,8 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, accretive: bool, rng, mu_top
             lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], mu_top)
             far = np.abs(vals - sigma).max()
         else:
-            lams, pvecs = 1j * (s - 1.0 / vals), vecs[:n, :]
+            # (sigma_w + 1/nu) / rho, with the zero signs of i (s - 1/nu) for real C
+            lams, pvecs = (-sigma_w - 1.0 / vals) * (-1 / rho), vecs[:n, :]
             far = np.abs(lams - sigma).max()
         kept_idx, _ = _select_modes(lams, pvecs, n_want, zeta_zero)
         if len(kept_idx) == n_want:
@@ -716,20 +725,19 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, accretive: bool, rng, mu_top
 def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin.
 
-    All but the dense companion runs on sparse copies of K, C and M. When the
-    mesh has at least SPARSE_MIN_VERTICES vertices and n_want is at most a
-    SPARSE_MAX_SHARE-th of them, shift-invert Lanczos (C = 0) or Arnoldi
-    (C != 0, through one sparse LU of K + sC + s^2 M, real when C is real)
-    computes the wanted modes and certifies that none nearer the origin was
-    missed; metadata["arithmetic"] and metadata["arpack_k"] then record the
-    arithmetic and the final ARPACK k. If it cannot certify them, the dense
-    path takes over within its cap. It solves the first-order companion with
-    the cheapest driver: a generalized Hermitian solve when C = 0, a real
-    companion when C is exactly real (rotate by lam = -i mu) or exactly
-    imaginary, and the complex driver otherwise. metadata["path"] names the
-    solver that ran. Near-zero pairs whose eigenvector is constant are tagged
-    quotient-artifact: they live in the direction the stiffness energy cannot
-    see.
+    C is classified once, by exact-zero tests: zero (hermitian), real
+    (real-rotated), purely imaginary (real-direct) or complex. Each nonzero
+    class fixes one first-order pencil for both solvers (_linearization),
+    real unless C is complex. With at least SPARSE_MIN_VERTICES vertices and
+    n_want at most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos
+    (C = 0) or Arnoldi on sparse copies of K, C and M computes the wanted
+    modes and certifies that none nearer the origin was missed, recording
+    metadata["arithmetic"] and the final ARPACK k (metadata["arpack_k"]).
+    Otherwise, or when it cannot certify them, the dense companion of the
+    pencil (a generalized Hermitian solve when C = 0) computes every mode,
+    within its cap. metadata["path"] names the solver that ran. Near-zero
+    pairs whose eigenvector is constant are tagged quotient-artifact: they
+    live in the direction the stiffness energy cannot see.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -748,14 +756,13 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     k_s, m_s = k_s.real, m_s.real
     c_s = sp.csc_array(q.c_bdry, dtype=complex)
     norm_c = _spectral_norm_boundary(c_s)
-    # assemble leaves Im C exactly zero for real zeta and Re C for imaginary
-    # zeta; a real C makes the factorization and the Arnoldi run real
+    # assemble leaves Im C exactly zero for real zeta, Re C for imaginary zeta
     if c_s.nnz == 0:
-        dense_path = "hermitian"
+        linearization = "hermitian"
     elif not np.any(c_s.data.imag):
-        dense_path, c_s = "real-rotated", c_s.real
+        linearization, c_s = "real-rotated", c_s.real
     else:
-        dense_path = "complex" if np.any(c_s.data.real) else "real-direct"
+        linearization = "complex" if np.any(c_s.data.real) else "real-direct"
     rng = np.random.default_rng(ARPACK_SEED)
     # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
     # them are never smaller than with the exact norms
@@ -768,21 +775,20 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     solved = None
     if sparse:
         accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
-        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, accretive, rng, norm_k / norm_m)
+        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, linearization, accretive, rng,
+                                     norm_k / norm_m)
         if solved is None and n > MAX_SOLVE_VERTICES:
             raise NumericalFailureError(
                 f"shift-invert gave no certified set of {n_want} modes and the dense "
                 f"companion solve is capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
             )
     if solved is None:
-        path, info = dense_path, {}
-        lams, pvecs = _solve_dense(q, path)
-    else:
-        path, lams, pvecs, info = solved
+        solved = (linearization, *_solve_dense(q, linearization), {})
+    path, lams, pvecs, info = solved
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
-    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, c_s.nnz == 0)
+    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, linearization == "hermitian")
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
@@ -797,10 +803,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     residuals = np.linalg.norm(qep_cols, axis=0) / denom
 
     entries = []
-    for pos, j in enumerate(selected):
-        lam = complex(lam_sel[pos])
-        resid = float(residuals[pos])
-        tag = "quotient-artifact" if pos >= len(kept_idx) else "fem"
+    tags = ["fem"] * len(kept_idx) + ["quotient-artifact"] * len(artifact_idx)
+    for lam, resid, tag in zip(lam_sel.tolist(), residuals.tolist(), tags):
         if resid > QEP_RESIDUAL_TOL:
             raise NumericalFailureError(
                 f"eigenpair at {lam:.6g} has residual {resid:.3e} above {QEP_RESIDUAL_TOL:g}"
@@ -808,14 +812,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
         entries.append(
             ModeEntry(re_lambda=lam.real, im_lambda=lam.imag, residual=resid, mode_tag=tag)
         )
-    meta = {
-        "path": path,
-        "dim": n,
-        "requested": n_want,
-        "returned": len(kept_idx),
-        "artifacts": len(artifact_idx),
-        **info,
-    }
+    meta = {"path": path, "dim": n, "requested": n_want, "returned": len(kept_idx),
+            "artifacts": len(artifact_idx), **info}
     return SpectrumReport("fem", entries, metadata=meta)
 
 

@@ -225,8 +225,10 @@ def _derivative(table: np.ndarray, k: int) -> np.ndarray:
 def bessel_j(order: int, z, derivative: bool = False):
     """First-kind cylinder function of integer order (or its derivative)."""
     order = int(order)
+    if derivative and abs(order) >= MAX_BESSEL_ORDER:
+        raise InvalidInputError(f"the derivative needs |order| <= {MAX_BESSEL_ORDER - 1}")
     z = np.asarray(z, dtype=complex)
-    table = _bessel_table(abs(order) + 1, z.ravel())
+    table = _bessel_table(abs(order) + (1 if derivative else 0), z.ravel())
     vals = _derivative(table, order) if derivative else _order(table, order)
     out = vals.reshape(z.shape)
     return complex(out[()]) if z.ndim == 0 else out

@@ -483,7 +483,9 @@ class TestOutputs:
         assert run(["fem", "--shape", "square", "--n", "16", "--zeta", "const:0,0.5", "--nev", "4"]) == 0
         assert "path shift-invert-arnoldi" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("zeta,arithmetic", [("0.5", "real"), ("const:0,0.5", "complex")])
+    @pytest.mark.parametrize(
+        "zeta,arithmetic", [("0.5", "real"), ("const:0,0.5", "real"), ("const:0.3,0.4", "complex")]
+    )
     def test_fem_out_names_shift_invert_arithmetic(self, tmp_path, capsys, zeta, arithmetic):
         out = tmp_path / "fem.json"
         argv = ["fem", "--shape", "square", "--n", "16", "--zeta", zeta, "--nev", "8"]

@@ -441,10 +441,13 @@ class TestSolveQep:
         # assembly's own invariant check factors K and M, so assemble first
         mesh = build_mesh("square{16}")
         accretive, nonaccretive = assemble(mesh, zeta=0.5), assemble(mesh, zeta=-0.5)
+        reactive = assemble(mesh, zeta=0.5j)
         monkeypatch.setattr(spla, "splu", singular)
         with pytest.raises(NumericalFailureError, match="factorization failed"):
             solve_qep(accretive, n_want=8)
         assert solve_qep(nonaccretive, n_want=8).metadata["path"] == "real-rotated"
+        # nothing keeps the real shift of a reactive rim off its spectrum
+        assert solve_qep(reactive, n_want=8).metadata["path"] == "real-direct"
 
     def test_uncertified_modes_fall_back_to_dense(self, monkeypatch):
         calls = []
@@ -471,15 +474,24 @@ class TestSolveQep:
 
     @pytest.mark.parametrize("zeta", [0.5, 0.5j, 0.3 + 0.4j])
     def test_mu_pencil_operator_solves_shifted_pencil(self, zeta):
+        # real C in the variable mu = i lam, the other classes in lam itself
+        path = {0.5: "real-rotated", 0.5j: "real-direct"}.get(zeta, "complex")
         q = assemble(build_mesh("disk_polygon{4,16}"), zeta=zeta)
         n, s = q.dim, 0.7
         c = q.c_bdry if np.any(q.c_bdry.imag) else q.c_bdry.real
-        k_s, c_s, m_s = (sp.csc_array(x) for x in (q.k_stiff, c, q.m_mass))
-        op = fem_module._mu_pencil_operator(k_s, c_s, m_s, s)
-        assert op.dtype == (float if np.isrealobj(c) else complex)
-        # the 2n x 2n pencil the operator stands for, at sigma_mu = -s
+        rho, d, sigma_k, shift = fem_module._linearization(path, c)
+        # eigenpairs of the dense companion solve w^2 M p = w D p + sigma_K K p
+        lams, pvecs = fem_module._solve_dense(q, path)
+        w, p = rho * lams[:8], pvecs[:, :8]
+        res = (q.m_mass @ p) * w**2 - (d @ p) * w - sigma_k * (q.k_stiff @ p)
+        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(q.k_stiff @ p)
+        k_s, d_s, m_s = (sp.csc_array(x) for x in (q.k_stiff, d, q.m_mass))
+        sigma_w = shift * s
+        op = fem_module._pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
+        assert op.dtype == (complex if path == "complex" else float)
+        # the 2n x 2n pencil the operator stands for
         eye = np.eye(n)
-        a = np.block([[np.zeros((n, n)), eye], [-q.k_stiff, c]])
+        a = np.block([[np.zeros((n, n)), eye], [sigma_k * q.k_stiff, d]])
         b = np.block([[eye, np.zeros((n, n))], [np.zeros((n, n)), q.m_mass]])
         rng = np.random.default_rng(SEED)
         x = rng.standard_normal(2 * n)
@@ -488,7 +500,7 @@ class TestSolveQep:
         z = op.matvec(x)
         assert z.dtype == op.dtype
         bx = b @ x
-        assert np.linalg.norm((a + s * b) @ z - bx) <= 1e-12 * np.linalg.norm(bx)
+        assert np.linalg.norm((a - sigma_w * b) @ z - bx) <= 1e-12 * np.linalg.norm(bx)
 
     @pytest.mark.parametrize("spec", ["square{16}", "disk_polygon{8,32}", "disk_polygon{12,48}"])
     @pytest.mark.parametrize("zeta", [0.5, 1.0])
@@ -505,6 +517,23 @@ class TestSolveQep:
         assert on_axis
         assert all(x == 0.0 for x in on_axis)
 
+    @pytest.mark.parametrize("spec", ["square{16}", "disk_polygon{8,32}", "disk_polygon{12,48}"])
+    @pytest.mark.parametrize("zeta", [0.5j, -0.3j])
+    def test_reactive_rim_runs_in_real_arithmetic(self, spec, zeta):
+        # a reactive rim shifts by the real s, so simple modes come back
+        # exactly real; a double one may come back as a pair off the axis,
+        # whose partner the n_want-th modulus may cut off
+        rep = solve_qep(assemble(build_mesh(spec), zeta=zeta), n_want=24)
+        assert rep.metadata["path"] == "shift-invert-arnoldi"
+        assert rep.metadata["arithmetic"] == "real"
+        vals = np.array([complex(e.re_lambda, e.im_lambda) for e in rep.entries])
+        gaps = np.abs(vals[:, None] - vals[None, :]) + np.diag(np.full(len(vals), np.inf))
+        inside = np.abs(vals) < np.abs(vals).max() * (1 - 1e-9)
+        simple = vals[inside & (gaps.min(axis=1) > 1e-6)]
+        assert len(simple) >= 3
+        assert all(v.imag == 0.0 for v in simple)
+        assert np.abs(vals.imag).max() <= 1e-8
+
 
 CROSS_CHECK_CASES = [
     (spec, zeta)
@@ -515,6 +544,11 @@ CROSS_CHECK_CASES = [
     ("square{16}", MIXED_ZETA),
     # the finest mesh of the convergence benchmark
     ("disk_polygon{12,48}", 0.5),
+    # reactive rims, shifted by a real s; not one whose imaginary values sum
+    # to zero, where lam = 0 is a Jordan block that both paths split
+    ("disk_polygon{12,48}", 0.5j),
+    ("square{16}", -0.3j),
+    ("square{16}", {"bottom": 1j, "right": -0.2j, "top": 0.3j, "left": -0.9j}),
 ]
 
 

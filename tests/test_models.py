@@ -149,6 +149,18 @@ class TestBessel:
         with pytest.raises(InvalidInputError, match="order"):
             bessel_j(61, 1.0)
 
+    @pytest.mark.parametrize("m", [60, -60])
+    def test_highest_order_matches_scipy(self, m):
+        # only the derivative needs the order above, so it alone stops at 59
+        z = np.array([1.0, 7.5, 40.0 + 3.0j, 80.0, 0.5 - 2.0j])
+        ref = scipy.special.jv(m, z)
+        assert np.max(np.abs(bessel_j(m, z) - ref) / np.abs(ref)) < 1e-13
+        with pytest.raises(InvalidInputError, match=r"derivative needs \|order\| <= 59"):
+            bessel_j(m, 1.0, derivative=True)
+        below = m - int(np.sign(m))
+        ref_p = scipy.special.jvp(below, 7.5)
+        assert abs(bessel_j(below, 7.5, derivative=True) - ref_p) < 1e-13 * abs(ref_p)
+
 
 class TestString:
     def test_half_load_ladder(self):
