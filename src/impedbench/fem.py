@@ -7,26 +7,26 @@ the quadratic family
     lam^2 (beta p, q) + i lam (zeta p, q)_boundary - (alpha_inv grad p, grad q) = 0,
 
 so accretive zeta (Re zeta >= 0) pushes eigenvalues into the closed lower
-half-plane. The matrices are assembled dense and desk-scale on purpose:
-assembly is exact for piecewise-constant data. Its invariant checks need no
+half-plane. Assembly is exact for piecewise-constant data and scatters K, C
+and M straight into CSC arrays, with no n x n array, adding the same terms
+in the same order as a dense np.add.at. Its invariant checks need no
 eigensolve: sparse symmetric LDL^T pivots of K pinned at one vertex prove
 that its kernel is the constant direction, and those of M prove it SPD. On
-disk_polygon{12,48} (577 vertices) assemble takes about 30 ms, 19 ms of it
-in the checks (45 ms with a dense eigvalsh and Cholesky); on square{63} it
-takes 1.2-2.1 s (8-12 s). The eigensolve and the march work on sparse copies
-of K, C and M; only the dense companion solve reads the dense ones. Both
-eigensolvers use one first-order pencil, real when C is real or purely
-imaginary. When few modes are wanted from a large enough mesh, shift-invert
-Lanczos/Arnoldi through one n x n sparse LU computes only those and
-certifies that none nearer the origin was missed; otherwise the dense
-companion, the sparse path's test reference, computes all. The
+disk_polygon{12,48} (577 vertices) assemble takes about 8 ms, on square{63}
+about 0.05 s, most of it in the checks. The eigensolve and the march read
+the stored CSC arrays; only the dense companion solve asks for dense
+copies. Both eigensolvers use one first-order pencil, real when C is real
+or purely imaginary. When few modes are wanted from a large enough mesh,
+shift-invert Lanczos/Arnoldi through one n x n sparse LU computes only
+those and certifies that none nearer the origin was missed; otherwise the
+dense companion, the sparse path's test reference, computes all. The
 Crank-Nicolson march factors its system once by sparse LU and satisfies a
 per-step energy identity exactly, so decay checks test the model rather
 than integrator artifacts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,10 +40,10 @@ QEP_RESIDUAL_TOL = 1e-8
 ARTIFACT_RADIUS = 1e-8
 # companion matrices are dense 2n x 2n; past this the desk-scale pitch breaks
 MAX_SOLVE_VERTICES = 2048
-# assembly allocates dense n x n matrices and checks them in sparse form;
-# the cap is checked before any of them is allocated (for braced specs, before
-# the mesh is built). At this size assemble takes 1.2-2.1 s, and fem and march
-# (200 steps) both peak near 710 MB resident (one thread, 2-vCPU VM).
+# assembly builds K, C and M as CSC arrays; the cap is checked before any of
+# them is allocated (for braced specs, before the mesh is built). At this size
+# assemble takes 0.05 s and peaks at 11 MB traced, and fem --nev 12 runs in
+# 0.9-1.1 s at 88 MB resident (one thread, 2-vCPU VM).
 MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert replaces the dense companion from this many vertices on, while
 # the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
@@ -303,7 +303,7 @@ def build_mesh(shape: str) -> Mesh:
                 raise InvalidInputError(f"unknown shape '{shape}'")
             if count > MAX_ASSEMBLE_VERTICES:
                 raise InvalidInputError(
-                    f"'{shape}' has {count} vertices; dense assembly capped at "
+                    f"'{shape}' has {count} vertices; assembly capped at "
                     f"{MAX_ASSEMBLE_VERTICES}"
                 )
             return build()
@@ -354,21 +354,37 @@ class MaterialCoefficients:
         return a, b
 
 
-@dataclass
 class QepMatrices:
     """Stiffness, boundary damping, and mass matrices of the quadratic family.
 
-    assemble returns K and M real and C complex.
+    K, C and M are stored once, as the CSC arrays k, c (complex) and m; the
+    constructor takes them dense or sparse and converts each once. k_stiff,
+    c_bdry and m_mass return fresh dense copies for the few readers that
+    want arrays. assemble returns K and M real.
     """
 
-    k_stiff: np.ndarray
-    c_bdry: np.ndarray
-    m_mass: np.ndarray
-    meta: dict = field(default_factory=dict)
+    def __init__(self, k_stiff, c_bdry, m_mass, meta=None):
+        from scipy.sparse import csc_array
+
+        self.k, self.m = csc_array(k_stiff), csc_array(m_mass)
+        self.c = csc_array(c_bdry, dtype=complex)
+        self.meta = {} if meta is None else meta
+
+    @property
+    def k_stiff(self) -> np.ndarray:
+        return self.k.toarray()
+
+    @property
+    def c_bdry(self) -> np.ndarray:
+        return self.c.toarray()
+
+    @property
+    def m_mass(self) -> np.ndarray:
+        return self.m.toarray()
 
     @property
     def dim(self) -> int:
-        return self.k_stiff.shape[0]
+        return self.k.shape[0]
 
 
 def _resolve_edge_zeta(zeta, labels: set):
@@ -390,9 +406,8 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     n = mesh.n_vertices
     if n > MAX_ASSEMBLE_VERTICES:
         raise InvalidInputError(
-            f"dense assembly capped at {MAX_ASSEMBLE_VERTICES} vertices, got {n}"
+            f"assembly capped at {MAX_ASSEMBLE_VERTICES} vertices, got {n}"
         )
-    _check_connected(mesh)
     mat = mat if mat is not None else MaterialCoefficients()
     alpha, beta = mat.resolve(mesh)
     areas = mesh.signed_areas()
@@ -406,15 +421,13 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     mass_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
     mass = mass_ref[None, :, :] * (beta * areas)[:, None, None]
 
-    k_stiff = np.zeros((n, n))
-    m_mass = np.zeros((n, n))
     rows = mesh.triangles[:, :, None].repeat(3, axis=2)
     cols = mesh.triangles[:, None, :].repeat(3, axis=1)
-    np.add.at(k_stiff, (rows.ravel(), cols.ravel()), flux.ravel())
-    np.add.at(m_mass, (rows.ravel(), cols.ravel()), mass.ravel())
+    k_stiff, m_mass = _scatter_csc(n, rows.ravel(), cols.ravel(), flux.ravel(), mass.ravel())
+    _check_connected(m_mass)
 
     per_label = _resolve_edge_zeta(zeta, mesh.label_set())
-    c_bdry = np.zeros((n, n), dtype=complex)
+    blocks = []
     min_sampled_re = np.inf
     exact_mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     lengths = mesh.boundary_lengths()
@@ -434,7 +447,11 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
             zv = complex(z_here)
             min_sampled_re = min(min_sampled_re, zv.real)
             block = zv * length * exact_mass
-        c_bdry[np.ix_([i, j], [i, j])] += block
+        blocks.append(block)
+    # edge (i, j) adds its 2 x 2 block at rows i, i, j, j and columns i, j, i, j
+    ends = mesh.boundary_edges
+    (c_bdry,) = _scatter_csc(n, ends.repeat(2, axis=1).ravel(), np.tile(ends, 2).ravel(),
+                             np.array(blocks, dtype=complex).ravel())
 
     rim = np.unique(mesh.boundary_edges)
     _check_qep_invariants(k_stiff, c_bdry, m_mass, min_sampled_re, rim)
@@ -447,32 +464,53 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     return QepMatrices(k_stiff, c_bdry, m_mass, meta)
 
 
-def _check_connected(mesh: Mesh) -> None:
+def _scatter_csc(n, rows, cols, *values):
+    """For each vals in values, csc_array(D) of the n x n D that
+    np.add.at(D, (rows, cols), vals) fills from zeros, without D.
+
+    np.unique puts the (col, row) keys in CSC order, and np.add.at over its
+    inverse index adds the terms of each entry in the order vals lists them,
+    as the dense np.add.at does, so the sums agree bit for bit. Entries that
+    cancel to exactly zero are dropped, as csc_array(D) drops them.
+    """
+    from scipy.sparse import csc_array
+
+    keys, slot = np.unique(cols * n + rows, return_inverse=True)
+    col, row = np.divmod(keys, n)
+    # the index dtype that csc_array(D) picks
+    index = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    out = []
+    for vals in values:
+        data = np.zeros(keys.size, dtype=vals.dtype)
+        np.add.at(data, slot, vals)
+        a = csc_array((data, row.astype(index), indptr.copy()), shape=(n, n))
+        a.eliminate_zeros()
+        out.append(a)
+    return out
+
+
+def _check_connected(m) -> None:
     # a second component (or a vertex in no triangle) adds a second constant
-    # direction to the stiffness kernel; that is bad input, not a solver fault
-    from scipy.sparse import coo_array
+    # direction to the stiffness kernel; that is bad input, not a solver fault.
+    # Every mesh edge carries a positive mass entry and a vertex in no
+    # triangle has an empty column, so M's pattern is the mesh graph.
     from scipy.sparse.csgraph import connected_components
 
-    tri = mesh.triangles
-    edges = coo_array(
-        (np.ones(tri.size), (tri.ravel(), tri[:, [1, 2, 0]].ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    count, _ = connected_components(edges, directed=False)
+    count, _ = connected_components(m, directed=False)
     if count > 1:
         raise InvalidInputError(f"mesh is not connected: {count} components")
 
 
 def _check_qep_invariants(k, c, m, min_re_zeta, rim):
-    """Structural checks on the assembled matrices.
+    """Structural checks on the assembled CSC matrices.
 
     rim lists the vertices that boundary edges touch, the only rows and
     columns of C that can be nonzero.
     """
-    from scipy.sparse import csc_array
-
-    scale_k = np.abs(k).max()
-    if np.abs(k - k.T).max() > 1e-12 * scale_k:
+    scale_k = abs(k).max()
+    if abs(k - k.T).max() > 1e-12 * scale_k:
         raise NumericalFailureError("stiffness lost symmetry during assembly")
     ones = np.ones(k.shape[0])
     tau = 1e-10 * max(scale_k, 1.0)
@@ -481,13 +519,13 @@ def _check_qep_invariants(k, c, m, min_re_zeta, rim):
     # K pinned at vertex 0 and shifted by -tau is SPD iff its LDL^T pivots are
     # positive; by interlacing that puts the second eigenvalue of K above tau
     if k.shape[0] > 1:
-        pinned = csc_array(k[1:, 1:])
+        pinned = k[1:, 1:]
         pinned.setdiag(pinned.diagonal() - tau)
         if not _ldlt_pivots_positive(pinned):
             raise NumericalFailureError("stiffness kernel is not exactly the constant direction")
-    if not _ldlt_pivots_positive(csc_array(m)):
+    if not _ldlt_pivots_positive(m):
         raise NumericalFailureError("mass matrix is not positive definite")
-    sub = c[np.ix_(rim, rim)]
+    sub = c[np.ix_(rim, rim)].toarray()
     if min_re_zeta >= 0.0 and np.any(sub):
         herm = 0.5 * (sub + sub.conj().T)
         live = np.nonzero(np.abs(herm).sum(axis=1))[0]
@@ -600,13 +638,13 @@ def _linearization(path: str, c):
 def _solve_dense(q: QepMatrices, path: str):
     """All eigenpairs (lams, p-vectors) of q's dense companion, by the driver
     that path names: hermitian, real-rotated, real-direct or complex."""
-    kr, mr = np.asarray(q.k_stiff).real, np.asarray(q.m_mass).real
+    kr, mr = q.k_stiff.real, q.m_mass.real
     n = kr.shape[0]
     if path == "hermitian":
         mu, vecs = sla.eigh(kr, mr)
         return _lambdas_from_mu(mu, vecs, mu[-1])
     # the companion [[M^{-1} D, sigma_K M^{-1} K], [I, 0]] on [w p; p]
-    rho, d, sigma_k, _ = _linearization(path, np.asarray(q.c_bdry, dtype=complex))
+    rho, d, sigma_k, _ = _linearization(path, q.c_bdry)
     try:
         top = np.hstack([sla.solve(mr, d, assume_a="pos"),
                          sigma_k * sla.solve(mr, kr, assume_a="pos")])
@@ -730,7 +768,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     class fixes one first-order pencil for both solvers (_linearization),
     real unless C is complex. With at least SPARSE_MIN_VERTICES vertices and
     n_want at most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos
-    (C = 0) or Arnoldi on sparse copies of K, C and M computes the wanted
+    (C = 0) or Arnoldi on the stored CSC arrays K, C and M computes the wanted
     modes and certifies that none nearer the origin was missed, recording
     metadata["arithmetic"] and the final ARPACK k (metadata["arpack_k"]).
     Otherwise, or when it cannot certify them, the dense companion of the
@@ -739,7 +777,6 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     pairs whose eigenvector is constant are tagged quotient-artifact: they
     live in the direction the stiffness energy cannot see.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     if n_want < 1:
@@ -750,11 +787,10 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
         raise InvalidInputError(
             f"dense companion solve capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
         )
-    k_s, m_s = sp.csc_array(q.k_stiff), sp.csc_array(q.m_mass)
+    k_s, m_s, c_s = q.k, q.m, q.c
     if max(abs(k_s.imag).max(), abs(m_s.imag).max()) > 1e-14 * max(abs(k_s).max(), 1.0):
         raise InvalidInputError("stiffness and mass must be real symmetric")
     k_s, m_s = k_s.real, m_s.real
-    c_s = sp.csc_array(q.c_bdry, dtype=complex)
     norm_c = _spectral_norm_boundary(c_s)
     # assemble leaves Im C exactly zero for real zeta, Re C for imaginary zeta
     if c_s.nnz == 0:
@@ -831,7 +867,6 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     matrix M + dt^2/4 K + dt/2 C is factored once by sparse LU, so each step
     costs O(nnz) work.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     if not (math.isfinite(dt) and dt > 0):
@@ -844,9 +879,8 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
     n = q.dim
     if u.size != n or p.size != n:
         raise InvalidInputError("initial state size does not match the matrices")
-    # C goes in complex, so that the factor solves for the complex state
-    k, m = sp.csc_array(q.k_stiff), sp.csc_array(q.m_mass)
-    c = sp.csc_array(q.c_bdry, dtype=complex)
+    # C is complex, so that the factor solves for the complex state
+    k, c, m = q.k, q.c, q.m
 
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflowing dt leaves non-finite entries, refused below

@@ -256,6 +256,60 @@ class TestAssemble:
         # one dense n x n float matrix alone would take 143 MB
         assert peak < 8 * mesh.n_vertices ** 2 / 100
 
+    @pytest.mark.parametrize("spec,zeta", [
+        ("square{4}", 0.5),
+        ("disk_polygon{8,32}", 0.3 + 0.4j),
+        ("disk_polygon{8,32}", lambda x, y: 0.5 + x * y - 0.25j * y),
+        # the zero label leaves explicit zeros that the CSC arrays must drop
+        ("square{4}", {"bottom": 0.0, "right": 1.0, "top": 0.5j,
+                       "left": lambda x, y: 0.2 + y}),
+    ])
+    def test_csc_arrays_equal_dense_scatter_bitwise(self, spec, zeta):
+        mesh = build_mesh(spec)
+        q = assemble(mesh, zeta=zeta)
+        for got, dense in zip((q.k, q.c, q.m), dense_assembly(mesh, zeta)):
+            want = sp.csc_array(dense)
+            assert got.format == "csc" and got.dtype == want.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+            for name in ("indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_dense_properties_keep_dtype_shape_and_size(self):
+        # fresh n x n copies of float64 K and M and complex128 C, whose nbytes
+        # add up to the 16 n^2 + 8 n^2 + 8 n^2 bytes of three dense fields
+        q = assemble(build_mesh("disk_polygon{4,16}"), zeta=0.5)
+        n = q.dim
+        for dense, stored, dtype in ((q.k_stiff, q.k, np.float64),
+                                     (q.c_bdry, q.c, np.complex128),
+                                     (q.m_mass, q.m, np.float64)):
+            assert dense.dtype == dtype and dense.shape == (n, n)
+            assert dense.nbytes == n * n * np.dtype(dtype).itemsize
+            dense[0, 0] += 1.0
+            assert stored[0, 0] != dense[0, 0]
+        copy = QepMatrices(k_stiff=q.k_stiff, c_bdry=q.c, m_mass=q.m_mass)
+        for got, want in ((copy.k, q.k), (copy.c, q.c), (copy.m, q.m)):
+            assert got.format == "csc" and (got != want).nnz == 0
+
+    def test_vertex_in_no_triangle_is_a_second_component(self):
+        base = reference_triangle_mesh()
+        mesh = Mesh(np.vstack([base.vertices, [[5.0, 5.0]]]), base.triangles,
+                    base.boundary_edges, base.boundary_labels)
+        with pytest.raises(InvalidInputError, match="not connected: 2 components"):
+            assemble(mesh, zeta=0.5)
+
+    def test_assemble_and_shift_invert_allocate_no_dense_matrix(self):
+        # at the 4096-vertex cap one dense n x n float matrix takes 134 MB
+        mesh = build_mesh("square{63}")
+        tracemalloc.start()
+        try:
+            report = solve_qep(assemble(mesh, zeta=0.5), 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.metadata["path"] == "shift-invert-arnoldi"
+        assert peak < 64e6
+
     def test_anisotropic_flux_scales_stiffness(self):
         mesh = reference_triangle_mesh()
         mat = MaterialCoefficients(alpha_inv=np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -264,11 +318,50 @@ class TestAssemble:
         assert np.abs(q.k_stiff - 2.0 * q_unit.k_stiff).max() < 1e-14
 
 
+def dense_assembly(mesh, zeta):
+    """K, C, M of the plain acoustic case scattered into dense arrays: K and M
+    by np.add.at in triangle order, C block by block in rim-edge order."""
+    n = mesh.n_vertices
+    areas = mesh.signed_areas()
+    pts = mesh.vertices[mesh.triangles]
+    opp = pts[:, [2, 0, 1], :] - pts[:, [1, 2, 0], :]
+    grads = np.stack([-opp[..., 1], opp[..., 0]], axis=-1) / (2.0 * areas)[:, None, None]
+    alpha = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2))
+    flux = np.einsum("tie,tef,tjf->tij", grads, alpha, grads) * areas[:, None, None]
+    mass = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * areas[:, None, None]
+    rows = mesh.triangles[:, :, None].repeat(3, axis=2).ravel()
+    cols = mesh.triangles[:, None, :].repeat(3, axis=1).ravel()
+    k, m, c = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n), dtype=complex)
+    np.add.at(k, (rows, cols), flux.ravel())
+    np.add.at(m, (rows, cols), mass.ravel())
+    per_label = zeta if isinstance(zeta, dict) else {label: zeta for label in mesh.label_set()}
+    for (i, j), label, length in zip(mesh.boundary_edges, mesh.boundary_labels,
+                                     mesh.boundary_lengths()):
+        z_here = per_label[label]
+        if callable(z_here):
+            a, b = mesh.vertices[i], mesh.vertices[j]
+            block = np.zeros((2, 2), dtype=complex)
+            for t, w in zip(fem_module._EDGE_QUAD_T, fem_module._EDGE_QUAD_W):
+                x = (1.0 - t) * a + t * b
+                shape_fn = np.array([1.0 - t, t])
+                block += w * complex(z_here(x[0], x[1])) * np.outer(shape_fn, shape_fn)
+            block *= length
+        else:
+            block = complex(z_here) * length * (np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0)
+        c[np.ix_([i, j], [i, j])] += block
+    return k, c, m
+
+
 def invariant_inputs(spec="square{4}", zeta=0.5):
-    """Assembled K, C, M of spec and the arguments of the invariant check."""
+    """Dense copies of the assembled K, C, M of spec, and its rim vertices."""
     mesh = build_mesh(spec)
     q = assemble(mesh, zeta=zeta)
-    return q.k_stiff.copy(), q.c_bdry.copy(), q.m_mass.copy(), np.unique(mesh.boundary_edges)
+    return q.k_stiff, q.c_bdry, q.m_mass, np.unique(mesh.boundary_edges)
+
+
+def check_invariants(k, c, m, min_re_zeta, rim):
+    """The invariant check on CSC arrays of dense K, C, M, as assemble stores them."""
+    fem_module._check_qep_invariants(*map(sp.csc_array, (k, c, m)), min_re_zeta, rim)
 
 
 def lonely_triangle(mesh):
@@ -284,7 +377,7 @@ class TestInvariantChecks:
     )
     def test_assembled_matrices_pass(self, spec):
         k, c, m, rim = invariant_inputs(spec)
-        fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+        check_invariants(k, c, m, 0.5, rim)
 
     def test_indefinite_stiffness_with_constant_kernel_rejected(self):
         k, c, m, rim = invariant_inputs()
@@ -294,7 +387,7 @@ class TestInvariantChecks:
         k += -10.0 * np.abs(k).max() * np.outer(e, e)
         assert np.abs(k @ np.ones(k.shape[0])).max() < 1e-12
         with pytest.raises(NumericalFailureError, match="stiffness kernel"):
-            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+            check_invariants(k, c, m, 0.5, rim)
 
     def test_second_eigenvalue_below_threshold_rejected(self):
         # K stays PSD with the constant kernel, but its second eigenvalue sits
@@ -305,7 +398,7 @@ class TestInvariantChecks:
         k -= (w[1] - 0.5 * tau) * np.outer(v[:, 1], v[:, 1])
         assert 0.0 < np.linalg.eigvalsh(k)[1] < tau
         with pytest.raises(NumericalFailureError, match="stiffness kernel"):
-            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+            check_invariants(k, c, m, 0.5, rim)
 
     def test_negative_local_mass_rejected(self):
         mesh = build_mesh("square{4}")
@@ -315,15 +408,15 @@ class TestInvariantChecks:
         local = 0.5 * m[vertex, vertex] * (np.ones((3, 3)) + np.eye(3))
         m[np.ix_(mesh.triangles[t], mesh.triangles[t])] -= 2.0 * local
         with pytest.raises(NumericalFailureError, match="mass matrix"):
-            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+            check_invariants(k, c, m, 0.5, rim)
 
     def test_negative_damping_under_accretive_coefficients_rejected(self):
         k, c, m, rim = invariant_inputs()
         c[rim[2], rim[2]] -= 10.0 * np.abs(c).max()
         with pytest.raises(NumericalFailureError, match="damping lost positivity"):
-            fem_module._check_qep_invariants(k, c, m, 0.5, rim)
+            check_invariants(k, c, m, 0.5, rim)
         # a nonaccretive coefficient may make C indefinite
-        fem_module._check_qep_invariants(k, c, m, -0.5, rim)
+        check_invariants(k, c, m, -0.5, rim)
 
     def test_negative_local_mass_exits_4(self, monkeypatch, capsys):
         from impedbench import cli
