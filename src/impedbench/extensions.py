@@ -213,7 +213,7 @@ def restrict_extension(fx: TupleFixture, k=None, z=None) -> ExtensionModel:
     if k is not None:
         if isinstance(k, ContractionParam):
             k = k.matrix
-        triple, _ = to_boundary_triple(tup, fx.transform)
+        triple = to_boundary_triple(tup, fx.transform)
         constraint = constraint_from_contraction(k, triple)
         source = "from-contraction"
     else:
@@ -223,12 +223,11 @@ def restrict_extension(fx: TupleFixture, k=None, z=None) -> ExtensionModel:
     raw = constraint_nullspace(constraint, tup.state_dim)
     gram_x = fx.model.gram_x
     basis = gram_x.orthonormalize(raw)
-    m = fx.model.astar
-    op = basis.conj().T @ gram_x.matrix @ (m @ basis)
+    image = fx.model.astar @ basis
+    op = basis.conj().T @ gram_x.matrix @ image
     # How far the subspace is from being invariant under the operator; the
     # compression is dissipative regardless, but eigenvalues are only exact
     # on (nearly) invariant subspaces.
-    image = m @ basis
     proj = basis @ (basis.conj().T @ (gram_x.matrix @ image))
     denom = max(np.linalg.norm(image), 1e-30)
     defect = float(np.linalg.norm(image - proj) / denom)
@@ -323,7 +322,7 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     kernel and agrees with y0 up to an hb-correction.
     """
     tup = fx.boundary
-    triple, _ = to_boundary_triple(tup, fx.transform)
+    triple = to_boundary_triple(tup, fx.transform)
     gram_x = fx.model.gram_x
     n = tup.state_dim
 

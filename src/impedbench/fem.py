@@ -601,9 +601,11 @@ def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
     return np.array(lams), np.array(pvecs).T
 
 
-def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, zeta_zero: bool):
-    """Indices of the n_want genuine modes nearest the origin and of the
-    quotient artifacts, each in order of |lam|."""
+def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, radius: float,
+                  zeta_zero: bool):
+    """Indices of the n_want genuine modes nearest the origin, and of every
+    further one with |lam| < radius, and of the quotient artifacts, each in
+    order of |lam|."""
     order = np.argsort(np.abs(lams), kind="stable")
     kept_idx, artifact_idx = [], []
     for j in order:
@@ -612,7 +614,7 @@ def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, zeta_zero: b
             continue
         if not zeta_zero and abs(lams[j]) < ARTIFACT_RADIUS and _is_constant_direction(p):
             artifact_idx.append(j)
-        elif len(kept_idx) < n_want:
+        elif len(kept_idx) < n_want or abs(lams[j]) < radius:
             kept_idx.append(j)
     return kept_idx, artifact_idx
 
@@ -682,8 +684,8 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
 
-def _solve_shift_invert(k_s, c_s, m_s, n_want: int, linearization: str, accretive: bool,
-                        rng, mu_top: float):
+def _solve_shift_invert(k_s, c_s, m_s, n_want: int, radius: float, linearization: str,
+                        accretive: bool, rng, mu_top: float):
     """The modes nearest the origin by shift-invert ARPACK on the sparse K, C
     (of class linearization) and M from a start vector rng draws: (path,
     lams, p-vectors, info), info holding the arithmetic and the final ARPACK
@@ -695,9 +697,9 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, linearization: str, accretiv
     on _pencil_operator at sigma_w = rho sigma, whose eigenvalues nu give
     lam = (sigma_w + 1/nu) / rho at |lam - sigma| = 1/|nu|. Every mode not
     returned lies at least R = max |lam_j - sigma| from sigma, so no mode
-    with |lam| <= r_sel, the n_want-th genuine modulus, was missed when
-    r_sel + |sigma| < R. Otherwise k grows by half, up to a quarter of the
-    pencil dimension.
+    with |lam| <= r = max(r_sel, radius), r_sel the n_want-th genuine
+    modulus, was missed when r + |sigma| < R. Otherwise k grows by half, up
+    to a quarter of the pencil dimension.
     """
     import scipy.sparse.linalg as spla
 
@@ -746,11 +748,11 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, linearization: str, accretiv
             # (sigma_w + 1/nu) / rho, with the zero signs of i (s - 1/nu) for real C
             lams, pvecs = (-sigma_w - 1.0 / vals) * (-1 / rho), vecs[:n, :]
             far = np.abs(lams - sigma).max()
-        kept_idx, _ = _select_modes(lams, pvecs, n_want, zeta_zero)
-        if len(kept_idx) == n_want:
-            r_sel = abs(lams[kept_idx[-1]])
-            # in the mu variable the certificate reads r_sel^2 + |sigma| < R
-            r_cert = r_sel * r_sel if zeta_zero else r_sel
+        kept_idx, _ = _select_modes(lams, pvecs, n_want, radius, zeta_zero)
+        if len(kept_idx) >= n_want:
+            r = max(abs(lams[kept_idx[-1]]), radius)
+            # in the mu variable the certificate reads r^2 + |sigma| < R
+            r_cert = r * r if zeta_zero else r
             if r_cert + abs(sigma) < far:
                 info = {"arithmetic": "real" if op.dtype == float else "complex",
                         "arpack_k": n_eig}
@@ -760,8 +762,10 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, linearization: str, accretiv
         n_eig = min(n_eig + n_eig // 2, limit)
 
 
-def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
-    """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin.
+def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> SpectrumReport:
+    """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin: the
+    n_want genuine modes nearest it and every further one with |lam| < radius,
+    so metadata["returned"] may exceed metadata["requested"] (n_want).
 
     C is classified once, by exact-zero tests: zero (hermitian), real
     (real-rotated), purely imaginary (real-direct) or complex. Each nonzero
@@ -769,8 +773,9 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     real unless C is complex. With at least SPARSE_MIN_VERTICES vertices and
     n_want at most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos
     (C = 0) or Arnoldi on the stored CSC arrays K, C and M computes the wanted
-    modes and certifies that none nearer the origin was missed, recording
-    metadata["arithmetic"] and the final ARPACK k (metadata["arpack_k"]).
+    modes and certifies that none nearer the origin than the farther of the
+    n_want-th mode and radius was missed, recording metadata["arithmetic"]
+    and the final ARPACK k (metadata["arpack_k"]).
     Otherwise, or when it cannot certify them, the dense companion of the
     pencil (a generalized Hermitian solve when C = 0) computes every mode,
     within its cap. metadata["path"] names the solver that ran. Near-zero
@@ -811,8 +816,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
     solved = None
     if sparse:
         accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
-        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, linearization, accretive, rng,
-                                     norm_k / norm_m)
+        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, radius, linearization, accretive,
+                                     rng, norm_k / norm_m)
         if solved is None and n > MAX_SOLVE_VERTICES:
             raise NumericalFailureError(
                 f"shift-invert gave no certified set of {n_want} modes and the dense "
@@ -824,7 +829,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24) -> SpectrumReport:
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
-    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, linearization == "hermitian")
+    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, radius,
+                                           linearization == "hermitian")
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
@@ -913,24 +919,6 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
 # Convergence study
 
 
-def _modes_within(q: QepMatrices, n_want: int, match_radius: float):
-    """FEM eigenvalues of q from n_want modes on, doubling the request while
-    all of them came back and the farthest lies inside match_radius.
-
-    Returns the eigenvalues, the requests and the largest |lam|.
-    """
-    asked = [n_want]
-    while True:
-        rep = solve_qep(q, n_want=asked[-1])
-        computed = np.array(
-            [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
-        )
-        radius = float(np.abs(computed).max()) if computed.size else 0.0
-        if rep.metadata["returned"] < asked[-1] or radius >= match_radius:
-            return computed, asked, radius
-        asked.append(2 * asked[-1])
-
-
 def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -> dict:
     """Eigenvalue errors against a trusted reference over a refinement ladder.
 
@@ -940,12 +928,11 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
     unmatched references are reported, not fatal.
 
     Only an eigenvalue with |lam| < max |ref| + MATCH_GAP can match. Each
-    level asks solve_qep for 4 len(ref) + 8 modes and doubles the request
-    while all of them came back and the farthest lies inside that radius.
-    solve_qep certifies that no mode nearer the origin than the returned ones
-    was missed, so every eigenvalue that could match is among them. The
-    result records the requests per level (modes_requested) and the largest
-    |lam| of the last solve (radius_reached).
+    level makes one solve_qep call for 4 len(ref) + 8 modes and every mode
+    inside that radius; solve_qep certifies that none of them was missed, so
+    every eigenvalue that could match is among those returned. The result
+    records the request per level (modes_requested, one-element lists) and
+    the largest |lam| returned (radius_reached).
     """
     levels = [int(x) for x in h_schedule]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
@@ -957,16 +944,18 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
         raise InvalidInputError("reference spectrum is empty")
     match_radius = max(abs(v) for v in ref_vals) + MATCH_GAP
 
-    specs, errors, requests, reached = [], [], [], []
+    n_want = 4 * len(ref_vals) + 8
+    specs, errors, reached = [], [], []
     for n in levels:
         spec = f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
         specs.append(spec)
         # the matrices go out of scope before the next level is assembled
-        computed, asked, radius = _modes_within(
-            assemble(build_mesh(spec), zeta=zeta), 4 * len(ref_vals) + 8, match_radius
+        rep = solve_qep(assemble(build_mesh(spec), zeta=zeta), n_want=n_want,
+                        radius=match_radius)
+        computed = np.array(
+            [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
         )
-        requests.append(asked)
-        reached.append(radius)
+        reached.append(float(np.abs(computed).max()) if computed.size else 0.0)
         row = []
         for rv in ref_vals:
             if computed.size == 0:
@@ -1000,7 +989,7 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
         "finest_orders": orders[-1] if orders else [],
         "unmatched": unmatched,
         "match_radius": match_radius,
-        "modes_requested": requests,
+        "modes_requested": [[n_want] for _ in levels],
         "radius_reached": reached,
     }
 

@@ -66,12 +66,6 @@ class GramMatrix:
         self.dim = n
         self.chol_upper = r
 
-    @classmethod
-    def identity(cls, dim: int) -> "GramMatrix":
-        if dim < 1:
-            raise InvalidInputError("gram dimension must be positive")
-        return cls(np.eye(dim))
-
     def inner(self, u, v) -> complex:
         """(u|v) = v^H G u."""
         u = np.asarray(u, dtype=complex).reshape(-1)

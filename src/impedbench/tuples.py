@@ -201,36 +201,21 @@ def green_defect(model: OperatorModel, tup: BoundaryTupleModel, f, g) -> complex
 def to_boundary_triple(tup: BoundaryTupleModel, t: TupleTransform):
     """Flatten a tuple with explicit duality to a triple over the pivot space.
 
-    Returns (triple, dual_triple). The triple has traces v^{-1} gamma0 and
-    v_natural gamma1; every metric on it is the pivot gram, and the pairing
-    equals the pivot inner product. The dual triple swaps the roles of the
-    traces with factors of i, so that its first trace is i * gamma1_v and its
-    second is -i * gamma0_v. Applying the construction to the dual recovers
-    the original triple exactly.
+    The triple has traces v^{-1} gamma0 and v_natural gamma1; every metric
+    on it is the pivot gram, and the pairing equals the pivot inner product.
     """
     t.verify(tup)
     g_h = tup.gram_pivot
     if t.v.shape[0] != tup.trace_dim or t.v.shape[1] != g_h.dim:
         raise InvalidInputError("transform dimensions do not match the tuple")
-    gamma0_v = np.linalg.solve(t.v, tup.gamma0)
-    gamma1_v = t.v_natural @ tup.gamma1
-    triple = BoundaryTupleModel(
-        gamma0=gamma0_v,
-        gamma1=gamma1_v,
+    return BoundaryTupleModel(
+        gamma0=np.linalg.solve(t.v, tup.gamma0),
+        gamma1=t.v_natural @ tup.gamma1,
         gram_minus=g_h,
         gram_pivot=g_h,
         gram_plus=g_h,
         pairing=g_h.matrix.copy(),
     )
-    dual = BoundaryTupleModel(
-        gamma0=1j * gamma1_v,
-        gamma1=-1j * gamma0_v,
-        gram_minus=g_h,
-        gram_pivot=g_h,
-        gram_plus=g_h,
-        pairing=g_h.matrix.copy(),
-    )
-    return triple, dual
 
 
 def accretivity_defect(z, tup: BoundaryTupleModel) -> float:

@@ -512,6 +512,22 @@ class TestSolveQep:
     def test_mixed_boundary_labels_shift_invert(self):
         self._check_mixed_labels("square{16}", "shift-invert-arnoldi")
 
+    def test_radius_adds_every_mode_inside_it(self):
+        # overdamped rim modes crowd the origin: at zeta = 1000 far more
+        # than 16 modes of disk_polygon{8,32} lie inside |lam| < 4.33
+        q = assemble(build_mesh("disk_polygon{8,32}"), zeta=1000.0)
+        wide = solve_qep(q, n_want=16, radius=4.33)
+        assert wide.metadata["path"] == "shift-invert-arnoldi"
+        assert wide.metadata["requested"] == 16
+        assert wide.metadata["returned"] > 16
+        fem = [complex(e.re_lambda, e.im_lambda) for e in wide.entries if e.mode_tag == "fem"]
+        assert len(fem) == wide.metadata["returned"]
+        assert all(abs(v) < 4.33 for v in fem)
+        # radius 0 is the default
+        plain, zero = solve_qep(q, n_want=16), solve_qep(q, n_want=16, radius=0.0)
+        assert zero.entries == plain.entries
+        assert zero.metadata == plain.metadata
+
     def test_n_want_and_validation(self):
         q = assemble(build_mesh("square{4}"), zeta=1.0)
         rep = solve_qep(q, n_want=7)
@@ -787,39 +803,58 @@ class TestConvergence:
 
     @staticmethod
     def record_requests(monkeypatch):
-        requests = []
+        """Record (n_want, radius) of each solve_qep call, and (q, report)."""
+        requests, solved = [], []
         solve = fem_module.solve_qep
 
-        def recording(q, n_want=24):
-            requests.append(n_want)
-            return solve(q, n_want=n_want)
+        def recording(q, n_want=24, radius=0.0):
+            requests.append((n_want, radius))
+            solved.append((q, solve(q, n_want=n_want, radius=radius)))
+            return solved[-1][1]
 
         monkeypatch.setattr(fem_module, "solve_qep", recording)
-        return requests
+        return requests, solved
 
     def test_modes_requested_once_when_they_reach_the_match_radius(self, monkeypatch):
         ref = self.disk_reference(0.5)
-        requests = self.record_requests(monkeypatch)
+        requests, _ = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], 0.5, ref)
-        # 4 len(ref) + 8 modes, one solve per level
-        assert requests == [16, 16]
-        assert study["modes_requested"] == [[16], [16]]
         assert study["match_radius"] == max(abs(complex(*v)) for v in study["reference"]) + 0.5
+        # 4 len(ref) + 8 modes and the match radius, one solve per level
+        assert requests == [(16, study["match_radius"])] * 2
+        assert study["modes_requested"] == [[16], [16]]
         assert min(study["radius_reached"]) >= study["match_radius"]
         assert study["unmatched"] == 0
 
-    def test_request_grows_to_the_match_radius(self, monkeypatch):
-        # overdamped rim modes crowd the origin at large zeta: 16 modes end
-        # inside the radius where a reference could still match
-        ref = self.disk_reference(1000.0)
-        requests = self.record_requests(monkeypatch)
-        study = convergence_study("disk_polygon", [4, 8], 1000.0, ref)
-        assert requests == [n for asked in study["modes_requested"] for n in asked]
-        assert len(requests) > 2
-        for asked in study["modes_requested"]:
-            assert asked == [16 * 2**i for i in range(len(asked))]
-        assert min(study["radius_reached"]) >= study["match_radius"]
+    @pytest.mark.parametrize("zeta", [2.0, 1000.0])
+    def test_modes_inside_the_match_radius_are_complete(self, monkeypatch, zeta):
+        # overdamped rim modes crowd the origin at large zeta: on
+        # disk_polygon{8,32} the 16 modes nearest it end inside the radius
+        # where a reference could still match, and one solve returns them all
+        ref = self.disk_reference(zeta)
+        requests, solved = self.record_requests(monkeypatch)
+        study = convergence_study("disk_polygon", [4, 8], zeta, ref)
+        rho = study["match_radius"]
+        assert requests == [(16, rho)] * 2
+        assert study["modes_requested"] == [[16], [16]]
         assert study["unmatched"] == 0
+        assert solved[-1][1].metadata["path"] == "shift-invert-arnoldi"
+        assert solved[-1][1].metadata["returned"] > 16
+
+        def inside(rep):
+            vals = np.array([complex(e.re_lambda, e.im_lambda)
+                             for e in rep.entries if e.mode_tag == "fem"])
+            return vals[np.abs(vals) < rho]
+
+        # the dense companion computes every mode of each level
+        monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w: False)
+        for q, rep in solved:
+            dense = solve_qep(q, n_want=1, radius=rho)
+            assert not dense.metadata["path"].startswith("shift-invert")
+            a, b = inside(rep), inside(dense)
+            assert len(a) == len(b)
+            rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+            assert np.abs(a[rows] - b[cols]).max() <= 1e-10
 
     def test_schedule_validation(self):
         ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
