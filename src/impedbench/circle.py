@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidInputError
 from .reports import CompactnessReport
@@ -28,8 +27,8 @@ AMBIENT_DIM = 2
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
-# the cutoff; at 1024 it took 3.2-4.5 s and 258 MB peak resident for a complex
-# sampled coefficient, 2.2-2.5 s and 237 MB for power(0.3), whose sections are
+# the cutoff; at 1024 it took 2.5-2.6 s and 249 MB peak resident for a complex
+# sampled coefficient, 1.6-1.7 s and 209 MB for power(0.3), whose sections are
 # Hermitian (one thread, 2-vCPU VM). Building one 2049 x 2049 section peaks
 # at 96 MB traced.
 MAX_SECTION_CUTOFF = 1024
@@ -329,14 +328,14 @@ def _largest_singular_value(section: np.ndarray):
             beta = np.linalg.norm(v)
         diag = alphas[: k + 1] ** 2
         diag[1:] += betas[:k] ** 2
-        theta, y = sla.eigh_tridiagonal(
-            diag, alphas[:k] * betas[:k], select="i", select_range=(k, k)
-        )
-        if beta * abs(alpha * y[k, 0]) <= 4.0 * eps * theta[0]:
-            return 2.0**e * math.sqrt(theta[0]), k + 1
+        # eigh reads only the lower triangle
+        off = alphas[:k] * betas[:k]
+        theta, y = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        if beta * abs(alpha * y[k, k]) <= 4.0 * eps * theta[k]:
+            return 2.0**e * math.sqrt(theta[k]), k + 1
         betas[k] = beta
         right[k + 1] = v / beta
-    return 2.0**e * float(sla.svdvals(section)[0]), None
+    return 2.0**e * float(np.linalg.svd(section, compute_uv=False)[0]), None
 
 
 def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
@@ -347,11 +346,14 @@ def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
     U = (I + i J)/sqrt(2); the Hermitian part of every coefficient section is
     centro-Hermitian, since J S J = S^T for a Toeplitz section with even weights.
     """
-    herm = (section + section.conj().T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = (section + section.conj().T) / 2.0
+    if not np.isfinite(herm).all():
+        raise InvalidInputError("the Hermitian part of the last section overflows")
     if np.array_equal(herm[::-1, ::-1], herm.conj()):
         real = herm.real - 0.5 * (herm[:, ::-1].imag - herm[::-1, :].imag)
-        return float(sla.eigvalsh(real, subset_by_index=[0, 0])[0]), "real"
-    return float(sla.eigvalsh(herm, subset_by_index=[0, 0])[0]), "complex"
+        return float(np.linalg.eigvalsh(real)[0]), "real"
+    return float(np.linalg.eigvalsh(herm)[0]), "complex"
 
 
 def compactness_gate(
@@ -388,7 +390,10 @@ def compactness_gate(
         )
 
     if isinstance(target, ImpedanceCoefficient):
-        coeffs = target.fourier_coeffs(2 * schedule[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = target.fourier_coeffs(2 * schedule[-1])
+        if not np.isfinite(coeffs).all():
+            raise InvalidInputError(f"Fourier coefficients of {target.label} overflow")
         center = (coeffs.size - 1) // 2
 
         def provider(n_cut: int) -> np.ndarray:
@@ -412,22 +417,27 @@ def compactness_gate(
                 f"provider returned shape {section.shape} at cutoff {n_cut}, "
                 f"expected ({expected}, {expected})"
             )
+        if not np.isfinite(section).all():
+            raise InvalidInputError(f"section at cutoff {n_cut} has non-finite entries")
         hermitian = np.array_equal(section, section.conj().T)
         if hermitian:
             # singular values of a Hermitian matrix are the moduli of its
             # eigenvalues; the corner is a principal block, so Hermitian too
             if not section.imag.any():
                 section = section.real
-            eigs = sla.eigvalsh(section)
+            eigs = np.linalg.eigvalsh(section)
             full, steps = max(-eigs[0], eigs[-1]), None
-            sig = np.sort(np.abs(sla.eigvalsh(_corner_block(section, n_cut))))[::-1]
+            sig = np.sort(np.abs(np.linalg.eigvalsh(_corner_block(section, n_cut))))[::-1]
         else:
             if dense:
-                full, steps = sla.svdvals(section)[0], None
+                full, steps = np.linalg.svd(section, compute_uv=False)[0], None
             else:
                 full, steps = _largest_singular_value(section)
                 dense = steps is None
-            sig = sla.svdvals(_corner_block(section, n_cut))
+            sig = np.linalg.svd(_corner_block(section, n_cut), compute_uv=False)
+        # the indicator is scale-invariant, but an overflowed norm reads as 0
+        if not (np.isfinite(full) and np.isfinite(sig).all()):
+            raise InvalidInputError(f"section norm at cutoff {n_cut} overflows")
         norms.append(float(full))
         norm_steps.append(steps)
         indicators.append(float(sig[0] / full) if full > 0 else 0.0)
@@ -455,6 +465,8 @@ def compactness_gate(
         arithmetic = "complex" if np.iscomplexobj(section) else "real"
     else:
         re_defect, arithmetic = _smallest_hermitian_part_eigenvalue(section)
+    if not np.isfinite(re_defect):
+        raise InvalidInputError("smallest eigenvalue of the Hermitian part overflows")
 
     return CompactnessReport(
         label=label,

@@ -15,13 +15,13 @@ routines apply to them directly.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import (
     GramMatrix,
     as_complex_matrix,
     gram_operator_norm,
+    null_space,
     numerical_rank,
 )
 from .tuples import (
@@ -53,10 +53,10 @@ def cayley(z) -> np.ndarray:
         raise InvalidInputError("cayley input must be square")
     eye = np.eye(z.shape[0])
     den = z + eye
-    sv = sla.svdvals(den)
+    sv = np.linalg.svd(den, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise InvalidInputError("cayley transform undefined: -1 is in the spectrum")
-    return sla.solve(den.T, (z - eye).T).T
+    return np.linalg.solve(den.T, (z - eye).T).T
 
 
 def inverse_cayley(k) -> np.ndarray:
@@ -66,12 +66,12 @@ def inverse_cayley(k) -> np.ndarray:
         raise InvalidInputError("inverse cayley input must be square")
     eye = np.eye(k.shape[0])
     den = eye - k
-    sv = sla.svdvals(den)
+    sv = np.linalg.svd(den, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise InvalidInputError(
             "inverse cayley undefined: 1 is in the spectrum of the contraction"
         )
-    return sla.solve(den, eye + k)
+    return np.linalg.solve(den, eye + k)
 
 
 def cayley_identity_defect(z) -> float:
@@ -79,7 +79,7 @@ def cayley_identity_defect(z) -> float:
     z = as_complex_matrix(np.atleast_2d(z), "cayley input")
     eye = np.eye(z.shape[0])
     lhs = cayley(z) + eye
-    rhs = 2.0 * sla.solve((z + eye).T, z.T).T
+    rhs = 2.0 * np.linalg.solve((z + eye).T, z.T).T
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
@@ -127,8 +127,8 @@ def contraction_to_impedance(param: ContractionParam, fx: TupleFixture) -> np.nd
     if param.dim != fx.boundary.gram_pivot.dim:
         raise InvalidInputError("contraction does not match the fixture pivot space")
     z_piv = inverse_cayley(param.matrix)
-    rhs = sla.solve(t.v.T, z_piv.T).T  # z_piv v^{-1}
-    return sla.solve(t.v_natural, rhs)
+    rhs = np.linalg.solve(t.v.T, z_piv.T).T  # z_piv v^{-1}
+    return np.linalg.solve(t.v_natural, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def constraint_nullspace(constraint, state_dim: int) -> np.ndarray:
     scale = np.linalg.norm(c, 2)
     if scale == 0.0:
         return np.eye(state_dim, dtype=complex)
-    basis = sla.null_space(c, rcond=NULLSPACE_TOL).astype(complex)
+    basis = null_space(c, NULLSPACE_TOL)
     if basis.shape[1] == 0:
         raise InvalidInputError("constraint kernel is trivial; nothing to restrict to")
     return basis
@@ -193,10 +193,10 @@ class ExtensionModel:
     def max_im_numrange(self) -> float:
         """Largest imaginary part over the numerical range of op."""
         h = (self.op - self.op.conj().T) / 2j
-        return float(sla.eigvalsh(h)[-1])
+        return float(np.linalg.eigvalsh(h)[-1])
 
     def eigenvalues(self) -> np.ndarray:
-        vals = sla.eigvals(self.op)
+        vals = np.linalg.eigvals(self.op)
         order = np.lexsort((vals.imag, vals.real))
         return vals[order]
 
@@ -255,7 +255,7 @@ def mdissipativity_report(model: ExtensionModel, points=DEFAULT_RESOLVENT_POINTS
         z = complex(z)
         if z.imag <= 0:
             raise InvalidInputError("resolvent checkpoints must have positive imaginary part")
-        sv = sla.svdvals(model.op - z * eye)
+        sv = np.linalg.svd(model.op - z * eye, compute_uv=False)
         bound = float(1.0 / sv[-1]) if sv[-1] > 0 else float("inf")
         limit = 1.0 / z.imag
         checks.append(
@@ -329,18 +329,18 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     ref_basis = gram_x.orthonormalize(constraint_nullspace(triple.gamma1, n))
     m_z = fx.model.astar - z * np.eye(n)
     shifted = m_z @ ref_basis
-    e, _ = sla.qr(shifted, mode="economic")
+    e, _ = np.linalg.qr(shifted)
     core = e.conj().T @ shifted
-    sv = sla.svdvals(core)
+    sv = np.linalg.svd(core, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * sv[0]:
         raise NumericalFailureError(
             f"z={z:g} is (numerically) a spectral point of the reference condition; "
             "move the evaluation point"
         )
-    y0 = ref_basis @ sla.solve(core, e.conj().T)
+    y0 = ref_basis @ np.linalg.solve(core, e.conj().T)
 
     row = e.conj().T @ m_z
-    hb = sla.null_space(row, rcond=NULLSPACE_TOL).astype(complex)
+    hb = null_space(row, NULLSPACE_TOL)
     if hb.shape[1] != tup.trace_dim:
         raise NumericalFailureError(
             "unexpected surrogate deficiency dimension "
@@ -351,13 +351,13 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
 
 def _resolvent_for_constraint(constraint, y0, hb):
     c_hb = constraint @ hb
-    sv = sla.svdvals(c_hb)
+    sv = np.linalg.svd(c_hb, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
         raise NumericalFailureError(
             "boundary condition is degenerate at this evaluation point; "
             "the constraint does not split off the deficiency directions"
         )
-    correction = hb @ sla.solve(c_hb, constraint @ y0)
+    correction = hb @ np.linalg.solve(c_hb, constraint @ y0)
     return y0 - correction
 
 
@@ -388,10 +388,10 @@ def resolvent_difference_rank(
     r2 = _resolvent_for_constraint(c2, y0, hb)
 
     diff = r2 - r1
-    sigma_res = sla.svdvals(diff)
+    sigma_res = np.linalg.svd(diff, compute_uv=False)
     k1m = np.atleast_2d(np.asarray(k1, dtype=complex))
     k2m = np.atleast_2d(np.asarray(k2, dtype=complex))
-    sigma_par = sla.svdvals(k2m - k1m)
+    sigma_par = np.linalg.svd(k2m - k1m, compute_uv=False)
 
     rank_res = numerical_rank(diff, tol) if sigma_res[0] > 0 else 0
     rank_par = numerical_rank(k2m - k1m, tol) if sigma_par[0] > 0 else 0

@@ -1,12 +1,16 @@
 """Dense complex linear algebra with inner products given by Gram matrices.
 
-Everything here is plain LAPACK behind small wrappers that validate inputs,
-attach residual checks, and speak the workbench error taxonomy. Matrices are
-numpy arrays; sizes are desk scale (a few thousand at most).
+Everything here is plain LAPACK through numpy.linalg behind small wrappers
+that validate inputs, attach residual checks, and speak the workbench error
+taxonomy. Matrices are numpy arrays; sizes are desk scale (a few thousand at
+most). The boundary modules (tuples, extensions, circle) call numpy.linalg
+directly and this module for the three things it lacks: triangular solves
+with a Gram matrix's Cholesky factor, Hermitian-definite generalized
+eigenvalues, and SVD null spaces. None of them loads scipy, which would
+double the start-up time of the commands built on them.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidInputError
 
@@ -15,6 +19,7 @@ __all__ = [
     "GramMatrix",
     "numerical_rank",
     "gram_operator_norm",
+    "null_space",
 ]
 
 # Dense solves get slow and memory-hungry past this edge length.
@@ -59,12 +64,12 @@ class GramMatrix:
         g = 0.5 * (g + g.conj().T)
         try:
             # Upper factor R with G = R^H R, so ||x||_G = ||R x||_2.
-            r = sla.cholesky(g, lower=False)
-        except sla.LinAlgError as exc:
+            r = np.linalg.cholesky(g).conj().T
+        except np.linalg.LinAlgError as exc:
             raise InvalidInputError("gram matrix is not positive definite") from exc
         self.matrix = g
         self.dim = n
-        self.chol_upper = r
+        self.chol_upper = np.ascontiguousarray(r)
 
     def inner(self, u, v) -> complex:
         """(u|v) = v^H G u."""
@@ -72,16 +77,40 @@ class GramMatrix:
         v = np.asarray(v, dtype=complex).reshape(-1)
         return complex(v.conj() @ (self.matrix @ u))
 
+    def solve_factor(self, rhs, adjoint: bool = False) -> np.ndarray:
+        """R^{-1} rhs, or R^{-H} rhs when adjoint, for the cached factor R.
+
+        LU with partial pivoting meets no row exchange and only zero
+        multipliers on an upper triangular matrix, so np.linalg.solve is back
+        substitution here. R^H is lower triangular; reversing its rows and
+        columns makes it upper triangular, and the right-hand side and the
+        solution are reversed with it.
+        """
+        rhs = np.asarray(rhs)
+        if not adjoint:
+            return np.linalg.solve(self.chol_upper, rhs)
+        flipped = self.chol_upper.conj().T[::-1, ::-1]
+        return np.linalg.solve(flipped, rhs[::-1])[::-1]
+
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} rhs via the cached factor."""
-        y = sla.solve_triangular(self.chol_upper, rhs, trans="C", lower=False)
-        return sla.solve_triangular(self.chol_upper, y, lower=False)
+        return self.solve_factor(self.solve_factor(rhs, adjoint=True))
 
     def orthonormalize(self, basis) -> np.ndarray:
         """Columns spanning the same space, orthonormal in this inner product."""
         b = np.atleast_2d(np.asarray(basis, dtype=complex))
         q, _ = np.linalg.qr(self.chol_upper @ b)
-        return sla.solve_triangular(self.chol_upper, q, lower=False)
+        return self.solve_factor(q)
+
+    def eigvalsh(self, herm) -> np.ndarray:
+        """Ascending eigenvalues lam of herm x = lam G x, herm Hermitian.
+
+        They are the eigenvalues of R^{-H} herm R^{-1}, which is Hermitian
+        up to rounding and is made exactly so before the solve.
+        """
+        w = self.solve_factor(herm, adjoint=True)
+        c = self.solve_factor(w.conj().T, adjoint=True).conj().T
+        return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
 
 
 def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -89,7 +118,7 @@ def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
     if not tol > 0:
         raise InvalidInputError("rank tolerance must be positive")
     a = as_complex_matrix(m, "rank input")
-    s = sla.svdvals(a)
+    s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
@@ -108,7 +137,18 @@ def gram_operator_norm(m, gram_in: GramMatrix, gram_out: GramMatrix) -> float:
             f"operator shape {a.shape} does not match grams ({gram_out.dim}, {gram_in.dim})"
         )
     x = gram_out.chol_upper @ a
-    # Right-multiply by R_in^{-1}: solve R_in^T Y^T = X^T (plain transpose).
-    y = sla.solve_triangular(gram_in.chol_upper, x.T, trans="T", lower=False).T
-    s = sla.svdvals(y)
+    # Right-multiply by R_in^{-1}: X R_in^{-1} = (R_in^{-H} X^H)^H.
+    y = gram_in.solve_factor(x.conj().T, adjoint=True).conj().T
+    s = np.linalg.svd(y, compute_uv=False)
     return float(s[0]) if s.size else 0.0
+
+
+def null_space(a, rcond: float) -> np.ndarray:
+    """Orthonormal (Euclidean) basis of the kernel of a, columnwise.
+
+    The right singular vectors whose singular values are at most rcond
+    times the largest; a has at least one row.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = int(np.count_nonzero(s > rcond * s[0]))
+    return vh[rank:].conj().T

@@ -22,7 +22,6 @@ Conventions, used consistently everywhere:
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import GramMatrix, as_complex_matrix
@@ -91,7 +90,7 @@ class BoundaryTupleModel:
             raise InvalidInputError("pairing must be square for a non-degenerate duality")
         if self.gram_minus.dim != p or self.gram_plus.dim != q:
             raise InvalidInputError("trace gram dimensions disagree with trace maps")
-        s = sla.svdvals(self.pairing)
+        s = np.linalg.svd(self.pairing, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise InvalidInputError("pairing matrix is numerically singular")
 
@@ -127,7 +126,7 @@ class TupleTransform:
         self.v_natural = as_complex_matrix(self.v_natural, "v_natural")
         if self.v.shape[0] != self.v.shape[1]:
             raise InvalidInputError("v must be square (pivot and minus space dimensions agree)")
-        s = sla.svdvals(self.v)
+        s = np.linalg.svd(self.v, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise InvalidInputError("v must be invertible")
 
@@ -227,8 +226,7 @@ def accretivity_defect(z, tup: BoundaryTupleModel) -> float:
     z = _as_trace_operator(z, tup)
     pz = tup.pairing @ z
     herm = 0.5 * (pz + pz.conj().T)
-    vals = sla.eigh(herm, tup.gram_minus.matrix, eigvals_only=True)
-    return float(vals[0])
+    return float(tup.gram_minus.eigvalsh(herm)[0])
 
 
 def _as_trace_operator(z, tup: BoundaryTupleModel) -> np.ndarray:

@@ -435,6 +435,18 @@ class TestCompactnessGate:
             assert norm == pytest.approx(base * 2.0**power, rel=1e-15, abs=0)
             assert norm == pytest.approx(scipy.linalg.svdvals(scaled)[0], rel=1e-12, abs=0)
 
+    def test_bench_coefficient_lanczos_steps(self):
+        # the benchmark's sampled coefficient: 14 Golub-Kahan steps at every
+        # cutoff, each ending in a 15 x 15 tridiagonal eigensolve; the
+        # norms agree with a dense SVD
+        schedule = (16, 32, 64, 128, 256)
+        coef = bench_coefficient()
+        g = compactness_gate(coef, s=0.5, schedule=schedule)
+        assert g.metadata["norm_steps"] == [14] * 5
+        sections = reference_sections(coef, SobolevScale(0.5), schedule)
+        for norm, section in zip(g.section_norms, sections):
+            assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-12, abs=0)
+
     def test_budget_overrun_sends_later_cutoffs_to_svd(self, monkeypatch):
         # equally spaced singular values 1 + 1e-9 j outrun the step budget at
         # the first cutoff; the rank-one sections after it would converge at once
@@ -444,18 +456,18 @@ class TestCompactnessGate:
             return rank_one_section(n_cut)
 
         lanczos_dims, svd_dims = [], []
-        lanczos, svdvals = circle._largest_singular_value, scipy.linalg.svdvals
+        lanczos, svd = circle._largest_singular_value, np.linalg.svd
 
         def counted_lanczos(section):
             lanczos_dims.append(section.shape[0])
             return lanczos(section)
 
-        def counted_svdvals(a, *args, **kwargs):
+        def counted_svd(a, *args, **kwargs):
             svd_dims.append(a.shape[0])
-            return svdvals(a, *args, **kwargs)
+            return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(circle, "_largest_singular_value", counted_lanczos)
-        monkeypatch.setattr(circle.sla, "svdvals", counted_svdvals)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         schedule = (32, 64, 128)
         g = compactness_gate(provider, s=0.5, schedule=schedule)
         assert lanczos_dims == [65]

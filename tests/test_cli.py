@@ -31,6 +31,23 @@ def quick_start_examples():
 
 QUICK_START = quick_start_examples()
 
+# the boundary-checks benchmark's seven commands and the two closed-form
+# oracles, each writing --out into the working directory
+SCIPY_FREE_COMMANDS = {
+    "green-check": ["green-check", "--fixture", "transport-64", "--out", "green.json"],
+    "cayley": ["extension", "cayley", "--fixture", "transport-64", "--out", "cayley.json"],
+    "rank": ["extension", "rank", "--fixture", "transport2-48", "--rank", "2",
+             "--out", "rank.json"],
+    "mdiss": ["extension", "mdiss", "--fixture", "transport2-48", "--out", "mdiss.json"],
+    "gate-power": ["gate", "--zeta", "power:a=0.3", "--sections", "16,32,64,128,256",
+                   "--out", "gate-power.csv"],
+    "gate-file": ["gate", "--zeta", "file:coef.json", "--sections", "16,32,64,128,256",
+                  "--out", "gate-file.csv"],
+    "lq": ["lq", "--zeta", "power:a=0.3", "--out", "lq.json"],
+    "string": ["string", "--zeta", "0.5", "--out", "string.json"],
+    "disk": ["disk", "--zeta", "0.5", "--m-max", "1", "--out", "disk.json"],
+}
+
 # input files holding a non-finite number; Python's json reads NaN and Infinity
 NON_FINITE_INPUT_FILES = {
     "nan-samples.json": "[0.5, NaN, 1.0]",
@@ -194,6 +211,18 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "invalid input" in capsys.readouterr().err
 
+    # coefficients whose Fourier data, Hermitian part or section norms
+    # overflow; an overflowed norm would read as a zero indicator
+    @pytest.mark.parametrize("zeta,reason", [
+        ("power:a=0.9,c=1e308", "Fourier coefficients"),
+        ("const:1e308,1e308", "Hermitian part"),
+        ("power:a=0.3,c=1.7e308", "section norm"),
+    ])
+    def test_gate_overflow_exit3(self, capsys, zeta, reason):
+        assert run(["gate", "--zeta", zeta]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and reason in err
+
     def test_infinite_box_edge_exit3(self, capsys):
         argv = ["disk", "--zeta", "0.5", "--m-max", "0", "--box", "0.05,inf,-5,0.05"]
         assert run(argv) == 3
@@ -340,33 +369,39 @@ class TestOutputs:
                 sidecar["section_norms"], float(im) * np.array(unit["section_norms"]), rtol=1e-12
             )
 
-    def test_gate_file_runs_lanczos_without_sparse_import(self, tmp_path):
-        # a complex sampled coefficient takes the Lanczos norm; the gate must
-        # not load scipy.sparse (ARPACK), which costs the CLI memory
-        coef = tmp_path / "coef.json"
-        coef.write_text(json.dumps(
+    @pytest.mark.parametrize("label", sorted(SCIPY_FREE_COMMANDS))
+    def test_boundary_and_oracle_commands_load_no_scipy(self, tmp_path, label):
+        # these commands need only numpy.linalg; scipy's import would be
+        # about half of their start-up time. A fresh interpreter sees every
+        # module the command loads.
+        argv = SCIPY_FREE_COMMANDS[label]
+        (tmp_path / "coef.json").write_text(json.dumps(
             [[1.0 + 0.2 * np.cos(t), 0.1 * np.sin(2 * t)]
              for t in np.linspace(-np.pi, np.pi, 32, endpoint=False)]
         ))
-        out = tmp_path / "gate.csv"
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "from impedbench import cli\n"
-            f"code = cli.main(['gate', '--zeta', 'file:{coef}', '--out', '{out}'])\n"
-            "print(code, 'scipy.sparse' in sys.modules)\n"
+            f"code = cli.main({argv!r})\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(json.dumps([code, sorted(loaded)]))\n"
         )
         src = str(README.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
         ))
         done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True,
+            text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 False"
-        metadata = json.loads((tmp_path / "gate.json").read_text())["metadata"]
-        assert all(isinstance(steps, int) for steps in metadata["norm_steps"])
-        assert metadata["re_defect_arithmetic"] == "real"
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+        assert (tmp_path / argv[-1]).is_file()
+        if label == "gate-file":
+            # the complex sampled coefficient takes the Lanczos norm
+            metadata = json.loads((tmp_path / "gate-file.json").read_text())["metadata"]
+            assert all(isinstance(steps, int) for steps in metadata["norm_steps"])
+            assert metadata["re_defect_arithmetic"] == "real"
 
     def test_lq_json(self, tmp_path, capsys):
         out = tmp_path / "lq.json"

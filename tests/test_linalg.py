@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from impedbench.errors import InvalidInputError
 from impedbench.linalg import (
     GramMatrix,
     as_complex_matrix,
     gram_operator_norm,
+    null_space,
     numerical_rank,
 )
 
@@ -47,6 +49,76 @@ class TestGramMatrix:
         q = g.orthonormalize(b)
         gram = q.conj().T @ g.matrix @ q
         assert np.linalg.norm(gram - np.eye(2)) < 1e-12
+
+
+def random_gram(r, n: int) -> GramMatrix:
+    """A well-conditioned complex Gram matrix far from the identity."""
+    a = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+    return GramMatrix(a @ a.conj().T + n * np.diag(np.linspace(1.0, 10.0, n)))
+
+
+def rel_err(got, ref) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+# scipy.linalg is the independent reference for the helpers that stand in
+# for it; the package itself loads only numpy.linalg
+class TestScipyReference:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)])
+    def test_solve_factor_matches_solve_triangular(self, adjoint, shape):
+        r = rng()
+        g = random_gram(r, 7)
+        rhs = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        ref = sla.solve_triangular(g.chol_upper, rhs, trans="C" if adjoint else "N")
+        assert rel_err(g.solve_factor(rhs, adjoint=adjoint), ref) <= 1e-12
+
+    def test_solve_matches_cholesky_solve(self):
+        r = rng()
+        g = random_gram(r, 9)
+        rhs = r.standard_normal((9, 4)) + 1j * r.standard_normal((9, 4))
+        ref = sla.cho_solve((g.chol_upper, False), rhs)
+        assert rel_err(g.solve(rhs), ref) <= 1e-12
+
+    def test_cholesky_factor_matches_scipy(self):
+        g = random_gram(rng(), 6)
+        ref = sla.cholesky(g.matrix, lower=False)
+        assert rel_err(g.chol_upper, ref) <= 1e-12
+
+    def test_generalized_eigenvalues(self):
+        r = rng()
+        g = random_gram(r, 8)
+        a = r.standard_normal((8, 8)) + 1j * r.standard_normal((8, 8))
+        herm = a + a.conj().T
+        ref = sla.eigh(herm, g.matrix, eigvals_only=True)
+        got = g.eigvalsh(herm)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("rows,cols,rank", [(3, 8, 2), (6, 6, 4), (9, 5, 1), (2, 7, 2)])
+    def test_null_space_of_rank_deficient_matrix(self, rows, cols, rank):
+        r = np.random.default_rng(rows * cols + rank)
+        left = r.standard_normal((rows, rank)) + 1j * r.standard_normal((rows, rank))
+        right = r.standard_normal((rank, cols)) + 1j * r.standard_normal((rank, cols))
+        a = left @ right
+        basis = null_space(a, 1e-10)
+        ref = sla.null_space(a, rcond=1e-10)
+        assert basis.shape == ref.shape == (cols, cols - rank)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(cols - rank)) <= 1e-12
+        assert np.linalg.norm(a @ basis) <= 1e-12 * np.linalg.norm(a, 2)
+        # both bases span one space: equal orthogonal projectors
+        assert rel_err(basis @ basis.conj().T, ref @ ref.conj().T) <= 1e-12
+
+    def test_null_space_of_zero_matrix_is_everything(self):
+        basis = null_space(np.zeros((2, 4), dtype=complex), 1e-10)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(4)) <= 1e-15
+
+    def test_operator_norm_matches_whitened_svd(self):
+        r = rng()
+        gi, go = random_gram(r, 5), random_gram(r, 4)
+        m = r.standard_normal((4, 5)) + 1j * r.standard_normal((4, 5))
+        whitened = go.chol_upper @ m @ sla.inv(gi.chol_upper)
+        ref = sla.svdvals(whitened)[0]
+        assert gram_operator_norm(m, gi, go) == pytest.approx(ref, rel=1e-12)
 
 
 class TestNumericalRank:
