@@ -296,12 +296,15 @@ def _largest_singular_value(section: np.ndarray):
     theta is accepted once that is at most 4 eps theta. Past a budget of
     max(32, d // 8) steps the dense SVD answers instead, and the step count
     is None. The recurrence runs on the section divided by the power of two
-    at or below its largest entry, exact in floating point, so the squares
-    of alpha and beta neither overflow nor underflow whatever its scale.
+    at or below its largest real or imaginary part, exact in floating point,
+    so the squares of alpha and beta neither overflow nor underflow whatever
+    its scale.
     """
-    # 2^e <= max |S_ij| < 2^(e + 1); two exact products give S / 2^e, since
-    # 2^-e alone overflows for subnormal entries
-    e = int(np.frexp(np.abs(section).max())[1]) - 1
+    # 2^e <= m < 2^(e + 1) for m that part, which unlike |S_ij| cannot
+    # overflow; two exact products give S / 2^e, since 2^-e alone overflows
+    # for subnormal entries
+    top = max(np.abs(section.real).max(), np.abs(section.imag).max())
+    e = int(np.frexp(top)[1]) - 1
     section = section * 2.0 ** -(e // 2)
     section *= 2.0 ** (e // 2 - e)
     dim = section.shape[0]
@@ -346,10 +349,9 @@ def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
     U = (I + i J)/sqrt(2); the Hermitian part of every coefficient section is
     centro-Hermitian, since J S J = S^T for a Toeplitz section with even weights.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm = (section + section.conj().T) / 2.0
-    if not np.isfinite(herm).all():
-        raise InvalidInputError("the Hermitian part of the last section overflows")
+    # halving before adding keeps the sums of finite entries finite
+    herm = section / 2.0
+    herm += herm.conj().T
     if np.array_equal(herm[::-1, ::-1], herm.conj()):
         real = herm.real - 0.5 * (herm[:, ::-1].imag - herm[::-1, :].imag)
         return float(np.linalg.eigvalsh(real)[0]), "real"

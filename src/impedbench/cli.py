@@ -181,6 +181,17 @@ def _parse_tol(text: str) -> float:
     return value
 
 
+def _parse_seed(text: str) -> int:
+    """A random seed: an integer >= 0, of any size."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise _UsageError(f"expected an integer, got '{text}'")
+    if value < 0:
+        raise _UsageError(f"seed must be >= 0, got '{text}'")
+    return value
+
+
 def _json_path(text: str) -> str:
     """An --out name for the subcommands that write only JSON."""
     if not text.endswith(".json"):
@@ -273,22 +284,24 @@ def _cmd_extension_cayley(args) -> int:
         impedance_to_contraction,
     )
     from .fixtures import get_fixture
+    from .linalg import gram_operator_norm
     from .reports import write_json
 
     if args.trials < 1:
         raise InvalidInputError("trials must be >= 1")
     fx = get_fixture(args.fixture)
     dim = fx.boundary.trace_dim
+    g = fx.boundary.gram_pivot
     rng = np.random.default_rng(args.seed)
     worst_round, worst_identity, worst_norm = 0.0, 0.0, 0.0
     for _ in range(args.trials):
         z = _random_accretive(rng, dim)
-        param = impedance_to_contraction(z, fx)
-        back = contraction_to_impedance(param, fx)
+        k = impedance_to_contraction(z, fx)
+        back = contraction_to_impedance(k, fx)
         scale = max(np.abs(z).max(), 1.0)
         worst_round = max(worst_round, float(np.abs(back - z).max()) / scale)
         worst_identity = max(worst_identity, cayley_identity_defect(z))
-        worst_norm = max(worst_norm, param.norm)
+        worst_norm = max(worst_norm, gram_operator_norm(k, g, g))
     ok = worst_round <= args.tol and worst_identity <= args.tol and worst_norm <= 1.0 + args.tol
     print(
         f"extension cayley {args.fixture}: round-trip {worst_round:.3e} "
@@ -359,8 +372,8 @@ def _cmd_extension_rank(args) -> int:
     for _ in range(args.rank):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         bump += np.outer(v, v.conj())
-    k1 = impedance_to_contraction(z1, fx).matrix
-    k2 = impedance_to_contraction(z1 + bump, fx).matrix
+    k1 = impedance_to_contraction(z1, fx)
+    k2 = impedance_to_contraction(z1 + bump, fx)
     report = resolvent_difference_rank(fx, k1, k2, z=args.z, tol=args.tol)
     print(report.summary())
     if args.out:
@@ -571,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     p.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_green_check)
 
     p = sub.add_parser("extension", help="boundary-condition parametrization checks")
@@ -582,14 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--trials", type=int, default=50)
     pc.add_argument("--tol", type=_parse_tol, default=1e-9, help="pass/fail tolerance")
     pc.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
-    pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pc.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     pc.set_defaults(handler=_cmd_extension_cayley)
 
     pm = modes.add_parser("mdiss", help="dissipativity report for a random admissible condition")
     pm.add_argument("--fixture", required=True)
     pm.add_argument("--skew", action="store_true", help="use the selfadjoint (skew) case")
     pm.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
-    pm.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pm.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     pm.set_defaults(handler=_cmd_extension_mdiss)
 
     pr = modes.add_parser("rank", help="resolvent-difference rank inequality")
@@ -598,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--z", type=parse_scalar_impedance, default=1j, help="spectral point")
     pr.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     pr.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
-    pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pr.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     pr.set_defaults(handler=_cmd_extension_rank)
 
     p = sub.add_parser("gate", help="finite-section compactness gate on the circle")
@@ -657,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--tol", type=_parse_tol, default=1e-12, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.set_defaults(handler=_cmd_march)
 
     p = sub.add_parser("converge", help="FEM refinement study against oracles")

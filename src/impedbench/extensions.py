@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import (
-    GramMatrix,
-    as_complex_matrix,
-    gram_operator_norm,
-    null_space,
-    numerical_rank,
-)
+from .linalg import as_complex_matrix, null_space
 from .tuples import (
     BoundaryTupleModel,
     TupleFixture,
@@ -83,50 +77,25 @@ def cayley_identity_defect(z) -> float:
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-@dataclass
-class ContractionParam:
-    """A candidate contraction over the pivot space with its metric."""
-
-    matrix: np.ndarray
-    gram: GramMatrix
-
-    def __post_init__(self):
-        self.matrix = as_complex_matrix(np.atleast_2d(self.matrix), "contraction")
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise InvalidInputError("contraction parameter must be square")
-        if self.matrix.shape[0] != self.gram.dim:
-            raise InvalidInputError("contraction parameter does not match its gram")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def norm(self) -> float:
-        """Operator norm in the gram metric."""
-        return gram_operator_norm(self.matrix, self.gram, self.gram)
-
-
-def impedance_to_contraction(z, fx: TupleFixture) -> ContractionParam:
+def impedance_to_contraction(z, fx: TupleFixture) -> np.ndarray:
     """Cayley-transform an impedance operator into its pivot contraction.
 
     The impedance z acts from the minus traces to the plus traces; its
-    pivot-space version is v_natural z v, and the returned parameter is the
-    Cayley image of that. Accretive z yields a gram-metric contraction.
+    pivot-space version is v_natural z v, and the returned matrix is the
+    Cayley image of that. Accretive z yields a contraction in the metric
+    fx.boundary.gram_pivot.
     """
-    tup = fx.boundary
-    z = _as_trace_operator(z, tup)
+    z = _as_trace_operator(z, fx.boundary)
     t = fx.transform
-    z_piv = t.v_natural @ z @ t.v
-    return ContractionParam(cayley(z_piv), tup.gram_pivot)
+    return cayley(t.v_natural @ z @ t.v)
 
 
-def contraction_to_impedance(param: ContractionParam, fx: TupleFixture) -> np.ndarray:
+def contraction_to_impedance(k, fx: TupleFixture) -> np.ndarray:
     """Invert impedance_to_contraction; returns z in the original trace coords."""
     t = fx.transform
-    if param.dim != fx.boundary.gram_pivot.dim:
+    if np.atleast_2d(k).shape[0] != fx.boundary.gram_pivot.dim:
         raise InvalidInputError("contraction does not match the fixture pivot space")
-    z_piv = inverse_cayley(param.matrix)
+    z_piv = inverse_cayley(k)
     rhs = np.linalg.solve(t.v.T, z_piv.T).T  # z_piv v^{-1}
     return np.linalg.solve(t.v_natural, rhs)
 
@@ -156,8 +125,7 @@ def constraint_nullspace(constraint, state_dim: int) -> np.ndarray:
     c = as_complex_matrix(constraint, "constraint")
     if c.shape[1] != state_dim:
         raise InvalidInputError("constraint does not act on the state space")
-    scale = np.linalg.norm(c, 2)
-    if scale == 0.0:
+    if not c.any():
         return np.eye(state_dim, dtype=complex)
     basis = null_space(c, NULLSPACE_TOL)
     if basis.shape[1] == 0:
@@ -204,15 +172,13 @@ class ExtensionModel:
 def restrict_extension(fx: TupleFixture, k=None, z=None) -> ExtensionModel:
     """Compress the maximal operator to the subspace cut out by k or z.
 
-    Exactly one of k (pivot-space contraction, or ContractionParam) and z
-    (impedance in the original trace coordinates) must be given.
+    Exactly one of k (pivot-space contraction matrix) and z (impedance in
+    the original trace coordinates) must be given.
     """
     if (k is None) == (z is None):
         raise InvalidInputError("pass exactly one of k and z")
     tup = fx.boundary
     if k is not None:
-        if isinstance(k, ContractionParam):
-            k = k.matrix
         triple = to_boundary_triple(tup, fx.transform)
         constraint = constraint_from_contraction(k, triple)
         source = "from-contraction"
@@ -294,7 +260,6 @@ class ResolventRankReport:
     sigma_resolvent: np.ndarray
     rank_resolvent: int
     rank_parameter: int
-    tolerance: float
     realization_residual: float
 
     @property
@@ -319,7 +284,8 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     is invisible to that range, triple is the fixture's boundary triple,
     m_z = astar - z and e is an orthonormal basis of the attainable range.
     Every resolvent realized from these pieces maps onto its constraint
-    kernel and agrees with y0 up to an hb-correction.
+    kernel and agrees with y0 up to an hb-correction. A z so large that
+    (astar - z) on the reference kernel overflows is refused as invalid.
     """
     tup = fx.boundary
     triple = to_boundary_triple(tup, fx.transform)
@@ -328,9 +294,12 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
 
     ref_basis = gram_x.orthonormalize(constraint_nullspace(triple.gamma1, n))
     m_z = fx.model.astar - z * np.eye(n)
-    shifted = m_z @ ref_basis
-    e, _ = np.linalg.qr(shifted)
-    core = e.conj().T @ shifted
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = m_z @ ref_basis
+        e, _ = np.linalg.qr(shifted)
+        core = e.conj().T @ shifted
+    if not np.isfinite(core).all():
+        raise InvalidInputError(f"z={z:g} is too large: the shifted operator overflows")
     sv = np.linalg.svd(core, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * sv[0]:
         raise NumericalFailureError(
@@ -370,16 +339,13 @@ def resolvent_difference_rank(
 ) -> ResolventRankReport:
     """Compare rank of a resolvent difference against the parameter difference.
 
-    Both conditions are given as pivot-space contractions k1, k2. Their
-    resolvents at z are realized on the full state space through a common
-    reference condition, which makes the difference exactly expressible as
-    (deficiency columns) x (k1 - k2) x (rows), hence of rank at most
-    rank(k1 - k2).
+    Both conditions are given as pivot-space contraction matrices k1, k2.
+    Their resolvents at z are realized on the full state space through a
+    common reference condition, which makes the difference exactly
+    expressible as (deficiency columns) x (k1 - k2) x (rows), hence of rank
+    at most rank(k1 - k2). A rank counts the singular values above tol
+    times the largest; tol must be positive unless both differences vanish.
     """
-    if isinstance(k1, ContractionParam):
-        k1 = k1.matrix
-    if isinstance(k2, ContractionParam):
-        k2 = k2.matrix
     z = complex(z)
     y0, hb, triple, m_z, e = _realize_resolvent_pieces(fx, z)
     c1 = constraint_from_contraction(k1, triple)
@@ -387,14 +353,13 @@ def resolvent_difference_rank(
     r1 = _resolvent_for_constraint(c1, y0, hb)
     r2 = _resolvent_for_constraint(c2, y0, hb)
 
-    diff = r2 - r1
-    sigma_res = np.linalg.svd(diff, compute_uv=False)
-    k1m = np.atleast_2d(np.asarray(k1, dtype=complex))
-    k2m = np.atleast_2d(np.asarray(k2, dtype=complex))
-    sigma_par = np.linalg.svd(k2m - k1m, compute_uv=False)
-
-    rank_res = numerical_rank(diff, tol) if sigma_res[0] > 0 else 0
-    rank_par = numerical_rank(k2m - k1m, tol) if sigma_par[0] > 0 else 0
+    sigma_res = np.linalg.svd(r2 - r1, compute_uv=False)
+    sigma_par = np.linalg.svd(np.atleast_2d(np.subtract(k2, k1, dtype=complex)),
+                              compute_uv=False)
+    if (sigma_res[0] > 0 or sigma_par[0] > 0) and not tol > 0:
+        raise InvalidInputError("rank tolerance must be positive")
+    # s > tol * 0 counts nothing when a difference vanishes
+    rank_res, rank_par = (int(np.count_nonzero(s > tol * s[0])) for s in (sigma_res, sigma_par))
 
     # (op - z) r_i - identity must vanish on the attainable range for both
     # realizations; this certifies them as genuine resolvents.
@@ -408,6 +373,5 @@ def resolvent_difference_rank(
         sigma_resolvent=sigma_res,
         rank_resolvent=rank_res,
         rank_parameter=rank_par,
-        tolerance=tol,
         realization_residual=res,
     )

@@ -47,8 +47,11 @@ MAX_SOLVE_VERTICES = 2048
 MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert replaces the dense companion from this many vertices on, while
 # the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
-# thread for 32 modes: dense wins up to 145 vertices, shift-invert from 257;
-# at 577 vertices shift-invert wins up to n/6 modes and loses at n/4.
+# thread (2-vCPU VM, median of 9) for n/6 modes at 65 to 169 vertices: at
+# zeta = 0 the dense symmetric eigensolve wins at every size (169: 8.4
+# against 9.9 ms), at zeta = 0.5, 0.5i and 0.3+0.4i shift-invert does
+# (65 at 0.5: 13 -> 11 ms, 169 at 0.5: 67 -> 22 ms). At 577 vertices
+# shift-invert wins up to n/6 modes and loses at n/4.
 SPARSE_MIN_VERTICES = 192
 SPARSE_MAX_SHARE = 6
 # ARPACK's default start vector is random; a fixed one makes reruns identical
@@ -650,6 +653,8 @@ def _solve_dense(q: QepMatrices, path: str):
     try:
         top = np.hstack([sla.solve(mr, d, assume_a="pos"),
                          sigma_k * sla.solve(mr, kr, assume_a="pos")])
+        if not np.isfinite(top).all():
+            raise NumericalFailureError("companion matrix has non-finite entries")
         w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])]))
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc

@@ -17,15 +17,12 @@ from .errors import InvalidInputError
 __all__ = [
     "as_complex_matrix",
     "GramMatrix",
-    "numerical_rank",
     "gram_operator_norm",
     "null_space",
 ]
 
 # Dense solves get slow and memory-hungry past this edge length.
 DENSE_DIM_CAP = 4096
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 def as_complex_matrix(a, what: str = "matrix") -> np.ndarray:
@@ -111,17 +108,6 @@ class GramMatrix:
         w = self.solve_factor(herm, adjoint=True)
         c = self.solve_factor(w.conj().T, adjoint=True).conj().T
         return np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-
-
-def numerical_rank(m, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol times the largest."""
-    if not tol > 0:
-        raise InvalidInputError("rank tolerance must be positive")
-    a = as_complex_matrix(m, "rank input")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def gram_operator_norm(m, gram_in: GramMatrix, gram_out: GramMatrix) -> float:

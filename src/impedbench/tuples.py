@@ -139,19 +139,16 @@ class TupleTransform:
 
     def verify(self, tup: BoundaryTupleModel, tol: float = 1e-10) -> float:
         """Residual of the defining identity, must be <= tol * scale."""
-        lhs = self.pairing_residual(tup)
-        scale = 1.0 + float(np.linalg.norm(self.v))
-        if lhs > tol * scale:
-            raise NumericalFailureError(
-                f"transform pairing identity residual {lhs:.3e} exceeds {tol:.1e}"
-            )
-        return lhs
-
-    def pairing_residual(self, tup: BoundaryTupleModel) -> float:
         # pair(v f, g) = (f | v_nat g): P^H v == v_nat^H G_pivot as matrices.
         lhs = tup.pairing.conj().T @ self.v
         rhs = self.v_natural.conj().T @ tup.gram_pivot.matrix
-        return float(np.linalg.norm(lhs - rhs))
+        residual = float(np.linalg.norm(lhs - rhs))
+        scale = 1.0 + float(np.linalg.norm(self.v))
+        if residual > tol * scale:
+            raise NumericalFailureError(
+                f"transform pairing identity residual {residual:.3e} exceeds {tol:.1e}"
+            )
+        return residual
 
 
 @dataclass
@@ -163,13 +160,10 @@ class TupleFixture:
     transform: TupleTransform
     # grid-aware sampler of smooth state vectors: rng -> state vector
     smooth_sampler: object = field(repr=False)
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.boundary.state_dim != self.model.dim:
             raise InvalidInputError("trace maps do not match the state dimension")
-        if self.tolerance <= 0:
-            raise InvalidInputError("fixture tolerance must be positive")
 
     @property
     def label(self) -> str:

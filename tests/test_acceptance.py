@@ -130,8 +130,8 @@ def test_criterion_04_resolvent_rank():
                 for _ in range(rank):
                     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                     bump += np.outer(v, v.conj())
-                k1 = ex.impedance_to_contraction(z1, fx).matrix
-                k2 = ex.impedance_to_contraction(z1 + bump, fx).matrix
+                k1 = ex.impedance_to_contraction(z1, fx)
+                k2 = ex.impedance_to_contraction(z1 + bump, fx)
                 rep = ex.resolvent_difference_rank(fx, k1, k2, z=z_pt)
                 cases += 1
                 if not rep.satisfied or rep.rank_parameter != rank:

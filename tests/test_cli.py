@@ -211,17 +211,61 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "invalid input" in capsys.readouterr().err
 
-    # coefficients whose Fourier data, Hermitian part or section norms
-    # overflow; an overflowed norm would read as a zero indicator
+    # coefficients whose Fourier data or section norms overflow; an
+    # overflowed norm would read as a zero indicator. The entries of the
+    # last section have finite parts and an infinite modulus.
     @pytest.mark.parametrize("zeta,reason", [
         ("power:a=0.9,c=1e308", "Fourier coefficients"),
-        ("const:1e308,1e308", "Hermitian part"),
         ("power:a=0.3,c=1.7e308", "section norm"),
+        ("const:1.7e308,1.7e308", "section norm"),
     ])
     def test_gate_overflow_exit3(self, capsys, zeta, reason):
         assert run(["gate", "--zeta", zeta]) == 3
         err = capsys.readouterr().err
         assert err.startswith("invalid input: ") and reason in err
+
+    def test_gate_hermitian_part_of_huge_section_is_finite(self, capsys, tmp_path):
+        # S + S^H overflows for this section, S / 2 + S^H / 2 does not; the
+        # indicators are scale-invariant and re_defect scales with zeta
+        sidecars = {}
+        for zeta in ("const:1,0.5", "const:1e308,1e308"):
+            out = tmp_path / f"{zeta}.json"
+            assert run(["gate", "--zeta", zeta, "--out", str(out)]) == 0
+            sidecars[zeta] = json.loads(out.read_text())
+        assert "verdict compact" in capsys.readouterr().out
+        unit, huge = sidecars["const:1,0.5"], sidecars["const:1e308,1e308"]
+        assert huge["verdict"] == unit["verdict"] == "compact"
+        np.testing.assert_allclose(huge["indicators"], unit["indicators"], rtol=1e-12)
+        assert huge["re_defect"] == pytest.approx(1e308 * unit["re_defect"], rel=1e-12)
+        assert huge["re_defect"] == pytest.approx(7.81e305, rel=1e-3)
+
+    @pytest.mark.parametrize("command", [
+        ["green-check", "--fixture", "transport-64"],
+        ["extension", "cayley", "--fixture", "transport-64"],
+        ["extension", "mdiss", "--fixture", "transport-64"],
+        ["extension", "rank", "--fixture", "transport2-48"],
+        ["march", "--n", "4", "--zeta", "0.5", "--steps", "2"],
+    ])
+    def test_negative_seed_exit3(self, capsys, command):
+        assert run(command + ["--seed", "-1"]) == 3
+        assert "argument --seed: seed must be >= 0" in capsys.readouterr().err
+
+    def test_huge_seed_accepted(self, capsys):
+        argv = ["green-check", "--fixture", "transport-32", "--trials", "2", "--seed", str(2**100)]
+        assert run(argv) == 0
+        assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("z", ["1e308j", "const:1.7e306,0"])
+    def test_rank_overflowing_spectral_point_exit3(self, capsys, z):
+        assert run(["extension", "rank", "--fixture", "transport-64", "--z", z]) == 3
+        assert "the shifted operator overflows" in capsys.readouterr().err
+
+    def test_dense_companion_overflow_exit4(self, capsys):
+        # the shift-invert path already fails numerically at this zeta
+        for shape in ("disk_polygon", "square"):
+            n = "2" if shape == "disk_polygon" else "16"
+            assert run(["fem", "--shape", shape, "--n", n, "--zeta", "1e308"]) == 4
+            assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_infinite_box_edge_exit3(self, capsys):
         argv = ["disk", "--zeta", "0.5", "--m-max", "0", "--box", "0.05,inf,-5,0.05"]

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import impedbench.extensions as ex
 from impedbench.errors import InvalidInputError
 from impedbench.fixtures import get_fixture
-from impedbench.linalg import GramMatrix
+from impedbench.linalg import GramMatrix, gram_operator_norm
 from impedbench.tuples import accretivity_defect
 
 SEED = 20240801
@@ -87,44 +87,48 @@ class TestCayley:
 
 
 class TestContractionParam:
+    # a contraction parameter is a plain matrix on the pivot space; its
+    # metric is the fixture's pivot gram
     def test_gram_weighted_norm(self):
         # with metric diag(4, 1) the nilpotent shift [[0,1],[0,0]] has norm 2
         gram = GramMatrix(np.diag([4.0, 1.0]))
-        p = ex.ContractionParam(np.array([[0, 1], [0, 0]], dtype=complex), gram)
-        assert abs(p.norm - 2.0) < 1e-12
-        assert p.norm > 1.0 + 1e-10
+        norm = gram_operator_norm(np.array([[0, 1], [0, 0]], dtype=complex), gram, gram)
+        assert abs(norm - 2.0) < 1e-12
+        assert norm > 1.0 + 1e-10
 
     def test_weighted_fixture_frozen_value(self):
         # pivot version of z = 1 is 1/6, whose Cayley image is -5/7
         fx = get_fixture("transport-64-weighted")
-        p = ex.impedance_to_contraction(1.0, fx)
-        assert p.matrix.shape == (1, 1)
-        assert abs(p.matrix[0, 0] - (-5.0 / 7.0)) < 1e-12
-        assert p.norm <= 1.0 + 1e-10
+        g = fx.boundary.gram_pivot
+        k = ex.impedance_to_contraction(1.0, fx)
+        assert k.shape == (1, 1)
+        assert abs(k[0, 0] - (-5.0 / 7.0)) < 1e-12
+        assert gram_operator_norm(k, g, g) <= 1.0 + 1e-10
 
     def test_roundtrip_through_fixture(self):
         fx = get_fixture("transport-64-weighted")
         rng = np.random.default_rng(SEED + 5)
         for _ in range(10):
             z = complex(rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
-            p = ex.impedance_to_contraction(z, fx)
-            back = ex.contraction_to_impedance(p, fx)
+            k = ex.impedance_to_contraction(z, fx)
+            back = ex.contraction_to_impedance(k, fx)
             assert abs(back[0, 0] - z) < 1e-10
 
     def test_contraction_iff_accretive(self):
         fx = get_fixture("transport-64-weighted")
+        g = fx.boundary.gram_pivot
         rng = np.random.default_rng(SEED + 6)
         for _ in range(30):
             re = rng.uniform(0.05, 2.0) * rng.choice([-1.0, 1.0])
             z = complex(re, rng.uniform(-2.0, 2.0))
             defect = accretivity_defect(z, fx.boundary)
-            p = ex.impedance_to_contraction(z, fx)
-            assert (defect >= -1e-12) == (p.norm <= 1.0 + 1e-9)
+            k = ex.impedance_to_contraction(z, fx)
+            assert (defect >= -1e-12) == (gram_operator_norm(k, g, g) <= 1.0 + 1e-9)
 
     def test_shape_mismatch_rejected(self):
-        gram = GramMatrix(np.eye(3))
+        fx = get_fixture("transport-64")
         with pytest.raises(InvalidInputError, match="match"):
-            ex.ContractionParam(np.eye(2), gram)
+            ex.contraction_to_impedance(0.5 * np.eye(2), fx)
 
 
 class TestRestrictExtension:
@@ -297,3 +301,23 @@ class TestResolventRank:
         fx = get_fixture("transport2-48")
         with pytest.raises(InvalidInputError):
             ex.resolvent_difference_rank(fx, np.zeros((3, 3)), np.zeros((3, 3)))
+
+    def test_rank_falls_as_tol_grows(self):
+        # the parameter difference has singular values 0.5 and 5e-5
+        fx = get_fixture("transport2-48")
+        k2 = np.diag([0.5, 5e-5])
+        ranks = [
+            ex.resolvent_difference_rank(fx, np.zeros((2, 2)), k2, tol=t).rank_parameter
+            for t in (1e-8, 1e-6, 1e-2)
+        ]
+        assert ranks == [2, 2, 1]
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_rejects_zero_or_nan_tol(self, tol):
+        # NaN compares false both ways, so it would count no singular value
+        fx = get_fixture("transport-64")
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            ex.resolvent_difference_rank(fx, 0.2, -0.4, tol=tol)
+        # with both differences zero there is nothing to count
+        r = ex.resolvent_difference_rank(fx, 0.2, 0.2, tol=tol)
+        assert (r.rank_resolvent, r.rank_parameter) == (0, 0)

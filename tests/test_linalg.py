@@ -8,7 +8,6 @@ from impedbench.linalg import (
     as_complex_matrix,
     gram_operator_norm,
     null_space,
-    numerical_rank,
 )
 
 
@@ -119,32 +118,6 @@ class TestScipyReference:
         whitened = go.chol_upper @ m @ sla.inv(gi.chol_upper)
         ref = sla.svdvals(whitened)[0]
         assert gram_operator_norm(m, gi, go) == pytest.approx(ref, rel=1e-12)
-
-
-class TestNumericalRank:
-    def test_outer_product(self):
-        u = np.arange(1.0, 5.0)
-        assert numerical_rank(np.outer(u, u)) == 1
-
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
-
-    def test_identity(self):
-        assert numerical_rank(np.eye(7)) == 7
-
-    def test_monotone_in_tol(self):
-        r = rng()
-        m = r.standard_normal((8, 8)) @ np.diag(10.0 ** -np.arange(8.0)) @ r.standard_normal((8, 8))
-        tols = [1e-12, 1e-8, 1e-4, 1e-2, 1e-1]
-        ranks = [numerical_rank(m, t) for t in tols]
-        assert ranks == sorted(ranks, reverse=True)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInputError):
-            numerical_rank(np.eye(2), 0.0)
-        # NaN compares false both ways, so it would count no singular value
-        with pytest.raises(InvalidInputError):
-            numerical_rank(np.eye(2), float("nan"))
 
 
 class TestGramOperatorNorm:

@@ -9,13 +9,17 @@ from impedbench.fixtures import (
     green_check,
     lgl_points_weights,
 )
-from impedbench.linalg import GramMatrix, numerical_rank
+from impedbench.linalg import GramMatrix
 from impedbench.tuples import (
     BoundaryTupleModel,
     accretivity_defect,
     green_defect,
     to_boundary_triple,
 )
+
+# the integration-by-parts defect every shipped fixture meets; green_check's
+# default tolerance
+GREEN_TOL = 1e-8
 
 
 class TestCollocation:
@@ -51,7 +55,7 @@ class TestGreenIdentity:
         rng = np.random.default_rng(7)
         for _ in range(20):
             f, g = fx.sample_state(rng), fx.sample_state(rng)
-            assert abs(green_defect(fx.model, fx.boundary, f, g)) < fx.tolerance
+            assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_transport_rough_vectors(self):
         # exact matrix identity: arbitrary vectors, not just smooth samples
@@ -71,9 +75,9 @@ class TestGreenIdentity:
         assert abs(fx.boundary.gamma1 @ f) < 1e-14
         d = green_defect(fx.model, fx.boundary, f, f)
         # with zero traces the defect is 2i Im (A f | f), which must vanish
-        assert abs(d) < fx.tolerance
+        assert abs(d) < GREEN_TOL
         af = fx.model.astar @ f
-        assert abs(fx.model.gram_x.inner(af, f).imag) < fx.tolerance
+        assert abs(fx.model.gram_x.inner(af, f).imag) < GREEN_TOL
 
     def test_zero_vector(self):
         fx = get_fixture("transport-32")
@@ -85,18 +89,19 @@ class TestGreenIdentity:
         rng = np.random.default_rng(9)
         for _ in range(10):
             f, g = fx.sample_state(rng), fx.sample_state(rng)
-            assert abs(green_defect(fx.model, fx.boundary, f, g)) < fx.tolerance
+            assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_two_channel_fixture(self):
         fx = get_fixture("transport2-48")
         rng = np.random.default_rng(10)
         for _ in range(10):
             f, g = fx.sample_state(rng), fx.sample_state(rng)
-            assert abs(green_defect(fx.model, fx.boundary, f, g)) < fx.tolerance
+            assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_green_check_runner(self):
         res = green_check(get_fixture("transport-32"), trials=25, seed=3)
         assert res.passed
+        assert res.tolerance == GREEN_TOL
         assert "transport-32" in res.summary()
         assert res.trials == 25
 
@@ -114,7 +119,7 @@ class TestBoundaryTriple:
         rng = np.random.default_rng(11)
         for _ in range(8):
             f, g = fx.sample_state(rng), fx.sample_state(rng)
-            assert abs(green_defect(fx.model, triple, f, g)) < fx.tolerance
+            assert abs(green_defect(fx.model, triple, f, g)) < GREEN_TOL
 
     def test_triple_metrics_are_pivot(self):
         fx = get_fixture("transport-64-weighted")
@@ -201,4 +206,5 @@ class TestTupleValidation:
         # surjectivity of the combined trace map
         for name in fixture_registry():
             b = get_fixture(name).boundary
-            assert numerical_rank(np.vstack([b.gamma0, b.gamma1]), 1e-10) == 2 * b.trace_dim
+            s = np.linalg.svd(np.vstack([b.gamma0, b.gamma1]), compute_uv=False)
+            assert np.count_nonzero(s > 1e-10 * s[0]) == 2 * b.trace_dim
