@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg as sla
 
 from impedbench.errors import InvalidInputError
+from impedbench.extensions import resolvent_difference_rank
+from impedbench.fixtures import get_fixture
 from impedbench.linalg import (
     GramMatrix,
     as_complex_matrix,
@@ -118,6 +120,26 @@ class TestScipyReference:
         whitened = go.chol_upper @ m @ sla.inv(gi.chol_upper)
         ref = sla.svdvals(whitened)[0]
         assert gram_operator_norm(m, gi, go) == pytest.approx(ref, rel=1e-12)
+
+
+class TestNumericalRank:
+    # The rank rule s > tol * s[0], as resolvent_difference_rank applies it
+    # to the parameter difference k2 - k1 and to the resolvent difference.
+    def test_outer_product(self):
+        u = np.arange(1.0, 3.0)
+        r = resolvent_difference_rank(get_fixture("transport2-48"), np.zeros((2, 2)),
+                                      0.1 * np.outer(u, u))
+        assert (r.rank_parameter, r.rank_resolvent) == (1, 1)
+
+    def test_zero_matrix(self):
+        k = np.diag([0.3, -0.2j])
+        r = resolvent_difference_rank(get_fixture("transport2-48"), k, k)
+        assert (r.rank_parameter, r.rank_resolvent) == (0, 0)
+
+    def test_identity(self):
+        r = resolvent_difference_rank(get_fixture("transport2-48"), np.zeros((2, 2)),
+                                      0.5 * np.eye(2))
+        assert (r.rank_parameter, r.rank_resolvent) == (2, 2)
 
 
 class TestGramOperatorNorm:
