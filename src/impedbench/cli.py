@@ -432,8 +432,10 @@ def _cmd_string(args) -> int:
     _require_accretive(zeta, args.allow_nonaccretive, "string")
     spec = StringSpec(zeta)
     report = string_spectrum(spec, count=args.count)
-    if spec.critically_damped:
-        print(f"string zeta={zeta:g}: critically damped, spectrum empty")
+    if not report.entries:
+        # zeta = 1, or its time reverse zeta = -1
+        kind = "critically damped" if spec.critically_damped else "time-reversed critical damping"
+        print(f"string zeta={zeta:g}: {kind}, spectrum empty")
         if args.out:
             _emit_report(report, args.out)
         return EXIT_OK
@@ -456,7 +458,7 @@ def _cmd_disk(args) -> int:
     zeta = parse_scalar_impedance(args.zeta)
     _require_accretive(zeta, args.allow_nonaccretive, "disk")
     box = parse_box(args.box) if args.box else None
-    report = disk_spectrum(zeta, m_max=args.m_max, box=box, samples=args.samples)
+    report = disk_spectrum(zeta, m_max=args.m_max, box=box)
     counts_ok = bool(report.metadata["all_counts_match"])
     max_im = report.max_im()
     print(
@@ -546,6 +548,11 @@ def _cmd_converge(args) -> int:
         entries = []
         for m in (0, 1):
             oracle = disk_mode_roots(m, zeta, lowest=1)
+            if not oracle["roots"].size:
+                raise InvalidInputError(
+                    f"the disk oracle finds no root of sector {m} in its search box, "
+                    "so this zeta has no reference"
+                )
             lam = oracle["roots"][0]
             oracle_work[str(m)] = oracle["work"]
             entries.append(ModeEntry(float(lam.real), float(lam.imag), 0.0, f"m{m}"))
@@ -645,7 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re_min,re_max,im_min,im_max; a negative first edge needs the = form, "
         "--box=-2,2,-2,0",
     )
-    p.add_argument("--samples", type=int, default=2048)
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--tol", type=_parse_tol, default=1e-10, help="pass/fail tolerance")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")

@@ -455,6 +455,8 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     ends = mesh.boundary_edges
     (c_bdry,) = _scatter_csc(n, ends.repeat(2, axis=1).ravel(), np.tile(ends, 2).ravel(),
                              np.array(blocks, dtype=complex).ravel())
+    if not np.isfinite(c_bdry.data).all():
+        raise InvalidInputError("boundary damping matrix is not finite; the impedance overflows")
 
     rim = np.unique(mesh.boundary_edges)
     _check_qep_invariants(k_stiff, c_bdry, m_mass, min_sampled_re, rim)
@@ -530,7 +532,7 @@ def _check_qep_invariants(k, c, m, min_re_zeta, rim):
         raise NumericalFailureError("mass matrix is not positive definite")
     sub = c[np.ix_(rim, rim)].toarray()
     if min_re_zeta >= 0.0 and np.any(sub):
-        herm = 0.5 * (sub + sub.conj().T)
+        herm = sub / 2 + sub.conj().T / 2
         live = np.nonzero(np.abs(herm).sum(axis=1))[0]
         if live.size:
             herm = herm[np.ix_(live, live)]

@@ -35,10 +35,10 @@ STRING_RESIDUAL_TOL = 1e-10
 MAX_STRING_COUNT = 100000
 # seeds the outward nudges of a search box whose contour hits a zero
 BOX_NUDGE_SEED = 20240801
-# Largest contour sample count (32x the default); a winding count may take up
-# to 4x this many points. At the cap `disk --zeta 0.5` took 0.7 s and 46 MB
-# at --m-max 0, 8.4 s and 62 MB at --m-max 8 (one thread, 2-vCPU VM).
-MAX_CONTOUR_SAMPLES = 65536
+# contour points of the outer search box and of every bisected box; a count
+# may refine to 4x as many
+OUTER_SAMPLES = 2048
+INNER_SAMPLES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,10 @@ class StringSpec:
 
     def __post_init__(self):
         z = complex(self.zeta)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise InvalidInputError("string impedance must be finite")
+        # the hypot is nan or inf for a non-finite zeta, and inf where |zeta|
+        # overflows, which the residual scaling and the polish would meet
+        if not math.isfinite(math.hypot(z.real, z.imag)):
+            raise InvalidInputError("string impedance must be finite, with a finite modulus")
 
     @property
     def critically_damped(self) -> bool:
@@ -74,7 +76,10 @@ def string_spectrum(spec: StringSpec, count: int = 10) -> SpectrumReport:
     so eigenvalues form a single arithmetic ladder with step pi. At zeta = 1
     the right side degenerates and the spectrum is empty (every mode leaves
     through the boundary in finite time); the report records that as
-    critical damping instead of inventing modes.
+    critical damping instead of inventing modes. At zeta = -1, its time
+    reverse, the right side is 0, the characteristic is -exp(i lam), and the
+    spectrum is empty too. The ratio is formed as 1 + 2/(zeta-1), which
+    stays finite for every finite zeta.
     """
     if not 1 <= count <= MAX_STRING_COUNT:
         raise InvalidInputError(f"count must be between 1 and {MAX_STRING_COUNT}")
@@ -85,10 +90,10 @@ def string_spectrum(spec: StringSpec, count: int = 10) -> SpectrumReport:
         "count": count,
         "critically_damped": spec.critically_damped,
     }
-    if spec.critically_damped:
+    if spec.critically_damped or abs(zeta + 1.0) < CRITICAL_MATCH_TOL:
         return SpectrumReport("string", [], metadata=meta)
 
-    base = cmath.log((zeta + 1.0) / (zeta - 1.0)) / 2j
+    base = cmath.log(1.0 + 2.0 / (zeta - 1.0)) / 2j
     # shift the ladder so reported modes start just above Re = 0
     start = int(np.ceil((1e-12 - base.real) / np.pi))
     entries = []
@@ -312,13 +317,9 @@ class SearchBox:
         )
 
 
-class _BoundaryTooClose(Exception):
-    """A characteristic zero sits (numerically) on the contour."""
-
-
 def _boundary_samples(box: SearchBox, n: int) -> np.ndarray:
     """Counterclockwise closed contour along the box edges."""
-    per = max(n // 4, 16)
+    per = n // 4
     bottom = np.linspace(box.re_min, box.re_max, per, endpoint=False)
     east = np.linspace(box.im_min, box.im_max, per, endpoint=False)
     topside = np.linspace(box.re_max, box.re_min, per, endpoint=False)
@@ -333,45 +334,41 @@ def _boundary_samples(box: SearchBox, n: int) -> np.ndarray:
     )
 
 
-def _winding_number(problem: DiskModeProblem, box: SearchBox, samples: int, work: dict) -> int:
-    # A zero on (or numerically on) the contour shows up as a phase jump that
-    # survives refinement, or as an outright underflow. A merely tiny |h| is
-    # normal: near the origin the characteristic of sector m is analytically
-    # smaller than its contour max by ~(re_min)^m, and the phase stays smooth.
-    for n in (samples, 2 * samples, 4 * samples):
-        pts = _boundary_samples(box, n)
-        work["contour_points"] += pts.size
-        vals = problem.char(pts)
-        mags = np.abs(vals)
-        if not np.all(np.isfinite(vals)) or mags.min() <= 1e-300:
-            raise _BoundaryTooClose
-        closed = np.append(vals, vals[0])
-        turns = np.angle(closed[1:] / closed[:-1])
-        if np.abs(turns).max() > 2.5:  # contour undersampled near a zero
-            continue
-        total = turns.sum() / (2.0 * np.pi)
-        if abs(total - round(total)) < 0.05:
-            work["boxes_counted"] += 1
-            return int(round(total))
-    raise _BoundaryTooClose
+def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str):
+    """Zeros of the analytic function char inside box, by the argument principle.
 
-
-def _count_in(
-    problem: DiskModeProblem, box: SearchBox, samples: int, rng, work: dict, failure: str
-):
-    """Winding count of box, nudged outward a few times off contour zeros.
+    The contour takes samples points, then 2x and 4x as many, until no phase
+    step exceeds 2.5 and the turn is within 0.05 of an integer. A zero on (or
+    numerically on) the contour keeps the phase jumping, or underflows; the
+    box then moves outward by (attempt + 1) finest sample spacings (longest
+    edge / samples), at most five times. A merely tiny |char| is normal: near
+    the origin sector m's characteristic is smaller than its contour max by
+    ~re_min^m while its phase stays smooth.
 
     Returns the box the count holds for and the count.
     """
+    spacing = max(box.re_max - box.re_min, box.im_max - box.im_min) / samples
     sub = box
     for attempt in range(6):
-        try:
-            return sub, _winding_number(problem, sub, samples, work)
-        except _BoundaryTooClose:
-            if attempt == 5:
-                raise NumericalFailureError(failure)
-            work["box_nudges"] += 1
-            sub = box.perturbed(rng, 1e-4 * (attempt + 1))
+        for n in (samples, 2 * samples, 4 * samples):
+            pts = _boundary_samples(sub, n)
+            work["contour_points"] += pts.size
+            vals = char(pts)
+            if not np.all(np.isfinite(vals)) or np.abs(vals).min() <= 1e-300:
+                break
+            closed = np.append(vals, vals[0])
+            turns = np.angle(closed[1:] / closed[:-1])
+            # undersampled near a zero, or a quotient overflowed to nan
+            if not np.abs(turns).max() <= 2.5:
+                continue
+            total = turns.sum() / (2.0 * np.pi)
+            if abs(total - round(total)) < 0.05:
+                work["boxes_counted"] += 1
+                return sub, int(round(total))
+        if attempt == 5:
+            raise NumericalFailureError(failure)
+        work["box_nudges"] += 1
+        sub = box.perturbed(rng, spacing * (attempt + 1))
 
 
 def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
@@ -438,13 +435,7 @@ def _merge_roots(roots, residuals):
     return merged, merged_res
 
 
-def disk_mode_roots(
-    m: int,
-    zeta,
-    box: SearchBox = None,
-    samples: int = 2048,
-    lowest: int = None,
-) -> dict:
+def disk_mode_roots(m: int, zeta, box: SearchBox = None, lowest: int = None) -> dict:
     """Characteristic roots of one angular sector inside a search box.
 
     Counts zeros by the phase winding of the characteristic function along
@@ -469,12 +460,6 @@ def disk_mode_roots(
     count_matches says that expected_count roots were returned, or
     min(lowest, expected_count) with lowest set.
     """
-    if samples < 1:
-        raise InvalidInputError("contour samples must be at least 1")
-    if samples > MAX_CONTOUR_SAMPLES:
-        raise InvalidInputError(
-            f"contour samples {samples} exceed the cap {MAX_CONTOUR_SAMPLES}"
-        )
     if lowest is not None and lowest < 1:
         raise InvalidInputError("lowest must be at least 1")
     problem = DiskModeProblem(m=int(m), zeta=complex(zeta))
@@ -490,7 +475,7 @@ def disk_mode_roots(
     )
 
     outer, expected = _count_in(
-        problem, box, samples, rng, work,
+        problem.char, box, OUTER_SAMPLES, rng, work,
         "could not move the search contour off a characteristic zero",
     )
     roots, residuals = [], []
@@ -514,7 +499,7 @@ def disk_mode_roots(
             current, count, depth = stack.pop()
             if count is None:
                 current, count = _count_in(
-                    problem, current, max(samples // 2, 512), rng, work,
+                    problem.char, current, INNER_SAMPLES, rng, work,
                     "bisection could not isolate the characteristic zeros",
                 )
                 work["max_depth"] = max(work["max_depth"], depth)
@@ -572,12 +557,7 @@ def disk_mode_roots(
     }
 
 
-def disk_spectrum(
-    zeta,
-    m_max: int = 8,
-    box: SearchBox = None,
-    samples: int = 2048,
-) -> SpectrumReport:
+def disk_spectrum(zeta, m_max: int = 8, box: SearchBox = None) -> SpectrumReport:
     """Impedance-rim disk eigenvalues across angular orders 0..m_max.
 
     Angular order zero contributes simple eigenvalues; every higher order
@@ -590,7 +570,7 @@ def disk_spectrum(
     matches = {}
     work = {}
     for m in range(m_max + 1):
-        result = disk_mode_roots(m, zeta, box=box, samples=samples)
+        result = disk_mode_roots(m, zeta, box=box)
         counts[str(m)] = int(result["roots"].size)
         matches[str(m)] = bool(result["count_matches"])
         work[str(m)] = result["work"]

@@ -169,6 +169,7 @@ class TestExitCodes:
         ["string", "--zeta", "0.5", "--seed", "1"],
         ["disk", "--zeta", "0.5", "--seed", "1"],
         ["fem", "--n", "4", "--zeta", "0.5", "--seed", "1"],
+        ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "2048"],
     ])
     def test_removed_flag_exit3(self, capsys, argv):
         assert run(argv) == 3
@@ -185,8 +186,10 @@ class TestExitCodes:
         ["march", "--n", "4", "--zeta", "1.0", "--dt", "inf"],
         ["march", "--n", "4", "--zeta", "1.0", "--dt", "1e308"],
         ["disk", "--zeta", "nan", "--m-max", "0"],
-        ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "-5"],
-        ["disk", "--zeta", "0.5", "--m-max", "0", "--samples", "100000000"],
+        # the edge blocks of C overflow
+        ["fem", "--shape", "disk_polygon", "--n", "1", "--zeta", "1.7e308", "--nev", "1"],
+        # |zeta| overflows
+        ["string", "--zeta", "const:1.7e308,1.7e308"],
         ["lq", "--zeta", "power:a=0.3", "--q", "nan"],
         ["string", "--zeta", "0.5", "--count", "0"],
         ["string", "--zeta", "0.5", "--count", "100001"],
@@ -493,6 +496,11 @@ class TestOutputs:
         assert run(["string", "--zeta", "1.0"]) == 0
         assert "critically damped" in capsys.readouterr().out
 
+    def test_string_time_reversed_critical_load_empty(self, capsys):
+        # exp(2i lam) = 0 has no solution: an empty spectrum, as at zeta = 1
+        assert run(["string", "--zeta", "-1", "--allow-nonaccretive"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("spectrum empty")
+
     def test_disk_json_report(self, tmp_path, capsys):
         out = tmp_path / "disk.json"
         assert run(["disk", "--zeta", "const:0,0.3", "--m-max", "1", "--out", str(out)]) == 0
@@ -516,6 +524,32 @@ class TestOutputs:
         out = capsys.readouterr().out
         assert "3 modes over m<=1" in out
         assert "counts match" in out
+
+    def test_disk_reactive_rim_with_root_near_bisection_edge(self, tmp_path, capsys):
+        # a real sector-1 root lies 1.25e-4 from a bisection edge, well inside
+        # one sample spacing; the box is nudged off it by whole spacings
+        from test_models import scipy_disk_root
+
+        out = tmp_path / "disk.json"
+        assert run(["disk", "--zeta=-0.3j", "--m-max", "1", "--out", str(out)]) == 0
+        assert "counts match" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["metadata"]["work_per_order"]["1"]["box_nudges"] >= 1
+        assert len(payload["modes"]) == 12
+        for mode in payload["modes"]:
+            lam = complex(mode["re_lambda"], mode["im_lambda"])
+            m = int(mode["mode_tag"].removeprefix("disk-m"))
+            ref = scipy_disk_root(m, -0.3j, lam)
+            assert abs(lam - ref) <= 1e-10 * abs(ref)
+
+    def test_disk_contour_quotient_overflow_exit4(self, capsys):
+        # next to the root on the east edge, quotients of neighbouring samples
+        # of this huge characteristic overflow to nan; the count treats them
+        # as unresolved phase, nudges the box and at last gives up
+        argv = ["disk", "--zeta", "const:1e308,1e308", "--m-max", "0",
+                "--box=0.05,3.8317059702075125,-0.5,0.05"]
+        assert run(argv) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_march_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "march.csv"
@@ -549,6 +583,13 @@ class TestOutputs:
         study = json.loads(out.read_text())
         assert study["modes_requested"] == [[16], [16]]
         assert sorted(study["oracle_work"]) == ["0", "1"]
+
+    def test_converge_without_disk_reference_exit3(self, capsys):
+        # the roots of this rim lie above the oracle's search box
+        argv = ["converge", "--shape", "disk_polygon", "--levels", "2,3",
+                "--zeta", "const:-1,-1", "--allow-nonaccretive"]
+        assert run(argv) == 3
+        assert "no root of sector 0" in capsys.readouterr().err
 
     def test_converge_square_needs_zero_zeta(self, capsys):
         assert run(["converge", "--shape", "square", "--zeta", "0.5"]) == 3

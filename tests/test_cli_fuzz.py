@@ -1,10 +1,14 @@
-"""The exit-code contract of the boundary commands under drawn argument vectors.
+"""The exit-code contract of every subcommand under drawn argument vectors.
 
 Every argv is built from the documented grammar of green-check, extension
-cayley|mdiss|rank, gate and lq, with values that are valid, malformed,
-non-finite, negative or huge. main() must answer each with a documented exit
-code (0, 2, 3 or 4) and never raise. Work stays small: at most 5 trials and
-section cutoffs of at most 128, apart from one cutoff over the 1024 cap.
+cayley|mdiss|rank, gate and lq, or of the spectral commands string, disk,
+fem, march and converge, with values that are valid, malformed, non-finite,
+negative or huge. main() must answer each with a documented exit code (0, 2,
+3 or 4) and never raise. Work stays small: at most 5 trials and section
+cutoffs of at most 128, apart from one cutoff over the 1024 cap; for the
+spectral commands at most 5 string modes, disk sectors 0 and 1, meshes of
+resolution 4 or less, fewer than 10 time steps and convergence levels of 4 or
+less.
 """
 
 import json
@@ -100,6 +104,47 @@ ARGV = st.one_of(
 )
 
 
+# impedances for the spectral commands: accretive, reactive (the disk at
+# -0.3i once stopped on a contour zero), nonaccretive, huge and non-finite
+ZETA = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2", "0.3+0.4j", "0.3j", "-0.3j", "const:0,-0.3",
+                     "const:0,0.5", "-1", "-0.5", "const:-1,-1", "1e308", "1.7e308",
+                     "const:1e308,1e308", "const:1.7e308,1.7e308", "-1e308j", "1e-300",
+                     "nan", "inf", "const:0,inf", "const:1", "x"]),
+    NUMBER,
+)
+NONACCRETIVE = st.sampled_from([[], ["--allow-nonaccretive"]])
+BOX = st.sampled_from(["0.05,20,-5,0.05", "3,4.5,-0.5,0.05", "-2,2,-2,0",
+                       # an east edge through the first rigid-rim root
+                       "0.05,3.8317059702075125,-0.5,0.05",
+                       "0.05,inf,-5,0.05", "nan,1,-1,0", "1,0,-1,0", "0,1e308,-1,0",
+                       "1,2,3", "a,b,c,d"]).map(lambda b: "--box=" + b)
+SHAPE = st.sampled_from(["square", "disk_polygon", "square{2}", "disk_polygon{2,8}",
+                         "rectangle{2,3,1,0.5}", "rectangle{2,2,inf,1}", "square{0}",
+                         "circle", "missing.mesh"])
+RESOLUTION = st.integers(-1, 4).map(str)
+LEVELS = st.sampled_from(["2,3", "2", "3,4", "0,2", "-1", "2,x", ""])
+SPECTRAL_ARGV = st.one_of(
+    command(["string"], ZETA.map(lambda z: ["--zeta", z]),
+            option("--count", st.integers(-1, 5).map(str)), NONACCRETIVE,
+            option("--tol", NUMBER), option("--out", OUT)),
+    command(["disk"], ZETA.map(lambda z: ["--zeta", z]),
+            option("--m-max", st.integers(-1, 1).map(str)),
+            st.one_of(st.just([]), BOX.map(lambda b: [b])), NONACCRETIVE,
+            option("--tol", NUMBER), option("--out", OUT)),
+    command(["fem"], option("--shape", SHAPE), option("--n", RESOLUTION),
+            ZETA.map(lambda z: ["--zeta", z]), option("--nev", st.integers(-1, 4).map(str)),
+            NONACCRETIVE, option("--tol", NUMBER), option("--out", OUT)),
+    command(["march"], option("--shape", SHAPE), option("--n", RESOLUTION),
+            ZETA.map(lambda z: ["--zeta", z]), option("--dt", NUMBER),
+            option("--steps", st.integers(-1, 9).map(str)), NONACCRETIVE,
+            option("--tol", NUMBER), option("--seed", SEED), option("--out", OUT)),
+    command(["converge"], option("--shape", st.sampled_from(["square", "disk_polygon", "x"])),
+            option("--levels", LEVELS), option("--zeta", ZETA), NONACCRETIVE,
+            option("--out", OUT)),
+)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
@@ -112,6 +157,15 @@ def workdir(tmp_path_factory):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=ARGV)
 def test_documented_exit_code(workdir, argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        assert cli.main(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=SPECTRAL_ARGV)
+def test_spectral_documented_exit_code(workdir, argv):
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
         assert cli.main(argv) in (0, 2, 3, 4)

@@ -11,7 +11,6 @@ import scipy.special
 from impedbench.errors import InvalidInputError, NumericalFailureError
 from impedbench import models
 from impedbench.models import (
-    MAX_CONTOUR_SAMPLES,
     DiskModeProblem,
     SearchBox,
     StringSpec,
@@ -209,6 +208,23 @@ class TestString:
         with pytest.raises(InvalidInputError, match="count"):
             string_spectrum(StringSpec(0.5), count=0)
 
+    def test_time_reversed_critical_load_reports_empty(self):
+        # at zeta = -1 the characteristic is -exp(i lam), which never vanishes
+        report = string_spectrum(StringSpec(-1.0), count=5)
+        assert report.entries == []
+        assert report.metadata["critically_damped"] is False
+        assert string_spectrum(StringSpec(-1.0 + 5e-14j), count=5).entries == []
+
+    def test_huge_load_ratio_does_not_overflow(self):
+        # (zeta + 1) / (zeta - 1) is nan here; 1 + 2 / (zeta - 1) is 1
+        spec = StringSpec(complex(1e308, 1e308))
+        vals = np.array(string_spectrum(spec, count=3).values())
+        assert np.abs(vals - np.pi * np.arange(1, 4)).max() < 1e-12
+
+    def test_overflowing_modulus_rejected(self):
+        with pytest.raises(InvalidInputError, match="finite modulus"):
+            StringSpec(complex(1.7e308, 1.7e308))
+
 
 class TestDiskRoots:
     def test_rigid_rim_fundamental_matches_frozen_zeros(self):
@@ -268,13 +284,29 @@ class TestDiskRoots:
         with pytest.raises(InvalidInputError, match="0..20"):
             disk_mode_roots(21, 0.0)
 
-    def test_sample_cap_checked_before_contour(self, monkeypatch):
-        def never(box, n):
-            raise AssertionError("contour sampled before the sample cap was checked")
+    def test_counter_takes_any_analytic_function(self):
+        # two zeros of a quadratic inside the box, one outside
+        work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
+        box = SearchBox(-1.0, 1.0, -1.0, 1.0)
+        got = models._count_in(
+            lambda z: (z - 0.5) * (z + 0.25j) * (z - 3.0), box, 64,
+            np.random.default_rng(SEED), work, "no count",
+        )
+        assert got == (box, 2)
+        assert work == {"contour_points": 64, "boxes_counted": 1, "box_nudges": 0}
 
-        monkeypatch.setattr(models, "_boundary_samples", never)
-        with pytest.raises(InvalidInputError, match="cap"):
-            disk_mode_roots(0, 0.5, samples=MAX_CONTOUR_SAMPLES + 1)
+    def test_nudge_scales_with_sample_spacing(self):
+        # the east edge passes through the first rigid-rim root: the box moves
+        # out by at least its finest sample spacing, longest edge / samples
+        box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
+        work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
+        moved, count = models._count_in(
+            DiskModeProblem(m=0, zeta=0.0).char, box, 1024,
+            np.random.default_rng(SEED), work, "no count",
+        )
+        assert count == 1
+        assert work["box_nudges"] >= 1
+        assert moved.re_max - J1_FIRST_ZERO >= (J1_FIRST_ZERO - 0.05) / 1024
 
 
 # Roots per sector 0..4 in the default search box.
@@ -282,6 +314,8 @@ DISK_COUNTS = {
     0.0: [6, 6, 6, 5, 5],
     0.5: [6, 6, 6, 5, 5],
     0.3j: [7, 6, 6, 5, 5],
+    # sector 1 has a real root 1.25e-4 from a bisection edge
+    -0.3j: [6, 6, 6, 5, 5],
     1e6: [6, 6, 5, 5, 4],
 }
 
