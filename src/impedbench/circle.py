@@ -228,8 +228,6 @@ class ImpedanceCoefficient:
             half = (self.stored.size - 1) // 2
             freqs = np.arange(-half, half + 1)
             return np.exp(1j * np.outer(theta, freqs)) @ self.stored
-        if self.kind == "constant":
-            return np.full_like(theta, self.value, dtype=complex)
         raise InvalidInputError("pointwise evaluation undefined for this kind")
 
 

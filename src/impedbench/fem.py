@@ -14,12 +14,12 @@ eigensolve: sparse symmetric LDL^T pivots of K pinned at one vertex prove
 that its kernel is the constant direction, and those of M prove it SPD. On
 disk_polygon{12,48} (577 vertices) assemble takes about 8 ms, on square{63}
 about 0.05 s, most of it in the checks. The eigensolve and the march read
-the stored CSC arrays; only the dense companion solve asks for dense
-copies. Both eigensolvers use one first-order pencil, real when C is real
-or purely imaginary. When few modes are wanted from a large enough mesh,
-shift-invert Lanczos/Arnoldi through one n x n sparse LU computes only
-those and certifies that none nearer the origin was missed; otherwise the
-dense companion, the sparse path's test reference, computes all. The
+the stored CSC arrays; only the dense companion solve densifies them. Both
+eigensolvers use one first-order pencil, real when C is real or purely
+imaginary. When at most n/6 modes are wanted on n vertices, shift-invert
+Lanczos/Arnoldi through one n x n sparse LU computes only those and
+certifies that none nearer the origin was missed; otherwise the dense
+companion, the sparse path's test reference, computes all. The
 Crank-Nicolson march factors its system once by sparse LU and satisfies a
 per-step energy identity exactly, so decay checks test the model rather
 than integrator artifacts.
@@ -45,14 +45,8 @@ MAX_SOLVE_VERTICES = 2048
 # assemble takes 0.05 s and peaks at 11 MB traced, and fem --nev 12 runs in
 # 0.9-1.1 s at 88 MB resident (one thread, 2-vCPU VM).
 MAX_ASSEMBLE_VERTICES = 4096
-# shift-invert replaces the dense companion from this many vertices on, while
-# the wanted modes are at most a SPARSE_MAX_SHARE-th of n. Measured on one
-# thread (2-vCPU VM, median of 9) for n/6 modes at 65 to 169 vertices: at
-# zeta = 0 the dense symmetric eigensolve wins at every size (169: 8.4
-# against 9.9 ms), at zeta = 0.5, 0.5i and 0.3+0.4i shift-invert does
-# (65 at 0.5: 13 -> 11 ms, 169 at 0.5: 67 -> 22 ms). At 577 vertices
-# shift-invert wins up to n/6 modes and loses at n/4.
-SPARSE_MIN_VERTICES = 192
+# shift-invert runs while at most n / SPARSE_MAX_SHARE modes are wanted, n the
+# vertex count; at 577 vertices it wins up to n/6 and loses at n/4 (one thread)
 SPARSE_MAX_SHARE = 6
 # ARPACK's default start vector is random; a fixed one makes reruns identical
 ARPACK_SEED = 20240801
@@ -362,8 +356,8 @@ class QepMatrices:
 
     K, C and M are stored once, as the CSC arrays k, c (complex) and m; the
     constructor takes them dense or sparse and converts each once. k_stiff,
-    c_bdry and m_mass return fresh dense copies for the few readers that
-    want arrays. assemble returns K and M real.
+    c_bdry and m_mass return dense copies, which only tests and the
+    benchmark read. assemble returns K and M real.
     """
 
     def __init__(self, k_stiff, c_bdry, m_mass, meta=None):
@@ -434,27 +428,28 @@ def assemble(mesh: Mesh, mat: MaterialCoefficients = None, zeta=0.0) -> QepMatri
     min_sampled_re = np.inf
     exact_mass = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     lengths = mesh.boundary_lengths()
-    for (i, j), label, length in zip(mesh.boundary_edges, mesh.boundary_labels, lengths):
-        z_here = per_label[label]
-        if callable(z_here):
-            a, b = mesh.vertices[i], mesh.vertices[j]
-            block = np.zeros((2, 2), dtype=complex)
-            for t, w in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
-                x = (1.0 - t) * a + t * b
-                zv = complex(z_here(x[0], x[1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite C is refused below
+        for (i, j), label, length in zip(mesh.boundary_edges, mesh.boundary_labels, lengths):
+            z_here = per_label[label]
+            if callable(z_here):
+                a, b = mesh.vertices[i], mesh.vertices[j]
+                block = np.zeros((2, 2), dtype=complex)
+                for t, w in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
+                    x = (1.0 - t) * a + t * b
+                    zv = complex(z_here(x[0], x[1]))
+                    min_sampled_re = min(min_sampled_re, zv.real)
+                    shape_fn = np.array([1.0 - t, t])
+                    block += w * zv * np.outer(shape_fn, shape_fn)
+                block *= length
+            else:
+                zv = complex(z_here)
                 min_sampled_re = min(min_sampled_re, zv.real)
-                shape_fn = np.array([1.0 - t, t])
-                block += w * zv * np.outer(shape_fn, shape_fn)
-            block *= length
-        else:
-            zv = complex(z_here)
-            min_sampled_re = min(min_sampled_re, zv.real)
-            block = zv * length * exact_mass
-        blocks.append(block)
-    # edge (i, j) adds its 2 x 2 block at rows i, i, j, j and columns i, j, i, j
-    ends = mesh.boundary_edges
-    (c_bdry,) = _scatter_csc(n, ends.repeat(2, axis=1).ravel(), np.tile(ends, 2).ravel(),
-                             np.array(blocks, dtype=complex).ravel())
+                block = zv * length * exact_mass
+            blocks.append(block)
+        # edge (i, j) adds its 2 x 2 block at rows i, i, j, j and columns i, j, i, j
+        ends = mesh.boundary_edges
+        (c_bdry,) = _scatter_csc(n, ends.repeat(2, axis=1).ravel(), np.tile(ends, 2).ravel(),
+                                 np.array(blocks, dtype=complex).ravel())
     if not np.isfinite(c_bdry.data).all():
         raise InvalidInputError("boundary damping matrix is not finite; the impedance overflows")
 
@@ -593,15 +588,10 @@ def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
     floor = 1e-12 * max(abs(mu_top), 1.0)
     lams, pvecs = [], []
     for j, m_j in enumerate(mu):
-        if abs(m_j) <= floor and _is_constant_direction(vecs[:, j]):
-            lams.append(0.0 + 0.0j)
-            pvecs.append(vecs[:, j].astype(complex))
-            continue
-        root = math.sqrt(max(m_j, 0.0))
-        lams.append(complex(root))
-        pvecs.append(vecs[:, j].astype(complex))
-        if root > 0.0:
-            lams.append(complex(-root))
+        zero = abs(m_j) <= floor and _is_constant_direction(vecs[:, j])
+        root = 0.0 if zero else math.sqrt(max(m_j, 0.0))
+        for lam in (root, -root) if root > 0.0 else (root,):
+            lams.append(complex(lam))
             pvecs.append(vecs[:, j].astype(complex))
     return np.array(lams), np.array(pvecs).T
 
@@ -625,7 +615,7 @@ def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, radius: floa
 
 
 def _uses_shift_invert(n: int, n_want: int) -> bool:
-    return n >= SPARSE_MIN_VERTICES and SPARSE_MAX_SHARE * n_want <= n
+    return SPARSE_MAX_SHARE * n_want <= n
 
 
 def _linearization(path: str, c):
@@ -642,16 +632,17 @@ def _linearization(path: str, c):
     return 1.0, -1j * c, 1.0, 1j
 
 
-def _solve_dense(q: QepMatrices, path: str):
-    """All eigenpairs (lams, p-vectors) of q's dense companion, by the driver
-    that path names: hermitian, real-rotated, real-direct or complex."""
-    kr, mr = q.k_stiff.real, q.m_mass.real
+def _solve_dense(k_s, c_s, m_s, path: str):
+    """All eigenpairs (lams, p-vectors) of the dense companion of K, C and M,
+    by the eigensolver that path names: hermitian, real-rotated, real-direct or
+    complex. The CSC arrays are densified here, C already of class path."""
+    kr, mr = k_s.toarray(), m_s.toarray()
     n = kr.shape[0]
     if path == "hermitian":
         mu, vecs = sla.eigh(kr, mr)
         return _lambdas_from_mu(mu, vecs, mu[-1])
     # the companion [[M^{-1} D, sigma_K M^{-1} K], [I, 0]] on [w p; p]
-    rho, d, sigma_k, _ = _linearization(path, q.c_bdry)
+    rho, d, sigma_k, _ = _linearization(path, c_s.toarray())
     try:
         top = np.hstack([sla.solve(mr, d, assume_a="pos"),
                          sigma_k * sla.solve(mr, kr, assume_a="pos")])
@@ -777,8 +768,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
     C is classified once, by exact-zero tests: zero (hermitian), real
     (real-rotated), purely imaginary (real-direct) or complex. Each nonzero
     class fixes one first-order pencil for both solvers (_linearization),
-    real unless C is complex. With at least SPARSE_MIN_VERTICES vertices and
-    n_want at most a SPARSE_MAX_SHARE-th of them, shift-invert Lanczos
+    real unless C is complex. With n_want at most a SPARSE_MAX_SHARE-th of
+    the vertices, shift-invert Lanczos
     (C = 0) or Arnoldi on the stored CSC arrays K, C and M computes the wanted
     modes and certifies that none nearer the origin than the farther of the
     n_want-th mode and radius was missed, recording metadata["arithmetic"]
@@ -831,7 +822,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
                 f"companion solve is capped at {MAX_SOLVE_VERTICES} vertices, got {n}"
             )
     if solved is None:
-        solved = (linearization, *_solve_dense(q, linearization), {})
+        solved = (linearization, *_solve_dense(k_s, c_s, m_s, linearization), {})
     path, lams, pvecs, info = solved
 
     # classify first, then check residuals for the selected columns in one
@@ -841,20 +832,21 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
-    qep_cols = (
-        (m_s @ p_sel) * (lam_sel * lam_sel)[None, :]
-        + (c_s @ p_sel) * (1j * lam_sel)[None, :]
-        - k_s @ p_sel
-    )
-    denom = (
-        np.abs(lam_sel) ** 2 * norm_m + np.abs(lam_sel) * norm_c + norm_k
-    ) * np.linalg.norm(p_sel, axis=0)
-    residuals = np.linalg.norm(qep_cols, axis=0) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused below
+        qep_cols = (
+            (m_s @ p_sel) * (lam_sel * lam_sel)[None, :]
+            + (c_s @ p_sel) * (1j * lam_sel)[None, :]
+            - k_s @ p_sel
+        )
+        denom = (
+            np.abs(lam_sel) ** 2 * norm_m + np.abs(lam_sel) * norm_c + norm_k
+        ) * np.linalg.norm(p_sel, axis=0)
+        residuals = np.linalg.norm(qep_cols, axis=0) / denom
 
     entries = []
     tags = ["fem"] * len(kept_idx) + ["quotient-artifact"] * len(artifact_idx)
     for lam, resid, tag in zip(lam_sel.tolist(), residuals.tolist(), tags):
-        if resid > QEP_RESIDUAL_TOL:
+        if not resid <= QEP_RESIDUAL_TOL:
             raise NumericalFailureError(
                 f"eigenpair at {lam:.6g} has residual {resid:.3e} above {QEP_RESIDUAL_TOL:g}"
             )

@@ -13,6 +13,7 @@ library routines appear only in the test suite as oracles.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -266,14 +267,20 @@ class DiskModeProblem:
         jpp = (_order(table, m - 2) - 2.0 * jm + table[m + 2]) / 4.0
         return jm, _derivative(table, m), jpp
 
+    @cached_property
+    def scale(self) -> float:
+        """2^-e with max(1, |Re zeta|, |Im zeta|) < 2^e; char comes times it, exact, finite."""
+        zeta = complex(self.zeta)
+        return 2.0 ** -int(np.frexp(max(1.0, abs(zeta.real), abs(zeta.imag)))[1])
+
     def char(self, lam) -> np.ndarray:
-        jm, jp, _ = self._jet(lam)
-        return 1j * complex(self.zeta) * jm - jp
+        return self.char_and_deriv(lam)[0]
 
     def char_and_deriv(self, lam):
         jm, jp, jpp = self._jet(lam)
-        zeta = complex(self.zeta)
-        return 1j * zeta * jm - jp, 1j * zeta * jp - jpp
+        scale = self.scale
+        coef = 1j * (complex(self.zeta) * scale)
+        return coef * jm - jp * scale, coef * jp - jpp * scale
 
 
 @dataclass(frozen=True)
@@ -357,7 +364,8 @@ def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str)
             if not np.all(np.isfinite(vals)) or np.abs(vals).min() <= 1e-300:
                 break
             closed = np.append(vals, vals[0])
-            turns = np.angle(closed[1:] / closed[:-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                turns = np.angle(closed[1:] / closed[:-1])
             # undersampled near a zero, or a quotient overflowed to nan
             if not np.abs(turns).max() <= 2.5:
                 continue
@@ -415,7 +423,8 @@ def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
     out = [None] * lam.size
     kept = np.nonzero(alive)[0]
     if kept.size:
-        resid = np.abs(problem.char(lam[kept])) / max(1.0, abs(complex(problem.zeta)))
+        scale = problem.scale  # max(1, |zeta|) scale cannot overflow
+        resid = np.abs(problem.char(lam[kept])) / max(scale, abs(complex(problem.zeta) * scale))
         for i, r in zip(kept, resid):
             if r <= 1e-10 and inside(i, 1e-6):
                 out[i] = (complex(lam[i]), float(r))

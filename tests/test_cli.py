@@ -1,6 +1,7 @@
 """Exit codes, argument grammar, and output determinism of the CLI."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -270,6 +271,59 @@ class TestExitCodes:
             assert run(["fem", "--shape", shape, "--n", n, "--zeta", "1e308"]) == 4
             assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    def test_string_enclosure_violation_exit2(self, monkeypatch, capsys):
+        from impedbench import models
+        from impedbench.reports import ModeEntry, SpectrumReport
+
+        monkeypatch.setattr(models, "string_spectrum", lambda spec, count: SpectrumReport(
+            "string", [ModeEntry(1.0, 1e-3, 0.0, "string")]))
+        assert run(["string", "--zeta", "0.5"]) == 2
+        assert "max Im 1.000000e-03" in capsys.readouterr().out
+
+    def test_disk_count_mismatch_exit2(self, monkeypatch, capsys):
+        from impedbench import models
+
+        spectrum = models.disk_spectrum
+
+        def mismatched(*args, **kwargs):
+            report = spectrum(*args, **kwargs)
+            report.metadata["all_counts_match"] = False
+            return report
+
+        monkeypatch.setattr(models, "disk_spectrum", mismatched)
+        assert run(["disk", "--zeta", "0.5", "--m-max", "0"]) == 2
+        assert "counts MISMATCH" in capsys.readouterr().out
+
+    def test_disk_enclosure_violation_exit2(self, capsys):
+        # the polished rigid-rim roots carry Im of about +1e-17
+        assert run(["disk", "--zeta", "0", "--m-max", "3", "--tol", "0"]) == 2
+        assert "counts match" in capsys.readouterr().out
+
+    def test_fem_enclosure_violation_exit2(self, monkeypatch, capsys):
+        from impedbench import fem
+        from impedbench.reports import ModeEntry, SpectrumReport
+
+        monkeypatch.setattr(fem, "solve_qep", lambda q, n_want: SpectrumReport(
+            "fem", [ModeEntry(1.0, 1e-3, 0.0, "fem")],
+            metadata={"path": "complex", "artifacts": 0}))
+        assert run(["fem", "--n", "4", "--zeta", "0.5"]) == 2
+        assert "max Im 1.000000e-03" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("zeta,energies", [
+        # an accretive rim whose energy grows in one step
+        ("0.5", [1.0, 0.9, 0.95]),
+        # a conservative rim whose energy decays instead of staying put
+        ("const:0,0.5", [1.0, 0.9, 0.8]),
+    ])
+    def test_march_energy_violation_exit2(self, monkeypatch, capsys, zeta, energies):
+        from impedbench import fem
+        from impedbench.reports import EnergyTrace
+
+        monkeypatch.setattr(fem, "cn_energy_march",
+                            lambda q, initial, dt, steps: EnergyTrace("march", dt, energies))
+        assert run(["march", "--n", "4", "--zeta", zeta]) == 2
+        assert "2 steps" in capsys.readouterr().out
+
     def test_infinite_box_edge_exit3(self, capsys):
         argv = ["disk", "--zeta", "0.5", "--m-max", "0", "--box", "0.05,inf,-5,0.05"]
         assert run(argv) == 3
@@ -457,6 +511,14 @@ class TestOutputs:
         assert payload["theorem_applies"] is True
         capsys.readouterr()
 
+    def test_lq_fourier_file(self, tmp_path, capsys):
+        # 1 + cos(theta) has mean square 1.5 over the circle
+        path = tmp_path / "coef.json"
+        path.write_text('{"kind": "fourier", "coeffs": [[0.5, 0], [1, 0], [0.5, 0]]}')
+        assert run(["lq", "--zeta", f"file:{path}"]) == 0
+        norm = float(capsys.readouterr().out.split("|zeta|_q ", 1)[1].split()[0])
+        assert abs(norm - math.sqrt(1.5)) <= 1e-15
+
     def test_string_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["string", "--zeta", "const:0.5,0", "--out", str(a)]) == 0
@@ -542,14 +604,26 @@ class TestOutputs:
             ref = scipy_disk_root(m, -0.3j, lam)
             assert abs(lam - ref) <= 1e-10 * abs(ref)
 
-    def test_disk_contour_quotient_overflow_exit4(self, capsys):
-        # next to the root on the east edge, quotients of neighbouring samples
-        # of this huge characteristic overflow to nan; the count treats them
-        # as unresolved phase, nudges the box and at last gives up
+    def test_disk_huge_impedance_box_through_root_answers(self, capsys):
+        # the characteristic is counted divided by a power of two near |zeta|,
+        # so quotients of neighbouring samples next to the root on the east
+        # edge no longer overflow to nan
         argv = ["disk", "--zeta", "const:1e308,1e308", "--m-max", "0",
                 "--box=0.05,3.8317059702075125,-0.5,0.05"]
-        assert run(argv) == 4
-        assert "numerical failure" in capsys.readouterr().err
+        assert run(argv) == 0
+        assert "1 modes over m<=0" in capsys.readouterr().out
+
+    def test_disk_largest_impedance_answers(self, tmp_path, capsys):
+        # i zeta J_0 overflows unscaled; the roots approach the zeros of J_0
+        import scipy.special
+
+        out = tmp_path / "disk.json"
+        assert run(["disk", "--zeta", "1.7e308", "--m-max", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("counts match")
+        modes = json.loads(out.read_text())["modes"]
+        lams = [complex(e["re_lambda"], e["im_lambda"]) for e in modes]
+        zeros = scipy.special.jn_zeros(0, 6)
+        assert np.abs(np.array(lams) - zeros).max() <= 1e-12 * zeros.max()
 
     def test_march_csv_columns(self, tmp_path, capsys):
         out = tmp_path / "march.csv"
@@ -596,8 +670,20 @@ class TestOutputs:
         capsys.readouterr()
 
     def test_fem_summary_names_path(self, capsys):
-        assert run(["fem", "--shape", "square", "--n", "6", "--zeta", "const:0,0.5", "--nev", "4"]) == 0
+        # 9 of 49 modes is more than a SPARSE_MAX_SHARE-th: the dense companion
+        assert run(["fem", "--shape", "square", "--n", "6", "--zeta", "const:0,0.5", "--nev", "9"]) == 0
         assert "path real-direct" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,nev", [("8", "4"), ("12", "8")])
+    def test_fem_strong_damping_few_modes_answer(self, tmp_path, capsys, n, nev):
+        # at most n/6 modes go to shift-invert whatever the mesh size; the
+        # dense companion's residuals fail the gate at zeta = 1e6
+        out = tmp_path / "fem.json"
+        argv = ["fem", "--shape", "square", "--n", n, "--zeta", "1e6", "--nev", nev]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert "path shift-invert-arnoldi" in capsys.readouterr().out
+        modes = json.loads(out.read_text())["modes"]
+        assert max(e["residual"] for e in modes) <= 1e-9
 
     def test_fem_summary_names_shift_invert_path(self, capsys):
         assert run(["fem", "--shape", "square", "--n", "16", "--zeta", "const:0,0.5", "--nev", "4"]) == 0

@@ -437,8 +437,8 @@ class TestSolveQep:
     # each check runs once on the dense side of the solver switch and once,
     # in its _shift_invert twin, on the sparse side
 
-    def _check_neumann_square(self, spec, path):
-        rep = solve_qep(assemble(build_mesh(spec), zeta=0.0), n_want=9)
+    def _check_neumann_square(self, spec, n_want, path):
+        rep = solve_qep(assemble(build_mesh(spec), zeta=0.0), n_want=n_want)
         assert rep.metadata["path"] == path
         vals = [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
         assert all(abs(v.imag) == 0.0 for v in vals)
@@ -453,10 +453,12 @@ class TestSolveQep:
         assert np.allclose(positives, negatives, atol=1e-12)
 
     def test_neumann_square_matches_closed_form(self):
-        self._check_neumann_square("square{8}", "hermitian")
+        # 15 of 81 modes (the zero mode and seven +- pairs) is more than a
+        # SPARSE_MAX_SHARE-th: the dense side
+        self._check_neumann_square("square{8}", 15, "hermitian")
 
     def test_neumann_square_matches_closed_form_shift_invert(self):
-        self._check_neumann_square("square{16}", "shift-invert-lanczos")
+        self._check_neumann_square("square{16}", 9, "shift-invert-lanczos")
 
     def _check_real_damping(self, spec, n_want, path):
         rep = solve_qep(assemble(build_mesh(spec), zeta=1.0), n_want=n_want)
@@ -581,6 +583,19 @@ class TestSolveQep:
         assert calls[0] == 17 and calls[-1] == 2 * q.dim // 4
         assert all(b == min(a + a // 2, 2 * q.dim // 4) for a, b in zip(calls, calls[1:]))
 
+    def test_nan_residual_refused(self, monkeypatch):
+        # a residual that overflowed to nan compares false with the tolerance
+        dense = fem_module._solve_dense
+
+        def poisoned(*args):
+            lams, pvecs = dense(*args)
+            pvecs[0] = np.nan
+            return lams, pvecs
+
+        monkeypatch.setattr(fem_module, "_solve_dense", poisoned)
+        with pytest.raises(NumericalFailureError, match="residual nan"):
+            solve_qep(assemble(build_mesh("square{4}"), zeta=0.5), n_want=5)
+
     @pytest.mark.parametrize("zeta", [0.5, 0.5j, 0.3 + 0.4j])
     def test_mu_pencil_operator_solves_shifted_pencil(self, zeta):
         # real C in the variable mu = i lam, the other classes in lam itself
@@ -590,7 +605,7 @@ class TestSolveQep:
         c = q.c_bdry if np.any(q.c_bdry.imag) else q.c_bdry.real
         rho, d, sigma_k, shift = fem_module._linearization(path, c)
         # eigenpairs of the dense companion solve w^2 M p = w D p + sigma_K K p
-        lams, pvecs = fem_module._solve_dense(q, path)
+        lams, pvecs = fem_module._solve_dense(q.k.real, sp.csc_array(c), q.m.real, path)
         w, p = rho * lams[:8], pvecs[:, :8]
         res = (q.m_mass @ p) * w**2 - (d @ p) * w - sigma_k * (q.k_stiff @ p)
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(q.k_stiff @ p)

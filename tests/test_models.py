@@ -101,6 +101,17 @@ class TestBessel:
                 ours = bessel_j(m, z)
             assert abs(ours - ref) <= 1e-15 * abs(ref)
 
+    def test_rescaling_guard_keeps_tiny_arguments_accurate(self):
+        # from order 60 down, the recurrence at these points passes 1e250 and
+        # is rescaled on the way; every row must still match the series
+        mpmath = pytest.importorskip("mpmath")
+        z = [1e-7, 3e-8, 2e-6]
+        table = models._bessel_table(60, z)
+        for m in (0, 1, 5, 20):
+            for j, x in enumerate(z):
+                ref = complex(mpmath.besselj(m, x))
+                assert abs(table[m, j] - ref) <= 1e-14 * abs(ref)
+
     def test_relative_accuracy_against_library(self):
         # the contour phase of the high sectors reads small J_m, which the
         # mixed error of the checks above does not resolve
@@ -307,6 +318,35 @@ class TestDiskRoots:
         assert count == 1
         assert work["box_nudges"] >= 1
         assert moved.re_max - J1_FIRST_ZERO >= (J1_FIRST_ZERO - 0.05) / 1024
+
+    def test_unresolved_phase_gives_up_after_five_nudges(self):
+        # quotients of neighbouring samples overflow to nan on every contour
+        work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
+        with pytest.raises(NumericalFailureError, match="no count"):
+            models._count_in(
+                lambda z: np.full(z.shape, 1e308 + 1e308j), SearchBox(-1.0, 1.0, -1.0, 1.0),
+                64, np.random.default_rng(SEED), work, "no count",
+            )
+        assert work == {"contour_points": 6 * (64 + 128 + 256), "boxes_counted": 0,
+                        "box_nudges": 5}
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.3j, -0.3j, 1e6, 0.3 + 0.4j, 1.7e308])
+    def test_characteristic_scaled_exactly(self, zeta):
+        # char is the characteristic times a power of two at or below
+        # 1 / max(1, |Re zeta|, |Im zeta|), exact wherever that product is finite
+        problem = DiskModeProblem(m=2, zeta=zeta)
+        scale = problem.scale
+        assert math.frexp(scale)[0] == 0.5
+        assert scale * max(1.0, abs(zeta.real), abs(zeta.imag)) < 1.0
+        lam = np.array([0.7, 3.1 - 0.4j, 11.0 - 2.0j])
+        jm, jp, jpp = problem._jet(lam)
+        f, df = problem.char_and_deriv(lam)
+        assert np.array_equal(problem.char(lam), f)
+        assert np.isfinite(f).all() and np.isfinite(df).all()
+        if zeta != 1.7e308:
+            z = complex(zeta)
+            assert np.array_equal(f, (1j * z * jm - jp) * scale)
+            assert np.array_equal(df, (1j * z * jp - jpp) * scale)
 
 
 # Roots per sector 0..4 in the default search box.
