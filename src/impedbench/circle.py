@@ -216,7 +216,11 @@ class ImpedanceCoefficient:
             return float(abs(self.amplitude) * (np.pi**-aq / (1.0 - aq)) ** (1.0 / q))
         theta = -np.pi + 2.0 * np.pi * np.arange(8192) / 8192
         vals = np.abs(self._evaluate(theta))
-        return float(np.mean(vals**q) ** (1.0 / q))
+        # scaled by the largest sample, the power cannot overflow
+        top = vals.max()
+        if top == 0.0:
+            return 0.0
+        return float(top * np.mean((vals / top) ** q) ** (1.0 / q))
 
     def _evaluate(self, theta):
         if self.kind == "sampled":

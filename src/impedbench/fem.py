@@ -17,12 +17,13 @@ about 0.05 s, most of it in the checks. The eigensolve and the march read
 the stored CSC arrays; only the dense companion solve densifies them. Both
 eigensolvers use one first-order pencil, real when C is real or purely
 imaginary. When at most n/6 modes are wanted on n vertices, shift-invert
-Lanczos/Arnoldi through one n x n sparse LU computes only those and
-certifies that none nearer the origin was missed; otherwise the dense
-companion, the sparse path's test reference, computes all. The
-Crank-Nicolson march factors its system once by sparse LU and satisfies a
-per-step energy identity exactly, so decay checks test the model rather
-than integrator artifacts.
+Lanczos/Arnoldi through one n x n sparse LU computes only those nearest a
+requested centre (the origin by default) and certifies that none nearer it
+was missed; otherwise the dense companion, the sparse path's test
+reference, computes all. A convergence study centres one such solve on
+each reference eigenvalue. The Crank-Nicolson march factors its system
+once by sparse LU and satisfies a per-step energy identity exactly, so
+decay checks test the model rather than integrator artifacts.
 """
 
 import math
@@ -179,29 +180,18 @@ def square_mesh(n: int, lx: float = 1.0, ly: float = 1.0, nx: int = None, ny: in
         raise InvalidInputError("side lengths must be finite and positive")
     xs = np.linspace(0.0, lx, nx + 1)
     ys = np.linspace(0.0, ly, ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-    triangles = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    edges, labels = [], []
-    for i in range(nx):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        labels.append("bottom")
-    for j in range(ny):
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        labels.append("right")
-    for i in range(nx, 0, -1):
-        edges.append((vid(i, ny), vid(i - 1, ny)))
-        labels.append("top")
-    for j in range(ny, 0, -1):
-        edges.append((vid(0, j), vid(0, j - 1)))
-        labels.append("left")
-    return Mesh(vertices, np.array(triangles), np.array(edges), labels)
+    gx, gy = np.meshgrid(xs, ys)
+    vertices = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    # vertex (i, j) is vid[j, i]; each cell splits along its rising diagonal
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)
+    v00, v10, v01, v11 = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]
+    triangles = np.stack([np.stack([v00, v10, v11], axis=-1),
+                          np.stack([v00, v11, v01], axis=-1)], axis=2).reshape(-1, 3)
+    # counterclockwise walk from the origin: bottom, right, top, left
+    walk = np.concatenate([vid[0, :], vid[1:, nx], vid[ny, -2::-1], vid[-2::-1, 0]])
+    edges = np.stack([walk[:-1], walk[1:]], axis=1)
+    labels = ["bottom"] * nx + ["right"] * ny + ["top"] * nx + ["left"] * ny
+    return Mesh(vertices, triangles, edges, labels)
 
 
 def disk_polygon_mesh(n_r: int, n_theta: int) -> Mesh:
@@ -209,24 +199,19 @@ def disk_polygon_mesh(n_r: int, n_theta: int) -> Mesh:
     if n_r < 1 or n_theta < 3:
         raise InvalidInputError("need n_r >= 1 and n_theta >= 3")
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    vertices = [(0.0, 0.0)]
-    for k in range(1, n_r + 1):
-        r = k / n_r
-        for th in angles:
-            vertices.append((r * np.cos(th), r * np.sin(th)))
-    ring = lambda k, j: 1 + (k - 1) * n_theta + (j % n_theta)
-    triangles = []
-    for j in range(n_theta):
-        triangles.append((0, ring(1, j), ring(1, j + 1)))
-    for k in range(1, n_r):
-        for j in range(n_theta):
-            a0, a1 = ring(k, j), ring(k, j + 1)
-            b0, b1 = ring(k + 1, j), ring(k + 1, j + 1)
-            triangles.append((a0, b0, b1))
-            triangles.append((a0, b1, a1))
-    edges = [(ring(n_r, j), ring(n_r, j + 1)) for j in range(n_theta)]
+    radii = (np.arange(1, n_r + 1) / n_r)[:, None]
+    rings = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+    vertices = np.concatenate([np.zeros((1, 2)), rings.reshape(-1, 2)])
+    # vertex j of ring k (1-based) is ring[k - 1, j], its successor nxt[k - 1, j]
+    ring = 1 + n_theta * np.arange(n_r)[:, None] + np.arange(n_theta)
+    nxt = np.roll(ring, -1, axis=1)
+    fan = np.stack([np.zeros(n_theta, dtype=int), ring[0], nxt[0]], axis=1)
+    a0, a1, b0, b1 = ring[:-1], nxt[:-1], ring[1:], nxt[1:]
+    band = np.stack([np.stack([a0, b0, b1], axis=-1),
+                     np.stack([a0, b1, a1], axis=-1)], axis=2).reshape(-1, 3)
+    edges = np.stack([ring[-1], nxt[-1]], axis=1)
     labels = ["rim"] * n_theta
-    return Mesh(np.array(vertices), np.array(triangles), np.array(edges), labels)
+    return Mesh(vertices, np.concatenate([fan, band]), edges, labels)
 
 
 def mesh_from_file(path: str) -> Mesh:
@@ -357,7 +342,8 @@ class QepMatrices:
     K, C and M are stored once, as the CSC arrays k, c (complex) and m; the
     constructor takes them dense or sparse and converts each once. k_stiff,
     c_bdry and m_mass return dense copies, which only tests and the
-    benchmark read. assemble returns K and M real.
+    benchmark read. assemble returns K and M real. norms computes their
+    2-norms once, however many solves read them.
     """
 
     def __init__(self, k_stiff, c_bdry, m_mass, meta=None):
@@ -366,6 +352,26 @@ class QepMatrices:
         self.k, self.m = csc_array(k_stiff), csc_array(m_mass)
         self.c = csc_array(c_bdry, dtype=complex)
         self.meta = {} if meta is None else meta
+        self._norms = None
+
+    def norms(self, v0) -> tuple:
+        """(||K||, ||C||, ||M||), computed on the first call and kept.
+
+        ||C|| is exact. ||K|| and ||M|| of the real parts of K and M are
+        Lanczos Ritz values from start vector v0, stopped at tol = 1e-2: a
+        Ritz value never exceeds the 2-norm, so a residual scaled by these
+        is never smaller than with the exact norms.
+        """
+        if self._norms is None:
+            from scipy.sparse.linalg import eigsh
+
+            norm_k, norm_m = (
+                float(abs(eigsh(x.real, k=1, which="LM", v0=v0, tol=1e-2,
+                                return_eigenvectors=False)[0]))
+                for x in (self.k, self.m)
+            )
+            self._norms = norm_k, _spectral_norm_boundary(self.c), norm_m
+        return self._norms
 
     @property
     def k_stiff(self) -> np.ndarray:
@@ -580,7 +586,7 @@ def _is_constant_direction(p: np.ndarray) -> bool:
 def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
     """lam = +-sqrt(mu) for ascending eigenpairs of K p = mu M p.
 
-    mu_top is the largest mu or a lower bound on it; it scales the roundoff
+    mu_top is the largest mu or an estimate of it; it scales the roundoff
     floor under which the constant mode counts as mu = 0.
     """
     # the constant mode sits at mu = 0 up to roundoff; clamp it so the
@@ -596,22 +602,24 @@ def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
     return np.array(lams), np.array(pvecs).T
 
 
-def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, radius: float,
+def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, center: complex,
                   zeta_zero: bool):
-    """Indices of the n_want genuine modes nearest the origin, and of every
-    further one with |lam| < radius, and of the quotient artifacts, each in
-    order of |lam|."""
-    order = np.argsort(np.abs(lams), kind="stable")
+    """Indices of the n_want genuine modes nearest center and of the quotient
+    artifacts nearer it than the last of them, each in order of the
+    distances |lam - center|, also returned."""
+    dist = np.abs(lams - center)
     kept_idx, artifact_idx = [], []
-    for j in order:
+    for j in np.argsort(dist, kind="stable"):
+        if len(kept_idx) == n_want:
+            break
         p = pvecs[:, j]
         if not np.any(p):
             continue
         if not zeta_zero and abs(lams[j]) < ARTIFACT_RADIUS and _is_constant_direction(p):
             artifact_idx.append(j)
-        elif len(kept_idx) < n_want or abs(lams[j]) < radius:
+        else:
             kept_idx.append(j)
-    return kept_idx, artifact_idx
+    return kept_idx, artifact_idx, dist
 
 
 def _uses_shift_invert(n: int, n_want: int) -> bool:
@@ -682,22 +690,26 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
 
-def _solve_shift_invert(k_s, c_s, m_s, n_want: int, radius: float, linearization: str,
+def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearization: str,
                         accretive: bool, rng, mu_top: float):
-    """The modes nearest the origin by shift-invert ARPACK on the sparse K, C
-    (of class linearization) and M from a start vector rng draws: (path,
-    lams, p-vectors, info), info holding the arithmetic and the final ARPACK
-    k, or None when the dense companion should take over. mu_top is at most
-    the largest mu.
+    """The modes nearest center by shift-invert ARPACK on the sparse K, C (of
+    class linearization) and M from a start vector rng draws: (path, lams,
+    p-vectors, info), info holding the arithmetic and the final ARPACK k, or
+    None when the dense companion should take over. mu_top estimates the
+    largest mu.
 
-    C = 0: Lanczos on K p = mu M p with sigma = -s^2, so K - sigma M is SPD
-    and lam = +-sqrt(mu) stays exactly real. Otherwise standard-mode Arnoldi
-    on _pencil_operator at sigma_w = rho sigma, whose eigenvalues nu give
-    lam = (sigma_w + 1/nu) / rho at |lam - sigma| = 1/|nu|. Every mode not
-    returned lies at least R = max |lam_j - sigma| from sigma, so no mode
-    with |lam| <= r = max(r_sel, radius), r_sel the n_want-th genuine
-    modulus, was missed when r + |sigma| < R. Otherwise k grows by half, up
-    to a quarter of the pencil dimension.
+    C = 0: Lanczos on K p = mu M p at sigma_mu = -s^2, so K - sigma_mu M is
+    SPD and lam = +-sqrt(mu) stays exactly real; centred at c != 0, at
+    sigma_mu = a^2 with a = Re c. Otherwise standard-mode Arnoldi on
+    _pencil_operator at sigma_w = rho sigma, sigma = i s (s for purely
+    imaginary C), or sigma = c itself in complex arithmetic, whose
+    eigenvalues nu give lam = (sigma_w + 1/nu) / rho at |lam - sigma| =
+    1/|nu|. Every mode not returned lies at least R = max |lam_j - sigma|
+    from sigma, so none nearer c than r, the distance of the n_want-th
+    genuine mode from c, was missed when r + |sigma - c| <= R. Centred, r
+    and R are read from one array of distances, so a first k of n_want
+    certifies whenever the mode nearest c is genuine. Otherwise k grows by
+    half (by at least one), up to a quarter of the pencil dimension.
     """
     import scipy.sparse.linalg as spla
 
@@ -707,24 +719,29 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, radius: float, linearization
     # quarter of it keeps sigma well off the artifact at lam = 0 while the
     # certificate needs few modes beyond the wanted ones
     s = 0.25 * math.sqrt(k_s.trace() / (n * m_s.trace()))
-    # the first k covers the wanted modes (each mu > 0 gives two) plus the
-    # thin band beyond them that the certificate needs
+    # off the origin the first k is the request; at the origin it also covers
+    # the thin band beyond the wanted modes that the certificate needs (each
+    # mu > 0 gives two)
     try:
         if zeta_zero:
-            path, sigma = "shift-invert-lanczos", -s * s
-            n_eig = n_want // 2 + 4 + n_want // 16
+            a = center.real
+            path, sigma = "shift-invert-lanczos", a * a if center else -s * s
+            n_eig = n_want if center else n_want // 2 + 4 + n_want // 16
             lu = spla.splu(k_s - sigma * m_s)
             op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         else:
             rho, d_s, sigma_k, shift = _linearization(linearization, c_s)
-            sigma_w = shift * s
-            path, sigma = "shift-invert-arnoldi", sigma_w / rho
-            n_eig = n_want + 8 + n_want // 8
+            if center:
+                sigma, sigma_w, n_eig = center, rho * center, n_want
+            else:
+                sigma_w = shift * s
+                sigma, n_eig = sigma_w / rho, n_want + 8 + n_want // 8
+            path = "shift-invert-arnoldi"
             op = _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
     except RuntimeError as exc:
         # accretive zeta keeps sigma = i s off the spectrum; nothing keeps
-        # the real shift of a reactive rim off it
-        if accretive and linearization != "real-direct":
+        # the real shift of a reactive rim, or a centre, off it
+        if accretive and linearization != "real-direct" and not center:
             raise NumericalFailureError(f"shift-invert factorization failed: {exc}") from exc
         return None
     v0 = rng.standard_normal(op.shape[0]).astype(op.dtype)
@@ -746,44 +763,47 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, radius: float, linearization
             # (sigma_w + 1/nu) / rho, with the zero signs of i (s - 1/nu) for real C
             lams, pvecs = (-sigma_w - 1.0 / vals) * (-1 / rho), vecs[:n, :]
             far = np.abs(lams - sigma).max()
-        kept_idx, _ = _select_modes(lams, pvecs, n_want, radius, zeta_zero)
+        kept_idx, _, dist = _select_modes(lams, pvecs, n_want, center, zeta_zero)
         if len(kept_idx) >= n_want:
-            r = max(abs(lams[kept_idx[-1]]), radius)
-            # in the mu variable the certificate reads r^2 + |sigma| < R
-            r_cert = r * r if zeta_zero else r
-            if r_cert + abs(sigma) < far:
+            r = dist[kept_idx[-1]]
+            # a real lam within r of c has |lam^2 - a^2| <= r (r + 2|a|), so
+            # in the mu variable the certificate reads that plus |sigma - a^2|
+            if zeta_zero:
+                r_cert = r * (r + 2 * abs(a)) + abs(sigma - a * a)
+            else:
+                r_cert = r + abs(sigma - center)
+            if r_cert <= far:
                 info = {"arithmetic": "real" if op.dtype == float else "complex",
                         "arpack_k": n_eig}
                 return path, lams, pvecs, info
         if n_eig >= limit:
             return None
-        n_eig = min(n_eig + n_eig // 2, limit)
+        n_eig = min(n_eig + max(1, n_eig // 2), limit)
 
 
-def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> SpectrumReport:
-    """Eigenvalues of lam^2 M p + i lam C p - K p = 0 nearest the origin: the
-    n_want genuine modes nearest it and every further one with |lam| < radius,
-    so metadata["returned"] may exceed metadata["requested"] (n_want).
+def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> SpectrumReport:
+    """Eigenvalues of lam^2 M p + i lam C p - K p = 0: the n_want genuine
+    modes nearest center (default the origin), and the quotient artifacts
+    nearer it than the last of them.
 
     C is classified once, by exact-zero tests: zero (hermitian), real
     (real-rotated), purely imaginary (real-direct) or complex. Each nonzero
     class fixes one first-order pencil for both solvers (_linearization),
     real unless C is complex. With n_want at most a SPARSE_MAX_SHARE-th of
-    the vertices, shift-invert Lanczos
-    (C = 0) or Arnoldi on the stored CSC arrays K, C and M computes the wanted
-    modes and certifies that none nearer the origin than the farther of the
-    n_want-th mode and radius was missed, recording metadata["arithmetic"]
-    and the final ARPACK k (metadata["arpack_k"]).
+    the vertices, shift-invert Lanczos (C = 0) or Arnoldi on the stored CSC
+    arrays K, C and M computes the wanted modes and certifies that none
+    nearer center than the n_want-th was missed, recording
+    metadata["arithmetic"] and the final ARPACK k (metadata["arpack_k"]).
     Otherwise, or when it cannot certify them, the dense companion of the
     pencil (a generalized Hermitian solve when C = 0) computes every mode,
     within its cap. metadata["path"] names the solver that ran. Near-zero
     pairs whose eigenvector is constant are tagged quotient-artifact: they
-    live in the direction the stiffness energy cannot see.
+    live in the direction the stiffness energy cannot see. Residuals are
+    scaled by q.norms, computed by the first solve on q.
     """
-    import scipy.sparse.linalg as spla
-
     if n_want < 1:
         raise InvalidInputError("n_want must be at least 1")
+    center = complex(center)
     n = q.dim
     sparse = _uses_shift_invert(n, n_want)
     if not sparse and n > MAX_SOLVE_VERTICES:
@@ -794,7 +814,6 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
     if max(abs(k_s.imag).max(), abs(m_s.imag).max()) > 1e-14 * max(abs(k_s).max(), 1.0):
         raise InvalidInputError("stiffness and mass must be real symmetric")
     k_s, m_s = k_s.real, m_s.real
-    norm_c = _spectral_norm_boundary(c_s)
     # assemble leaves Im C exactly zero for real zeta, Re C for imaginary zeta
     if c_s.nnz == 0:
         linearization = "hermitian"
@@ -803,18 +822,14 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
     else:
         linearization = "complex" if np.any(c_s.data.real) else "real-direct"
     rng = np.random.default_rng(ARPACK_SEED)
-    # Lanczos Ritz values never exceed the 2-norms, so residuals scaled by
-    # them are never smaller than with the exact norms
-    v0 = rng.standard_normal(n)
-    norm_k, norm_m = (
-        float(abs(spla.eigsh(x, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]))
-        for x in (k_s, m_s)
-    )
+    # the norms' start vector is the first draw even when q already has them,
+    # so the shift-invert start vector is the same on every call
+    norm_k, norm_c, norm_m = q.norms(rng.standard_normal(n))
 
     solved = None
     if sparse:
         accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
-        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, radius, linearization, accretive,
+        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, center, linearization, accretive,
                                      rng, norm_k / norm_m)
         if solved is None and n > MAX_SOLVE_VERTICES:
             raise NumericalFailureError(
@@ -827,8 +842,8 @@ def solve_qep(q: QepMatrices, n_want: int = 24, radius: float = 0.0) -> Spectrum
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
-    kept_idx, artifact_idx = _select_modes(lams, pvecs, n_want, radius,
-                                           linearization == "hermitian")
+    kept_idx, artifact_idx, _ = _select_modes(lams, pvecs, n_want, center,
+                                              linearization == "hermitian")
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]
@@ -926,12 +941,11 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
     nearest computed non-artifact eigenvalue when the gap is below MATCH_GAP;
     unmatched references are reported, not fatal.
 
-    Only an eigenvalue with |lam| < max |ref| + MATCH_GAP can match. Each
-    level makes one solve_qep call for 4 len(ref) + 8 modes and every mode
-    inside that radius; solve_qep certifies that none of them was missed, so
-    every eigenvalue that could match is among those returned. The result
-    records the request per level (modes_requested, one-element lists) and
-    the largest |lam| returned (radius_reached).
+    Each level is assembled once and solved once per reference, for the one
+    genuine mode nearest it (solve_qep with n_want=1, center=ref), which
+    solve_qep certifies: no FEM eigenvalue lies nearer the reference, so it
+    is the one a match against every mode would pick. The result records
+    the requests per level (modes_requested, one per reference).
     """
     levels = [int(x) for x in h_schedule]
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
@@ -941,28 +955,20 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
     ref_vals = [complex(e.re_lambda, e.im_lambda) for e in reference.entries]
     if not ref_vals:
         raise InvalidInputError("reference spectrum is empty")
-    match_radius = max(abs(v) for v in ref_vals) + MATCH_GAP
 
-    n_want = 4 * len(ref_vals) + 8
-    specs, errors, reached = [], [], []
+    specs, errors = [], []
     for n in levels:
         spec = f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
         specs.append(spec)
         # the matrices go out of scope before the next level is assembled
-        rep = solve_qep(assemble(build_mesh(spec), zeta=zeta), n_want=n_want,
-                        radius=match_radius)
-        computed = np.array(
-            [complex(e.re_lambda, e.im_lambda) for e in rep.entries if e.mode_tag == "fem"]
-        )
-        reached.append(float(np.abs(computed).max()) if computed.size else 0.0)
+        q = assemble(build_mesh(spec), zeta=zeta)
         row = []
         for rv in ref_vals:
-            if computed.size == 0:
-                row.append(None)
-                continue
-            gaps = np.abs(computed - rv)
-            jbest = int(np.argmin(gaps))
-            row.append(float(gaps[jbest]) if gaps[jbest] < MATCH_GAP else None)
+            rep = solve_qep(q, n_want=1, center=rv)
+            (nearest,) = [complex(e.re_lambda, e.im_lambda)
+                          for e in rep.entries if e.mode_tag == "fem"]
+            gap = abs(nearest - rv)
+            row.append(gap if gap < MATCH_GAP else None)
         errors.append(row)
 
     orders = []
@@ -987,9 +993,7 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
         "orders": orders,
         "finest_orders": orders[-1] if orders else [],
         "unmatched": unmatched,
-        "match_radius": match_radius,
-        "modes_requested": [[n_want] for _ in levels],
-        "radius_reached": reached,
+        "modes_requested": [[1] * len(ref_vals) for _ in levels],
     }
 
 

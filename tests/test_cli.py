@@ -519,6 +519,21 @@ class TestOutputs:
         norm = float(capsys.readouterr().out.split("|zeta|_q ", 1)[1].split()[0])
         assert abs(norm - math.sqrt(1.5)) <= 1e-15
 
+    def test_lq_fourier_file_large_q_stays_finite(self, tmp_path, capsys):
+        # |1 + 0.2 cos(theta)|^q overflows at q = 1e4; its mean is
+        # 0.96^(q/2) P_q(1/sqrt(0.96)) (Laplace's integral for P_q)
+        import mpmath
+
+        path, out = tmp_path / "coef.json", tmp_path / "lq.json"
+        path.write_text('{"kind": "fourier", "coeffs": [[0.1, 0], [1, 0], [0.1, 0]]}')
+        assert run(["lq", "--zeta", f"file:{path}", "--q", "1e4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["theorem_applies"] is True
+        q, d = 10000, mpmath.mpf("0.96")
+        exact = float((d ** (q // 2) * mpmath.legendre(q, 1 / mpmath.sqrt(d))) ** (mpmath.mpf(1) / q))
+        assert abs(payload["lq_norm"] - exact) <= 1e-13 * exact
+        capsys.readouterr()
+
     def test_string_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(["string", "--zeta", "const:0.5,0", "--out", str(a)]) == 0
@@ -647,15 +662,15 @@ class TestOutputs:
 
     def test_converge_strong_damping_matches_every_reference(self, tmp_path, capsys):
         # overdamped rim modes crowd the origin: the 32 modes of
-        # disk_polygon{8,32} nearest it end at |lam| = 2.418, inside the
-        # radius 4.33 where a reference can still match, and each level
-        # returns every mode inside that radius
+        # disk_polygon{8,32} nearest it end at |lam| = 2.418, short of the
+        # sector-1 reference near 3.83; each level asks for the one mode
+        # nearest each reference
         out = tmp_path / "conv.json"
         argv = ["converge", "--shape", "disk_polygon", "--levels", "4,8", "--zeta", "1000"]
         assert run(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("unmatched 0")
         study = json.loads(out.read_text())
-        assert study["modes_requested"] == [[16], [16]]
+        assert study["modes_requested"] == [[1, 1], [1, 1]]
         assert sorted(study["oracle_work"]) == ["0", "1"]
 
     def test_converge_without_disk_reference_exit3(self, capsys):

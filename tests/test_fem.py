@@ -64,6 +64,54 @@ class TestMesh:
         assert np.abs(r[rim] - 1.0).max() < 1e-15
         assert m.label_set() == {"rim"}
 
+    @staticmethod
+    def loop_square(nx, ny, lx, ly):
+        """square_mesh's arrays built vertex by vertex, the reference for its
+        array construction."""
+        xs, ys = np.linspace(0.0, lx, nx + 1), np.linspace(0.0, ly, ny + 1)
+        vid = lambda i, j: j * (nx + 1) + i
+        vertices = [[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)]
+        triangles = []
+        for j in range(ny):
+            for i in range(nx):
+                triangles += [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)),
+                              (vid(i, j), vid(i + 1, j + 1), vid(i, j + 1))]
+        edges = ([(vid(i, 0), vid(i + 1, 0)) for i in range(nx)]
+                 + [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)]
+                 + [(vid(i, ny), vid(i - 1, ny)) for i in range(nx, 0, -1)]
+                 + [(vid(0, j), vid(0, j - 1)) for j in range(ny, 0, -1)])
+        labels = ["bottom"] * nx + ["right"] * ny + ["top"] * nx + ["left"] * ny
+        return vertices, triangles, edges, labels
+
+    @staticmethod
+    def loop_disk(n_r, n_theta):
+        """disk_polygon_mesh's arrays built vertex by vertex."""
+        vertices = [(0.0, 0.0)]
+        for k in range(1, n_r + 1):
+            for th in 2.0 * np.pi * np.arange(n_theta) / n_theta:
+                vertices.append((k / n_r * np.cos(th), k / n_r * np.sin(th)))
+        ring = lambda k, j: 1 + (k - 1) * n_theta + (j % n_theta)
+        triangles = [(0, ring(1, j), ring(1, j + 1)) for j in range(n_theta)]
+        for k in range(1, n_r):
+            for j in range(n_theta):
+                triangles += [(ring(k, j), ring(k + 1, j), ring(k + 1, j + 1)),
+                              (ring(k, j), ring(k + 1, j + 1), ring(k, j + 1))]
+        edges = [(ring(n_r, j), ring(n_r, j + 1)) for j in range(n_theta)]
+        return vertices, triangles, edges, ["rim"] * n_theta
+
+    @pytest.mark.parametrize("a,b", [(1, 3), (2, 8), (4, 16), (5, 7), (12, 48), (1, 1), (3, 1)])
+    def test_meshes_equal_the_loop_construction(self, a, b):
+        # the same arithmetic on arrays: equal bit for bit
+        cases = [(fem_module.square_mesh(0, nx=a, ny=b, lx=1.3, ly=0.7),
+                  self.loop_square(a, b, 1.3, 0.7))]
+        if b >= 3:
+            cases.append((fem_module.disk_polygon_mesh(a, b), self.loop_disk(a, b)))
+        for mesh, (vertices, triangles, edges, labels) in cases:
+            assert np.array_equal(mesh.vertices, np.array(vertices))
+            assert np.array_equal(mesh.triangles, np.array(triangles))
+            assert np.array_equal(mesh.boundary_edges, np.array(edges))
+            assert mesh.boundary_labels == labels
+
     def test_all_areas_positive(self):
         for spec in ("square{3}", "disk_polygon{3,12}", "rectangle{2,2,3.0,0.5}"):
             m = build_mesh(spec)
@@ -514,19 +562,24 @@ class TestSolveQep:
     def test_mixed_boundary_labels_shift_invert(self):
         self._check_mixed_labels("square{16}", "shift-invert-arnoldi")
 
-    def test_radius_adds_every_mode_inside_it(self):
-        # overdamped rim modes crowd the origin: at zeta = 1000 far more
-        # than 16 modes of disk_polygon{8,32} lie inside |lam| < 4.33
+    def test_center_reaches_past_the_modes_crowding_the_origin(self):
+        # overdamped rim modes crowd the origin: at zeta = 1000 the 16 modes
+        # of disk_polygon{8,32} nearest it end near |lam| = 2.4, short of the
+        # sector-1 root near 3.8317 - 0.001i; centred there, one mode answers
         q = assemble(build_mesh("disk_polygon{8,32}"), zeta=1000.0)
-        wide = solve_qep(q, n_want=16, radius=4.33)
-        assert wide.metadata["path"] == "shift-invert-arnoldi"
-        assert wide.metadata["requested"] == 16
-        assert wide.metadata["returned"] > 16
-        fem = [complex(e.re_lambda, e.im_lambda) for e in wide.entries if e.mode_tag == "fem"]
-        assert len(fem) == wide.metadata["returned"]
-        assert all(abs(v) < 4.33 for v in fem)
-        # radius 0 is the default
-        plain, zero = solve_qep(q, n_want=16), solve_qep(q, n_want=16, radius=0.0)
+        ref = 3.8317 - 0.001j
+        plain = solve_qep(q, n_want=16)
+        assert all(abs(complex(e.re_lambda, e.im_lambda) - ref) > 0.5 for e in plain.entries)
+        near = solve_qep(q, n_want=1, center=ref)
+        assert near.metadata["path"] == "shift-invert-arnoldi"
+        assert near.metadata["arithmetic"] == "complex"
+        assert (near.metadata["requested"], near.metadata["returned"]) == (1, 1)
+        assert near.metadata["artifacts"] == 0
+        (mode,) = near.entries
+        assert mode.mode_tag == "fem"
+        assert abs(complex(mode.re_lambda, mode.im_lambda) - ref) < 0.1
+        # centre 0 is the default
+        zero = solve_qep(q, n_want=16, center=0.0)
         assert zero.entries == plain.entries
         assert zero.metadata == plain.metadata
 
@@ -581,7 +634,8 @@ class TestSolveQep:
         assert rep.metadata["returned"] == 8
         # k grew by half each time, up to a quarter of the pencil dimension
         assert calls[0] == 17 and calls[-1] == 2 * q.dim // 4
-        assert all(b == min(a + a // 2, 2 * q.dim // 4) for a, b in zip(calls, calls[1:]))
+        assert all(b == min(a + max(1, a // 2), 2 * q.dim // 4)
+                   for a, b in zip(calls, calls[1:]))
 
     def test_nan_residual_refused(self, monkeypatch):
         # a residual that overflowed to nan compares false with the tolerance
@@ -706,6 +760,58 @@ class TestShiftInvertMatchesDense:
         rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
         assert np.abs(a[rows] - b[cols]).max() <= 1e-10
 
+    @staticmethod
+    def nearest_on_both_paths(monkeypatch, q, center):
+        """The centred one-mode report of the shift-invert path and of the
+        dense companion."""
+        reports = {}
+        for forced in (True, False):
+            monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w, f=forced: f)
+            reports[forced] = solve_qep(q, n_want=1, center=center)
+        return reports[True], reports[False]
+
+    @pytest.mark.parametrize("spec,zeta,center", [
+        (spec, zeta, 2.5 - 0.5j) for spec, zeta in CROSS_CHECK_CASES
+    ] + [
+        # the sector-1 double root of the disk, the convergence benchmark's
+        # second reference
+        ("disk_polygon{8,32}", 0.5, 1.8094 - 0.8040j),
+    ])
+    def test_nearest_mode_to_a_center(self, monkeypatch, spec, zeta, center):
+        q = assemble(build_mesh(spec), zeta=zeta)
+        sparse, dense = self.nearest_on_both_paths(monkeypatch, q, center)
+        assert sparse.metadata["path"].startswith("shift-invert")
+        assert not dense.metadata["path"].startswith("shift-invert")
+        assert sparse.metadata["returned"] == dense.metadata["returned"] == 1
+        assert all(e.residual <= QEP_RESIDUAL_TOL for e in sparse.entries + dense.entries)
+        (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
+                       for e in rep.entries if e.mode_tag == "fem"] for rep in (sparse, dense))
+        assert abs(a - b) <= 1e-10
+
+    def test_centred_zero_damping_takes_lanczos(self, monkeypatch):
+        # zeta = 0 shifts K p = mu M p at mu = Re(center)^2 = pi^2, next to
+        # the (1,0)/(0,1) pair of the unit square
+        q = assemble(build_mesh("square{16}"), zeta=0.0)
+        sparse, dense = self.nearest_on_both_paths(monkeypatch, q, np.pi)
+        assert sparse.metadata["path"] == "shift-invert-lanczos"
+        assert sparse.metadata["arithmetic"] == "real"
+        (a,), (b,) = (rep.entries for rep in (sparse, dense))
+        assert a.im_lambda == 0.0
+        assert abs(a.re_lambda - np.pi) / np.pi < 0.01
+        assert abs(a.re_lambda - b.re_lambda) <= 1e-10
+
+    def test_artifact_nearest_the_center_grows_k(self, monkeypatch):
+        # at centre 1e-3 the quotient artifact at lam = 0 is the nearest
+        # mode, so the first ARPACK k of 1 holds no genuine mode
+        q = assemble(build_mesh("disk_polygon{4,16}"), zeta=0.5)
+        sparse, dense = self.nearest_on_both_paths(monkeypatch, q, 1e-3)
+        assert sparse.metadata["arpack_k"] > 1
+        for rep in (sparse, dense):
+            assert (rep.metadata["returned"], rep.metadata["artifacts"]) == (1, 1)
+        (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
+                       for e in rep.entries if e.mode_tag == "fem"] for rep in (sparse, dense))
+        assert abs(a - b) <= 1e-10
+
 
 class TestEnergyMarch:
     def setup_method(self):
@@ -818,58 +924,51 @@ class TestConvergence:
 
     @staticmethod
     def record_requests(monkeypatch):
-        """Record (n_want, radius) of each solve_qep call, and (q, report)."""
+        """Record (n_want, center) of each solve_qep call, and (q, report)."""
         requests, solved = [], []
         solve = fem_module.solve_qep
 
-        def recording(q, n_want=24, radius=0.0):
-            requests.append((n_want, radius))
-            solved.append((q, solve(q, n_want=n_want, radius=radius)))
+        def recording(q, n_want=24, center=0.0):
+            requests.append((n_want, center))
+            solved.append((q, solve(q, n_want=n_want, center=center)))
             return solved[-1][1]
 
         monkeypatch.setattr(fem_module, "solve_qep", recording)
         return requests, solved
 
-    def test_modes_requested_once_when_they_reach_the_match_radius(self, monkeypatch):
+    def test_one_mode_requested_per_reference(self, monkeypatch):
         ref = self.disk_reference(0.5)
-        requests, _ = self.record_requests(monkeypatch)
+        refs = [complex(e.re_lambda, e.im_lambda) for e in ref.entries]
+        requests, solved = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], 0.5, ref)
-        assert study["match_radius"] == max(abs(complex(*v)) for v in study["reference"]) + 0.5
-        # 4 len(ref) + 8 modes and the match radius, one solve per level
-        assert requests == [(16, study["match_radius"])] * 2
-        assert study["modes_requested"] == [[16], [16]]
-        assert min(study["radius_reached"]) >= study["match_radius"]
+        # each level is assembled once and solved once per reference, for
+        # the one mode nearest it
+        assert requests == [(1, r) for r in refs] * 2
+        assert solved[0][0] is solved[1][0] and solved[2][0] is solved[3][0]
+        assert solved[1][0] is not solved[2][0]
+        assert study["modes_requested"] == [[1, 1], [1, 1]]
+        assert "match_radius" not in study and "radius_reached" not in study
         assert study["unmatched"] == 0
 
     @pytest.mark.parametrize("zeta", [2.0, 1000.0])
-    def test_modes_inside_the_match_radius_are_complete(self, monkeypatch, zeta):
-        # overdamped rim modes crowd the origin at large zeta: on
-        # disk_polygon{8,32} the 16 modes nearest it end inside the radius
-        # where a reference could still match, and one solve returns them all
+    def test_nearest_mode_matches_the_dense_nearest(self, monkeypatch, zeta):
+        # overdamped rim modes crowd the origin at large zeta; the mode each
+        # reference is matched with is still the nearest of all FEM modes,
+        # which the dense companion computes
         ref = self.disk_reference(zeta)
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], zeta, ref)
-        rho = study["match_radius"]
-        assert requests == [(16, rho)] * 2
-        assert study["modes_requested"] == [[16], [16]]
         assert study["unmatched"] == 0
-        assert solved[-1][1].metadata["path"] == "shift-invert-arnoldi"
-        assert solved[-1][1].metadata["returned"] > 16
-
-        def inside(rep):
-            vals = np.array([complex(e.re_lambda, e.im_lambda)
-                             for e in rep.entries if e.mode_tag == "fem"])
-            return vals[np.abs(vals) < rho]
-
-        # the dense companion computes every mode of each level
+        assert all(rep.metadata["path"] == "shift-invert-arnoldi" for _, rep in solved)
         monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w: False)
-        for q, rep in solved:
-            dense = solve_qep(q, n_want=1, radius=rho)
+        errors = [e for row in study["errors"] for e in row]
+        for (q, rep), (_, center), err in zip(solved, requests, errors):
+            dense = solve_qep(q, n_want=1, center=center)
             assert not dense.metadata["path"].startswith("shift-invert")
-            a, b = inside(rep), inside(dense)
-            assert len(a) == len(b)
-            rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
-            assert np.abs(a[rows] - b[cols]).max() <= 1e-10
+            (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
+                           for e in r.entries if e.mode_tag == "fem"] for r in (rep, dense))
+            assert abs(a - b) <= 1e-10
+            assert err == abs(a - center)
 
     def test_schedule_validation(self):
         ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
