@@ -27,10 +27,10 @@ AMBIENT_DIM = 2
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
-# the cutoff; at 1024 it took 2.5-2.6 s and 249 MB peak resident for a complex
-# sampled coefficient, 1.6-1.7 s and 209 MB for power(0.3), whose sections are
-# Hermitian (one thread, 2-vCPU VM). Building one 2049 x 2049 section peaks
-# at 96 MB traced.
+# the cutoff; cutoffs 64-1024 take 1.5 s and 185 MB peak resident for a complex
+# sampled coefficient, 0.35 s and 88 MB for power(0.3), whose sections are
+# real and centrosymmetric (one thread, 2-vCPU VM). The one 2049 x 2049
+# complex section takes 67 MB.
 MAX_SECTION_CUTOFF = 1024
 
 # Verdict thresholds, pinned by the golden fixtures in the test suite.
@@ -50,6 +50,19 @@ LANCZOS_SEED = 1965
 # origin is handled by a short power series.
 GRADING_LEVELS = 40
 GAUSS_NODES = 16
+# Largest phase n theta, in radians, that one 16-point Gauss panel spans: for
+# exponents 0.1-0.9 and n <= 2048 the moments stay within 6e-15 of the closed
+# form (5e-13 at 24 radians, where the panels no longer resolve the phase).
+PANEL_PHASE = 12.0
+
+# Nodes per block of the moments' cosine tables. Short blocks keep the tables
+# small, and each matrix product accumulates few terms: one product over all
+# nodes put the moments 8e-15 from the closed form, blocks of 128 nodes 5e-15.
+NODE_BLOCK = 128
+
+# Rows per block where an n x n result is assembled block by block, so that
+# no other n x n temporary is allocated beside it.
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -67,47 +80,59 @@ class SobolevScale:
         return (1.0 + n * n) ** (self.s / 2.0)
 
 
-def _gauss_panels(breaks, subcounts):
-    """Gauss-Legendre nodes/weights tiled over subdivided panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    nodes, weights = [], []
-    for (lo, hi), m in zip(breaks, subcounts):
-        edges = np.linspace(lo, hi, m + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + half * base_x)
-            weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _power_cosine_moments(exponent: float, n_max: int) -> np.ndarray:
     """Integrals of theta^{-exponent} cos(n theta) over (0, pi] for n = 0..n_max.
 
     Dyadically graded panels resolve the algebraic singularity; each panel is
-    further split so no sub-panel sees more than a few radians of phase. The
+    further split so no sub-panel sees more than PANEL_PHASE radians. The
     stub below the last level is integrated by the alternating power series
     of the cosine, which converges in two terms at these phase magnitudes.
+
+    A node is its panel's left edge plus an offset, and each left edge keeps
+    only the leading bits that make its products with every n <= n_max
+    exact. A node or a product n x rounded to a double misses the phase by
+    up to n_max pi eps / 2, and over the panels that added up to 7e-14.
     """
-    breaks = [
-        (np.pi * 2.0 ** -(j + 1), np.pi * 2.0 ** -j) for j in range(GRADING_LEVELS)
-    ]
-    subcounts = [
-        max(1, int(np.ceil((hi - lo) * max(n_max, 1) / 3.0))) for lo, hi in breaks
-    ]
-    nodes, weights = _gauss_panels(breaks, subcounts)
-    fvals = weights * nodes ** (-exponent)
+    width = math.isqrt(n_max + 1)
+    multiples = width * np.arange(-(-(n_max + 1) // width))
+    levels = np.pi * 2.0 ** -np.arange(GRADING_LEVELS + 1)
+    # panel edges from pi down, so that the sums below take the many small
+    # terms of the upper levels before the few large ones near the origin
+    edges = np.concatenate([
+        np.linspace(hi, lo, max(1, math.ceil((hi - lo) * max(n_max, 1) / PANEL_PHASE)) + 1)[:-1]
+        for hi, lo in zip(levels[:-1], levels[1:])
+    ] + [levels[-1:]])
+    # Veltkamp's split: the leading 53 - bit_length(multiples[-1]) bits
+    scaled = edges[1:] * (2.0 ** int(multiples[-1]).bit_length() + 1.0)
+    edges[1:] = scaled - (scaled - edges[1:])
+    # differences of neighbouring edges are exact
+    spans = -np.diff(edges)[:, None]
+    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    left = np.repeat(edges[1:], GAUSS_NODES)
+    offsets = (spans * (0.5 * (1.0 + base_x))).ravel()
+    fvals = (spans * (0.5 * base_w)).ravel() * (left + offsets) ** (-exponent)
 
     # n = width * b + j and cos(n x) = cos(width b x) cos(j x) - sin(width b x)
     # sin(j x): two short cos/sin tables and one matrix product replace a
-    # cosine for every (frequency, node) pair.
-    width = math.isqrt(n_max + 1)
-    coarse = np.outer(width * np.arange(-(-(n_max + 1) // width)), nodes)
-    fine = np.outer(np.arange(width), nodes)
-    weighted = np.hstack([np.cos(coarse) * fvals, -np.sin(coarse) * fvals])
-    out = (weighted @ np.hstack([np.cos(fine), np.sin(fine)]).T).ravel()[: n_max + 1]
+    # cosine for every (frequency, node) pair. The coarse angles rotate the
+    # exact width b edge by width b offset. The tables are made for
+    # NODE_BLOCK nodes at a time.
+    steps = np.arange(width)
+    out = np.zeros((multiples.size, width))
+    for lo in range(0, left.size, NODE_BLOCK):
+        nodes = slice(lo, lo + NODE_BLOCK)
+        edge_phase = np.outer(multiples, left[nodes])
+        offset_phase = np.outer(multiples, offsets[nodes])
+        cos_e, sin_e = np.cos(edge_phase), np.sin(edge_phase)
+        cos_o, sin_o = np.cos(offset_phase), np.sin(offset_phase)
+        weighted = np.hstack([(cos_e * cos_o - sin_e * sin_o) * fvals[nodes],
+                              -(sin_e * cos_o + cos_e * sin_o) * fvals[nodes]])
+        fine = np.outer(steps, left[nodes]) + np.outer(steps, offsets[nodes])
+        out += weighted @ np.hstack([np.cos(fine), np.sin(fine)]).T
+    out = out.ravel()[: n_max + 1]
     freqs = np.arange(n_max + 1, dtype=float)
 
-    eps = np.pi * 2.0 ** -GRADING_LEVELS
+    eps = edges[-1]
     for k in range(3):
         power = 2 * k + 1 - exponent
         term = (-1.0) ** k * freqs ** (2 * k) / float(math.factorial(2 * k)) * eps**power / power
@@ -242,19 +267,32 @@ class ImpedanceCoefficient:
 def multiplier_section(
     coef: ImpedanceCoefficient, scale: SobolevScale, n_cut: int, coeffs=None
 ) -> np.ndarray:
-    """Weighted Toeplitz section of the multiplication action, size 2N+1."""
+    """Weighted Toeplitz section of the multiplication action, size 2N+1.
+
+    The section is float64 when the coefficient array is real, complex
+    otherwise. Its entries are c(m - n) / (w_m w_n), so it is exactly
+    symmetric for real even data, and S_N is the central block of S_N'.
+    """
     if n_cut < 1:
         raise InvalidInputError("section cutoff must be at least 1")
     if coeffs is None:
         coeffs = coef.fourier_coeffs(2 * n_cut)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = np.asarray(coeffs)
+    coeffs = coeffs.astype(np.result_type(coeffs, float), copy=False)
     center = (coeffs.size - 1) // 2
     if center < 2 * n_cut:
         raise InvalidInputError("coefficient array too short for this section")
-    idx = np.arange(-n_cut, n_cut + 1)
-    w = scale.weight(idx)
-    section = coeffs[np.subtract.outer(idx, idx) + center]
-    return np.divide(section, np.outer(w, w), out=section)
+    size = 2 * n_cut + 1
+    # row i of the windows of the reversed data, read bottom up, is
+    # c(i - j) for j = 0..2N: a strided view, no index array
+    reverse = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1][::-1]
+    toeplitz = np.lib.stride_tricks.sliding_window_view(reverse, size)[::-1]
+    w = scale.weight(np.arange(-n_cut, n_cut + 1))
+    section = np.empty((size, size), dtype=coeffs.dtype)
+    for lo in range(0, size, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        np.divide(toeplitz[rows], np.outer(w[rows], w), out=section[rows])
+    return section
 
 
 def first_order_symbol_section(scale: SobolevScale, n_cut: int) -> np.ndarray:
@@ -304,17 +342,21 @@ def _largest_singular_value(section: np.ndarray):
     """
     # 2^e <= m < 2^(e + 1) for m that part, which unlike |S_ij| cannot
     # overflow; two exact products give S / 2^e, since 2^-e alone overflows
-    # for subnormal entries
-    top = max(np.abs(section.real).max(), np.abs(section.imag).max())
+    # for subnormal entries; at e = 0 the section is used as it is
+    parts = (section.real, section.imag) if np.iscomplexobj(section) else (section,)
+    top = max(max(part.max(), -part.min()) for part in parts)
     e = int(np.frexp(top)[1]) - 1
-    section = section * 2.0 ** -(e // 2)
-    section *= 2.0 ** (e // 2 - e)
+    if e:
+        section = section * 2.0 ** -(e // 2)
+        section *= 2.0 ** (e // 2 - e)
     dim = section.shape[0]
     budget = max(32, dim // 8)
     eps = np.finfo(float).eps
-    # the bases grow by one row of length dim per step; no dim x dim array
-    right = np.empty((budget + 1, dim), dtype=complex)
-    left = np.empty((budget, dim), dtype=complex)
+    # the bases grow by one row of length dim per step; no dim x dim array.
+    # A real section keeps them real: its recurrence from a real start
+    # vector never leaves the reals
+    right = np.empty((budget + 1, dim), dtype=section.dtype)
+    left = np.empty((budget, dim), dtype=section.dtype)
     alphas, betas = np.zeros(budget), np.zeros(budget)
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     right[0] = start / np.linalg.norm(start)
@@ -346,18 +388,53 @@ def _largest_singular_value(section: np.ndarray):
 def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
     """min eig (S + S^H)/2 and the arithmetic ("real" or "complex") it took.
 
-    A centro-Hermitian H (J H J = conj(H), J the exchange matrix) is unitarily
-    similar to the real symmetric U^H H U = Re H - Im(H J) with
-    U = (I + i J)/sqrt(2); the Hermitian part of every coefficient section is
-    centro-Hermitian, since J S J = S^T for a Toeplitz section with even weights.
+    A persymmetric S (J S J = S^T, J the exchange matrix), as every
+    coefficient section is, has a centro-Hermitian H = (S + S^H)/2
+    (J H J = conj(H)), unitarily similar to the real symmetric
+    U^H H U = Re H - Im(H J) with U = (I + i J)/sqrt(2). That form is
+    assembled from S.real and S.imag row block by row block; the Hermitian
+    part of any other complex S is formed in complex arithmetic.
     """
+    n = section.shape[0]
+    persymmetric = np.iscomplexobj(section) and np.array_equal(section, section.T[::-1, ::-1])
+    real = persymmetric or np.isrealobj(section)
+    form = np.empty((n, n), dtype=float if real else complex)
     # halving before adding keeps the sums of finite entries finite
-    herm = section / 2.0
-    herm += herm.conj().T
-    if np.array_equal(herm[::-1, ::-1], herm.conj()):
-        real = herm.real - 0.5 * (herm[:, ::-1].imag - herm[::-1, :].imag)
-        return float(np.linalg.eigvalsh(real)[0]), "real"
-    return float(np.linalg.eigvalsh(herm)[0]), "complex"
+    for lo in range(0, n, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        if persymmetric:
+            np.divide(section.real[rows], 2.0, out=form[rows])
+            form[rows] += section.real[:, rows].T / 2.0
+            # rows of Im(H J): Im H[i, n-1-j] = (Im S[i, n-1-j] - Im S[n-1-j, i]) / 2
+            mirror = section.imag[rows, ::-1] / 2.0
+            mirror -= section.imag[::-1, rows].T / 2.0
+            form[rows] -= mirror
+        else:
+            np.divide(section[rows], 2.0, out=form[rows])
+            form[rows] += section[:, rows].T.conj() / 2.0
+    return float(np.linalg.eigvalsh(form)[0]), "real" if real else "complex"
+
+
+def _even_odd_eigenvalues(section: np.ndarray) -> np.ndarray:
+    """Eigenvalues, unsorted, of a real symmetric S with J S J = S.
+
+    With m = n // 2, A the leading m x m block, B J the first m rows of the
+    last m columns read right to left, and, for odd n, x the first m entries
+    of the middle column, the even vectors [u; t; J u] and the odd vectors
+    [u; 0; -J u] split S into [[A + B J, sqrt(2) x], [sqrt(2) x^T, s_mm]]
+    and A - B J: two half-size solves (Cantoni and Butler, Linear Algebra
+    Appl. 13, 1976).
+    """
+    n = section.shape[0]
+    m = n // 2
+    a = section[:m, :m]
+    bj = section[:m, ::-1][:, :m]
+    even = np.empty((n - m, n - m))
+    np.add(a, bj, out=even[:m, :m])
+    if n % 2:
+        even[m, :m] = even[:m, m] = math.sqrt(2.0) * section[m, :m]
+        even[m, m] = section[m, m]
+    return np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(a - bj)])
 
 
 def compactness_gate(
@@ -398,11 +475,14 @@ def compactness_gate(
             coeffs = target.fourier_coeffs(2 * schedule[-1])
         if not np.isfinite(coeffs).all():
             raise InvalidInputError(f"Fourier coefficients of {target.label} overflow")
-        center = (coeffs.size - 1) // 2
+        if not coeffs.imag.any():
+            coeffs = coeffs.real
+        # one section at the top cutoff; every smaller one is its central block
+        whole = multiplier_section(target, scale, schedule[-1], coeffs=coeffs)
 
         def provider(n_cut: int) -> np.ndarray:
-            window = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1]
-            return multiplier_section(target, scale, n_cut, coeffs=window)
+            lo = schedule[-1] - n_cut
+            return whole[lo : lo + 2 * n_cut + 1, lo : lo + 2 * n_cut + 1]
 
         label = label or target.label
     elif callable(target):
@@ -414,7 +494,8 @@ def compactness_gate(
     indicators, norms, corner_sigmas, norm_steps = [], [], {}, []
     dense = False  # set once a cutoff runs past the Lanczos budget
     for n_cut in schedule:
-        section = np.asarray(provider(n_cut), dtype=complex)
+        section = np.asarray(provider(n_cut))
+        section = section.astype(np.result_type(section, float), copy=False)
         expected = 2 * n_cut + 1
         if section.shape != (expected, expected):
             raise InvalidInputError(
@@ -423,15 +504,23 @@ def compactness_gate(
             )
         if not np.isfinite(section).all():
             raise InvalidInputError(f"section at cutoff {n_cut} has non-finite entries")
-        hermitian = np.array_equal(section, section.conj().T)
+        if np.iscomplexobj(section) and not section.imag.any():
+            section = section.real
+        # S == S^H exactly, tested on the parts: no conjugate copy
+        hermitian = np.array_equal(section.real, section.real.T) and (
+            np.isrealobj(section) or np.array_equal(section.imag, -section.imag.T)
+        )
         if hermitian:
             # singular values of a Hermitian matrix are the moduli of its
-            # eigenvalues; the corner is a principal block, so Hermitian too
-            if not section.imag.any():
-                section = section.real
-            eigs = np.linalg.eigvalsh(section)
-            full, steps = max(-eigs[0], eigs[-1]), None
-            sig = np.sort(np.abs(np.linalg.eigvalsh(_corner_block(section, n_cut))))[::-1]
+            # eigenvalues; the corner is a principal block, so Hermitian too,
+            # and centrosymmetric with the section
+            if np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1]):
+                solve = _even_odd_eigenvalues
+            else:
+                solve = np.linalg.eigvalsh
+            eigs, corner = solve(section), solve(_corner_block(section, n_cut))
+            full, steps = max(-eigs.min(), eigs.max()), None
+            sig = np.sort(np.abs(corner))[::-1]
         else:
             if dense:
                 full, steps = np.linalg.svd(section, compute_uv=False)[0], None
@@ -465,7 +554,7 @@ def compactness_gate(
 
     # herm(S) = S for a Hermitian last section, whose eigenvalues are at hand
     if hermitian:
-        re_defect = float(eigs[0])
+        re_defect = float(eigs.min())
         arithmetic = "complex" if np.iscomplexobj(section) else "real"
     else:
         re_defect, arithmetic = _smallest_hermitian_part_eigenvalue(section)

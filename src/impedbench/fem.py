@@ -690,6 +690,27 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
 
+def _unreturned_distance(mu: np.ndarray, sigma: float, center: complex) -> float:
+    """A lower bound on |lam - center| over lam = +-sqrt(mu) for every mu
+    of K p = mu M p that Lanczos at sigma did not return in mu.
+
+    Those mu lie outside the open interval (sigma - R, sigma + R), R the
+    largest |mu_j - sigma| returned. On the side of the farthest returned
+    mu the interval ends at that mu itself, free of rounding. As mu >= 0 (K
+    is semi-definite), |lam| >= sqrt(upper) or |lam| <= sqrt(lower) when
+    lower >= 0. sigma = Re(center)^2, or sigma < 0 at center 0, puts
+    |Re center| between the two roots, so the nearest such lam is one of them.
+    """
+    far = int(np.argmax(np.abs(mu - sigma)))
+    reach = abs(mu[far] - sigma)
+    upper, lower = (mu[far], sigma - reach) if mu[far] >= sigma else (sigma + reach, mu[far])
+    c = complex(abs(center.real), abs(center.imag))
+    dist = abs(math.sqrt(max(upper, 0.0)) - c)
+    if lower >= 0.0:
+        dist = min(dist, abs(math.sqrt(lower) - c))
+    return dist
+
+
 def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearization: str,
                         accretive: bool, rng, mu_top: float):
     """The modes nearest center by shift-invert ARPACK on the sparse K, C (of
@@ -706,10 +727,12 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
     eigenvalues nu give lam = (sigma_w + 1/nu) / rho at |lam - sigma| =
     1/|nu|. Every mode not returned lies at least R = max |lam_j - sigma|
     from sigma, so none nearer c than r, the distance of the n_want-th
-    genuine mode from c, was missed when r + |sigma - c| <= R. Centred, r
-    and R are read from one array of distances, so a first k of n_want
-    certifies whenever the mode nearest c is genuine. Otherwise k grows by
-    half (by at least one), up to a quarter of the pencil dimension.
+    genuine mode from c, was missed when r + |sigma - c| <= R; for C = 0,
+    when r is at most _unreturned_distance. Centred, r and R are read from
+    the same returned values, so a first k of n_want certifies whenever the
+    mode nearest c is genuine and, for C = 0, lies above Re c. Otherwise k
+    grows by half (by at least one), up to a quarter of the pencil
+    dimension.
     """
     import scipy.sparse.linalg as spla
 
@@ -724,8 +747,7 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
     # mu > 0 gives two)
     try:
         if zeta_zero:
-            a = center.real
-            path, sigma = "shift-invert-lanczos", a * a if center else -s * s
+            path, sigma = "shift-invert-lanczos", center.real * center.real if center else -s * s
             n_eig = n_want if center else n_want // 2 + 4 + n_want // 16
             lu = spla.splu(k_s - sigma * m_s)
             op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
@@ -758,7 +780,6 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
         if zeta_zero:
             order = np.argsort(vals, kind="stable")
             lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], mu_top)
-            far = np.abs(vals - sigma).max()
         else:
             # (sigma_w + 1/nu) / rho, with the zero signs of i (s - 1/nu) for real C
             lams, pvecs = (-sigma_w - 1.0 / vals) * (-1 / rho), vecs[:n, :]
@@ -766,13 +787,11 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
         kept_idx, _, dist = _select_modes(lams, pvecs, n_want, center, zeta_zero)
         if len(kept_idx) >= n_want:
             r = dist[kept_idx[-1]]
-            # a real lam within r of c has |lam^2 - a^2| <= r (r + 2|a|), so
-            # in the mu variable the certificate reads that plus |sigma - a^2|
             if zeta_zero:
-                r_cert = r * (r + 2 * abs(a)) + abs(sigma - a * a)
+                certified = r <= _unreturned_distance(vals, sigma, center)
             else:
-                r_cert = r + abs(sigma - center)
-            if r_cert <= far:
+                certified = r + abs(sigma - center) <= far
+            if certified:
                 info = {"arithmetic": "real" if op.dtype == float else "complex",
                         "arpack_k": n_eig}
                 return path, lams, pvecs, info

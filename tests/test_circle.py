@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,7 @@ GATE_TARGETS = {
         False,
         "real",
     ),
-    # Hermitian part not centro-Hermitian: the complex eigensolve runs
+    # not persymmetric: the Hermitian part's eigensolve runs in complex arithmetic
     "random-complex": (lambda: random_complex_section, False, "complex"),
     "rank-one": (lambda: rank_one_section, False, "complex"),
 }
@@ -196,6 +197,22 @@ class TestFourierCoefficients:
         for n in range(513):
             assert abs(f[512 + n].real - fresnel_cosine_moment(n)) < 1e-10
 
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.9])
+    def test_power_against_incomplete_gamma(self, a):
+        # int_0^pi theta^{-a} e^{i n theta} = (i/n)^{1-a} gamma(1-a, -i n pi):
+        # the panels span up to 12 radians of phase, up to the cap's n_max
+        mpmath = pytest.importorskip("mpmath")
+        n_max = 2 * MAX_SECTION_CUTOFF
+        moments = circle._power_cosine_moments(a, n_max)
+        with mpmath.workdps(20):
+            s = 1 - mpmath.mpf(a)
+            exact = [float(mpmath.pi**s / s)] + [
+                float(mpmath.re((1j / mpmath.mpf(n)) ** s
+                                * mpmath.gammainc(s, 0, -1j * n * mpmath.pi)))
+                for n in range(1, n_max + 1)
+            ]
+        np.testing.assert_allclose(moments, exact, rtol=0, atol=1e-14)
+
     def test_power_even_symmetry(self):
         c = ImpedanceCoefficient.power(0.3, amplitude=2.0)
         f = c.fourier_coeffs(6)
@@ -276,8 +293,8 @@ class TestMultiplierSection:
         assert np.linalg.norm(b - b.conj().T, 2) < 1e-13
 
     def test_weighted_in_place_and_leaves_coefficients_alone(self):
-        # the division by the weights reuses the gathered Toeplitz array; the
-        # reference divides a fresh gather
+        # the division by the weights reads a strided Toeplitz view of the
+        # coefficients and writes a fresh array; the reference divides a gather
         scale = SobolevScale(0.5)
         coeffs = ImpedanceCoefficient.power(0.3).fourier_coeffs(16) * (1.0 + 0.5j)
         kept = coeffs.copy()
@@ -287,6 +304,22 @@ class TestMultiplierSection:
         reference = coeffs[np.subtract.outer(idx, idx) + 16] / np.outer(w, w)
         assert np.array_equal(b, reference)
         assert np.array_equal(coeffs, kept)
+
+    def test_real_data_give_a_real_section_nesting_the_smaller_ones(self):
+        scale = SobolevScale(0.5)
+        coeffs = ImpedanceCoefficient.power(0.3).fourier_coeffs(64)
+        assert not coeffs.imag.any()
+        big = multiplier_section(None, scale, 32, coeffs=coeffs.real)
+        assert big.dtype == np.float64
+        # complex division by the weights may round the last bit differently
+        as_complex = multiplier_section(None, scale, 32, coeffs=coeffs)
+        assert not as_complex.imag.any()
+        np.testing.assert_allclose(big, as_complex.real, rtol=np.finfo(float).eps, atol=0)
+        # S_N is bitwise the central block of S_N'
+        for n_cut in (1, 8, 31):
+            lo = 32 - n_cut
+            small = multiplier_section(None, scale, n_cut, coeffs=coeffs.real)
+            assert np.array_equal(small, big[lo : lo + 2 * n_cut + 1, lo : lo + 2 * n_cut + 1])
 
     def test_input_validation(self):
         c = ImpedanceCoefficient.constant(1.0)
@@ -488,6 +521,66 @@ class TestCompactnessGate:
             assert np.all((sig == 0) | (sig >= floor))
             zeros += int(np.count_nonzero(sig == 0))
         assert zeros > 0
+
+    @pytest.mark.parametrize("n_cut", [1, 2, 7, 8, 33])
+    def test_even_odd_halves_match_full_eigensolve(self, n_cut):
+        # the section has odd order 2N + 1, its corner even order 2 (N - N // 2)
+        coeffs = ImpedanceCoefficient.power(0.3).fourier_coeffs(2 * n_cut).real
+        section = multiplier_section(None, SobolevScale(0.5), n_cut, coeffs=coeffs)
+        assert np.array_equal(section, section[::-1, ::-1])
+        for block in (section, circle._corner_block(section, n_cut)):
+            halves = circle._even_odd_eigenvalues(block)
+            expected = np.linalg.eigvalsh(block)
+            assert halves.size == expected.size
+            np.testing.assert_allclose(np.sort(halves), expected, rtol=0,
+                                       atol=1e-14 * abs(expected).max())
+
+    def test_even_odd_split_only_for_centrosymmetric_sections(self, monkeypatch):
+        split, solve = [], circle._even_odd_eigenvalues
+
+        def counted(section):
+            split.append(section.shape[0])
+            return solve(section)
+
+        monkeypatch.setattr(circle, "_even_odd_eigenvalues", counted)
+        # real symmetric, but J S J != S: the full eigensolve runs
+        def provider(n_cut):
+            idx = np.arange(-n_cut, n_cut + 1)
+            return np.diag(1.0 / (1.0 + idx + n_cut)) + 0.01 * np.ones((idx.size, idx.size))
+
+        schedule = (8, 16, 32)
+        g = compactness_gate(provider, s=0.5, schedule=schedule)
+        assert split == []
+        for n_cut, norm, t in zip(schedule, g.section_norms, g.indicators):
+            section = provider(n_cut)
+            outer = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
+            full = scipy.linalg.svdvals(section)[0]
+            assert norm == pytest.approx(full, rel=1e-12, abs=0)
+            corner = scipy.linalg.svdvals(section[np.ix_(outer, outer)])[0]
+            assert t == pytest.approx(corner / full, rel=1e-12, abs=0)
+        assert g.metadata["re_defect_arithmetic"] == "real"
+        # a real even coefficient splits each section and its corner
+        compactness_gate(ImpedanceCoefficient.power(0.3), s=0.5, schedule=schedule)
+        assert split == [d for n in schedule for d in (2 * n + 1, 2 * (n - n // 2))]
+
+    @pytest.mark.parametrize("factory, bound_mib", [
+        (lambda: ImpedanceCoefficient.power(0.3), 3.5),
+        (bench_coefficient, 7.3),
+    ], ids=["power-0.3", "sampled-bench"])
+    def test_gate_memory(self, factory, bound_mib):
+        # one section at the top cutoff, float64 for real even data, and
+        # real-arithmetic symmetry splits (measured 3.16 and 6.61 MiB); a
+        # complex section per cutoff peaked at 12.9 and 12.3 MiB traced
+        coef = factory()
+        schedule = (16, 32, 64, 128, 256)
+        compactness_gate(coef, s=0.5, schedule=schedule)
+        tracemalloc.start()
+        try:
+            compactness_gate(coef, s=0.5, schedule=schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     def test_provider_shape_checked(self):
         with pytest.raises(InvalidInputError, match="shape"):

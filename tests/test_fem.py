@@ -970,6 +970,29 @@ class TestConvergence:
             assert abs(a - b) <= 1e-10
             assert err == abs(a - center)
 
+    @pytest.mark.parametrize("shape, levels", [("disk_polygon", [4, 8, 12]),
+                                               ("square", [8, 16, 32])])
+    def test_centred_undamped_solves_run_arpack_once(self, monkeypatch, shape, levels):
+        # zeta = 0 shifts K p = mu M p at Re(ref)^2; each FEM mode lies just
+        # above its reference, and its mu, the only one returned at k = 1,
+        # ends the certified interval itself, so the first run certifies
+        if shape == "square":
+            ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
+        else:
+            ref = self.disk_reference(0.0)
+        requests, solved = self.record_requests(monkeypatch)
+        study = convergence_study(shape, levels, 0.0, ref)
+        assert study["unmatched"] == 0
+        assert [rep.metadata["path"] for _, rep in solved] == ["shift-invert-lanczos"] * len(solved)
+        assert [rep.metadata["arpack_k"] for _, rep in solved] == [1] * len(solved)
+        monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w: False)
+        errors = [e for row in study["errors"] for e in row]
+        for (q, rep), (_, center), err in zip(solved, requests, errors):
+            (dense,) = solve_qep(q, n_want=1, center=center).entries
+            (mode,) = rep.entries
+            assert abs(mode.re_lambda - dense.re_lambda) <= 1e-10
+            assert err == abs(complex(mode.re_lambda, mode.im_lambda) - center)
+
     def test_schedule_validation(self):
         ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
         with pytest.raises(InvalidInputError, match="increasing"):
