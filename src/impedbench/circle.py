@@ -28,7 +28,7 @@ AMBIENT_DIM = 2
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
 # the cutoff; cutoffs 64-1024 take 1.5 s and 185 MB peak resident for a complex
-# sampled coefficient, 0.35 s and 88 MB for power(0.3), whose sections are
+# sampled coefficient, 0.33 s and 87 MB for power(0.3), whose sections are
 # real and centrosymmetric (one thread, 2-vCPU VM). The one 2049 x 2049
 # complex section takes 67 MB.
 MAX_SECTION_CUTOFF = 1024
@@ -46,19 +46,10 @@ RATE_COMPACT = 0.9
 # that reruns take the same steps.
 LANCZOS_SEED = 1965
 
-# Dyadic grading depth for singular quadrature; the remaining stub near the
-# origin is handled by a short power series.
-GRADING_LEVELS = 40
-GAUSS_NODES = 16
-# Largest phase n theta, in radians, that one 16-point Gauss panel spans: for
-# exponents 0.1-0.9 and n <= 2048 the moments stay within 6e-15 of the closed
-# form (5e-13 at 24 radians, where the panels no longer resolve the phase).
-PANEL_PHASE = 12.0
-
-# Nodes per block of the moments' cosine tables. Short blocks keep the tables
-# small, and each matrix product accumulates few terms: one product over all
-# nodes put the moments 8e-15 from the closed form, blocks of 128 nodes 5e-15.
-NODE_BLOCK = 128
+# Depth of the continued fraction in _power_cosine_moments. It converges
+# slowest at n = 1, where |z| = pi is smallest; there depth 64 truncates
+# below 1.1e-16 I_0 for exponents 0.001-0.999, depth 32 at 1.1e-13.
+FRACTION_DEPTH = 64
 
 # Rows per block where an n x n result is assembled block by block, so that
 # no other n x n temporary is allocated beside it.
@@ -83,60 +74,23 @@ class SobolevScale:
 def _power_cosine_moments(exponent: float, n_max: int) -> np.ndarray:
     """Integrals of theta^{-exponent} cos(n theta) over (0, pi] for n = 0..n_max.
 
-    Dyadically graded panels resolve the algebraic singularity; each panel is
-    further split so no sub-panel sees more than PANEL_PHASE radians. The
-    stub below the last level is integrated by the alternating power series
-    of the cosine, which converges in two terms at these phase magnitudes.
-
-    A node is its panel's left edge plus an offset, and each left edge keeps
-    only the leading bits that make its products with every n <= n_max
-    exact. A node or a product n x rounded to a double misses the phase by
-    up to n_max pi eps / 2, and over the panels that added up to 7e-14.
+    With s = 1 - exponent and z = -i n pi, the integral is
+    Re[(i/n)^s gamma(s, z)] and gamma(s, z) = Gamma(s) - e^{-z} z^s h(z),
+    h the continued fraction of the upper incomplete gamma function
+    (DLMF 8.9), evaluated bottom up. Since e^{-z} = (-1)^n and
+    (i/n)^s z^s = pi^s exactly, no phase n pi is rounded into a cosine.
     """
-    width = math.isqrt(n_max + 1)
-    multiples = width * np.arange(-(-(n_max + 1) // width))
-    levels = np.pi * 2.0 ** -np.arange(GRADING_LEVELS + 1)
-    # panel edges from pi down, so that the sums below take the many small
-    # terms of the upper levels before the few large ones near the origin
-    edges = np.concatenate([
-        np.linspace(hi, lo, max(1, math.ceil((hi - lo) * max(n_max, 1) / PANEL_PHASE)) + 1)[:-1]
-        for hi, lo in zip(levels[:-1], levels[1:])
-    ] + [levels[-1:]])
-    # Veltkamp's split: the leading 53 - bit_length(multiples[-1]) bits
-    scaled = edges[1:] * (2.0 ** int(multiples[-1]).bit_length() + 1.0)
-    edges[1:] = scaled - (scaled - edges[1:])
-    # differences of neighbouring edges are exact
-    spans = -np.diff(edges)[:, None]
-    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    left = np.repeat(edges[1:], GAUSS_NODES)
-    offsets = (spans * (0.5 * (1.0 + base_x))).ravel()
-    fvals = (spans * (0.5 * base_w)).ravel() * (left + offsets) ** (-exponent)
-
-    # n = width * b + j and cos(n x) = cos(width b x) cos(j x) - sin(width b x)
-    # sin(j x): two short cos/sin tables and one matrix product replace a
-    # cosine for every (frequency, node) pair. The coarse angles rotate the
-    # exact width b edge by width b offset. The tables are made for
-    # NODE_BLOCK nodes at a time.
-    steps = np.arange(width)
-    out = np.zeros((multiples.size, width))
-    for lo in range(0, left.size, NODE_BLOCK):
-        nodes = slice(lo, lo + NODE_BLOCK)
-        edge_phase = np.outer(multiples, left[nodes])
-        offset_phase = np.outer(multiples, offsets[nodes])
-        cos_e, sin_e = np.cos(edge_phase), np.sin(edge_phase)
-        cos_o, sin_o = np.cos(offset_phase), np.sin(offset_phase)
-        weighted = np.hstack([(cos_e * cos_o - sin_e * sin_o) * fvals[nodes],
-                              -(sin_e * cos_o + cos_e * sin_o) * fvals[nodes]])
-        fine = np.outer(steps, left[nodes]) + np.outer(steps, offsets[nodes])
-        out += weighted @ np.hstack([np.cos(fine), np.sin(fine)]).T
-    out = out.ravel()[: n_max + 1]
-    freqs = np.arange(n_max + 1, dtype=float)
-
-    eps = edges[-1]
-    for k in range(3):
-        power = 2 * k + 1 - exponent
-        term = (-1.0) ** k * freqs ** (2 * k) / float(math.factorial(2 * k)) * eps**power / power
-        out += term
+    s = 1.0 - exponent
+    n = np.arange(1, n_max + 1, dtype=float)
+    z = -1j * np.pi * n
+    tail = np.zeros_like(z)
+    for k in range(FRACTION_DEPTH, 0, -1):
+        tail = k * (k - s) / (z + (2 * k + 1 - s) - tail)
+    h = 1.0 / (z + (1 - s) - tail)
+    out = np.empty(n_max + 1)
+    out[0] = math.pi**s / s
+    out[1:] = (math.gamma(s) * math.sin(math.pi * exponent / 2) * n**-s
+               - (1 - 2 * (n % 2)) * math.pi**s * h.real)
     return out
 
 
@@ -183,7 +137,7 @@ class ImpedanceCoefficient:
             raise InvalidInputError("power coefficient amplitude must be finite")
         return cls(
             kind="power",
-            label=f"power(a={exponent:g},c={complex(amplitude):g})",
+            label=f"power(a={float(exponent)!r},c={complex(amplitude):g})",
             exponent=float(exponent),
             amplitude=complex(amplitude),
         )
@@ -458,6 +412,8 @@ def compactness_gate(
         b <= a for a, b in zip(schedule[:-1], schedule[1:])
     ):
         raise InvalidInputError("schedule must be strictly increasing, length >= 2")
+    if schedule[0] < 1:
+        raise InvalidInputError(f"section cutoff must be at least 1, got {schedule[0]}")
     if schedule[-1] > MAX_SECTION_CUTOFF:
         raise InvalidInputError(
             f"section cutoff {schedule[-1]} exceeds the cap {MAX_SECTION_CUTOFF}"

@@ -87,9 +87,14 @@ def parse_coefficient(text: str):
         fields = {}
         for item in text[len("power:"):].split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if not val:
                 raise _UsageError(f"expected power:a=..,c=.., got '{text}'")
-            fields[key.strip()] = val.strip()
+            if key not in ("a", "c"):
+                raise _UsageError(f"power coefficient has no key '{key}' (only a and c)")
+            if key in fields:
+                raise _UsageError(f"power coefficient key '{key}' given twice")
+            fields[key] = val.strip()
         if "a" not in fields:
             raise _UsageError("power coefficient needs a=<exponent>")
         try:

@@ -75,6 +75,8 @@ class TestGrammar:
         assert "power" in coef.label
         with pytest.raises(cli._UsageError):
             cli.parse_coefficient("power:c=2")
+        # the label carries the exponent to its last digit, not rounded to 1
+        assert "a=0.9999999999" in cli.parse_coefficient("power:a=0.9999999999").label
 
     def test_box_form(self):
         box = cli.parse_box("0.1,5,-2,0")
@@ -207,6 +209,14 @@ class TestExitCodes:
         ["gate", "--zeta", "file:nan-fourier.json"],
         ["lq", "--zeta", "file:nan-samples.json"],
         ["fem", "--shape", "nan.mesh", "--zeta", "0.5"],
+        # a cutoff-0 section has an empty corner
+        ["gate", "--zeta", "1", "--sections", "0,4"],
+        ["gate", "--zeta", "power:a=0.3", "--sections", "0,1"],
+        ["gate", "--zeta", "power:a=0.3", "--sections=-1,2"],
+        # power takes a and c, each once
+        ["gate", "--zeta", "power:a=0.3,b=2"],
+        ["gate", "--zeta", "power:a=0.3,a=0.5"],
+        ["lq", "--zeta", "power:a=0.3,q=9"],
     ])
     def test_bad_value_exit3(self, capsys, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
