@@ -94,6 +94,13 @@ def _power_cosine_moments(exponent: float, n_max: int) -> np.ndarray:
     return out
 
 
+def _exact_complex(z: complex) -> str:
+    """z as :g prints it, each part replaced by its repr where :g rounds it,
+    so the label reads back as z."""
+    re, im = (f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in (z.real, z.imag))
+    return f"{re}{'' if im.startswith('-') else '+'}{im}j"
+
+
 @dataclass(frozen=True)
 class ImpedanceCoefficient:
     """Scalar boundary coefficient with Fourier and integrability accessors."""
@@ -137,7 +144,7 @@ class ImpedanceCoefficient:
             raise InvalidInputError("power coefficient amplitude must be finite")
         return cls(
             kind="power",
-            label=f"power(a={float(exponent)!r},c={complex(amplitude):g})",
+            label=f"power(a={float(exponent)!r},c={_exact_complex(complex(amplitude))})",
             exponent=float(exponent),
             amplitude=complex(amplitude),
         )

@@ -671,8 +671,9 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
 
     (A - sigma_w B) z = B x gives z2 = x1 + sigma_w z1 and, with
     tau = sigma_K sigma_w, (K + tau D - sigma_K sigma_w^2 M) z1 =
-    (tau M - sigma_K D) x1 + sigma_K M x2: one sparse n x n LU, factored here
-    once, real when D and sigma_w are. Raises RuntimeError if it is singular.
+    M (tau x1 + sigma_K x2) - sigma_K D x1: one sparse n x n LU, factored
+    here once in a fill-reducing order for its symmetric pattern, real when D
+    and sigma_w are. Raises RuntimeError if it is singular.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -680,12 +681,12 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
     n = k_s.shape[0]
     tau = sigma_k * sigma_w
     shifted = sp.csc_array(k_s + tau * d_s + (-sigma_k * sigma_w * sigma_w) * m_s)
-    lu = spla.splu(shifted)
-    rhs = sp.hstack([tau * m_s - sigma_k * d_s, sigma_k * m_s], format="csr")
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
 
     def matvec(x):
-        z1 = lu.solve(rhs @ x)
-        return np.concatenate([z1, x[:n] + sigma_w * z1])
+        x1 = x[:n]
+        z1 = lu.solve(m_s @ (tau * x1 + sigma_k * x[n:]) - d_s @ (sigma_k * x1))
+        return np.concatenate([z1, x1 + sigma_w * z1])
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
@@ -715,9 +716,10 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
                         accretive: bool, rng, mu_top: float):
     """The modes nearest center by shift-invert ARPACK on the sparse K, C (of
     class linearization) and M from a start vector rng draws: (path, lams,
-    p-vectors, info), info holding the arithmetic and the final ARPACK k, or
-    None when the dense companion should take over. mu_top estimates the
-    largest mu.
+    p-vectors, info), info holding the arithmetic, the final ARPACK k and
+    basis size ncv = 2k + 1 (at least 8), and the count of operator
+    applications over all runs, or None when the dense companion should take
+    over. mu_top estimates the largest mu.
 
     C = 0: Lanczos on K p = mu M p at sigma_mu = -s^2, so K - sigma_mu M is
     SPD and lam = +-sqrt(mu) stays exactly real; centred at c != 0, at
@@ -749,8 +751,8 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
         if zeta_zero:
             path, sigma = "shift-invert-lanczos", center.real * center.real if center else -s * s
             n_eig = n_want if center else n_want // 2 + 4 + n_want // 16
-            lu = spla.splu(k_s - sigma * m_s)
-            op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            lu = spla.splu(k_s - sigma * m_s, permc_spec="MMD_AT_PLUS_A")
+            inner = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         else:
             rho, d_s, sigma_k, shift = _linearization(linearization, c_s)
             if center:
@@ -759,22 +761,35 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
                 sigma_w = shift * s
                 sigma, n_eig = sigma_w / rho, n_want + 8 + n_want // 8
             path = "shift-invert-arnoldi"
-            op = _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
+            inner = _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
     except RuntimeError as exc:
         # accretive zeta keeps sigma = i s off the spectrum; nothing keeps
         # the real shift of a reactive rim, or a centre, off it
         if accretive and linearization != "real-direct" and not center:
             raise NumericalFailureError(f"shift-invert factorization failed: {exc}") from exc
         return None
-    v0 = rng.standard_normal(op.shape[0]).astype(op.dtype)
-    limit = op.shape[0] // 4
+    applications = 0
+
+    def counted(x):
+        nonlocal applications
+        applications += 1
+        return inner.matvec(x)
+
+    dim, dtype = inner.shape[0], inner.dtype
+    op = spla.LinearOperator(inner.shape, matvec=counted, dtype=dtype)
+    v0 = rng.standard_normal(dim).astype(dtype)
+    limit = dim // 4
     while True:
+        # 2k + 1 vectors, not scipy's default of at least 20: a run builds
+        # the whole basis before its first convergence test, so a centred
+        # k = 1 run that converges in a few applications is not held to 20
+        ncv = min(max(2 * n_eig + 1, 8), dim)
         try:
             if zeta_zero:
                 vals, vecs = spla.eigsh(k_s, k=n_eig, M=m_s, sigma=sigma, OPinv=op,
-                                        which="LM", v0=v0)
+                                        which="LM", v0=v0, ncv=ncv)
             else:
-                vals, vecs = spla.eigs(op, k=n_eig, which="LM", v0=v0)
+                vals, vecs = spla.eigs(op, k=n_eig, which="LM", v0=v0, ncv=ncv)
         except spla.ArpackError:
             return None
         if zeta_zero:
@@ -792,8 +807,9 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
             else:
                 certified = r + abs(sigma - center) <= far
             if certified:
-                info = {"arithmetic": "real" if op.dtype == float else "complex",
-                        "arpack_k": n_eig}
+                info = {"arithmetic": "real" if dtype == float else "complex",
+                        "arpack_k": n_eig, "arpack_ncv": ncv,
+                        "operator_applications": applications}
                 return path, lams, pvecs, info
         if n_eig >= limit:
             return None
@@ -812,7 +828,9 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
     the vertices, shift-invert Lanczos (C = 0) or Arnoldi on the stored CSC
     arrays K, C and M computes the wanted modes and certifies that none
     nearer center than the n_want-th was missed, recording
-    metadata["arithmetic"] and the final ARPACK k (metadata["arpack_k"]).
+    metadata["arithmetic"], the final ARPACK k and basis size
+    (metadata["arpack_k"], metadata["arpack_ncv"]) and the count of
+    shift-invert operator applications (metadata["operator_applications"]).
     Otherwise, or when it cannot certify them, the dense companion of the
     pencil (a generalized Hermitian solve when C = 0) computes every mode,
     within its cap. metadata["path"] names the solver that ran. Near-zero

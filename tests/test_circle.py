@@ -226,6 +226,18 @@ class TestFourierCoefficients:
         scaled = ImpedanceCoefficient.power(0.7, amplitude=3j).fourier_coeffs(4)
         assert np.allclose(scaled, 3j * base, rtol=1e-14)
 
+    def test_power_label_reads_back_the_amplitude(self):
+        # labels that :g printed exactly stay byte-identical
+        assert ImpedanceCoefficient.power(0.5).label == "power(a=0.5,c=1+0j)"
+        assert ImpedanceCoefficient.power(0.3, 1.0).label == "power(a=0.3,c=1+0j)"
+        assert ImpedanceCoefficient.power(0.3, 0.5 - 2j).label == "power(a=0.3,c=0.5-2j)"
+        # a part that :g would round is printed to its last digit
+        assert ImpedanceCoefficient.power(0.3, 1.0000001).label == "power(a=0.3,c=1.0000001+0j)"
+        third = complex(0.25, -1 / 3)
+        label = ImpedanceCoefficient.power(0.3, third).label
+        assert label == "power(a=0.3,c=0.25-0.3333333333333333j)"
+        assert complex(label[label.index("c=") + 2:-1]) == third
+
     def test_power_exponent_validated(self):
         with pytest.raises(InvalidInputError, match="integrable"):
             ImpedanceCoefficient.power(1.0)

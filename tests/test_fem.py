@@ -599,7 +599,7 @@ class TestSolveQep:
         assert solve_qep(q, n_want=4).metadata["path"] == "shift-invert-lanczos"
 
     def test_failed_factorization_falls_back_only_when_nonaccretive(self, monkeypatch):
-        def singular(matrix):
+        def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         # assembly's own invariant check factors K and M, so assemble first
@@ -812,6 +812,32 @@ class TestShiftInvertMatchesDense:
                        for e in rep.entries if e.mode_tag == "fem"] for rep in (sparse, dense))
         assert abs(a - b) <= 1e-10
 
+    @pytest.mark.parametrize("spec", ["disk_polygon{4,16}", "disk_polygon{8,32}", "square{16}"])
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 2.0, 0.5j, 0.3 + 0.4j])
+    def test_random_centres_stay_on_shift_invert(self, monkeypatch, spec, zeta):
+        # the 2k + 1 Arnoldi basis certifies the nearest mode at centres the
+        # tests do not pick, over every class of C; the dense companion of
+        # each q is computed once and read for every centre
+        q = assemble(build_mesh(spec), zeta=zeta)
+        rng = np.random.default_rng(SEED)
+        centres = rng.uniform(0.5, 6.0, 4) + 1j * rng.uniform(-1.5, 0.5, 4)
+        dense_modes = fem_module._solve_dense
+        memo = []
+
+        def dense_once(*args):
+            if not memo:
+                memo.append(dense_modes(*args))
+            return memo[0]
+
+        monkeypatch.setattr(fem_module, "_solve_dense", dense_once)
+        for center in centres:
+            sparse, dense = self.nearest_on_both_paths(monkeypatch, q, center)
+            assert sparse.metadata["path"].startswith("shift-invert")
+            assert not dense.metadata["path"].startswith("shift-invert")
+            (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
+                           for e in rep.entries if e.mode_tag == "fem"] for rep in (sparse, dense))
+            assert abs(a - b) <= 1e-10
+
 
 class TestEnergyMarch:
     def setup_method(self):
@@ -992,6 +1018,19 @@ class TestConvergence:
             (mode,) = rep.entries
             assert abs(mode.re_lambda - dense.re_lambda) <= 1e-10
             assert err == abs(complex(mode.re_lambda, mode.im_lambda) - center)
+
+    def test_centred_solves_apply_the_operator_sparingly(self, monkeypatch):
+        # the convergence benchmark's six k = 1 solves: a basis of 2k + 1
+        # vectors (at least 8) stops each run once its mode converges, where
+        # ARPACK's default basis of 20 applied the operator 21 times in each
+        ref = self.disk_reference(0.5)
+        _, solved = self.record_requests(monkeypatch)
+        convergence_study("disk_polygon", [4, 8, 12], 0.5, ref)
+        metas = [rep.metadata for _, rep in solved]
+        assert [m["path"] for m in metas] == ["shift-invert-arnoldi"] * 6
+        assert all(m["arpack_ncv"] == min(max(2 * m["arpack_k"] + 1, 8), 2 * m["dim"])
+                   for m in metas)
+        assert sum(m["operator_applications"] for m in metas) <= 100
 
     def test_schedule_validation(self):
         ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
