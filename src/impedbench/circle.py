@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .reports import CompactnessReport
+from .reports import CompactnessReport, fmt_complex
 
 # The boundary curve bounds a planar domain; the multiplier criterion's
 # integrability exponent depends on this.
@@ -94,13 +94,6 @@ def _power_cosine_moments(exponent: float, n_max: int) -> np.ndarray:
     return out
 
 
-def _exact_complex(z: complex) -> str:
-    """z as :g prints it, each part replaced by its repr where :g rounds it,
-    so the label reads back as z."""
-    re, im = (f"{x:g}" if float(f"{x:g}") == x else repr(x) for x in (z.real, z.imag))
-    return f"{re}{'' if im.startswith('-') else '+'}{im}j"
-
-
 @dataclass(frozen=True)
 class ImpedanceCoefficient:
     """Scalar boundary coefficient with Fourier and integrability accessors."""
@@ -115,7 +108,7 @@ class ImpedanceCoefficient:
 
     @classmethod
     def constant(cls, value) -> "ImpedanceCoefficient":
-        return cls(kind="constant", label=f"const({complex(value):g})", value=complex(value))
+        return cls(kind="constant", label=f"const({fmt_complex(value)})", value=complex(value))
 
     @classmethod
     def sampled(cls, func, label: str) -> "ImpedanceCoefficient":
@@ -144,7 +137,7 @@ class ImpedanceCoefficient:
             raise InvalidInputError("power coefficient amplitude must be finite")
         return cls(
             kind="power",
-            label=f"power(a={float(exponent)!r},c={_exact_complex(complex(amplitude))})",
+            label=f"power(a={float(exponent)!r},c={fmt_complex(complex(amplitude))})",
             exponent=float(exponent),
             amplitude=complex(amplitude),
         )

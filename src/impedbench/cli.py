@@ -6,6 +6,10 @@ CSV/JSON outputs and a one-line summary on stdout. Exit codes: 0 success,
 above tolerance, count mismatch), 3 invalid input (including argument
 errors), 4 numerical failure or an output I/O error.
 
+One grammar, parse_coefficient, reads every --zeta and --z. The routes that
+take one number (string, disk, fem, march, converge, extension rank) read it
+through _constant, which refuses any other kind with exit 3.
+
 WORKBENCH_THREADS caps the BLAS thread pools; it must take effect before
 numpy first loads, which is why all heavy imports in this module sit inside
 the command handlers.
@@ -24,6 +28,7 @@ EXIT_INVALID = 3
 EXIT_NUMERICAL = 4
 
 DEFAULT_SEED = 20240801
+ZETA_HELP = "const:re,im | a real or complex literal | power:a=..,c=.. or file:path (gate, lq)"
 
 _THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -57,55 +62,40 @@ class _UsageError(argparse.ArgumentTypeError):
 # Argument grammar helpers
 
 
-def parse_scalar_impedance(text: str) -> complex:
-    """const:re,im or a plain real/complex literal, finite."""
-    text = text.strip()
-    if text.startswith("const:"):
-        parts = text[len("const:"):].split(",")
-        if len(parts) != 2:
-            raise _UsageError(f"expected const:re,im, got '{text}'")
-        try:
-            value = complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise _UsageError(f"malformed const impedance '{text}'")
-    else:
-        try:
-            value = complex(text.replace(" ", ""))
-        except ValueError:
-            raise _UsageError(f"cannot parse impedance '{text}'")
-    if not cmath.isfinite(value):
-        raise _UsageError(f"impedance must be finite, got '{text}'")
-    return value
-
-
 def parse_coefficient(text: str):
-    """const:re,im | power:a=..,c=.. | file:path | plain scalar."""
+    """The one impedance grammar, for every --zeta and --z: power:a=..,c=.. |
+    file:path | const:re,im | a finite real or complex literal."""
     from .circle import ImpedanceCoefficient
 
     text = text.strip()
-    if text.startswith("power:"):
-        fields = {}
-        for item in text[len("power:"):].split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if not val:
-                raise _UsageError(f"expected power:a=..,c=.., got '{text}'")
-            if key not in ("a", "c"):
-                raise _UsageError(f"power coefficient has no key '{key}' (only a and c)")
-            if key in fields:
-                raise _UsageError(f"power coefficient key '{key}' given twice")
-            fields[key] = val.strip()
-        if "a" not in fields:
-            raise _UsageError("power coefficient needs a=<exponent>")
-        try:
-            exponent = float(fields["a"])
-            amplitude = complex(fields.get("c", "1"))
-        except ValueError:
-            raise _UsageError(f"malformed power coefficient '{text}'")
-        return ImpedanceCoefficient.power(exponent, amplitude)
     if text.startswith("file:"):
         return _coefficient_from_file(text[len("file:"):])
-    return ImpedanceCoefficient.constant(parse_scalar_impedance(text))
+    try:
+        if text.startswith("power:"):
+            fields = {}
+            for item in text[len("power:"):].split(","):
+                key, _, val = item.partition("=")
+                key = key.strip()
+                if not val:
+                    raise _UsageError(f"expected power:a=..,c=.., got '{text}'")
+                if key not in ("a", "c"):
+                    raise _UsageError(f"power coefficient has no key '{key}' (only a and c)")
+                if key in fields:
+                    raise _UsageError(f"power coefficient key '{key}' given twice")
+                fields[key] = val.strip()
+            if "a" not in fields:
+                raise _UsageError("power coefficient needs a=<exponent>")
+            return ImpedanceCoefficient.power(float(fields["a"]), complex(fields.get("c", "1")))
+        if text.startswith("const:"):
+            real, imag = text[len("const:"):].split(",")
+            value = complex(float(real), float(imag))
+        else:
+            value = complex(text.replace(" ", ""))
+    except ValueError:
+        raise _UsageError(f"cannot parse impedance '{text}'")
+    if not cmath.isfinite(value):
+        raise _UsageError(f"impedance must be finite, got '{text}'")
+    return ImpedanceCoefficient.constant(value)
 
 
 def _coefficient_from_file(path: str):
@@ -218,22 +208,31 @@ def parse_box(text: str):
 
 def _mesh_spec(shape: str, n) -> str:
     """Combine a bare shape name with --n; braced specs and files pass through."""
-    if shape == "square":
-        return f"square{{{n if n is not None else 16}}}"
-    if shape == "disk_polygon":
-        k = n if n is not None else 8
-        return f"disk_polygon{{{k},{4 * k}}}"
+    from .fem import ladder_spec
+
+    default = {"square": 16, "disk_polygon": 8}.get(shape)
+    if default is not None:
+        return ladder_spec(shape, default if n is None else n)
     if n is not None:
         raise _UsageError("--n only applies to the bare shape names square/disk_polygon")
     return shape
 
 
-def _require_accretive(zeta: complex, allow: bool, what: str) -> None:
-    if zeta.real < 0 and not allow:
+def _constant(text: str, route: str, allow_nonaccretive: bool = True):
+    """(value, exact printed form) of the constant a scalar route reads; any
+    other kind is invalid, and Re < 0 is refused unless allow_nonaccretive."""
+    from .reports import fmt_complex
+
+    coef = parse_coefficient(text)
+    if coef.kind != "constant":
+        raise _UsageError(f"{route} takes only constants, not {coef.label}")
+    shown = fmt_complex(coef.value)
+    if coef.value.real < 0 and not allow_nonaccretive:
         raise InvariantViolationError(
-            f"{what}: impedance {zeta:g} has negative real part, which breaks the "
+            f"{route}: impedance {shown} has negative real part, which breaks the "
             "lower-half-plane enclosure; pass --allow-nonaccretive to study it anyway"
         )
+    return coef.value, shown
 
 
 def _emit_report(report, path: str) -> None:
@@ -367,6 +366,7 @@ def _cmd_extension_rank(args) -> int:
     from .fixtures import get_fixture
     from .reports import write_json
 
+    z, _ = _constant(args.z, "extension rank")
     fx = get_fixture(args.fixture)
     dim = fx.boundary.trace_dim
     if not 0 <= args.rank <= dim:
@@ -379,7 +379,7 @@ def _cmd_extension_rank(args) -> int:
         bump += np.outer(v, v.conj())
     k1 = impedance_to_contraction(z1, fx)
     k2 = impedance_to_contraction(z1 + bump, fx)
-    report = resolvent_difference_rank(fx, k1, k2, z=args.z, tol=args.tol)
+    report = resolvent_difference_rank(fx, k1, k2, z=z, tol=args.tol)
     print(report.summary())
     if args.out:
         write_json(
@@ -433,21 +433,20 @@ def _cmd_lq(args) -> int:
 def _cmd_string(args) -> int:
     from .models import StringSpec, string_spectrum
 
-    zeta = parse_scalar_impedance(args.zeta)
-    _require_accretive(zeta, args.allow_nonaccretive, "string")
+    zeta, shown = _constant(args.zeta, "string", args.allow_nonaccretive)
     spec = StringSpec(zeta)
     report = string_spectrum(spec, count=args.count)
     if not report.entries:
         # zeta = 1, or its time reverse zeta = -1
         kind = "critically damped" if spec.critically_damped else "time-reversed critical damping"
-        print(f"string zeta={zeta:g}: {kind}, spectrum empty")
+        print(f"string zeta={shown}: {kind}, spectrum empty")
         if args.out:
             _emit_report(report, args.out)
         return EXIT_OK
     max_im = report.max_im()
     worst = max(e.residual for e in report.entries)
     print(
-        f"string zeta={zeta:g}: {len(report.entries)} modes, "
+        f"string zeta={shown}: {len(report.entries)} modes, "
         f"max Im {max_im:.6e}, max residual {worst:.3e}"
     )
     if args.out:
@@ -460,14 +459,13 @@ def _cmd_string(args) -> int:
 def _cmd_disk(args) -> int:
     from .models import disk_spectrum
 
-    zeta = parse_scalar_impedance(args.zeta)
-    _require_accretive(zeta, args.allow_nonaccretive, "disk")
+    zeta, shown = _constant(args.zeta, "disk", args.allow_nonaccretive)
     box = parse_box(args.box) if args.box else None
     report = disk_spectrum(zeta, m_max=args.m_max, box=box)
     counts_ok = bool(report.metadata["all_counts_match"])
     max_im = report.max_im()
     print(
-        f"disk zeta={zeta:g}: {len(report.entries)} modes over m<={args.m_max}, "
+        f"disk zeta={shown}: {len(report.entries)} modes over m<={args.m_max}, "
         f"max Im {max_im:.6e}, counts {'match' if counts_ok else 'MISMATCH'}"
     )
     if args.out:
@@ -482,8 +480,7 @@ def _cmd_disk(args) -> int:
 def _cmd_fem(args) -> int:
     from .fem import assemble, build_mesh, solve_qep
 
-    zeta = parse_scalar_impedance(args.zeta)
-    _require_accretive(zeta, args.allow_nonaccretive, "fem")
+    zeta, shown = _constant(args.zeta, "fem", args.allow_nonaccretive)
     spec = _mesh_spec(args.shape, args.n)
     mesh = build_mesh(spec)
     q = assemble(mesh, zeta=zeta)
@@ -491,7 +488,7 @@ def _cmd_fem(args) -> int:
     fem_entries = [e for e in report.entries if e.mode_tag == "fem"]
     max_im = max((e.im_lambda for e in fem_entries), default=float("-inf"))
     print(
-        f"fem {spec} zeta={zeta:g}: {len(fem_entries)} modes "
+        f"fem {spec} zeta={shown}: {len(fem_entries)} modes "
         f"({report.metadata['artifacts']} artifact), max Im {max_im:.6e}, "
         f"path {report.metadata['path']}"
     )
@@ -507,8 +504,7 @@ def _cmd_march(args) -> int:
 
     from .fem import assemble, build_mesh, cn_energy_march
 
-    zeta = parse_scalar_impedance(args.zeta)
-    _require_accretive(zeta, args.allow_nonaccretive, "march")
+    zeta, shown = _constant(args.zeta, "march", args.allow_nonaccretive)
     spec = _mesh_spec(args.shape, args.n)
     mesh = build_mesh(spec)
     q = assemble(mesh, zeta=zeta)
@@ -519,7 +515,7 @@ def _cmd_march(args) -> int:
     e0 = max(trace.energies[0], 1e-30)
     rel_increase = trace.max_step_increase() / e0
     print(
-        f"march {spec} zeta={zeta:g}: {trace.steps} steps, "
+        f"march {spec} zeta={shown}: {trace.steps} steps, "
         f"E_end/E_0 {trace.energies[-1] / e0:.6e}, "
         f"max step increase {rel_increase:.3e} relative"
     )
@@ -539,8 +535,7 @@ def _cmd_converge(args) -> int:
     from .models import disk_mode_roots
     from .reports import ModeEntry, SpectrumReport, write_json, write_text_atomic
 
-    zeta = parse_scalar_impedance(args.zeta)
-    _require_accretive(zeta, args.allow_nonaccretive, "converge")
+    zeta, shown = _constant(args.zeta, "converge", args.allow_nonaccretive)
     oracle_work = {}
     if args.shape == "square":
         if zeta != 0:
@@ -568,7 +563,7 @@ def _cmd_converge(args) -> int:
     orders = ["none" if p is None else f"{p:.2f}" for p in study["finest_orders"]]
     finest = ["unmatched" if e is None else f"{e:.3e}" for e in study["errors"][-1]]
     print(
-        f"converge {args.shape} zeta={zeta:g}: finest errors [{', '.join(finest)}], "
+        f"converge {args.shape} zeta={shown}: finest errors [{', '.join(finest)}], "
         f"orders [{', '.join(orders)}], unmatched {study['unmatched']}"
     )
     if args.out:
@@ -620,28 +615,28 @@ def build_parser() -> argparse.ArgumentParser:
     pr = modes.add_parser("rank", help="resolvent-difference rank inequality")
     pr.add_argument("--fixture", required=True)
     pr.add_argument("--rank", type=int, default=1, help="rank of the condition perturbation")
-    pr.add_argument("--z", type=parse_scalar_impedance, default=1j, help="spectral point")
+    pr.add_argument("--z", default="1j", help="spectral point, a constant in the --zeta grammar")
     pr.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
     pr.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     pr.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     pr.set_defaults(handler=_cmd_extension_rank)
 
     p = sub.add_parser("gate", help="finite-section compactness gate on the circle")
-    p.add_argument("--zeta", required=True, help="const:re,im | power:a=..,c=.. | file:path")
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--s", type=float, default=0.5, help="trace smoothness index")
     p.add_argument("--sections", type=parse_int_list, default=[16, 32, 64, 128])
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_gate)
 
     p = sub.add_parser("lq", help="integrability sufficient condition")
-    p.add_argument("--zeta", required=True)
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--out", type=_json_path, default=None, help="output file (.json)")
     p.set_defaults(handler=_cmd_lq)
 
     p = sub.add_parser("string", help="damped string spectrum (closed form)")
-    p.add_argument("--zeta", required=True)
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--tol", type=_parse_tol, default=1e-12, help="pass/fail tolerance")
@@ -649,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_string)
 
     p = sub.add_parser("disk", help="impedance-rim disk spectrum (contour counted)")
-    p.add_argument("--zeta", required=True)
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument(
         "--box",
@@ -665,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fem", help="P1 discretization eigenvalues")
     p.add_argument("--shape", default="square")
     p.add_argument("--n", type=int, default=None, help="resolution for bare shapes")
-    p.add_argument("--zeta", required=True)
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--nev", type=int, default=24)
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--tol", type=_parse_tol, default=1e-8, help="pass/fail tolerance")
@@ -675,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("march", help="Crank-Nicolson energy decay march")
     p.add_argument("--shape", default="square")
     p.add_argument("--n", type=int, default=None, help="resolution for bare shapes")
-    p.add_argument("--zeta", required=True)
+    p.add_argument("--zeta", required=True, help=ZETA_HELP)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--allow-nonaccretive", action="store_true")
@@ -687,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="FEM refinement study against oracles")
     p.add_argument("--shape", choices=("square", "disk_polygon"), default="square")
     p.add_argument("--levels", type=parse_int_list, default=[8, 16, 32])
-    p.add_argument("--zeta", default="0")
+    p.add_argument("--zeta", default="0", help=ZETA_HELP)
     p.add_argument("--allow-nonaccretive", action="store_true")
     p.add_argument("--out", default=None, help="output file (.csv or .json)")
     p.set_defaults(handler=_cmd_converge)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import as_complex_matrix, null_space
+from .reports import fmt_complex
 from .tuples import (
     BoundaryTupleModel,
     TupleFixture,
@@ -269,7 +270,7 @@ class ResolventRankReport:
     def summary(self) -> str:
         verdict = "ok" if self.satisfied else "VIOLATED"
         return (
-            f"rank-check {self.fixture_label} at z={self.z:g}: "
+            f"rank-check {self.fixture_label} at z={fmt_complex(self.z)}: "
             f"rank(resolvent diff)={self.rank_resolvent} "
             f"<= rank(parameter diff)={self.rank_parameter}: {verdict}"
         )
@@ -299,11 +300,11 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
         e, _ = np.linalg.qr(shifted)
         core = e.conj().T @ shifted
     if not np.isfinite(core).all():
-        raise InvalidInputError(f"z={z:g} is too large: the shifted operator overflows")
+        raise InvalidInputError(f"z={fmt_complex(z)} is too large: the shifted operator overflows")
     sv = np.linalg.svd(core, compute_uv=False)
     if sv[-1] <= RCOND_FLOOR * sv[0]:
         raise NumericalFailureError(
-            f"z={z:g} is (numerically) a spectral point of the reference condition; "
+            f"z={fmt_complex(z)} is (numerically) a spectral point of the reference condition; "
             "move the evaluation point"
         )
     y0 = ref_basis @ np.linalg.solve(core, e.conj().T)
@@ -313,7 +314,7 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     if hb.shape[1] != tup.trace_dim:
         raise NumericalFailureError(
             "unexpected surrogate deficiency dimension "
-            f"{hb.shape[1]} (expected {tup.trace_dim}) at z={z:g}"
+            f"{hb.shape[1]} (expected {tup.trace_dim}) at z={fmt_complex(z)}"
         )
     return y0, hb, triple, m_z, e
 

@@ -970,13 +970,18 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
 # Convergence study
 
 
+def ladder_spec(shape: str, n: int) -> str:
+    """Level n of a refinement ladder: square{n}, or disk_polygon{n,4n}."""
+    return f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
+
+
 def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -> dict:
     """Eigenvalue errors against a trusted reference over a refinement ladder.
 
-    shape is 'square' (level n means square{n}) or 'disk_polygon' (level n
-    means disk_polygon{n, 4n}). Each reference eigenvalue pairs with the
-    nearest computed non-artifact eigenvalue when the gap is below MATCH_GAP;
-    unmatched references are reported, not fatal.
+    shape is 'square' or 'disk_polygon', level n the mesh ladder_spec(shape, n).
+    Each reference eigenvalue pairs with the nearest computed non-artifact
+    eigenvalue when the gap is below MATCH_GAP; unmatched references are
+    reported, not fatal.
 
     Each level is assembled once and solved once per reference, for the one
     genuine mode nearest it (solve_qep with n_want=1, center=ref), which
@@ -995,7 +1000,7 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
 
     specs, errors = [], []
     for n in levels:
-        spec = f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
+        spec = ladder_spec(shape, n)
         specs.append(spec)
         # the matrices go out of scope before the next level is assembled
         q = assemble(build_mesh(spec), zeta=zeta)

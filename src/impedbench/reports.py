@@ -19,6 +19,12 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_complex(z) -> str:
+    """z as :g prints it, but with repr for each part that :g would round."""
+    re, im = (f"{x:g}" if float(f"{x:g}") == x else repr(float(x)) for x in (z.real, z.imag))
+    return f"{re}{'' if im.startswith('-') else '+'}{im}j"
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write text to path through a same-directory temp file and os.replace."""
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -238,6 +238,15 @@ class TestFourierCoefficients:
         assert label == "power(a=0.3,c=0.25-0.3333333333333333j)"
         assert complex(label[label.index("c=") + 2:-1]) == third
 
+    def test_constant_label_reads_back_the_value(self):
+        assert ImpedanceCoefficient.constant(0.5).label == "const(0.5+0j)"
+        assert ImpedanceCoefficient.constant(0.3 + 0.4j).label == "const(0.3+0.4j)"
+        # :g printed this as const(1+0j), the label of 1
+        assert ImpedanceCoefficient.constant(1.0000001).label == "const(1.0000001+0j)"
+        # a numpy scalar prints as the float it holds
+        label = ImpedanceCoefficient.constant(np.float64(1 / 3)).label
+        assert label == "const(0.3333333333333333+0j)"
+
     def test_power_exponent_validated(self):
         with pytest.raises(InvalidInputError, match="integrable"):
             ImpedanceCoefficient.power(1.0)

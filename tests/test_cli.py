@@ -60,15 +60,15 @@ NON_FINITE_INPUT_FILES = {
 
 class TestGrammar:
     def test_scalar_forms(self):
-        assert cli.parse_scalar_impedance("const:0.5,-1.0") == 0.5 - 1.0j
-        assert cli.parse_scalar_impedance("2.0") == 2.0 + 0j
-        assert cli.parse_scalar_impedance("1+2j") == 1 + 2j
-        assert cli.parse_scalar_impedance("-0.5") == -0.5 + 0j
+        for text, value in [("const:0.5,-1.0", 0.5 - 1.0j), ("2.0", 2.0 + 0j),
+                            ("1+2j", 1 + 2j), ("-0.5", -0.5 + 0j)]:
+            coef = cli.parse_coefficient(text)
+            assert coef.kind == "constant" and coef.value == value
 
     def test_scalar_rejects_garbage(self):
         for bad in ("const:1", "const:a,b", "one", ""):
             with pytest.raises(cli._UsageError):
-                cli.parse_scalar_impedance(bad)
+                cli.parse_coefficient(bad)
 
     def test_power_form(self):
         coef = cli.parse_coefficient("power:a=0.3,c=2")
@@ -143,6 +143,32 @@ class TestExitCodes:
     def test_nonaccretive_refusal_is_an_invariant_violation(self, capsys, command):
         assert run([command, "--zeta", "-0.5"]) == 2
         assert capsys.readouterr().err.startswith("invariant violation: ")
+
+    # a route that reads one number names itself and the kind it cannot read
+    @pytest.mark.parametrize("zeta,label", [
+        ("power:a=0.3", "power(a=0.3,c=1+0j)"),
+        ("file:samples.json", "file:samples.json"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["string"], ["disk", "--m-max", "0"], ["fem", "--n", "2"], ["march", "--n", "2"],
+        ["converge"],
+    ])
+    def test_scalar_route_refuses_other_kinds_exit3(self, capsys, tmp_path, monkeypatch,
+                                                    command, zeta, label):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "samples.json").write_text("[1.0, 0.5, 0.25]")
+        assert run(command + ["--zeta", zeta]) == 3
+        err = capsys.readouterr().err
+        assert err == f"invalid input: {command[0]} takes only constants, not {label}\n"
+
+    @pytest.mark.parametrize("z", ["power:a=0.3", "power:a=2", "file:missing.json"])
+    def test_rank_refuses_other_kinds_exit3(self, capsys, z):
+        assert run(["extension", "rank", "--fixture", "transport-64", "--z", z]) == 3
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
+    def test_nonaccretive_refusal_prints_zeta_exactly(self, capsys):
+        assert run(["string", "--zeta", "-1.0000001"]) == 2
+        assert "impedance -1.0000001+0j has negative real part" in capsys.readouterr().err
 
     def test_nonaccretive_string_escape_hatch(self, capsys):
         assert run(["string", "--zeta", "-0.5"]) == 2
@@ -426,6 +452,11 @@ class TestExtension:
         assert payload["rank_parameter"] == 1
         capsys.readouterr()
 
+    def test_rank_summary_prints_z_exactly(self, capsys):
+        argv = ["extension", "rank", "--fixture", "transport2-48", "--z", "0.1234567+1j"]
+        assert run(argv) == 0
+        assert " at z=0.1234567+1j: " in capsys.readouterr().out
+
     def test_rank_zero_perturbation(self, capsys):
         assert run(["extension", "rank", "--fixture", "transport-64", "--rank", "0"]) == 0
         assert "rank(resolvent diff)=0" in capsys.readouterr().out
@@ -693,6 +724,17 @@ class TestOutputs:
     def test_converge_square_needs_zero_zeta(self, capsys):
         assert run(["converge", "--shape", "square", "--zeta", "0.5"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,head", [
+        (["gate", "--zeta", "const:1.0000001,0", "--sections", "8,16"],
+         "gate const(1.0000001+0j): "),
+        (["fem", "--shape", "square", "--n", "2", "--zeta", "1.0000001", "--nev", "2"],
+         "fem square{2} zeta=1.0000001+0j: "),
+    ])
+    def test_summary_prints_zeta_exactly(self, capsys, argv, head):
+        # :g printed both as 1+0j, the value 1
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith(head)
 
     def test_fem_summary_names_path(self, capsys):
         # 9 of 49 modes is more than a SPARSE_MAX_SHARE-th: the dense companion

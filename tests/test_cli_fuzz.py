@@ -3,12 +3,13 @@
 Every argv is built from the documented grammar of green-check, extension
 cayley|mdiss|rank, gate and lq, or of the spectral commands string, disk,
 fem, march and converge, with values that are valid, malformed, non-finite,
-negative or huge. main() must answer each with a documented exit code (0, 2,
-3 or 4) and never raise. Work stays small: at most 5 trials and section
-cutoffs of at most 128, apart from one cutoff over the 1024 cap; for the
-spectral commands at most 5 string modes, disk sectors 0 and 1, meshes of
-resolution 4 or less, fewer than 10 time steps and convergence levels of 4 or
-less.
+negative or huge; every --zeta and --z is drawn from the whole coefficient
+grammar, power: and file: included. main() must answer each with a
+documented exit code (0, 2, 3 or 4) and never raise. Work stays small: at
+most 5 trials and section cutoffs of at most 128, apart from one cutoff over
+the 1024 cap; for the spectral commands at most 5 string modes, disk sectors
+0 and 1, meshes of resolution 4 or less, fewer than 10 time steps and
+convergence levels of 4 or less.
 """
 
 import json
@@ -94,7 +95,7 @@ ARGV = st.one_of(
     command(["extension", "mdiss"], FIXTURES.map(lambda f: ["--fixture", f]),
             st.sampled_from([[], ["--skew"]]), option("--seed", SEED), option("--out", OUT)),
     command(["extension", "rank"], FIXTURES.map(lambda f: ["--fixture", f]),
-            option("--rank", st.integers(-1, 3).map(str)), option("--z", SCALAR),
+            option("--rank", st.integers(-1, 3).map(str)), option("--z", COEFFICIENT),
             option("--tol", NUMBER), option("--seed", SEED), option("--out", OUT)),
     command(["gate"], COEFFICIENT.map(lambda z: ["--zeta", z]), option("--s", NUMBER),
             # the default schedule runs to 128, within the budget
@@ -105,13 +106,14 @@ ARGV = st.one_of(
 
 
 # impedances for the spectral commands: accretive, reactive (the disk at
-# -0.3i once stopped on a contour zero), nonaccretive, huge and non-finite
+# -0.3i once stopped on a contour zero), nonaccretive, huge and non-finite,
+# and every other kind of the coefficient grammar
 ZETA = st.one_of(
     st.sampled_from(["0", "0.5", "1", "2", "0.3+0.4j", "0.3j", "-0.3j", "const:0,-0.3",
                      "const:0,0.5", "-1", "-0.5", "const:-1,-1", "1e308", "1.7e308",
                      "const:1e308,1e308", "const:1.7e308,1.7e308", "-1e308j", "1e-300",
                      "nan", "inf", "const:0,inf", "const:1", "x"]),
-    NUMBER,
+    COEFFICIENT,
 )
 NONACCRETIVE = st.sampled_from([[], ["--allow-nonaccretive"]])
 BOX = st.sampled_from(["0.05,20,-5,0.05", "3,4.5,-0.5,0.05", "-2,2,-2,0",

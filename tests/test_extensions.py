@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import impedbench.extensions as ex
-from impedbench.errors import InvalidInputError
+from impedbench.errors import InvalidInputError, NumericalFailureError
 from impedbench.fixtures import get_fixture
 from impedbench.linalg import GramMatrix, gram_operator_norm
 from impedbench.tuples import accretivity_defect
@@ -296,6 +296,36 @@ class TestResolventRank:
         c = ex.constraint_from_contraction(np.array([[0.3 + 0.2j]]), triple)
         r = ex._resolvent_for_constraint(c, y0, hb)
         assert np.linalg.norm(c @ r, 2) < 1e-10 * np.linalg.norm(r, 2)
+
+    def test_summary_prints_z_exactly(self):
+        fx = get_fixture("transport-64")
+        r = ex.resolvent_difference_rank(fx, 0.2, 0.2, z=0.1234567 + 1j)
+        assert "at z=0.1234567+1j:" in r.summary()
+        assert "at z=0+1j:" in ex.resolvent_difference_rank(fx, 0.2, 0.2).summary()
+
+    def test_overflow_message_prints_z_exactly(self):
+        fx = get_fixture("transport-64")
+        with pytest.raises(InvalidInputError, match=r"z=1\.23456789e\+307\+0j is too large"):
+            ex.resolvent_difference_rank(fx, 0.2, 0.3, z=1.23456789e307)
+
+    def test_failure_messages_print_z_exactly(self, monkeypatch):
+        fx = get_fixture("transport-64")
+        with monkeypatch.context() as mp:
+            # every shifted operator counts as singular
+            mp.setattr(ex, "RCOND_FLOOR", 2.0)
+            with pytest.raises(NumericalFailureError, match=r"z=0\.1234567\+1j is \(numerically\)"):
+                ex.resolvent_difference_rank(fx, 0.2, 0.3, z=0.1234567 + 1j)
+        real_null_space, calls = ex.null_space, []
+
+        def short_null_space(a, tol):
+            # the second null space taken is the surrogate basis: one column short
+            calls.append(a)
+            basis = real_null_space(a, tol)
+            return basis[:, 1:] if len(calls) == 2 else basis
+
+        monkeypatch.setattr(ex, "null_space", short_null_space)
+        with pytest.raises(NumericalFailureError, match=r"at z=0\.1234567\+1j$"):
+            ex.resolvent_difference_rank(fx, 0.2, 0.3, z=0.1234567 + 1j)
 
     def test_wrong_shape_rejected(self):
         fx = get_fixture("transport2-48")

@@ -11,6 +11,7 @@ from impedbench.reports import (
     EnergyTrace,
     ModeEntry,
     SpectrumReport,
+    fmt_complex,
     fmt_float,
     json_ready,
     write_text_atomic,
@@ -22,6 +23,19 @@ class TestFormatting:
         rng = np.random.default_rng(11)
         for x in rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50):
             assert float(fmt_float(x)) == x
+
+    def test_fmt_complex_matches_g_where_g_is_exact(self):
+        # every value :g reads back exactly keeps its :g text byte for byte
+        for z in (0.5, 1, 1e6, 0.3 + 0.4j, -0.3j, complex(-0.0, 1), 1e-300, 1.7e308):
+            assert fmt_complex(complex(z)) == f"{complex(z):g}"
+        assert fmt_complex(-0.3j) == "-0-0.3j"
+
+    def test_fmt_complex_reads_back_what_g_rounds(self):
+        assert fmt_complex(1.0000001 + 0j) == "1.0000001+0j"
+        assert fmt_complex(0.1234567 + 1j) == "0.1234567+1j"
+        rng = np.random.default_rng(12)
+        for re, im in rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-12, 12, (50, 2)):
+            assert complex(fmt_complex(complex(re, im))) == complex(re, im)
 
     def test_json_ready_handles_numpy(self):
         payload = json_ready(
