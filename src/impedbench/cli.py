@@ -532,7 +532,7 @@ def _cmd_converge(args) -> int:
     import numpy as np
 
     from .fem import convergence_study, convergence_table_csv
-    from .models import disk_mode_roots
+    from .models import ContourTables, disk_mode_roots
     from .reports import ModeEntry, SpectrumReport, write_json, write_text_atomic
 
     zeta, shown = _constant(args.zeta, "converge", args.allow_nonaccretive)
@@ -544,10 +544,12 @@ def _cmd_converge(args) -> int:
             )
         ref = SpectrumReport("square-exact", [ModeEntry(float(np.pi), 0.0, 0.0, "exact")])
     else:
-        # the references are the lowest roots of sectors 0 and 1
+        # the references are the lowest roots of sectors 0 and 1, which
+        # share their contour sweeps
         entries = []
+        tables = ContourTables(1)
         for m in (0, 1):
-            oracle = disk_mode_roots(m, zeta, lowest=1)
+            oracle = disk_mode_roots(m, zeta, lowest=1, tables=tables)
             if not oracle["roots"].size:
                 raise InvalidInputError(
                     f"the disk oracle finds no root of sector {m} in its search box, "
@@ -556,6 +558,7 @@ def _cmd_converge(args) -> int:
             lam = oracle["roots"][0]
             oracle_work[str(m)] = oracle["work"]
             entries.append(ModeEntry(float(lam.real), float(lam.imag), 0.0, f"m{m}"))
+        del tables  # no contour table outlives the oracle's search
         ref = SpectrumReport("disk-oracle", entries)
     study = convergence_study(args.shape, args.levels, zeta, ref)
     if oracle_work:

@@ -150,7 +150,9 @@ def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
     whose value is as large as its terms. Rescaling guards keep the
     unnormalized sweep in double range. Each point has its own start order
     and rescaling, so its value does not depend on the other points of the
-    array. Below 1e-8 the sweep, which divides by z, gives way to the
+    array: the points run in order of falling start order, each is seeded
+    once at its own start, and a step touches only the points already
+    started. Below 1e-8 the sweep, which divides by z, gives way to the
     leading term (z/2)^m / m!, exact at z = 0 and within
     |z|^2 / (4 (m + 1)) relative elsewhere (docs/derivations.md section 10).
     """
@@ -175,44 +177,78 @@ def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
 
     start = np.maximum((mag + 12 + 9 * mag ** (1.0 / 3.0)).astype(int), m_max + 12)
     start += start % 2
-    first = int(start.min())
-    jp = np.zeros(z.size, dtype=complex)
-    jc = np.full(z.size, 1e-200, dtype=complex)
-    rows = np.zeros((m_max + 1, z.size), dtype=complex)
-    norm_one = np.zeros(z.size, dtype=complex)
-    norm_cos = np.zeros(z.size, dtype=complex)
-    for k in range(int(start.max()), 0, -1):
-        jm = (2.0 * k) * jc / z - jp
-        jp = jc
-        jc = jm
+    size = z.size
+    top = int(start.max())
+    cols = swept
+    if start.min() == top:
+        live_from = {top: size}
+    else:
+        # points run in order of falling start, so the ones whose recurrence
+        # has begun are a prefix of the work arrays; live_from[k] is its
+        # length from step k on
+        by_start = np.argsort(-start, kind="stable")
+        z, start = z[by_start], start[by_start]
+        cols = np.flatnonzero(swept)[by_start]
+        firsts, counts = np.unique(start, return_counts=True)
+        live_from = dict(zip(firsts[::-1].tolist(), np.cumsum(counts[::-1]).tolist()))
+    factors = (2.0 * np.arange(top + 1) + 0j).reshape(-1, 1)  # 2k, as the scalar casts
+    two = factors[1]
+    jp = np.zeros(size, dtype=complex)
+    jc = np.empty(size, dtype=complex)
+    jn = np.empty(size, dtype=complex)
+    term = np.empty(size, dtype=complex)
+    parts = np.empty(2 * size)
+    rows = np.zeros((m_max + 1, size), dtype=complex)
+    norm_one = np.zeros(size, dtype=complex)
+    norm_cos = np.zeros(size, dtype=complex)
+    # bound_c bounds |J| over the running points and bound_p one order up; a
+    # step grows it by at most 2k / min|z|, the factor 1 + 1e-12 covers
+    # rounding, and no point is tested for rescaling until it passes 1e250
+    # (docs/derivations.md section 10)
+    growth = 2.0 / float(mag.min())
+    bound_c = bound_p = 0.0
+    live = 0
+    for k in range(top, 0, -1):
+        grown = live_from.get(k)
+        if grown is not None:
+            # seed the points whose recurrence starts at this step, once
+            jp[live:grown] = 0.0
+            jc[live:grown] = 1e-200
+            live = grown
+            zv, pv, cv, nv = z[:live], jp[:live], jc[:live], jn[:live]
+            tv, fv, one_v, cos_v = term[:live], parts[: 2 * live], norm_one[:live], norm_cos[:live]
+            bound_c = max(bound_c, 1e-200)
+        np.multiply(factors[k], cv, nv)
+        np.divide(nv, zv, nv)
+        np.subtract(nv, pv, nv)
+        jp, jc, jn = jc, jn, jp
+        pv, cv, nv = cv, nv, pv
+        bound_c, bound_p = (k * growth * bound_c + bound_p) * (1.0 + 1e-12), bound_c
         order = k - 1
         if order <= m_max:
-            rows[order] = jc
+            rows[order] = cv
         if order % 2 == 0:
-            half_parity = (order // 2) % 2
-            term = jc if order == 0 else 2.0 * jc
-            norm_one += term
-            norm_cos += -term if half_parity else term
-        if k > first:
-            # points whose recurrence starts below k keep their seed values
-            idle = start < k
-            jp[idle] = 0.0
-            jc[idle] = 1e-200
-            norm_one[idle] = 0.0
-            norm_cos[idle] = 0.0
-        big = np.abs(jc) > 1e250
-        if big.any():
-            jc[big] *= 1e-250
-            jp[big] *= 1e-250
-            norm_one[big] *= 1e-250
-            norm_cos[big] *= 1e-250
-            rows[:, big] *= 1e-250
+            t = np.multiply(two, cv, tv) if order else cv
+            np.add(one_v, t, one_v)
+            (np.subtract if (order // 2) % 2 else np.add)(cos_v, t, cos_v)
+        if bound_c > 1e250:
+            # tighten the bound to 1.5 (> sqrt 2) times the largest real or
+            # imaginary part; only then test each point
+            bound_c = 1.5 * float(np.abs(cv.view(float), out=fv).max())
+            if bound_c > 1e250:
+                big = np.abs(cv) > 1e250
+                if big.any():
+                    cv[big] *= 1e-250
+                    pv[big] *= 1e-250
+                    one_v[big] *= 1e-250
+                    cos_v[big] *= 1e-250
+                    rows[:, :live][:, big] *= 1e-250
     off_axis = np.abs(z.imag) > 1.0
     scaled_cos = np.where(off_axis, np.cos(z), 1.0)
     norm = np.where(off_axis, norm_cos / scaled_cos, norm_one)
     if (np.abs(norm) < 1e-280).any():
         raise NumericalFailureError("cylinder recurrence normalization collapsed")
-    out[:, swept] = rows / norm
+    out[:, cols] = rows / norm
     return out
 
 
@@ -274,7 +310,12 @@ class DiskModeProblem:
         return 2.0 ** -int(np.frexp(max(1.0, abs(zeta.real), abs(zeta.imag)))[1])
 
     def char(self, lam) -> np.ndarray:
-        return self.char_and_deriv(lam)[0]
+        return self.char_on(_bessel_table(self.m + 2, np.asarray(lam, dtype=complex).ravel()))
+
+    def char_on(self, table) -> np.ndarray:
+        """char at the points of a table of orders 0..m + 1 or more."""
+        coef = 1j * (complex(self.zeta) * self.scale)
+        return coef * table[self.m] - _derivative(table, self.m) * self.scale
 
     def char_and_deriv(self, lam):
         jm, jp, jpp = self._jet(lam)
@@ -341,8 +382,37 @@ def _boundary_samples(box: SearchBox, n: int) -> np.ndarray:
     )
 
 
+class ContourTables:
+    """Cylinder tables on the contours of one disk search, shared by its sectors.
+
+    The table over a contour depends on the box, the sample count and the
+    highest order read, not on the sector or on zeta, so the sectors
+    0..m_max of one search read one table of orders 0..m_max + 2 per
+    (box, samples) and sweep each contour once. Create one per search and
+    drop it with the search: no table outlives it.
+    """
+
+    def __init__(self, m_max: int):
+        if not 0 <= m_max <= MAX_SECTOR_ORDER:
+            raise InvalidInputError(f"m_max must lie in 0..{MAX_SECTOR_ORDER}")
+        self.m_max = int(m_max)
+        self.sweep_points = 0  # contour points run through the Miller sweep
+        self._tables = {}
+
+    def table(self, box: SearchBox, samples: int) -> np.ndarray:
+        """J_0..J_{m_max+2} at _boundary_samples(box, samples)."""
+        key = (box, samples)
+        if key not in self._tables:
+            pts = _boundary_samples(box, samples)
+            self._tables[key] = _bessel_table(self.m_max + 2, pts)
+            self.sweep_points += pts.size
+        return self._tables[key]
+
+
 def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str):
-    """Zeros of the analytic function char inside box, by the argument principle.
+    """Zeros of an analytic function inside box, by the argument principle.
+
+    char(sub, n) gives the function's values at _boundary_samples(sub, n).
 
     The contour takes samples points, then 2x and 4x as many, until no phase
     step exceeds 2.5 and the turn is within 0.05 of an integer. A zero on (or
@@ -358,9 +428,8 @@ def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str)
     sub = box
     for attempt in range(6):
         for n in (samples, 2 * samples, 4 * samples):
-            pts = _boundary_samples(sub, n)
-            work["contour_points"] += pts.size
-            vals = char(pts)
+            vals = char(sub, n)
+            work["contour_points"] += vals.size
             if not np.all(np.isfinite(vals)) or np.abs(vals).min() <= 1e-300:
                 break
             closed = np.append(vals, vals[0])
@@ -383,13 +452,14 @@ def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
     """Newton iterations from every start at once, one evaluation per step.
 
     Iterate i stops when its step falls below 1e-13 max(|lam|, 1), and drops
-    out when the derivative vanishes or when it leaves boxes[i] widened by
-    2 diameter + 0.5. A root is accepted when its residual, relative to
-    max(1, |zeta|) because the characteristic carries a factor zeta, is at
-    most 1e-10 and it lies in its box: the contour count attributed the zero
-    to that box, so a polished point far outside (e.g. the trivial origin
-    zero of higher sectors) is a miss. Returns (lam, residual) or None per
-    start.
+    out when the derivative vanishes, when it leaves boxes[i] widened by
+    2 diameter + 0.5, or when it lies past the cylinder functions' argument
+    cap BESSEL_ARG_CAP (a start there never runs). A root is accepted when
+    its residual, relative to max(1, |zeta|) because the characteristic
+    carries a factor zeta, is at most 1e-10 and it lies in its box: the
+    contour count attributed the zero to that box, so a polished point far
+    outside (e.g. the trivial origin zero of higher sectors) is a miss.
+    Returns (lam, residual) or None per start.
     """
     lam = np.array(starts, dtype=complex)
     edges = np.array([(b.re_min, b.re_max, b.im_min, b.im_max) for b in boxes]).T
@@ -403,8 +473,8 @@ def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
             & (im_min - pad <= z.imag) & (z.imag <= im_max + pad)
         )
 
-    alive = np.ones(lam.size, dtype=bool)
-    active = np.arange(lam.size)
+    alive = np.abs(lam) <= BESSEL_ARG_CAP
+    active = np.flatnonzero(alive)
     for _ in range(60):
         if not active.size:
             break
@@ -416,7 +486,7 @@ def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
         active, f, df = active[~flat], f[~flat], df[~flat]
         step = f / df
         lam[active] -= step
-        left = ~inside(active, slack[active])
+        left = ~inside(active, slack[active]) | (np.abs(lam[active]) > BESSEL_ARG_CAP)
         alive[active[left]] = False
         done = np.abs(step) < 1e-13 * np.maximum(np.abs(lam[active]), 1.0)
         active = active[~(left | done)]
@@ -444,7 +514,9 @@ def _merge_roots(roots, residuals):
     return merged, merged_res
 
 
-def disk_mode_roots(m: int, zeta, box: SearchBox = None, lowest: int = None) -> dict:
+def disk_mode_roots(
+    m: int, zeta, box: SearchBox = None, lowest: int = None, tables: ContourTables = None
+) -> dict:
     """Characteristic roots of one angular sector inside a search box.
 
     Counts zeros by the phase winding of the characteristic function along
@@ -468,10 +540,22 @@ def disk_mode_roots(m: int, zeta, box: SearchBox = None, lowest: int = None) -> 
     box being level 0.
     count_matches says that expected_count roots were returned, or
     min(lowest, expected_count) with lowest set.
+
+    tables, the contour tables of a search over sectors up to tables.m_max,
+    lets sectors share their contour sweeps; without it the sector sweeps
+    its own. Either way the result is the same bit for bit: the counts read
+    the contour values, and nothing else does (docs/derivations.md
+    section 7).
     """
     if lowest is not None and lowest < 1:
         raise InvalidInputError("lowest must be at least 1")
     problem = DiskModeProblem(m=int(m), zeta=complex(zeta))
+    if tables is None:
+        tables = ContourTables(problem.m)
+    elif problem.m > tables.m_max:
+        raise InvalidInputError(
+            f"sector {problem.m} exceeds the contour tables' m_max {tables.m_max}"
+        )
     if box is None:
         box = SearchBox(0.05, 20.0, -5.0, 0.05)
     rng = np.random.default_rng(BOX_NUDGE_SEED)
@@ -483,8 +567,19 @@ def disk_mode_roots(m: int, zeta, box: SearchBox = None, lowest: int = None) -> 
         0,
     )
 
+    def char(sub, n):
+        try:
+            table = tables.table(sub, n)
+        except InvalidInputError:
+            if sub is box:
+                raise
+            # a nudge carried the contour past the argument cap, where the
+            # characteristic is not evaluated: that attempt stays unresolved
+            return np.full(n, np.nan)
+        return problem.char_on(table)
+
     outer, expected = _count_in(
-        problem.char, box, OUTER_SAMPLES, rng, work,
+        char, box, OUTER_SAMPLES, rng, work,
         "could not move the search contour off a characteristic zero",
     )
     roots, residuals = [], []
@@ -508,7 +603,7 @@ def disk_mode_roots(m: int, zeta, box: SearchBox = None, lowest: int = None) -> 
             current, count, depth = stack.pop()
             if count is None:
                 current, count = _count_in(
-                    problem.char, current, INNER_SAMPLES, rng, work,
+                    char, current, INNER_SAMPLES, rng, work,
                     "bisection could not isolate the characteristic zeros",
                 )
                 work["max_depth"] = max(work["max_depth"], depth)
@@ -571,15 +666,16 @@ def disk_spectrum(zeta, m_max: int = 8, box: SearchBox = None) -> SpectrumReport
 
     Angular order zero contributes simple eigenvalues; every higher order
     carries the two rotation directions and is reported with multiplicity 2.
+    The sectors share their contour sweeps; metadata sweep_points counts the
+    contour points swept, each (box, samples) once.
     """
-    if m_max < 0 or m_max > MAX_SECTOR_ORDER:
-        raise InvalidInputError(f"m_max must lie in 0..{MAX_SECTOR_ORDER}")
+    tables = ContourTables(m_max)
     entries = []
     counts = {}
     matches = {}
     work = {}
     for m in range(m_max + 1):
-        result = disk_mode_roots(m, zeta, box=box)
+        result = disk_mode_roots(m, zeta, box=box, tables=tables)
         counts[str(m)] = int(result["roots"].size)
         matches[str(m)] = bool(result["count_matches"])
         work[str(m)] = result["work"]
@@ -602,5 +698,6 @@ def disk_spectrum(zeta, m_max: int = 8, box: SearchBox = None) -> SpectrumReport
         "count_matches": matches,
         "all_counts_match": bool(all(matches.values())),
         "work_per_order": work,
+        "sweep_points": tables.sweep_points,
     }
     return SpectrumReport("disk", entries, metadata=meta)

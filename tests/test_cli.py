@@ -635,6 +635,24 @@ class TestOutputs:
         assert meta["count_matches"] == {"0": True}
         assert meta["work_per_order"]["0"]["newton_evals"] > 0
 
+    def test_disk_box_near_argument_cap(self, capsys):
+        # every contour point has |lam| <= 199.003; a Newton iterate that steps
+        # past |lam| = 200 drops out instead of refusing the whole batch
+        assert run(["disk", "--zeta", "0.5", "--m-max", "0", "--box=150,199,-1,0"]) == 0
+        out = capsys.readouterr().out
+        assert "16 modes over m<=0" in out
+        assert "counts match" in out
+
+    def test_disk_reports_sweep_points(self, tmp_path, capsys):
+        # the sectors share their contour sweeps: the points swept are fewer
+        # than the points the sectors' counts read
+        out = tmp_path / "disk.json"
+        assert run(["disk", "--zeta", "0.5", "--m-max", "2", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        read = sum(w["contour_points"] for w in meta["work_per_order"].values())
+        assert 0 < meta["sweep_points"] < read
+        capsys.readouterr()
+
     def test_disk_box_with_negative_first_edge(self, capsys):
         # the = form keeps argparse from reading -2,... as an option; the top
         # edge samples lam = 0, where J_m is its leading term

@@ -39,6 +39,11 @@ J1P_ZEROS = [1.8411837813406593, 5.3314427735250326, 8.5363163663462858,
 HALF_LOG_3 = 0.54930614433405485
 
 
+def on_contour(f):
+    """The contour form _count_in reads: f at the samples of a box."""
+    return lambda box, n: f(models._boundary_samples(box, n))
+
+
 def mixed_err(ours, ref) -> float:
     return float(np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)))
 
@@ -122,6 +127,21 @@ class TestBessel:
         for m, point in zip(orders, z):
             ref = scipy.special.jv(m, point)
             assert abs(bessel_j(int(m), point) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("m_max", [3, 60])
+    def test_each_point_as_if_alone(self, m_max):
+        # seed orders from m_max + 12 to above 200, arguments below 1e-8 that
+        # take the leading term, and (at order 60) small ones whose sweep is
+        # rescaled past 1e250, in one shuffled array
+        z = np.array([
+            1e-9, 0.0, -3e-9j, 3e-8, 1e-7 + 1e-7j, 2e-6, 0.05, 0.5 - 0.2j, 3.0 + 4.0j,
+            7.0 - 1.0j, 40.0 - 10.0j, -120.0 + 5.0j, 150.0 + 2.0j, 199.0, 60.0j,
+        ])
+        z = z[np.random.default_rng(SEED).permutation(z.size)]
+        table = models._bessel_table(m_max, z)
+        for j, point in enumerate(z):
+            alone = models._bessel_table(m_max, np.array([point]))[:, 0]
+            assert table[:, j].tobytes() == alone.tobytes(), point
 
     def test_negative_order_reflection(self):
         z = 2.3 - 0.7j
@@ -300,7 +320,7 @@ class TestDiskRoots:
         work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
         box = SearchBox(-1.0, 1.0, -1.0, 1.0)
         got = models._count_in(
-            lambda z: (z - 0.5) * (z + 0.25j) * (z - 3.0), box, 64,
+            on_contour(lambda z: (z - 0.5) * (z + 0.25j) * (z - 3.0)), box, 64,
             np.random.default_rng(SEED), work, "no count",
         )
         assert got == (box, 2)
@@ -312,7 +332,7 @@ class TestDiskRoots:
         box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
         work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
         moved, count = models._count_in(
-            DiskModeProblem(m=0, zeta=0.0).char, box, 1024,
+            on_contour(DiskModeProblem(m=0, zeta=0.0).char), box, 1024,
             np.random.default_rng(SEED), work, "no count",
         )
         assert count == 1
@@ -324,7 +344,8 @@ class TestDiskRoots:
         work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
         with pytest.raises(NumericalFailureError, match="no count"):
             models._count_in(
-                lambda z: np.full(z.shape, 1e308 + 1e308j), SearchBox(-1.0, 1.0, -1.0, 1.0),
+                on_contour(lambda z: np.full(z.shape, 1e308 + 1e308j)),
+                SearchBox(-1.0, 1.0, -1.0, 1.0),
                 64, np.random.default_rng(SEED), work, "no count",
             )
         assert work == {"contour_points": 6 * (64 + 128 + 256), "boxes_counted": 0,
@@ -492,6 +513,16 @@ class TestBatchedNewton:
         # one evaluation per step of the whole batch
         assert work["newton_evals"] < work["newton_steps"] <= len(starts) * work["newton_evals"]
 
+    def test_start_past_argument_cap_drops_out(self):
+        # a shifted start past |lam| = 200 is never evaluated; the others run
+        problem = DiskModeProblem(m=0, zeta=0.5)
+        box = SearchBox(198.0, 199.0, -1.0, 0.0)
+        work = {"newton_evals": 0, "newton_steps": 0}
+        got = models._newton_batch(problem, [200.5 - 0.5j, box.center], [box, box], work)
+        assert got[0] is None
+        assert got[1] is not None and abs(got[1][0] - (198.703 - 0.549j)) < 1e-3
+        assert work["newton_steps"] == work["newton_evals"]
+
     def test_work_counts(self):
         result = disk_mode_roots(0, 0.5)
         work = result["work"]
@@ -513,6 +544,16 @@ class TestBatchedNewton:
         assert result["expected_count"] == 1
         assert result["work"]["max_depth"] == 0
 
+    def test_nudge_past_argument_cap_is_unresolved(self):
+        # the east edge runs through a sector-11 root near |lam| = 200, and
+        # every nudge off it crosses the cap: a numerical failure, where a box
+        # reaching past the cap itself is invalid input
+        root_re = 199.97119647130162
+        with pytest.raises(NumericalFailureError, match="could not move the search contour"):
+            disk_mode_roots(11, 0.5, box=SearchBox(0.05, root_re, -0.6, 0.0))
+        with pytest.raises(InvalidInputError, match="cap 200"):
+            disk_mode_roots(11, 0.5, box=SearchBox(0.05, 200.1, -0.6, 0.0))
+
     def test_nudges_counted(self):
         box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
         assert disk_mode_roots(0, 0.0, box=box)["work"]["box_nudges"] >= 1
@@ -523,6 +564,31 @@ class TestBatchedNewton:
         )
         with pytest.raises(NumericalFailureError, match="failed to converge on a root near"):
             disk_mode_roots(0, 0.0, box=SearchBox(3.0, 4.5, -0.5, 0.05))
+
+
+class TestSharedContourTables:
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.3j, 0.3 + 0.4j, 1e6])
+    def test_sharing_changes_nothing_but_time(self, zeta):
+        # one search's sectors read one table per contour, of a higher order
+        # than their own; roots, residuals, counts and work stay bit-identical
+        tables = models.ContourTables(8)
+        read = 0
+        for lowest in (None, 1):
+            for m in range(9):
+                shared = disk_mode_roots(m, zeta, lowest=lowest, tables=tables)
+                alone = disk_mode_roots(m, zeta, lowest=lowest)
+                assert shared["roots"].tobytes() == alone["roots"].tobytes()
+                assert shared["residuals"].tobytes() == alone["residuals"].tobytes()
+                for key in ("expected_count", "count_matches", "work"):
+                    assert shared[key] == alone[key], (m, lowest, key)
+                read += shared["work"]["contour_points"]
+        assert tables.sweep_points < read / 3
+
+    def test_tables_cover_sectors_up_to_m_max(self):
+        with pytest.raises(InvalidInputError, match="m_max 1"):
+            disk_mode_roots(2, 0.5, tables=models.ContourTables(1))
+        with pytest.raises(InvalidInputError, match="m_max"):
+            models.ContourTables(21)
 
 
 class TestDiskSpectrum:
