@@ -10,20 +10,23 @@ so accretive zeta (Re zeta >= 0) pushes eigenvalues into the closed lower
 half-plane. Assembly is exact for piecewise-constant data and scatters K, C
 and M straight into CSC arrays, with no n x n array, adding the same terms
 in the same order as a dense np.add.at. Its invariant checks need no
-eigensolve: sparse symmetric LDL^T pivots of K pinned at one vertex prove
-that its kernel is the constant direction, and those of M prove it SPD. On
-disk_polygon{12,48} (577 vertices) assemble takes about 8 ms, on square{63}
-about 0.05 s, most of it in the checks. The eigensolve and the march read
-the stored CSC arrays; only the dense companion solve densifies them. Both
-eigensolvers use one first-order pencil, real when C is real or purely
-imaginary. When at most n/6 modes are wanted on n vertices, shift-invert
-Lanczos/Arnoldi through one n x n sparse LU computes only those nearest a
-requested centre (the origin by default) and certifies that none nearer it
-was missed; otherwise the dense companion, the sparse path's test
-reference, computes all. A convergence study centres one such solve on
-each reference eigenvalue. The Crank-Nicolson march factors its system
-once by sparse LU and satisfies a per-step energy identity exactly, so
-decay checks test the model rather than integrator artifacts.
+eigensolve: banded Cholesky factorizations in reverse Cuthill-McKee order
+prove that K pinned at one vertex, less a small shift, is SPD (so K's kernel
+is the constant direction), that M is SPD, and, for accretive zeta, that the
+Hermitian part of C on the rim is semidefinite. On disk_polygon{12,48} (577
+vertices) assemble takes about 2 ms, on square{63} about 15 ms, and on a
+mesh whose 4096 vertices all lie on the rim about 15 ms. The eigensolve and
+the march read the stored CSC arrays; only the dense companion solve
+densifies them. Both eigensolvers use one first-order pencil, real when C
+is real or purely imaginary. When at most n/6 modes are wanted on n
+vertices, shift-invert Lanczos/Arnoldi through one n x n sparse LU computes
+only those nearest a requested centre (the origin by default) and
+certifies that none nearer it was missed; otherwise the dense companion,
+the sparse path's test reference, computes all. A convergence study
+centres one such solve on each reference eigenvalue. The Crank-Nicolson
+march factors its system once by sparse LU and satisfies a per-step energy
+identity exactly, so decay checks test the model rather than integrator
+artifacts.
 """
 
 import math
@@ -43,8 +46,8 @@ ARTIFACT_RADIUS = 1e-8
 MAX_SOLVE_VERTICES = 2048
 # assembly builds K, C and M as CSC arrays; the cap is checked before any of
 # them is allocated (for braced specs, before the mesh is built). At this size
-# assemble takes 0.05 s and peaks at 11 MB traced, and fem --nev 12 runs in
-# 0.9-1.1 s at 88 MB resident (one thread, 2-vCPU VM).
+# assemble takes 15 ms and peaks at 13 MB traced on square{63}, and fem --nev 12
+# runs in 0.9-1.1 s at 88 MB resident (one thread, 2-vCPU VM).
 MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert runs while at most n / SPARSE_MAX_SHARE modes are wanted, n the
 # vertex count; at 577 vertices it wins up to n/6 and loses at n/4 (one thread)
@@ -100,7 +103,12 @@ class Mesh:
         self._validate_boundary()
 
     def _validate_orientation(self):
-        areas = self.signed_areas()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            areas = self.signed_areas()
+        huge = np.nonzero(~np.isfinite(areas))[0]
+        if huge.size:
+            raise InvalidInputError(f"triangle {huge[0]} has a non-finite signed area; "
+                                    "its coordinates overflow")
         bad = np.nonzero(areas <= MIN_TRIANGLE_AREA)[0]
         if bad.size:
             raise InvalidInputError(
@@ -137,6 +145,12 @@ class Mesh:
         odd = np.nonzero((degree != 0) & (degree != 2))[0]
         if odd.size:
             raise InvalidInputError(f"boundary does not close into loops at vertex {odd[0]}")
+        with np.errstate(over="ignore"):  # refused below
+            huge = np.nonzero(~np.isfinite(self.boundary_lengths()))[0]
+        if huge.size:
+            i, j = self.boundary_edges[huge[0]]
+            raise InvalidInputError(f"boundary edge {i}-{j} has a non-finite length; "
+                                    "its coordinates overflow")
 
     @property
     def n_vertices(self) -> int:
@@ -513,55 +527,109 @@ def _check_qep_invariants(k, c, m, min_re_zeta, rim):
     """Structural checks on the assembled CSC matrices.
 
     rim lists the vertices that boundary edges touch, the only rows and
-    columns of C that can be nonzero.
+    columns of C that can be nonzero. The positivity certificates are banded
+    Cholesky factorizations in reverse Cuthill-McKee order, which succeed iff
+    the matrix is SPD. LAPACK's banded Cholesky does not notice NaN, so
+    finiteness is checked first.
     """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    for a, name in ((k, "stiffness"), (c, "boundary damping"), (m, "mass")):
+        if not np.isfinite(a.data).all():
+            raise NumericalFailureError(f"{name} matrix is not finite")
     scale_k = abs(k).max()
     if abs(k - k.T).max() > 1e-12 * scale_k:
         raise NumericalFailureError("stiffness lost symmetry during assembly")
-    ones = np.ones(k.shape[0])
+    n = k.shape[0]
     tau = 1e-10 * max(scale_k, 1.0)
-    if np.abs(k @ ones).max() > tau:
+    if np.abs(k @ np.ones(n)).max() > tau:
         raise NumericalFailureError("stiffness does not annihilate constants")
-    # K pinned at vertex 0 and shifted by -tau is SPD iff its LDL^T pivots are
-    # positive; by interlacing that puts the second eigenvalue of K above tau
-    if k.shape[0] > 1:
-        pinned = k[1:, 1:]
-        pinned.setdiag(pinned.diagonal() - tau)
-        if not _ldlt_pivots_positive(pinned):
-            raise NumericalFailureError("stiffness kernel is not exactly the constant direction")
-    if not _ldlt_pivots_positive(m):
+    # K and M without the vertex of largest degree (a hub such as the disk's
+    # centre would widen the band), both in one RCM order of M's pattern
+    pin = int(np.argmax(np.diff(m.indptr)))
+    pos = np.arange(n) - (np.arange(n) > pin)
+    pos[pin] = -1
+    i, j, _ = _triplets(m, pos)
+    pos[pos >= 0] = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, n - 1), True))
+    # K_p - tau I is SPD iff its Cholesky succeeds; by interlacing that puts
+    # the second eigenvalue of K above tau
+    if _band_cholesky(*_triplets(k, pos), n - 1, -tau) is None:
+        raise NumericalFailureError("stiffness kernel is not exactly the constant direction")
+    # M is SPD iff M_p = L L^T is and so is the Schur complement on the pin,
+    # m_00 - |L^{-1} m_0|^2
+    factor = _band_cholesky(*_triplets(m, pos), n - 1)
+    if factor is not None:
+        lo, hi = m.indptr[pin], m.indptr[pin + 1]
+        at, m_0 = pos[m.indices[lo:hi]], m.data[lo:hi]
+        y = np.zeros(n - 1)
+        y[at[at >= 0]] = m_0[at >= 0]
+        y = sla.lapack.dtbtrs(factor, y, uplo="L")[0]
+    if factor is None or not m_0[at < 0].sum() - y @ y > 0.0:
         raise NumericalFailureError("mass matrix is not positive definite")
-    sub = c[np.ix_(rim, rim)].toarray()
-    if min_re_zeta >= 0.0 and np.any(sub):
-        herm = sub / 2 + sub.conj().T / 2
-        live = np.nonzero(np.abs(herm).sum(axis=1))[0]
-        if live.size:
-            herm = herm[np.ix_(live, live)]
-            low = sla.eigvalsh(herm)[0]
-            if low < -1e-12 * np.abs(herm).max():
-                raise NumericalFailureError(
-                    "boundary damping lost positivity despite accretive coefficients"
-                )
-
-
-def _ldlt_pivots_positive(a) -> bool:
-    """Whether the symmetric sparse a is positive definite, by its LDL^T pivots.
-
-    SuperLU in symmetric mode with a zero pivot threshold keeps every diagonal
-    pivot that is not exactly zero. When it swapped no row (perm_r equals
-    perm_c), P a P^T = L U with U = D L^T, so U's diagonal holds the pivots D,
-    and by Sylvester's law of inertia a is SPD iff all of them are positive.
-    """
-    from scipy.sparse.linalg import splu
-
-    try:
-        lu = splu(
-            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
+    if min_re_zeta < 0.0:
+        return
+    # herm(C) on the rim: entries (C[i, j] + conj(C[j, i])) / 2, the nonzero
+    # ones in CSC order; herm + delta I is SPD iff lambda_min(herm) > -delta
+    on_rim = np.full(n, -1)
+    on_rim[rim] = rim
+    i, j, half = _triplets(c, on_rim)
+    half = half / 2
+    keys, slot = np.unique(np.concatenate([j * n + i, i * n + j]), return_inverse=True)
+    herm = np.zeros(keys.size, dtype=complex)
+    np.add.at(herm, slot, np.concatenate([half, half.conj()]))
+    nonzero = herm != 0
+    if not nonzero.any():
+        return
+    keys, herm = keys[nonzero], herm[nonzero]
+    j, i = np.divmod(keys, n)
+    live, i = np.unique(i, return_inverse=True)
+    j = np.searchsorted(live, j)
+    pos = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, live.size), True))
+    if not np.any(herm.imag):
+        herm = herm.real
+    delta = 1e-12 * np.abs(herm).max()
+    if _band_cholesky(pos[i], pos[j], herm, live.size, delta) is None:
+        raise NumericalFailureError(
+            "boundary damping lost positivity despite accretive coefficients"
         )
-    except RuntimeError:  # exactly singular
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
+
+
+def _csc_pattern(rows, cols, n):
+    """The n x n CSC pattern of (rows, cols) given in CSC order."""
+    from scipy.sparse import csc_array
+
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return csc_array((np.ones(rows.size, dtype=np.int8), rows.astype(np.int32), indptr),
+                     shape=(n, n))
+
+
+def _triplets(a, pos):
+    """(i, j, values) of the CSC a at positions pos of its rows and columns,
+    without the rows and columns pos marks -1."""
+    i = pos[a.indices]
+    j = np.repeat(pos, np.diff(a.indptr))
+    keep = (i >= 0) & (j >= 0)
+    return i[keep], j[keep], a.data[keep]
+
+
+def _band_cholesky(i, j, values, n, shift=0.0):
+    """The banded lower Cholesky factor of the n x n Hermitian matrix plus
+    shift I whose lower triangle holds values at (i, j), i >= j (entries
+    above the diagonal are not read), or None if it is not positive definite.
+
+    LAPACK's ?pbtrf succeeds iff the matrix is positive definite, whatever
+    the order; it does not notice NaN, so callers check finiteness first.
+    """
+    low = i >= j
+    depth, j = i[low] - j[low], j[low]
+    # Fortran order, so that LAPACK factors it in place
+    band = np.zeros((depth.max(initial=0) + 1, n), dtype=values.dtype, order="F")
+    band[depth, j] = values[low]
+    band[0] += shift
+    pbtrf = sla.lapack.dpbtrf if band.dtype == float else sla.lapack.zpbtrf
+    factor, info = pbtrf(band, lower=1, overwrite_ab=1)
+    return factor if info == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,16 @@ class TestExitCodes:
         assert run(argv) == 3
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fem", "march"])
+    def test_overflowing_element_area_exit3(self, capsys, recwarn, command):
+        # signed areas of 2.5e319 used to reach assembly as inf, warn twice
+        # and fail the stiffness check (exit 4)
+        assert run([command, "--shape", "rectangle{2,2,1e160,1e160}", "--zeta", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
+        assert "non-finite signed area" in err
+        assert len(recwarn) == 0
+
     # coefficients whose Fourier data or section norms overflow; an
     # overflowed norm would read as a zero indicator. The entries of the
     # last section have finite parts and an infinite modulus.

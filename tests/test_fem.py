@@ -117,6 +117,18 @@ class TestMesh:
             m = build_mesh(spec)
             assert m.signed_areas().min() > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_overflowing_area_and_length(self):
+        # an area that overflows to inf would pass the degeneracy test, and
+        # its gradients would turn K into NaN
+        with pytest.raises(InvalidInputError, match="triangle 0 has a non-finite signed area"):
+            build_mesh("rectangle{2,2,1e160,1e160}")
+        # a thin triangle whose area is 1.5e8 and whose edge 1-2 is 2e308 long
+        vertices = np.array([(0.0, 0.0), (1e308, 1e-300), (-1e308, 2e-300)])
+        with pytest.raises(InvalidInputError, match="edge 1-2 has a non-finite length"):
+            Mesh(vertices, np.array([(0, 1, 2)]), np.array([(0, 1), (1, 2), (2, 0)]),
+                 ["a", "b", "c"])
+
     def test_rejects_negative_orientation(self):
         vertices = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(InvalidInputError, match="oriented"):
@@ -466,6 +478,24 @@ class TestInvariantChecks:
         # a nonaccretive coefficient may make C indefinite
         check_invariants(k, c, m, -0.5, rim)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["k", "c", "m"])
+    def test_non_finite_matrix_refused_before_factoring(self, monkeypatch, name, bad):
+        # LAPACK's banded Cholesky succeeds on a NaN entry, so the finiteness
+        # test has to come before any factorization
+        k, c, m, rim = invariant_inputs()
+        matrices = {"k": k, "c": c, "m": m}
+        matrices[name][rim[2], rim[2]] = bad
+
+        def factored(*args, **kwargs):
+            raise AssertionError("a non-finite matrix was factored")
+
+        for routine in ("dpbtrf", "zpbtrf", "dtbtrs"):
+            monkeypatch.setattr(sla.lapack, routine, factored)
+        monkeypatch.setattr(spla, "splu", factored)
+        with pytest.raises(NumericalFailureError, match="matrix is not finite"):
+            check_invariants(k, c, m, 0.5, rim)
+
     def test_negative_local_mass_exits_4(self, monkeypatch, capsys):
         from impedbench import cli
 
@@ -728,6 +758,132 @@ CROSS_CHECK_CASES = [
     ("square{16}", -0.3j),
     ("square{16}", {"bottom": 1j, "right": -0.2j, "top": 0.3j, "left": -0.9j}),
 ]
+
+
+# every mesh of the cross-check cases, and one whose rim is every vertex
+CERTIFICATE_SPECS = sorted({spec for spec, _ in CROSS_CHECK_CASES}) + [
+    "rectangle{40,1,100.0,0.01}"
+]
+# the cases whose C has a nonzero Hermitian part
+DAMPED_CASES = [
+    (spec, zeta) for spec, zeta in CROSS_CHECK_CASES + [("rectangle{40,1,100.0,0.01}", 0.5)]
+    if any(complex(z).real for z in (zeta.values() if isinstance(zeta, dict) else [zeta]))
+]
+
+
+def fan_mesh(n_rim):
+    """n_rim vertices on the unit circle, each joined to a hub numbered last."""
+    angles = 2.0 * np.pi * np.arange(n_rim) / n_rim
+    vertices = np.vstack([np.stack([np.cos(angles), np.sin(angles)], axis=1), [[0.0, 0.0]]])
+    rim = np.arange(n_rim)
+    nxt = np.roll(rim, -1)
+    return Mesh(vertices, np.stack([np.full(n_rim, n_rim), rim, nxt], axis=1),
+                np.stack([rim, nxt], axis=1), ["rim"] * n_rim)
+
+
+def pinned(a, pin):
+    return np.delete(np.delete(a, pin, axis=0), pin, axis=1)
+
+
+class TestBandedCertificatesMatchDenseEigenvalues:
+    """Each Cholesky certificate of the invariant check against eigvalsh, on
+    assembled matrices moved by a rank-one term to either side of its
+    threshold."""
+
+    @pytest.mark.parametrize("share", [0.5, 2.0])
+    @pytest.mark.parametrize("spec", CERTIFICATE_SPECS)
+    def test_stiffness(self, spec, share):
+        # the certificate is exact for lambda_min(K_p) > tau, K_p pinned at
+        # the vertex of largest degree; it is only sufficient for
+        # lambda_2(K) > tau. K = E^T K_p E with E x = x_p - x_pin 1, so moving
+        # K_p along u moves K along E^T u and keeps K 1 = 0
+        k, c, m, rim = invariant_inputs(spec)
+        pin = int(np.argmax((m != 0).sum(axis=0)))
+        tau = 1e-10 * max(np.abs(k).max(), 1.0)
+        mu, u = np.linalg.eigh(pinned(k, pin))
+        w = np.insert(u[:, 0], pin, -u[:, 0].sum())
+        k -= (mu[0] - share * tau) * np.outer(w, w)
+        tau = 1e-10 * max(np.abs(k).max(), 1.0)
+        low = np.linalg.eigvalsh(pinned(k, pin))[0]
+        assert (low > tau) == (share > 1.0) and 0.0 < low < 4.0 * tau
+        if share > 1.0:
+            check_invariants(k, c, m, 0.5, rim)
+        else:
+            with pytest.raises(NumericalFailureError, match="stiffness kernel"):
+                check_invariants(k, c, m, 0.5, rim)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("spec", CERTIFICATE_SPECS)
+    def test_mass(self, spec, sign):
+        # dense M pins vertex 0; its Schur complement decides the sign
+        k, c, m, rim = invariant_inputs(spec)
+        mu, v = np.linalg.eigh(m)
+        m -= (mu[0] - sign * 1e-6 * mu[-1]) * np.outer(v[:, 0], v[:, 0])
+        assert (np.linalg.eigvalsh(m)[0] > 0.0) == (sign > 0.0)
+        if sign > 0.0:
+            check_invariants(k, c, m, 0.5, rim)
+        else:
+            with pytest.raises(NumericalFailureError, match="mass matrix"):
+                check_invariants(k, c, m, 0.5, rim)
+
+    @pytest.mark.parametrize("share", [0.5, 2.0])
+    @pytest.mark.parametrize("spec,zeta", DAMPED_CASES)
+    def test_damping(self, spec, zeta, share):
+        # passes iff lambda_min(herm C) >= -delta, delta = 1e-12 max|herm C|
+        # on the rim rows that hold a nonzero
+        k, c, m, rim = invariant_inputs(spec, zeta)
+
+        def live_herm():
+            sub = c[np.ix_(rim, rim)]
+            herm = sub / 2 + sub.conj().T / 2
+            live = rim[np.nonzero(np.abs(herm).sum(axis=1))[0]]
+            sub = c[np.ix_(live, live)]
+            return live, sub / 2 + sub.conj().T / 2
+
+        live, herm = live_herm()
+        mu, v = np.linalg.eigh(herm)
+        delta = 1e-12 * np.abs(herm).max()
+        c[np.ix_(live, live)] -= (mu[0] + share * delta) * np.outer(v[:, 0], v[:, 0].conj())
+        _, herm = live_herm()
+        delta = 1e-12 * np.abs(herm).max()
+        low = np.linalg.eigvalsh(herm)[0]
+        assert (low >= -delta) == (share < 1.0) and -4.0 * delta < low < 0.0
+        if share < 1.0:
+            check_invariants(k, c, m, 0.5, rim)
+        else:
+            with pytest.raises(NumericalFailureError, match="damping lost positivity"):
+                check_invariants(k, c, m, 0.5, rim)
+        # a nonaccretive coefficient may make C indefinite
+        check_invariants(k, c, m, -0.5, rim)
+
+    def test_assemble_calls_no_superlu(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("assemble called splu")
+
+        monkeypatch.setattr(spla, "splu", refused)
+        for spec, zeta in CROSS_CHECK_CASES:
+            assemble(build_mesh(spec), zeta=zeta)
+
+    @pytest.mark.parametrize("make", [
+        # every vertex on the rim, one cycle
+        lambda: build_mesh("rectangle{2047,1,1.0,1.0}"),
+        # the hub is vertex 0
+        lambda: build_mesh("disk_polygon{1,4095}"),
+        # the hub is the last vertex
+        lambda: fan_mesh(4095),
+    ], ids=["rectangle", "disk", "fan"])
+    def test_rim_heavy_assembly_allocates_no_dense_block(self, make):
+        # at 4096 vertices a dense rim block takes 268 MB, and a band that
+        # kept the hub about 67 MB; the band of a cycle is 2
+        mesh = make()
+        assert mesh.n_vertices == MAX_ASSEMBLE_VERTICES
+        tracemalloc.start()
+        try:
+            assemble(mesh, zeta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestShiftInvertMatchesDense:
