@@ -27,10 +27,11 @@ AMBIENT_DIM = 2
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
-# the cutoff; cutoffs 64-1024 take 1.5 s and 185 MB peak resident for a complex
-# sampled coefficient, 0.33 s and 87 MB for power(0.3), whose sections are
-# real and centrosymmetric (one thread, 2-vCPU VM). The one 2049 x 2049
-# complex section takes 67 MB.
+# the cutoff, in the corner SVD and the real Hermitian-part eigensolve;
+# cutoffs 64-1024 take 1.3 s and 128 MB peak resident for a complex sampled
+# coefficient, 0.30 s and 71 MB for power(0.3), whose sections are real and
+# centrosymmetric (one thread, 2-vCPU VM). A 2049 x 2049 complex section
+# (67 MB) is built only for Hermitian complex data or a dense fallback.
 MAX_SECTION_CUTOFF = 1024
 
 # Verdict thresholds, pinned by the golden fixtures in the test suite.
@@ -50,6 +51,12 @@ LANCZOS_SEED = 1965
 # slowest at n = 1, where |z| = pi is smallest; there depth 64 truncates
 # below 1.1e-16 I_0 for exponents 0.001-0.999, depth 32 at 1.1e-13.
 FRACTION_DEPTH = 64
+
+# Largest ratio of the circulant's largest eigenvalue modulus to the section
+# norm at which the gate trusts the FFT products: their error relative to the
+# norm is about eps times that ratio, and measured ratios stay below 300 for
+# power and sampled coefficients at s = 0.5 (1.2 for the benchmark's).
+FFT_SPREAD = 1024.0
 
 # Rows per block where an n x n result is assembled block by block, so that
 # no other n x n temporary is allocated beside it.
@@ -218,6 +225,28 @@ class ImpedanceCoefficient:
 # Sections
 
 
+def _toeplitz_windows(data: np.ndarray, size: int):
+    """Toeplitz and Hankel views of centred data c(1 - size..size - 1).
+
+    T[i, j] = c(i - j) and H[i, j] = c(i + j - (size - 1)), for i, j = 0..size-1:
+    strided views of the data, no index array and no copy.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view
+    # row i of the windows of the reversed data, read bottom up, is c(i - j)
+    return windows(data[::-1], size)[::-1], windows(data, size)
+
+
+def _weighted_toeplitz(data: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The section c(i - j) / (w_i w_j) of centred data c(-2N..2N), 64 rows at a time."""
+    size = w.size
+    toeplitz, _ = _toeplitz_windows(data, size)
+    section = np.empty((size, size), dtype=data.dtype)
+    for lo in range(0, size, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        np.divide(toeplitz[rows], np.outer(w[rows], w), out=section[rows])
+    return section
+
+
 def multiplier_section(
     coef: ImpedanceCoefficient, scale: SobolevScale, n_cut: int, coeffs=None
 ) -> np.ndarray:
@@ -236,17 +265,10 @@ def multiplier_section(
     center = (coeffs.size - 1) // 2
     if center < 2 * n_cut:
         raise InvalidInputError("coefficient array too short for this section")
-    size = 2 * n_cut + 1
-    # row i of the windows of the reversed data, read bottom up, is
-    # c(i - j) for j = 0..2N: a strided view, no index array
-    reverse = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1][::-1]
-    toeplitz = np.lib.stride_tricks.sliding_window_view(reverse, size)[::-1]
-    w = scale.weight(np.arange(-n_cut, n_cut + 1))
-    section = np.empty((size, size), dtype=coeffs.dtype)
-    for lo in range(0, size, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        np.divide(toeplitz[rows], np.outer(w[rows], w), out=section[rows])
-    return section
+    return _weighted_toeplitz(
+        coeffs[center - 2 * n_cut : center + 2 * n_cut + 1],
+        scale.weight(np.arange(-n_cut, n_cut + 1)),
+    )
 
 
 def first_order_symbol_section(scale: SobolevScale, n_cut: int) -> np.ndarray:
@@ -280,42 +302,30 @@ def _reorthogonalize(vector: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return vector
 
 
-def _largest_singular_value(section: np.ndarray):
-    """Spectral norm of a square section and the Lanczos steps it took.
+def _golub_kahan_norm(apply, adjoint, dim: int, dtype):
+    """Spectral norm of a square operator given by its products, and the steps.
 
     Golub-Kahan-Lanczos bidiagonalization S V_k = U_k B_k, with B_k upper
     bidiagonal (alpha on the diagonal, beta above it) and both bases fully
     reorthogonalized. The top eigenpair (theta, y) of the tridiagonal
     B_k^H B_k is a Ritz pair of S^H S with residual norm beta_k |alpha_k y_k|;
     theta is accepted once that is at most 4 eps theta. Past a budget of
-    max(32, d // 8) steps the dense SVD answers instead, and the step count
-    is None. The recurrence runs on the section divided by the power of two
-    at or below its largest real or imaginary part, exact in floating point,
-    so the squares of alpha and beta neither overflow nor underflow whatever
-    its scale.
+    max(32, dim // 8) steps it gives up and returns (None, None). The caller
+    scales S by a power of two so that the squares of alpha and beta neither
+    overflow nor underflow.
     """
-    # 2^e <= m < 2^(e + 1) for m that part, which unlike |S_ij| cannot
-    # overflow; two exact products give S / 2^e, since 2^-e alone overflows
-    # for subnormal entries; at e = 0 the section is used as it is
-    parts = (section.real, section.imag) if np.iscomplexobj(section) else (section,)
-    top = max(max(part.max(), -part.min()) for part in parts)
-    e = int(np.frexp(top)[1]) - 1
-    if e:
-        section = section * 2.0 ** -(e // 2)
-        section *= 2.0 ** (e // 2 - e)
-    dim = section.shape[0]
     budget = max(32, dim // 8)
     eps = np.finfo(float).eps
     # the bases grow by one row of length dim per step; no dim x dim array.
-    # A real section keeps them real: its recurrence from a real start
+    # A real operator keeps them real: its recurrence from a real start
     # vector never leaves the reals
-    right = np.empty((budget + 1, dim), dtype=section.dtype)
-    left = np.empty((budget, dim), dtype=section.dtype)
+    right = np.empty((budget + 1, dim), dtype=dtype)
+    left = np.empty((budget, dim), dtype=dtype)
     alphas, betas = np.zeros(budget), np.zeros(budget)
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     right[0] = start / np.linalg.norm(start)
     for k in range(budget):
-        u = section @ right[k]
+        u = apply(right[k])
         if k:
             u -= betas[k - 1] * left[k - 1]
         u = _reorthogonalize(u, left[:k])
@@ -323,8 +333,7 @@ def _largest_singular_value(section: np.ndarray):
         beta = 0.0
         if alpha > 0:
             left[k] = u / alpha
-            # S^H u without forming S^H
-            v = (left[k].conj() @ section).conj() - alpha * right[k]
+            v = adjoint(left[k]) - alpha * right[k]
             v = _reorthogonalize(v, right[: k + 1])
             beta = np.linalg.norm(v)
         diag = alphas[: k + 1] ** 2
@@ -333,10 +342,129 @@ def _largest_singular_value(section: np.ndarray):
         off = alphas[:k] * betas[:k]
         theta, y = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
         if beta * abs(alpha * y[k, k]) <= 4.0 * eps * theta[k]:
-            return 2.0**e * math.sqrt(theta[k]), k + 1
+            return math.sqrt(theta[k]), k + 1
         betas[k] = beta
         right[k + 1] = v / beta
-    return 2.0**e * float(np.linalg.svd(section, compute_uv=False)[0]), None
+    return None, None
+
+
+def _largest_part_exponent(array: np.ndarray) -> int:
+    """e with 2^e <= m < 2^(e + 1), m the largest real or imaginary part.
+
+    Unlike the modulus, a part cannot overflow.
+    """
+    parts = (array.real, array.imag) if np.iscomplexobj(array) else (array,)
+    top = max(max(part.max(), -part.min()) for part in parts)
+    return int(np.frexp(top)[1]) - 1
+
+
+def _over_power_of_two(array: np.ndarray, e: int) -> np.ndarray:
+    """array / 2^e, exact in floating point; at e = 0 the array itself.
+
+    Two products, since 2^-e alone overflows for subnormal entries.
+    """
+    if e:
+        array = array * 2.0 ** -(e // 2)
+        array *= 2.0 ** (e // 2 - e)
+    return array
+
+
+def _largest_singular_value(section: np.ndarray):
+    """Spectral norm of a square section and the Lanczos steps it took.
+
+    Golub-Kahan-Lanczos (_golub_kahan_norm) on the section divided by the
+    power of two at or below its largest real or imaginary part, so the
+    step count does not depend on its scale. Past the step budget the dense
+    SVD answers instead, and the step count is None.
+    """
+    e = _largest_part_exponent(section)
+    section = _over_power_of_two(section, e)
+    norm, steps = _golub_kahan_norm(
+        lambda x: section @ x,
+        # S^H u without forming S^H
+        lambda u: (u.conj() @ section).conj(),
+        section.shape[0],
+        section.dtype,
+    )
+    if steps is None:
+        norm = float(np.linalg.svd(section, compute_uv=False)[0])
+    return 2.0**e * norm, steps
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c at or above n: a length the FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # odd times the smallest power of two that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _circulant_products(data: np.ndarray, w: np.ndarray):
+    """x -> S x, x -> S^H x and max |fft(col)| for the section of data c(-2N..2N).
+
+    The section is S = D^-1 T D^-1 with D = diag(w) and T[i, j] = c(i - j).
+    T is the leading block of the circulant C of length L >= 4N + 1 whose
+    first column col holds c(0..2N), zeros and c(-2N..-1), so T x is the
+    head of C [x; 0] = ifft(fft(col) fft([x; 0])), and T^H x that of the
+    same product with conj(fft(col)) (Chan and Ng, SIAM Rev. 38, 1996): one
+    FFT of the data, then two of length L per product, in real arithmetic
+    for real data.
+    """
+    size = w.size
+    n_cut = (size - 1) // 2
+    length = _fft_length(2 * size - 1)
+    column = np.zeros(length, dtype=data.dtype)
+    column[: 2 * n_cut + 1] = data[2 * n_cut :]
+    column[length - 2 * n_cut :] = data[: 2 * n_cut]
+    if np.iscomplexobj(data):
+        forward, inverse = np.fft.fft, np.fft.ifft
+    else:
+        forward, inverse = np.fft.rfft, np.fft.irfft
+    spectrum = forward(column)
+
+    def product(eigenvalues):
+        return lambda x: inverse(eigenvalues * forward(x / w, length), length)[:size] / w
+
+    return product(spectrum), product(spectrum.conj()), np.abs(spectrum).max()
+
+
+def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray):
+    """Spectral norm of the section of centred data c(-2N..2N), and the steps.
+
+    Golub-Kahan-Lanczos with the circulant products, run on the data over
+    the power of two at or below the largest part of a section entry, as
+    for a dense section. Past the step budget the section is built and its
+    dense SVD answers, with step count None. A product is exact to about
+    eps max|fft(col)| ||x||, so where that maximum exceeds FFT_SPREAD ||S||
+    (data whose mass sits behind large weights) the section is built and
+    the dense Lanczos run answers instead.
+    """
+    n_cut = (w.size - 1) // 2
+    # the largest part of a section entry: per diagonal k the entry of the
+    # middle column (|k| <= N) or of the first or last row (|k| > N) has the
+    # smallest weight product, but at |k| = 2, where the smallest is
+    # (5/4)^{s/2} below it; a scale, not a result
+    k = np.abs(np.arange(-2 * n_cut, 2 * n_cut + 1))
+    near = np.minimum(k, n_cut)
+    e = _largest_part_exponent(data / (w[n_cut + near] * w[n_cut + k - near]))
+    scaled = _over_power_of_two(data, e)
+    apply, adjoint, spread = _circulant_products(scaled, w)
+    # an infinite spread, possible only near the overflow of the weights,
+    # would make the products infinite
+    if np.isfinite(spread):
+        norm, steps = _golub_kahan_norm(apply, adjoint, w.size, scaled.dtype)
+        if steps is None:
+            section = _weighted_toeplitz(scaled, w)
+            return 2.0**e * float(np.linalg.svd(section, compute_uv=False)[0]), None
+        if spread <= FFT_SPREAD * norm:
+            return 2.0**e * norm, steps
+    return _largest_singular_value(_weighted_toeplitz(data, w))
 
 
 def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
@@ -369,26 +497,165 @@ def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
     return float(np.linalg.eigvalsh(form)[0]), "real" if real else "complex"
 
 
-def _even_odd_eigenvalues(section: np.ndarray) -> np.ndarray:
-    """Eigenvalues, unsorted, of a real symmetric S with J S J = S.
+def _toeplitz_hermitian_part_minimum(data: np.ndarray, w: np.ndarray) -> float:
+    """min eig (S + S^H)/2 for the section S of centred data c(-2N..2N).
 
-    With m = n // 2, A the leading m x m block, B J the first m rows of the
-    last m columns read right to left, and, for odd n, x the first m entries
-    of the middle column, the even vectors [u; t; J u] and the odd vectors
-    [u; 0; -J u] split S into [[A + B J, sqrt(2) x], [sqrt(2) x^T, s_mm]]
-    and A - B J: two half-size solves (Cantoni and Butler, Linear Algebra
-    Appl. 13, 1976).
+    (S + S^H)/2 is the section of h(k) = (c(k) + conj c(-k))/2, and its real
+    form Re H - Im(H J) (see _smallest_hermitian_part_eigenvalue) is the
+    Toeplitz-minus-Hankel F[i, j] = (Re h(i - j) - Im h(i + j)) / (w_i w_j),
+    built from strided windows of h 64 rows at a time. The data are halved
+    before adding and each part is divided by the weights before the
+    subtraction, so no sum of finite numbers overflows.
     """
+    half = data / 2.0
+    h = half + half[::-1].conj()
+    size = w.size
+    toeplitz, _ = _toeplitz_windows(h.real, size)
+    _, hankel = _toeplitz_windows(h.imag, size) if np.iscomplexobj(h) else (None, None)
+    form = np.empty((size, size))
+    for lo in range(0, size, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        weights = np.outer(w[rows], w)
+        np.divide(toeplitz[rows], weights, out=form[rows])
+        if hankel is not None:
+            form[rows] -= hankel[rows] / weights
+    return float(np.linalg.eigvalsh(form)[0])
+
+
+def _even_odd_split(a: np.ndarray, bj: np.ndarray, middle=None) -> np.ndarray:
+    """Eigenvalues, unsorted, of a real symmetric S with J S J = S, from blocks.
+
+    For S of order n, m = n // 2: A is the leading m x m block, B J the first
+    m rows of the last m columns read right to left, and middle, for odd n,
+    the pair (x, s_mm), x the first m entries of the middle row. The even
+    vectors [u; t; J u] and the odd vectors [u; 0; -J u] split S into
+    [[A + B J, sqrt(2) x], [sqrt(2) x^T, s_mm]] and A - B J: two half-size
+    solves (Cantoni and Butler, Linear Algebra Appl. 13, 1976).
+    """
+    m = a.shape[0]
+    size = m if middle is None else m + 1
+    even = np.empty((size, size))
+    np.add(a, bj, out=even[:m, :m])
+    if middle is not None:
+        x, diagonal = middle
+        even[m, :m] = even[:m, m] = math.sqrt(2.0) * x
+        even[m, m] = diagonal
+    return np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(a - bj)])
+
+
+def _even_odd_eigenvalues(section: np.ndarray) -> np.ndarray:
+    """Eigenvalues, unsorted, of a real symmetric section with J S J = S."""
     n = section.shape[0]
     m = n // 2
-    a = section[:m, :m]
-    bj = section[:m, ::-1][:, :m]
-    even = np.empty((n - m, n - m))
-    np.add(a, bj, out=even[:m, :m])
-    if n % 2:
-        even[m, :m] = even[:m, m] = math.sqrt(2.0) * section[m, :m]
-        even[m, m] = section[m, m]
-    return np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(a - bj)])
+    middle = (section[m, :m], section[m, m]) if n % 2 else None
+    return _even_odd_split(section[:m, :m], section[:m, ::-1][:, :m], middle)
+
+
+def _hermitian_cutoff(eigs, corner, arithmetic: str, dense: bool, last: bool):
+    # singular values of a Hermitian matrix are the moduli of its
+    # eigenvalues; the corner is a principal block, so Hermitian too, and
+    # herm(S) = S
+    defect = (float(eigs.min()), arithmetic) if last else None
+    return max(-eigs.min(), eigs.max()), None, np.sort(np.abs(corner))[::-1], dense, defect
+
+
+def _section_cutoff(section: np.ndarray, n_cut: int, dense: bool, last: bool):
+    """The gate's numbers for one dense section.
+
+    Returns (||S||, Lanczos steps or None, corner singular values largest
+    first, dense, (min eig herm(S), its arithmetic) or None). dense is set
+    once a cutoff runs past the Lanczos budget, and every later cutoff takes
+    the dense SVD; the Hermitian part is solved at the last cutoff only.
+    """
+    # S == S^H exactly, tested on the parts: no conjugate copy
+    hermitian = np.array_equal(section.real, section.real.T) and (
+        np.isrealobj(section) or np.array_equal(section.imag, -section.imag.T)
+    )
+    if hermitian:
+        # the corner of a centrosymmetric section is centrosymmetric too
+        if np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1]):
+            solve = _even_odd_eigenvalues
+        else:
+            solve = np.linalg.eigvalsh
+        arithmetic = "complex" if np.iscomplexobj(section) else "real"
+        return _hermitian_cutoff(
+            solve(section), solve(_corner_block(section, n_cut)), arithmetic, dense, last
+        )
+    if dense:
+        full, steps = np.linalg.svd(section, compute_uv=False)[0], None
+    else:
+        full, steps = _largest_singular_value(section)
+        dense = steps is None
+    sig = np.linalg.svd(_corner_block(section, n_cut), compute_uv=False)
+    return full, steps, sig, dense, _smallest_hermitian_part_eigenvalue(section) if last else None
+
+
+def _divided(block, w_rows, w_cols, real: bool) -> np.ndarray:
+    """block / (w_rows w_cols^T) in the arithmetic of the block, as a section
+    divides it; its real part where the data are real."""
+    out = np.divide(block, np.outer(w_rows, w_cols))
+    return out.real if real else out
+
+
+def _coefficient_cutoff(coeffs, scale: SobolevScale, n_cut: int, dense: bool, last: bool):
+    """_section_cutoff for the section of centred coefficients coeffs.
+
+    Reads the central slice c(-2N..2N) of the coefficients and the weights
+    w_{-N..N}: with finite data and weights of finite square every entry is
+    finite, so no entry is tested. The section itself is built, and handed
+    to _section_cutoff, only for Hermitian complex data, whose eigensolves
+    run on it, and once the Lanczos budget has run out. Every entry that
+    reaches a decomposition is divided as multiplier_section divides it, so
+    the corner and the even and odd halves are bitwise those of the section.
+    """
+    center = (coeffs.size - 1) // 2
+    data = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1]
+    w = scale.weight(np.arange(-n_cut, n_cut + 1))
+    r = n_cut - n_cut // 2
+    real = np.isrealobj(data) or not data.imag.any()
+    # c(-k) = conj c(k) makes the section Hermitian: its mirrored entries
+    # are the same divisions of the same numbers
+    hermitian = np.array_equal(data.real, data.real[::-1]) and (
+        real or np.array_equal(data.imag, -data.imag[::-1])
+    )
+    if dense or (hermitian and not real):
+        section = _weighted_toeplitz(data, w)
+        return _section_cutoff(section.real if real else section, n_cut, dense, last)
+    toeplitz, hankel = _toeplitz_windows(data, w.size)
+    if hermitian:
+        # real and even data: J S J = S, with A the leading N x N block of
+        # the Toeplitz part and B J that of the Hankel part c(i + j - 2N);
+        # the corner's halves are their leading r x r blocks
+        a = _divided(toeplitz[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
+        bj = _divided(hankel[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
+        row = _divided(toeplitz[n_cut, : n_cut + 1], 1.0, w[: n_cut + 1], real)[0]
+        eigs = _even_odd_split(a, bj, (row[:n_cut], row[n_cut]))
+        corner = _even_odd_split(a[:r, :r], bj[:r, :r])
+        return _hermitian_cutoff(eigs, corner, "real", dense, last)
+    full, steps = _toeplitz_largest_singular_value(data.real if real else data, w)
+    # the corner's rows and columns are the first and the last r
+    outer = np.concatenate((w[:r], w[-r:]))
+    corner = _divided(_corner_block(toeplitz, n_cut), outer, outer, real)
+    sig = np.linalg.svd(corner, compute_uv=False)
+    # a coefficient section is persymmetric: its Hermitian part has a real form
+    defect = (_toeplitz_hermitian_part_minimum(data, w), "real") if last else None
+    return full, steps, sig, steps is None, defect
+
+
+def _provided_section(provider, n_cut: int) -> np.ndarray:
+    section = np.asarray(provider(n_cut))
+    section = section.astype(np.result_type(section, float), copy=False)
+    expected = 2 * n_cut + 1
+    if section.shape != (expected, expected):
+        raise InvalidInputError(
+            f"provider returned shape {section.shape} at cutoff {n_cut}, "
+            f"expected ({expected}, {expected})"
+        )
+    if not np.isfinite(section).all():
+        raise InvalidInputError(f"section at cutoff {n_cut} has non-finite entries")
+    if np.iscomplexobj(section) and not section.imag.any():
+        section = section.real
+    return section
 
 
 def compactness_gate(
@@ -399,12 +666,12 @@ def compactness_gate(
 ) -> CompactnessReport:
     """Classify a boundary action as compact, non-compact, or inconclusive.
 
-    target is either an ImpedanceCoefficient (its multiplier sections are
-    built internally) or a callable N -> section matrix. The indicator at
-    each cutoff is the spectral norm of the high-frequency corner relative
-    to the full section; a decaying indicator certifies the finite sections
-    are norm-approximated by low-frequency blocks, the numerical shadow of
-    compactness.
+    target is either an ImpedanceCoefficient (read from its Fourier data
+    and the weights, without a dense section where none is needed) or a
+    callable N -> section matrix. The indicator at each cutoff is the
+    spectral norm of the high-frequency corner relative to the full section;
+    a decaying indicator certifies the finite sections are norm-approximated
+    by low-frequency blocks, the numerical shadow of compactness.
     """
     scale = SobolevScale(s)
     schedule = tuple(int(n) for n in schedule)
@@ -426,6 +693,7 @@ def compactness_gate(
             f"smoothness index s={s:g} overflows the weights at cutoff {schedule[-1]}"
         )
 
+    coeffs = None
     if isinstance(target, ImpedanceCoefficient):
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = target.fourier_coeffs(2 * schedule[-1])
@@ -433,16 +701,8 @@ def compactness_gate(
             raise InvalidInputError(f"Fourier coefficients of {target.label} overflow")
         if not coeffs.imag.any():
             coeffs = coeffs.real
-        # one section at the top cutoff; every smaller one is its central block
-        whole = multiplier_section(target, scale, schedule[-1], coeffs=coeffs)
-
-        def provider(n_cut: int) -> np.ndarray:
-            lo = schedule[-1] - n_cut
-            return whole[lo : lo + 2 * n_cut + 1, lo : lo + 2 * n_cut + 1]
-
         label = label or target.label
     elif callable(target):
-        provider = target
         label = label or getattr(target, "__name__", "custom-section")
     else:
         raise InvalidInputError("gate target must be a coefficient or a provider")
@@ -450,40 +710,12 @@ def compactness_gate(
     indicators, norms, corner_sigmas, norm_steps = [], [], {}, []
     dense = False  # set once a cutoff runs past the Lanczos budget
     for n_cut in schedule:
-        section = np.asarray(provider(n_cut))
-        section = section.astype(np.result_type(section, float), copy=False)
-        expected = 2 * n_cut + 1
-        if section.shape != (expected, expected):
-            raise InvalidInputError(
-                f"provider returned shape {section.shape} at cutoff {n_cut}, "
-                f"expected ({expected}, {expected})"
-            )
-        if not np.isfinite(section).all():
-            raise InvalidInputError(f"section at cutoff {n_cut} has non-finite entries")
-        if np.iscomplexobj(section) and not section.imag.any():
-            section = section.real
-        # S == S^H exactly, tested on the parts: no conjugate copy
-        hermitian = np.array_equal(section.real, section.real.T) and (
-            np.isrealobj(section) or np.array_equal(section.imag, -section.imag.T)
-        )
-        if hermitian:
-            # singular values of a Hermitian matrix are the moduli of its
-            # eigenvalues; the corner is a principal block, so Hermitian too,
-            # and centrosymmetric with the section
-            if np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1]):
-                solve = _even_odd_eigenvalues
-            else:
-                solve = np.linalg.eigvalsh
-            eigs, corner = solve(section), solve(_corner_block(section, n_cut))
-            full, steps = max(-eigs.min(), eigs.max()), None
-            sig = np.sort(np.abs(corner))[::-1]
+        last = n_cut == schedule[-1]
+        if coeffs is None:
+            cut = _section_cutoff(_provided_section(target, n_cut), n_cut, dense, last)
         else:
-            if dense:
-                full, steps = np.linalg.svd(section, compute_uv=False)[0], None
-            else:
-                full, steps = _largest_singular_value(section)
-                dense = steps is None
-            sig = np.linalg.svd(_corner_block(section, n_cut), compute_uv=False)
+            cut = _coefficient_cutoff(coeffs, scale, n_cut, dense, last)
+        full, steps, sig, dense, defect = cut
         # the indicator is scale-invariant, but an overflowed norm reads as 0
         if not (np.isfinite(full) and np.isfinite(sig).all()):
             raise InvalidInputError(f"section norm at cutoff {n_cut} overflows")
@@ -508,12 +740,7 @@ def compactness_gate(
     else:
         verdict = "inconclusive"
 
-    # herm(S) = S for a Hermitian last section, whose eigenvalues are at hand
-    if hermitian:
-        re_defect = float(eigs.min())
-        arithmetic = "complex" if np.iscomplexobj(section) else "real"
-    else:
-        re_defect, arithmetic = _smallest_hermitian_part_eigenvalue(section)
+    re_defect, arithmetic = defect
     if not np.isfinite(re_defect):
         raise InvalidInputError("smallest eigenvalue of the Hermitian part overflows")
 

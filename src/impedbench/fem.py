@@ -52,6 +52,10 @@ MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert runs while at most n / SPARSE_MAX_SHARE modes are wanted, n the
 # vertex count; at 577 vertices it wins up to n/6 and loses at n/4 (one thread)
 SPARSE_MAX_SHARE = 6
+# ||C|| of a rim with at most this many vertices is a dense SVD; bisection on
+# the banded Gram matrix takes as long near 80 (0.55 ms, one thread), 3 ms at
+# 2047, where the SVD took 4.2 s
+DENSE_RIM_NORM = 80
 # ARPACK's default start vector is random; a fixed one makes reruns identical
 ARPACK_SEED = 20240801
 # a convergence study pairs a reference with the nearest FEM eigenvalue
@@ -338,14 +342,15 @@ class MaterialCoefficients:
         # closed-form eigenvalues of symmetric 2x2 blocks
         half_tr = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
         disc = np.sqrt(0.25 * (a[:, 0, 0] - a[:, 1, 1]) ** 2 + a[:, 0, 1] ** 2)
-        if (half_tr - disc).min(initial=np.inf) < SPD_FLOOR:
+        # written so that NaN fails the test
+        if not (half_tr - disc).min(initial=np.inf) >= SPD_FLOOR:
             raise InvalidInputError("alpha_inv must be positive definite")
         b = np.asarray(self.beta, dtype=float)
         if b.ndim == 0:
             b = np.full(nt, float(b))
         elif b.shape != (nt,):
             raise InvalidInputError("beta must be scalar or one value per triangle")
-        if b.min(initial=np.inf) < SPD_FLOOR:
+        if not b.min(initial=np.inf) >= SPD_FLOOR:
             raise InvalidInputError("beta must be positive")
         return a, b
 
@@ -621,15 +626,22 @@ def _band_cholesky(i, j, values, n, shift=0.0):
     LAPACK's ?pbtrf succeeds iff the matrix is positive definite, whatever
     the order; it does not notice NaN, so callers check finiteness first.
     """
-    low = i >= j
-    depth, j = i[low] - j[low], j[low]
-    # Fortran order, so that LAPACK factors it in place
-    band = np.zeros((depth.max(initial=0) + 1, n), dtype=values.dtype, order="F")
-    band[depth, j] = values[low]
+    band = _lower_band(i, j, values, n)
     band[0] += shift
     pbtrf = sla.lapack.dpbtrf if band.dtype == float else sla.lapack.zpbtrf
     factor, info = pbtrf(band, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
+
+
+def _lower_band(i, j, values, n):
+    """LAPACK's lower band storage of the n x n matrix whose lower triangle
+    holds values at (i, j); entries above the diagonal are not read."""
+    low = i >= j
+    depth, j = i[low] - j[low], j[low]
+    # Fortran order, so that LAPACK can work in place
+    band = np.zeros((depth.max(initial=0) + 1, n), dtype=values.dtype, order="F")
+    band[depth, j] = values[low]
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +649,44 @@ def _band_cholesky(i, j, values, n, shift=0.0):
 
 
 def _spectral_norm_boundary(c) -> float:
-    """2-norm of the sparse C from its block on the rows and columns in use."""
+    """2-norm of the sparse C from its block on the rows and columns in use.
+
+    Up to DENSE_RIM_NORM of them, the largest singular value of the dense
+    block. Past that, the square root of the largest eigenvalue of the Gram
+    matrix G = C^H C, bisected: lambda_max(G) < mu iff mu I - G is positive
+    definite, iff its banded Cholesky in the reverse Cuthill-McKee order of
+    G succeeds (bandwidth 4 on a rim that is a cycle). Each test takes
+    O(n_rim) work, and about 55 halve the bracket between the largest
+    diagonal entry and the largest absolute row sum of G to adjacent
+    doubles. C is first divided by the power of two at or below its largest
+    real or imaginary part, exactly, so that G neither overflows nor
+    underflows.
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     live = np.union1d(c.indices, np.nonzero(np.diff(c.indptr))[0])
-    if live.size == 0:
-        return 0.0
-    return float(sla.svdvals(c[np.ix_(live, live)].toarray())[0])
+    if live.size <= DENSE_RIM_NORM:
+        return float(sla.svdvals(c[np.ix_(live, live)].toarray())[0]) if live.size else 0.0
+    e = int(np.frexp(np.abs(c.data.view(float)).max())[1]) - 1
+    block = c[np.ix_(live, live)] * 2.0 ** -(e // 2) * 2.0 ** (e // 2 - e)
+    if not block.data.imag.any():
+        block = block.real
+    gram = (block.conj().T @ block).tocsc()
+    i, j, _ = _triplets(gram, np.arange(live.size))
+    pos = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, live.size), True))
+    i, j, g = _triplets(gram, pos)
+    lo = g[i == j].real.max()
+    hi = np.bincount(i, weights=np.abs(g)).max()
+    band = _lower_band(i, j, -g, live.size)
+    pbtrf = sla.lapack.dpbtrf if band.dtype == float else sla.lapack.zpbtrf
+    while lo < (mid := (lo + hi) / 2) < hi:
+        trial = band.copy(order="F")
+        trial[0] += mid
+        if pbtrf(trial, lower=1, overwrite_ab=1)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0**e * math.sqrt(hi)
 
 
 def _is_constant_direction(p: np.ndarray) -> bool:

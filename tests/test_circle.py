@@ -109,11 +109,28 @@ GATE_TARGETS = {
 }
 
 
+# the targets that are coefficients, whose sections the gate never builds
+# unless it must
+COEFFICIENT_TARGETS = (
+    "const-real",
+    "const-huge-imag",
+    "const-tiny-imag",
+    "const-subnormal-imag",
+    "power-0.3",
+    "power-0.4-complex",
+    "fourier-hermitian",
+    "sampled-real",
+    "sampled-bench-complex",
+)
+
+
 def reference_sections(target, scale, schedule):
-    """The gate's sections, built the way the gate builds them."""
+    """The sections of a target, float64 where the coefficient data are real."""
     if callable(target):
         return [np.asarray(target(n), dtype=complex) for n in schedule]
     coeffs = target.fourier_coeffs(2 * schedule[-1])
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
     center = 2 * schedule[-1]
     return [
         multiplier_section(target, scale, n, coeffs=coeffs[center - 2 * n : center + 2 * n + 1])
@@ -492,6 +509,88 @@ class TestCompactnessGate:
             assert norm == pytest.approx(base * 2.0**power, rel=1e-15, abs=0)
             assert norm == pytest.approx(scipy.linalg.svdvals(scaled)[0], rel=1e-12, abs=0)
 
+    def test_lanczos_steps_do_not_depend_on_scale_of_the_data(self):
+        # the same for the circulant products of a coefficient's data: the
+        # data over a power of two are bitwise the same at every scale
+        n_cut = 64
+        data = bench_coefficient().fourier_coeffs(2 * n_cut)
+        w = SobolevScale(0.5).weight(np.arange(-n_cut, n_cut + 1))
+        base, steps = circle._toeplitz_largest_singular_value(data, w)
+        assert steps is not None
+        section = multiplier_section(None, SobolevScale(0.5), n_cut, coeffs=data)
+        assert base == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-13, abs=0)
+        for power in (-600, -40, 40, 600):
+            norm, scaled_steps = circle._toeplitz_largest_singular_value(data * 2.0**power, w)
+            assert scaled_steps == steps
+            assert norm == pytest.approx(base * 2.0**power, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("factory", [
+        bench_coefficient,
+        lambda: ImpedanceCoefficient.power(0.4, 1 + 1j),
+        lambda: ImpedanceCoefficient.power(0.3),
+    ], ids=["sampled-bench", "power-0.4-complex", "power-0.3"])
+    @pytest.mark.parametrize("n_cut", [1, 16, 100])
+    def test_circulant_products_match_the_section(self, factory, n_cut):
+        scale = SobolevScale(0.5)
+        data = factory().fourier_coeffs(2 * n_cut)
+        if not data.imag.any():
+            data = data.real
+        w = scale.weight(np.arange(-n_cut, n_cut + 1))
+        section = multiplier_section(None, scale, n_cut, coeffs=data)
+        apply, adjoint, spread = circle._circulant_products(data, w)
+        rng = np.random.default_rng(n_cut)
+        x = rng.standard_normal(w.size)
+        if np.iscomplexobj(data):
+            x = x + 1j * rng.standard_normal(w.size)
+        for got, want in ((apply(x), section @ x), (adjoint(x), section.conj().T @ x)):
+            # real data keep the products real
+            assert got.dtype == section.dtype
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert spread >= np.linalg.norm(section, 2) * (1 - 1e-14)
+
+    def test_fft_products_give_way_where_they_lose_accuracy(self, monkeypatch):
+        # modes at |k| >= 100 behind weights (1 + k^2)^{5/2}, next to a small
+        # mean: the circulant's largest eigenvalue is about 6e4 ||S|| at
+        # cutoff 128, and the FFT products would lose that many ulps of the
+        # norm; both cutoffs take the dense Lanczos run
+        idx = np.arange(-200, 201)
+        rng = np.random.default_rng(0)
+        data = np.where(np.abs(idx) >= 100, rng.standard_normal(idx.size) + 1j, 0.0)
+        data[200] = 1e-3
+        coef = ImpedanceCoefficient.fourier(data, "high-modes")
+        dense_dims, dense = [], circle._largest_singular_value
+
+        def counted(section):
+            dense_dims.append(section.shape[0])
+            return dense(section)
+
+        monkeypatch.setattr(circle, "_largest_singular_value", counted)
+        schedule = (64, 128)
+        g = compactness_gate(coef, s=5.0, schedule=schedule)
+        assert dense_dims == [129, 257]
+        for norm, section in zip(g.section_norms, reference_sections(coef, SobolevScale(5.0), schedule)):
+            assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("name", COEFFICIENT_TARGETS)
+    def test_coefficient_route_matches_dense_route(self, name):
+        # the gate reads a coefficient's data and never builds its sections
+        # where it need not; a provider of the same sections takes the dense
+        # route. The corners are the same divisions of the same numbers
+        coef = GATE_TARGETS[name][0]()
+        assert isinstance(coef, ImpedanceCoefficient)
+        schedule = (16, 32, 64)
+        sections = dict(zip(schedule, reference_sections(coef, SobolevScale(0.5), schedule)))
+        structured = compactness_gate(coef, s=0.5, schedule=schedule)
+        dense = compactness_gate(sections.__getitem__, s=0.5, schedule=schedule)
+        assert structured.verdict == dense.verdict
+        for n_cut in schedule:
+            assert np.array_equal(structured.corner_sigmas[n_cut], dense.corner_sigmas[n_cut])
+        assert structured.to_csv() == dense.to_csv()
+        np.testing.assert_allclose(structured.section_norms, dense.section_norms, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(structured.indicators, dense.indicators, rtol=1e-13, atol=0)
+        assert structured.re_defect == pytest.approx(dense.re_defect, rel=1e-13, abs=0)
+        assert structured.metadata["re_defect_arithmetic"] == dense.metadata["re_defect_arithmetic"]
+
     def test_bench_coefficient_lanczos_steps(self):
         # the benchmark's sampled coefficient: 14 Golub-Kahan steps at every
         # cutoff, each ending in a 15 x 15 tridiagonal eigensolve; the
@@ -560,13 +659,15 @@ class TestCompactnessGate:
                                        atol=1e-14 * abs(expected).max())
 
     def test_even_odd_split_only_for_centrosymmetric_sections(self, monkeypatch):
-        split, solve = [], circle._even_odd_eigenvalues
+        # counts the order of each matrix split, whether its halves come from
+        # a provider's section or straight from a coefficient's data
+        split, solve = [], circle._even_odd_split
 
-        def counted(section):
-            split.append(section.shape[0])
-            return solve(section)
+        def counted(a, bj, middle=None):
+            split.append(2 * a.shape[0] + (middle is not None))
+            return solve(a, bj, middle)
 
-        monkeypatch.setattr(circle, "_even_odd_eigenvalues", counted)
+        monkeypatch.setattr(circle, "_even_odd_split", counted)
         # real symmetric, but J S J != S: the full eigensolve runs
         def provider(n_cut):
             idx = np.arange(-n_cut, n_cut + 1)
@@ -588,13 +689,15 @@ class TestCompactnessGate:
         assert split == [d for n in schedule for d in (2 * n + 1, 2 * (n - n // 2))]
 
     @pytest.mark.parametrize("factory, bound_mib", [
-        (lambda: ImpedanceCoefficient.power(0.3), 3.5),
-        (bench_coefficient, 7.3),
+        (lambda: ImpedanceCoefficient.power(0.3), 2.3),
+        (bench_coefficient, 4.1),
     ], ids=["power-0.3", "sampled-bench"])
     def test_gate_memory(self, factory, bound_mib):
-        # one section at the top cutoff, float64 for real even data, and
-        # real-arithmetic symmetry splits (measured 3.16 and 6.61 MiB); a
-        # complex section per cutoff peaked at 12.9 and 12.3 MiB traced
+        # no dense section for a coefficient: even and odd halves built from
+        # the data, corners gathered from them, circulant products and one
+        # real Hermitian-part form (measured 2.04 and 3.69 MiB); one section
+        # at the top cutoff peaked at 3.16 and 6.61 MiB traced, a complex
+        # section per cutoff at 12.9 and 12.3 MiB
         coef = factory()
         schedule = (16, 32, 64, 128, 256)
         compactness_gate(coef, s=0.5, schedule=schedule)

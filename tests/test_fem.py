@@ -251,6 +251,27 @@ class TestMaterials:
         with pytest.raises(InvalidInputError, match="per triangle"):
             MaterialCoefficients(beta=np.ones(3)).resolve(mesh)
 
+    def test_nan_beta_is_invalid_input(self):
+        # not a mass matrix that assembly refuses as a numerical failure
+        mesh = square_mesh(2)
+        beta = np.ones(mesh.n_triangles)
+        beta[3] = np.nan
+        for value in (np.nan, beta):
+            with pytest.raises(InvalidInputError, match="beta must be positive"):
+                MaterialCoefficients(beta=value).resolve(mesh)
+            with pytest.raises(InvalidInputError, match="beta"):
+                assemble(mesh, mat=MaterialCoefficients(beta=value), zeta=0.5)
+
+    def test_nan_alpha_inv_is_invalid_input(self):
+        mesh = square_mesh(2)
+        blocks = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
+        blocks[5, 1, 1] = np.nan
+        for value in (np.array([[np.nan, 0.0], [0.0, 1.0]]), blocks):
+            with pytest.raises(InvalidInputError, match="positive definite"):
+                MaterialCoefficients(alpha_inv=value).resolve(mesh)
+            with pytest.raises(InvalidInputError, match="alpha_inv"):
+                assemble(mesh, mat=MaterialCoefficients(alpha_inv=value), zeta=0.5)
+
 
 class TestAssemble:
     def test_reference_triangle_element_matrices(self):
@@ -884,6 +905,43 @@ class TestBandedCertificatesMatchDenseEigenvalues:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestBoundaryNorm:
+    """||C|| by bisection on the banded Gram matrix against a dense SVD."""
+
+    @pytest.mark.parametrize("spec,zeta", CROSS_CHECK_CASES)
+    def test_bisection_matches_svd(self, spec, zeta, monkeypatch):
+        # these rims take the dense SVD; without the switch, the bisection
+        c = assemble(build_mesh(spec), zeta=zeta).c
+        expected = sla.svdvals(c.toarray())[0]
+        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
+        monkeypatch.setattr(fem_module, "DENSE_RIM_NORM", 0)
+        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.3 + 0.4j, 1e300, 1e-300j])
+    def test_long_rim_at_any_scale(self, zeta):
+        # C / 2^e keeps the Gram matrix in range where its squares would not be
+        c = assemble(build_mesh("disk_polygon{1,300}"), zeta=zeta).c
+        assert fem_module.DENSE_RIM_NORM < 300
+        expected = sla.svdvals(c.toarray())[0]
+        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_rim_heavy_norm_allocates_no_dense_block(self):
+        # 2047 rim vertices: the dense block took 4.2 s and 33 MB
+        q = assemble(build_mesh("disk_polygon{1,2047}"), zeta=0.5)
+        tracemalloc.start()
+        try:
+            norm = fem_module._spectral_norm_boundary(q.c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # the rim is a regular 2047-gon on the unit circle, and C is 0.5 times
+        # its P1 edge mass matrix, whose eigenvalues (4 + 2 cos(2 pi k / n)) h
+        # / 6 are largest at k = 0, where they equal h, the edge length
+        h = 2.0 * np.sin(np.pi / 2047)
+        assert norm == pytest.approx(0.5 * h, rel=1e-12, abs=0)
 
 
 class TestShiftInvertMatchesDense:
