@@ -337,6 +337,9 @@ class MaterialCoefficients:
                 a = np.broadcast_to(a, (nt, 2, 2)).copy()
             elif a.shape != (nt, 2, 2):
                 raise InvalidInputError("alpha_inv must be 2x2 or one 2x2 block per triangle")
+        # before any arithmetic, which an infinite entry would meet as inf - inf
+        if not np.isfinite(a).all():
+            raise InvalidInputError("alpha_inv must be finite and positive definite")
         if np.abs(a[:, 0, 1] - a[:, 1, 0]).max(initial=0.0) > 1e-12:
             raise InvalidInputError("alpha_inv blocks must be symmetric")
         # closed-form eigenvalues of symmetric 2x2 blocks
@@ -350,8 +353,8 @@ class MaterialCoefficients:
             b = np.full(nt, float(b))
         elif b.shape != (nt,):
             raise InvalidInputError("beta must be scalar or one value per triangle")
-        if not b.min(initial=np.inf) >= SPD_FLOOR:
-            raise InvalidInputError("beta must be positive")
+        if not (np.isfinite(b).all() and b.min(initial=np.inf) >= SPD_FLOOR):
+            raise InvalidInputError("beta must be positive and finite")
         return a, b
 
 
@@ -533,8 +536,9 @@ def _check_qep_invariants(k, c, m, min_re_zeta, rim):
 
     rim lists the vertices that boundary edges touch, the only rows and
     columns of C that can be nonzero. The positivity certificates are banded
-    Cholesky factorizations in reverse Cuthill-McKee order, which succeed iff
-    the matrix is SPD. LAPACK's banded Cholesky does not notice NaN, so
+    Cholesky factorizations, in reverse Cuthill-McKee order or, for K and M,
+    in the natural order where its band is narrower; each succeeds iff the
+    matrix is SPD. LAPACK's banded Cholesky does not notice NaN, so
     finiteness is checked first.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -550,12 +554,16 @@ def _check_qep_invariants(k, c, m, min_re_zeta, rim):
     if np.abs(k @ np.ones(n)).max() > tau:
         raise NumericalFailureError("stiffness does not annihilate constants")
     # K and M without the vertex of largest degree (a hub such as the disk's
-    # centre would widen the band), both in one RCM order of M's pattern
+    # centre would widen the band), both in one order of M's pattern: RCM's,
+    # unless the natural order's band is narrower (a grid's, whose RCM level
+    # sets are anti-diagonals)
     pin = int(np.argmax(np.diff(m.indptr)))
     pos = np.arange(n) - (np.arange(n) > pin)
     pos[pin] = -1
     i, j, _ = _triplets(m, pos)
-    pos[pos >= 0] = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, n - 1), True))
+    rcm = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, n - 1), True))
+    if np.abs(rcm[i] - rcm[j]).max(initial=0) <= np.abs(i - j).max(initial=0):
+        pos[pos >= 0] = rcm
     # K_p - tau I is SPD iff its Cholesky succeeds; by interlacing that puts
     # the second eigenvalue of K above tau
     if _band_cholesky(*_triplets(k, pos), n - 1, -tau) is None:

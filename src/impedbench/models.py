@@ -40,6 +40,9 @@ BOX_NUDGE_SEED = 20240801
 # may refine to 4x as many
 OUTER_SAMPLES = 2048
 INNER_SAMPLES = 1024
+# the recurrence factors 2k + 0j of _bessel_table as scalars, past the
+# highest seed order (264) of a point within the argument cap
+_STEP_FACTORS = list(2.0 * np.arange(266) + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +255,59 @@ def _bessel_table(m_max: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bessel_column(m_max: int, z) -> list:
+    """J_0..J_{m_max} at one point z, as numpy complex128 scalars.
+
+    _bessel_table's column at z, bit for bit: the sweep runs the table's
+    operations in its order (seed, recurrence, both sum rules, bound and
+    rescale guards, normalizer) on scalars, without the ufunc dispatch that
+    dominates a one-point table (docs/derivations.md section 10). Below
+    |z| = 1e-8 the table's leading term serves, as it does in the table.
+    """
+    if m_max < 0 or m_max > MAX_BESSEL_ORDER:
+        raise InvalidInputError(f"order must lie in 0..{MAX_BESSEL_ORDER}")
+    z = np.complex128(z)
+    mag = abs(z)
+    if mag > BESSEL_ARG_CAP:
+        raise InvalidInputError(
+            f"cylinder function argument exceeds the workbench cap {BESSEL_ARG_CAP:g}"
+        )
+    if mag < 1e-8:
+        # the leading term from the table itself: its array power and a
+        # scalar one can differ in the sign of a zero
+        return list(_bessel_table(m_max, np.array([z]))[:, 0])
+    start = max(int(mag + 12 + 9 * mag ** (1.0 / 3.0)), m_max + 12)
+    start += start % 2
+    two = _STEP_FACTORS[1]
+    jp, jc = np.complex128(0.0), np.complex128(1e-200)
+    rows = [jp] * (m_max + 1)
+    norm_one = norm_cos = jp
+    growth = 2.0 / float(mag)
+    bound_c, bound_p = 1e-200, 0.0
+    for k in range(start, 0, -1):
+        jp, jc = jc, _STEP_FACTORS[k] * jc / z - jp
+        bound_c, bound_p = (k * growth * bound_c + bound_p) * (1.0 + 1e-12), bound_c
+        order = k - 1
+        if order <= m_max:
+            rows[order] = jc
+        if order % 2 == 0:
+            t = two * jc if order else jc
+            norm_one = norm_one + t
+            norm_cos = norm_cos - t if (order // 2) % 2 else norm_cos + t
+        if bound_c > 1e250:
+            bound_c = 1.5 * float(max(abs(jc.real), abs(jc.imag)))
+            if bound_c > 1e250 and abs(jc) > 1e250:
+                # through the table's array product: where a part underflows,
+                # its sign of zero can differ from a scalar product's
+                jc, jp, norm_one, norm_cos, *rows = (
+                    np.array([jc, jp, norm_one, norm_cos, *rows]) * 1e-250
+                )
+    norm = norm_cos / np.cos(z) if abs(z.imag) > 1.0 else norm_one
+    if abs(norm) < 1e-280:
+        raise NumericalFailureError("cylinder recurrence normalization collapsed")
+    return [r / norm for r in rows]
+
+
 def _order(table: np.ndarray, k: int) -> np.ndarray:
     """J_k for any integer k from a table of orders 0..|k|, by the reflection
     J_{-k} = (-1)^k J_k."""
@@ -296,12 +352,12 @@ class DiskModeProblem:
             raise InvalidInputError(f"angular order must lie in 0..{MAX_SECTOR_ORDER}")
 
     def _jet(self, lam):
-        """J_m, J_m' and J_m'' at the points lam."""
-        table = _bessel_table(self.m + 2, np.asarray(lam, dtype=complex).ravel())
+        """J_m, J_m' and J_m'' at the one point lam, from its column."""
+        column = _bessel_column(self.m + 2, lam)
         m = self.m
-        jm = table[m]
-        jpp = (_order(table, m - 2) - 2.0 * jm + table[m + 2]) / 4.0
-        return jm, _derivative(table, m), jpp
+        jm = column[m]
+        jpp = (_order(column, m - 2) - 2.0 * jm + column[m + 2]) / 4.0
+        return jm, _derivative(column, m), jpp
 
     @cached_property
     def scale(self) -> float:
@@ -309,19 +365,20 @@ class DiskModeProblem:
         zeta = complex(self.zeta)
         return 2.0 ** -int(np.frexp(max(1.0, abs(zeta.real), abs(zeta.imag)))[1])
 
-    def char(self, lam) -> np.ndarray:
-        return self.char_on(_bessel_table(self.m + 2, np.asarray(lam, dtype=complex).ravel()))
-
     def char_on(self, table) -> np.ndarray:
         """char at the points of a table of orders 0..m + 1 or more."""
         coef = 1j * (complex(self.zeta) * self.scale)
         return coef * table[self.m] - _derivative(table, self.m) * self.scale
 
     def char_and_deriv(self, lam):
+        """char and its derivative at the one point lam, as complex128 scalars."""
         jm, jp, jpp = self._jet(lam)
         scale = self.scale
         coef = 1j * (complex(self.zeta) * scale)
-        return coef * jm - jp * scale, coef * jp - jpp * scale
+        # through the array product that char_on takes: for a fully complex
+        # coef, numpy's scalar product can differ from it in the last bit
+        cm, cp = coef * np.array([jm, jp])
+        return cm - jp * scale, cp - jpp * scale
 
 
 @dataclass(frozen=True)
@@ -449,55 +506,61 @@ def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str)
 
 
 def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
-    """Newton iterations from every start at once, one evaluation per step.
+    """Newton iterations from every start, each on one-point cylinder columns.
 
     Iterate i stops when its step falls below 1e-13 max(|lam|, 1), and drops
     out when the derivative vanishes, when it leaves boxes[i] widened by
     2 diameter + 0.5, or when it lies past the cylinder functions' argument
-    cap BESSEL_ARG_CAP (a start there never runs). A root is accepted when
-    its residual, relative to max(1, |zeta|) because the characteristic
-    carries a factor zeta, is at most 1e-10 and it lies in its box: the
-    contour count attributed the zero to that box, so a polished point far
-    outside (e.g. the trivial origin zero of higher sectors) is a miss.
+    cap BESSEL_ARG_CAP (a start there never runs); it takes at most 60
+    steps. A root is accepted when its residual, relative to max(1, |zeta|)
+    because the characteristic carries a factor zeta, is at most 1e-10 and
+    it lies in its box: the contour count attributed the zero to that box,
+    so a polished point far outside (e.g. the trivial origin zero of higher
+    sectors) is a miss. work["newton_steps"] counts the evaluations and
+    work["newton_evals"] the steps of the batch run in lockstep, the most
+    any iterate took.
     Returns (lam, residual) or None per start.
     """
-    lam = np.array(starts, dtype=complex)
-    edges = np.array([(b.re_min, b.re_max, b.im_min, b.im_max) for b in boxes]).T
-    slack = np.array([2.0 * b.diameter + 0.5 for b in boxes])
 
-    def inside(i, pad):
-        re_min, re_max, im_min, im_max = edges[:, i]
-        z = lam[i]
+    def inside(box, z, pad):
         return (
-            (re_min - pad <= z.real) & (z.real <= re_max + pad)
-            & (im_min - pad <= z.imag) & (z.imag <= im_max + pad)
+            box.re_min - pad <= z.real <= box.re_max + pad
+            and box.im_min - pad <= z.imag <= box.im_max + pad
         )
 
-    alive = np.abs(lam) <= BESSEL_ARG_CAP
-    active = np.flatnonzero(alive)
-    for _ in range(60):
-        if not active.size:
-            break
-        f, df = problem.char_and_deriv(lam[active])
-        work["newton_evals"] += 1
-        work["newton_steps"] += active.size
-        flat = df == 0.0
-        alive[active[flat]] = False
-        active, f, df = active[~flat], f[~flat], df[~flat]
-        step = f / df
-        lam[active] -= step
-        left = ~inside(active, slack[active]) | (np.abs(lam[active]) > BESSEL_ARG_CAP)
-        alive[active[left]] = False
-        done = np.abs(step) < 1e-13 * np.maximum(np.abs(lam[active]), 1.0)
-        active = active[~(left | done)]
-    out = [None] * lam.size
-    kept = np.nonzero(alive)[0]
-    if kept.size:
+    lams, kept, evals = [], [], 0
+    for i, (lam, box) in enumerate(zip(starts, boxes)):
+        lam = np.complex128(lam)
+        lams.append(lam)
+        if not abs(lam) <= BESSEL_ARG_CAP:
+            continue
+        slack = 2.0 * box.diameter + 0.5
+        for steps in range(1, 61):
+            f, df = problem.char_and_deriv(lam)
+            if df == 0.0:
+                break
+            step = f / df
+            lam = lam - step
+            if not inside(box, lam, slack) or abs(lam) > BESSEL_ARG_CAP:
+                break
+            if abs(step) < 1e-13 * max(abs(lam), 1.0):
+                kept.append(i)
+                break
+        else:
+            kept.append(i)
+        lams[i] = lam
+        evals = max(evals, steps)
+        work["newton_steps"] += steps
+    work["newton_evals"] += evals
+    out = [None] * len(lams)
+    if kept:
+        # the columns of the surviving iterates, read as one table
+        table = np.array([_bessel_column(problem.m + 2, lams[i]) for i in kept]).T
         scale = problem.scale  # max(1, |zeta|) scale cannot overflow
-        resid = np.abs(problem.char(lam[kept])) / max(scale, abs(complex(problem.zeta) * scale))
+        resid = np.abs(problem.char_on(table)) / max(scale, abs(complex(problem.zeta) * scale))
         for i, r in zip(kept, resid):
-            if r <= 1e-10 and inside(i, 1e-6):
-                out[i] = (complex(lam[i]), float(r))
+            if r <= 1e-10 and inside(boxes[i], lams[i], 1e-6):
+                out[i] = (complex(lams[i]), float(r))
     return out
 
 

@@ -1,6 +1,7 @@
 """Tests for mesh handling, P1 assembly, the QEP solve, and the energy march."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,34 @@ class TestMaterials:
             with pytest.raises(InvalidInputError, match="alpha_inv"):
                 assemble(mesh, mat=MaterialCoefficients(alpha_inv=value), zeta=0.5)
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_beta_is_invalid_input(self, inf):
+        # not a mass matrix that assembly refuses as a numerical failure
+        mesh = square_mesh(2)
+        beta = np.ones(mesh.n_triangles)
+        beta[3] = inf
+        for value in (inf, beta):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="beta must be positive and finite"):
+                    MaterialCoefficients(beta=value).resolve(mesh)
+                with pytest.raises(InvalidInputError, match="beta"):
+                    assemble(mesh, mat=MaterialCoefficients(beta=value), zeta=0.5)
+
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_alpha_inv_is_invalid_input(self, inf):
+        # refused before the symmetry test would meet inf - inf
+        mesh = square_mesh(2)
+        blocks = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy()
+        blocks[5, 0, 1] = blocks[5, 1, 0] = inf
+        for value in (np.array([[1.0, 0.0], [0.0, inf]]), blocks):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError, match="alpha_inv must be finite"):
+                    MaterialCoefficients(alpha_inv=value).resolve(mesh)
+                with pytest.raises(InvalidInputError, match="alpha_inv"):
+                    assemble(mesh, mat=MaterialCoefficients(alpha_inv=value), zeta=0.5)
+
 
 class TestAssemble:
     def test_reference_triangle_element_matrices(self):
@@ -459,6 +488,22 @@ class TestInvariantChecks:
     def test_assembled_matrices_pass(self, spec):
         k, c, m, rim = invariant_inputs(spec)
         check_invariants(k, c, m, 0.5, rim)
+
+    @pytest.mark.parametrize("spec, band", [("square{20}", 22), ("disk_polygon{8,32}", 24)])
+    def test_certificates_take_the_narrower_order(self, monkeypatch, spec, band):
+        # a grid keeps its natural order, whose band (22 on square{20}) is
+        # about half its RCM order's (41); a disk takes RCM (24, natural 33)
+        depths = []
+        lower_band = fem_module._lower_band
+
+        def recorded(i, j, values, n):
+            depths.append(int((i - j).max()))
+            return lower_band(i, j, values, n)
+
+        monkeypatch.setattr(fem_module, "_lower_band", recorded)
+        assemble(build_mesh(spec), zeta=0.5)
+        # M's band; K's may be narrower, where entries cancel to zero
+        assert depths[1] == band
 
     def test_indefinite_stiffness_with_constant_kernel_rejected(self):
         k, c, m, rim = invariant_inputs()

@@ -11,6 +11,7 @@ import scipy.special
 from impedbench.errors import InvalidInputError, NumericalFailureError
 from impedbench import models
 from impedbench.models import (
+    MAX_BESSEL_ORDER,
     DiskModeProblem,
     SearchBox,
     StringSpec,
@@ -42,6 +43,11 @@ HALF_LOG_3 = 0.54930614433405485
 def on_contour(f):
     """The contour form _count_in reads: f at the samples of a box."""
     return lambda box, n: f(models._boundary_samples(box, n))
+
+
+def table_char(problem, lam):
+    """The disk characteristic at the points lam, from one cylinder table."""
+    return problem.char_on(models._bessel_table(problem.m + 2, lam))
 
 
 def mixed_err(ours, ref) -> float:
@@ -192,6 +198,53 @@ class TestBessel:
         assert abs(bessel_j(below, 7.5, derivative=True) - ref_p) < 1e-13 * abs(ref_p)
 
 
+
+class TestBesselColumn:
+    # the one-point column that the Newton polish evaluates
+    @staticmethod
+    def grid():
+        rng = np.random.default_rng(SEED + 5)
+
+        def polar(mags):
+            return mags * np.exp(1j * rng.uniform(-np.pi, np.pi, mags.size))
+
+        return np.concatenate([
+            [0.0, -0.0j, 1e-9, -3e-9j, 200.0, -200.0j],
+            polar(10.0 ** rng.uniform(-300, -8, 12)),  # the leading term
+            rng.uniform(-30, 30, 30) + 1j * rng.choice([-1, 1], 30) * rng.uniform(1, 8, 30),
+            polar(np.exp(rng.uniform(np.log(3e-8), np.log(2e-6), 30))),  # rescaled at order 60
+            polar(rng.uniform(199.0, 200.0, 12)),  # seed orders near 264
+            polar(rng.uniform(0.05, 200.0, 40)),
+        ])
+
+    @pytest.mark.parametrize("m_max", [0, 3, 22, 40, MAX_BESSEL_ORDER])
+    def test_column_is_the_tables_bit_for_bit(self, m_max):
+        z = self.grid()
+        table = models._bessel_table(m_max, z)
+        for j, point in enumerate(z):
+            column = models._bessel_column(m_max, point)
+            assert len(column) == m_max + 1
+            assert np.array(column).tobytes() == table[:, j].tobytes(), point
+
+    def test_input_caps(self):
+        with pytest.raises(InvalidInputError, match="cap"):
+            models._bessel_column(0, 200.5)
+        with pytest.raises(InvalidInputError, match="order"):
+            models._bessel_column(MAX_BESSEL_ORDER + 1, 1.0)
+
+    def test_newton_reads_no_table(self, monkeypatch):
+        # the iterates and their acceptance residuals run on columns
+        def table(m_max, z):
+            raise AssertionError("Newton swept a table")
+
+        monkeypatch.setattr(models, "_bessel_table", table)
+        box = SearchBox(5.0, 7.0, -1.0, 0.0)
+        work = {"newton_evals": 0, "newton_steps": 0}
+        got = models._newton_batch(DiskModeProblem(m=2, zeta=0.5), [box.center] * 2, [box] * 2,
+                                   work)
+        assert got[0] is not None and got[0] == got[1]
+        assert work["newton_steps"] == 2 * work["newton_evals"]
+
 class TestString:
     def test_half_load_ladder(self):
         report = string_spectrum(StringSpec(0.5), count=10)
@@ -295,8 +348,8 @@ class TestDiskRoots:
         for m in (0, 1, 4):
             problem = DiskModeProblem(m=m, zeta=0.7)
             lam = rng.uniform(0.5, 15, 20) + 1j * rng.uniform(-3, 3, 20)
-            left = problem.char(-np.conj(lam))
-            right = (-1.0) ** (m + 1) * np.conj(problem.char(lam))
+            left = table_char(problem, -np.conj(lam))
+            right = (-1.0) ** (m + 1) * np.conj(table_char(problem, lam))
             assert np.abs(left - right).max() < 1e-10 * max(np.abs(left).max(), 1.0)
 
     def test_custom_box_isolates_one_root(self):
@@ -332,7 +385,7 @@ class TestDiskRoots:
         box = SearchBox(0.05, J1_FIRST_ZERO, -0.5, 0.05)
         work = dict.fromkeys(("contour_points", "boxes_counted", "box_nudges"), 0)
         moved, count = models._count_in(
-            on_contour(DiskModeProblem(m=0, zeta=0.0).char), box, 1024,
+            on_contour(lambda z: table_char(DiskModeProblem(m=0, zeta=0.0), z)), box, 1024,
             np.random.default_rng(SEED), work, "no count",
         )
         assert count == 1
@@ -360,12 +413,14 @@ class TestDiskRoots:
         assert math.frexp(scale)[0] == 0.5
         assert scale * max(1.0, abs(zeta.real), abs(zeta.imag)) < 1.0
         lam = np.array([0.7, 3.1 - 0.4j, 11.0 - 2.0j])
-        jm, jp, jpp = problem._jet(lam)
-        f, df = problem.char_and_deriv(lam)
-        assert np.array_equal(problem.char(lam), f)
+        # the Newton form evaluates one point at a time
+        jet = [problem._jet(point) for point in lam]
+        f, df = np.array([problem.char_and_deriv(point) for point in lam]).T
+        assert np.array_equal(table_char(problem, lam), f)
         assert np.isfinite(f).all() and np.isfinite(df).all()
         if zeta != 1.7e308:
             z = complex(zeta)
+            jm, jp, jpp = np.array(jet).T
             assert np.array_equal(f, (1j * z * jm - jp) * scale)
             assert np.array_equal(df, (1j * z * jp - jpp) * scale)
 
@@ -483,6 +538,24 @@ class TestLowestRoots:
         # min(lowest, expected_count) roots were returned
         assert every["count_matches"]
 
+    @pytest.mark.parametrize("m, re, im, residual", [
+        (0, "0x1.e4dc374de8282p+1", "-0x1.18f5b81ab5e33p-1", "0x1.0eb3e9fbb61c1p-54"),
+        (1, "0x1.cf34d173d11e3p+0", "-0x1.9ba7bf7f3131ep-1", "0x1.8e00000000000p-53"),
+    ])
+    def test_converge_references_pinned(self, m, re, im, residual):
+        # the two searches of `converge --zeta 0.5`, frozen from the polish
+        # that evaluated its iterates as one-point tables: the columns change
+        # no bit and no counter
+        result = disk_mode_roots(m, 0.5, lowest=1)
+        lam = result["roots"][0]
+        assert (lam.real.hex(), lam.imag.hex()) == (re, im)
+        assert float(result["residuals"][0]).hex() == residual
+        assert result["expected_count"] == 6
+        assert result["work"] == {
+            "contour_points": 4096, "boxes_counted": 3, "box_nudges": 0, "newton_evals": 7,
+            "newton_steps": 7, "max_depth": 2,
+        }
+
     def test_lowest_validation(self):
         with pytest.raises(InvalidInputError, match="lowest"):
             disk_mode_roots(0, 0.5, lowest=0)
@@ -510,7 +583,8 @@ class TestBatchedNewton:
         for got, ref in zip(batched, alone):
             if got is not None:
                 assert abs(got[0] - ref[0]) <= 1e-14 * abs(ref[0])
-        # one evaluation per step of the whole batch
+        # newton_evals counts the steps of the batch in lockstep, the most any
+        # iterate took, and newton_steps the evaluations of every iterate
         assert work["newton_evals"] < work["newton_steps"] <= len(starts) * work["newton_evals"]
 
     def test_start_past_argument_cap_drops_out(self):
@@ -529,7 +603,7 @@ class TestBatchedNewton:
         assert work["contour_points"] >= 2048
         assert work["boxes_counted"] >= 2 * result["expected_count"] - 1
         assert work["box_nudges"] == 0
-        # one evaluation per Newton step of the whole batch of leaves
+        # the batch of leaves steps in lockstep, each leaf one evaluation a step
         assert work["newton_evals"] < work["newton_steps"]
         assert work["newton_steps"] >= result["roots"].size
 
