@@ -17,6 +17,7 @@ the command handlers.
 
 import argparse
 import cmath
+import functools
 import os
 import sys
 
@@ -485,16 +486,16 @@ def _cmd_fem(args) -> int:
     mesh = build_mesh(spec)
     q = assemble(mesh, zeta=zeta)
     report = solve_qep(q, n_want=args.nev)
-    fem_entries = [e for e in report.entries if e.mode_tag == "fem"]
-    max_im = max((e.im_lambda for e in fem_entries), default=float("-inf"))
+    max_im = report.max_im(include_tags={"fem"})
+    modes = sum(e.mode_tag == "fem" for e in report.entries)
     print(
-        f"fem {spec} zeta={shown}: {len(fem_entries)} modes "
+        f"fem {spec} zeta={shown}: {modes} modes "
         f"({report.metadata['artifacts']} artifact), max Im {max_im:.6e}, "
         f"path {report.metadata['path']}"
     )
     if args.out:
         _emit_report(report, args.out)
-    if zeta.real >= 0 and fem_entries and max_im > args.tol:
+    if zeta.real >= 0 and max_im > args.tol:
         return EXIT_INVARIANT
     return EXIT_OK
 
@@ -581,7 +582,9 @@ def _cmd_converge(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="impedbench",
         description="Desk-scale spectral workbench for impedance boundary damping.",

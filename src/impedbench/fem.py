@@ -22,11 +22,14 @@ is real or purely imaginary. When at most n/6 modes are wanted on n
 vertices, shift-invert Lanczos/Arnoldi through one n x n sparse LU computes
 only those nearest a requested centre (the origin by default) and
 certifies that none nearer it was missed; otherwise the dense companion,
-the sparse path's test reference, computes all. A convergence study
-centres one such solve on each reference eigenvalue. The Crank-Nicolson
-march factors its system once by sparse LU and satisfies a per-step energy
-identity exactly, so decay checks test the model rather than integrator
-artifacts.
+the sparse path's test reference, computes all. Every returned mode must
+pass QEP_RESIDUAL_TOL on its backward error, weighted by the largest column
+2-norms of K, C and M: lower bounds on their 2-norms, read in O(nnz) from the
+stored arrays, so the gate is at least as strict as with the exact norms. A
+convergence study centres one such solve on each reference eigenvalue. The
+Crank-Nicolson march factors its system once by sparse LU and satisfies a
+per-step energy identity exactly, so decay checks test the model rather
+than integrator artifacts.
 """
 
 import math
@@ -36,7 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidInputError, NumericalFailureError
-from .reports import EnergyTrace, ModeEntry, SpectrumReport, fmt_float, write_text_atomic
+from .reports import EnergyTrace, ModeEntry, SpectrumReport, fmt_float
 
 MIN_TRIANGLE_AREA = 1e-14
 SPD_FLOOR = 1e-10
@@ -52,10 +55,6 @@ MAX_ASSEMBLE_VERTICES = 4096
 # shift-invert runs while at most n / SPARSE_MAX_SHARE modes are wanted, n the
 # vertex count; at 577 vertices it wins up to n/6 and loses at n/4 (one thread)
 SPARSE_MAX_SHARE = 6
-# ||C|| of a rim with at most this many vertices is a dense SVD; bisection on
-# the banded Gram matrix takes as long near 80 (0.55 ms, one thread), 3 ms at
-# 2047, where the SVD took 4.2 s
-DENSE_RIM_NORM = 80
 # ARPACK's default start vector is random; a fixed one makes reruns identical
 ARPACK_SEED = 20240801
 # a convergence study pairs a reference with the nearest FEM eigenvalue
@@ -176,16 +175,6 @@ class Mesh:
 
     def label_set(self) -> set:
         return set(self.boundary_labels)
-
-    def save(self, path: str) -> None:
-        lines = [MESH_HEADER, str(self.n_vertices)]
-        for x, y in self.vertices:
-            lines.append(f"v {fmt_float(x)} {fmt_float(y)}")
-        for i, j, k in self.triangles:
-            lines.append(f"t {i} {j} {k}")
-        for (i, j), label in zip(self.boundary_edges, self.boundary_labels):
-            lines.append(f"b {i} {j} {label}")
-        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def square_mesh(n: int, lx: float = 1.0, ly: float = 1.0, nx: int = None, ny: int = None) -> Mesh:
@@ -364,8 +353,7 @@ class QepMatrices:
     K, C and M are stored once, as the CSC arrays k, c (complex) and m; the
     constructor takes them dense or sparse and converts each once. k_stiff,
     c_bdry and m_mass return dense copies, which only tests and the
-    benchmark read. assemble returns K and M real. norms computes their
-    2-norms once, however many solves read them.
+    benchmark read. assemble returns K and M real.
     """
 
     def __init__(self, k_stiff, c_bdry, m_mass, meta=None):
@@ -374,26 +362,6 @@ class QepMatrices:
         self.k, self.m = csc_array(k_stiff), csc_array(m_mass)
         self.c = csc_array(c_bdry, dtype=complex)
         self.meta = {} if meta is None else meta
-        self._norms = None
-
-    def norms(self, v0) -> tuple:
-        """(||K||, ||C||, ||M||), computed on the first call and kept.
-
-        ||C|| is exact. ||K|| and ||M|| of the real parts of K and M are
-        Lanczos Ritz values from start vector v0, stopped at tol = 1e-2: a
-        Ritz value never exceeds the 2-norm, so a residual scaled by these
-        is never smaller than with the exact norms.
-        """
-        if self._norms is None:
-            from scipy.sparse.linalg import eigsh
-
-            norm_k, norm_m = (
-                float(abs(eigsh(x.real, k=1, which="LM", v0=v0, tol=1e-2,
-                                return_eigenvectors=False)[0]))
-                for x in (self.k, self.m)
-            )
-            self._norms = norm_k, _spectral_norm_boundary(self.c), norm_m
-        return self._norms
 
     @property
     def k_stiff(self) -> np.ndarray:
@@ -634,67 +602,37 @@ def _band_cholesky(i, j, values, n, shift=0.0):
     LAPACK's ?pbtrf succeeds iff the matrix is positive definite, whatever
     the order; it does not notice NaN, so callers check finiteness first.
     """
-    band = _lower_band(i, j, values, n)
+    low = i >= j
+    depth, j = i[low] - j[low], j[low]
+    # LAPACK's lower band storage, in Fortran order so that it works in place
+    band = np.zeros((depth.max(initial=0) + 1, n), dtype=values.dtype, order="F")
+    band[depth, j] = values[low]
     band[0] += shift
     pbtrf = sla.lapack.dpbtrf if band.dtype == float else sla.lapack.zpbtrf
     factor, info = pbtrf(band, lower=1, overwrite_ab=1)
     return factor if info == 0 else None
 
 
-def _lower_band(i, j, values, n):
-    """LAPACK's lower band storage of the n x n matrix whose lower triangle
-    holds values at (i, j); entries above the diagonal are not read."""
-    low = i >= j
-    depth, j = i[low] - j[low], j[low]
-    # Fortran order, so that LAPACK can work in place
-    band = np.zeros((depth.max(initial=0) + 1, n), dtype=values.dtype, order="F")
-    band[depth, j] = values[low]
-    return band
-
-
 # ---------------------------------------------------------------------------
 # Quadratic eigenvalue solve
 
 
-def _spectral_norm_boundary(c) -> float:
-    """2-norm of the sparse C from its block on the rows and columns in use.
+def _column_norm(a) -> float:
+    """The largest column 2-norm of the CSC a, a lower bound on its 2-norm
+    (each column is a times a unit vector); 0 when a has no nonzero entry.
 
-    Up to DENSE_RIM_NORM of them, the largest singular value of the dense
-    block. Past that, the square root of the largest eigenvalue of the Gram
-    matrix G = C^H C, bisected: lambda_max(G) < mu iff mu I - G is positive
-    definite, iff its banded Cholesky in the reverse Cuthill-McKee order of
-    G succeeds (bandwidth 4 on a rim that is a cycle). Each test takes
-    O(n_rim) work, and about 55 halve the bracket between the largest
-    diagonal entry and the largest absolute row sum of G to adjacent
-    doubles. C is first divided by the power of two at or below its largest
-    real or imaginary part, exactly, so that G neither overflows nor
-    underflows.
+    a is first divided by the power of two at or below its largest real or
+    imaginary part, exactly, so that the squares neither overflow nor
+    underflow.
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    live = np.union1d(c.indices, np.nonzero(np.diff(c.indptr))[0])
-    if live.size <= DENSE_RIM_NORM:
-        return float(sla.svdvals(c[np.ix_(live, live)].toarray())[0]) if live.size else 0.0
-    e = int(np.frexp(np.abs(c.data.view(float)).max())[1]) - 1
-    block = c[np.ix_(live, live)] * 2.0 ** -(e // 2) * 2.0 ** (e // 2 - e)
-    if not block.data.imag.any():
-        block = block.real
-    gram = (block.conj().T @ block).tocsc()
-    i, j, _ = _triplets(gram, np.arange(live.size))
-    pos = np.argsort(reverse_cuthill_mckee(_csc_pattern(i, j, live.size), True))
-    i, j, g = _triplets(gram, pos)
-    lo = g[i == j].real.max()
-    hi = np.bincount(i, weights=np.abs(g)).max()
-    band = _lower_band(i, j, -g, live.size)
-    pbtrf = sla.lapack.dpbtrf if band.dtype == float else sla.lapack.zpbtrf
-    while lo < (mid := (lo + hi) / 2) < hi:
-        trial = band.copy(order="F")
-        trial[0] += mid
-        if pbtrf(trial, lower=1, overwrite_ab=1)[1] == 0:
-            hi = mid
-        else:
-            lo = mid
-    return 2.0**e * math.sqrt(hi)
+    parts = (a.data.real, a.data.imag) if np.iscomplexobj(a.data) else (a.data,)
+    top = max(float(np.abs(x).max(initial=0.0)) for x in parts)
+    if top == 0.0:
+        return 0.0
+    e = math.frexp(top)[1] - 1
+    squares = sum(np.ldexp(x, -e) ** 2 for x in parts)
+    column = np.repeat(np.arange(a.shape[1]), np.diff(a.indptr))
+    return math.ldexp(math.sqrt(np.bincount(column, weights=squares).max()), e)
 
 
 def _is_constant_direction(p: np.ndarray) -> bool:
@@ -956,8 +894,10 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
     pencil (a generalized Hermitian solve when C = 0) computes every mode,
     within its cap. metadata["path"] names the solver that ran. Near-zero
     pairs whose eigenvector is constant are tagged quotient-artifact: they
-    live in the direction the stiffness energy cannot see. Residuals are
-    scaled by q.norms, computed by the first solve on q.
+    live in the direction the stiffness energy cannot see. Each residual is
+    the backward error of its pair with the largest column 2-norms of K, C
+    and M (_column_norm) as weights: they are lower bounds on the 2-norms,
+    so no residual is smaller than with the exact norms.
     """
     if n_want < 1:
         raise InvalidInputError("n_want must be at least 1")
@@ -980,9 +920,10 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
     else:
         linearization = "complex" if np.any(c_s.data.real) else "real-direct"
     rng = np.random.default_rng(ARPACK_SEED)
-    # the norms' start vector is the first draw even when q already has them,
-    # so the shift-invert start vector is the same on every call
-    norm_k, norm_c, norm_m = q.norms(rng.standard_normal(n))
+    # the shift-invert start vector is the generator's second n-vector, as in
+    # earlier versions, so that their eigenvalues are reproduced bit for bit
+    rng.standard_normal(n)
+    norm_k, norm_c, norm_m = (_column_norm(x) for x in (q.k, q.c, q.m))
 
     solved = None
     if sparse:

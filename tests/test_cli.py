@@ -1,5 +1,6 @@
 """Exit codes, argument grammar, and output determinism of the CLI."""
 
+import argparse
 import json
 import math
 import os
@@ -134,6 +135,28 @@ class TestExitCodes:
     def test_help_exit0(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        printed = []
+        for _ in range(2):
+            assert run(["string", "--zeta", "0.5", "--count", "2"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert built.count("impedbench") == 1
+        assert printed[0] == printed[1] != ""
+        # argparse's own exits keep their codes through the shared parser
+        assert run(["string", "--zeta", "0.5", "--frobnicate"]) == 3
+        assert run(["--help"]) == 0
+        capsys.readouterr()
+        assert built.count("impedbench") == 1
 
     def test_nonaccretive_fem_refused(self, capsys):
         assert run(["fem", "--shape", "square", "--n", "8", "--zeta", "-1.0"]) == 2
@@ -801,7 +824,14 @@ class TestOutputs:
         from impedbench.fem import square_mesh
 
         path = tmp_path / "tiny.mesh"
-        square_mesh(4).save(str(path))
+        mesh = square_mesh(4)
+        path.write_text("\n".join(
+            ["mesh2d v1", str(mesh.n_vertices)]
+            + [f"v {x!r} {y!r}" for x, y in mesh.vertices.tolist()]
+            + [f"t {i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
+            + [f"b {i} {j} {label}"
+               for (i, j), label in zip(mesh.boundary_edges.tolist(), mesh.boundary_labels)]
+        ) + "\n")
         assert run(["fem", "--shape", str(path), "--zeta", "0.5", "--nev", "4"]) == 0
         capsys.readouterr()
 

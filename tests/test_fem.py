@@ -176,10 +176,17 @@ class TestMesh:
             Mesh(vertices, tris, edges, ["a"] * 6)
 
     def test_save_load_round_trip(self, tmp_path):
+        # the mesh2d v1 text of a mesh, coordinates in repr so that they read back exactly
         m = build_mesh("disk_polygon{2,8}")
-        path = str(tmp_path / "disk.mesh")
-        m.save(path)
-        m2 = mesh_from_file(path)
+        path = tmp_path / "disk.mesh"
+        path.write_text("\n".join(
+            ["mesh2d v1", str(m.n_vertices)]
+            + [f"v {x!r} {y!r}" for x, y in m.vertices.tolist()]
+            + [f"t {i} {j} {k}" for i, j, k in m.triangles.tolist()]
+            + [f"b {i} {j} {label}"
+               for (i, j), label in zip(m.boundary_edges.tolist(), m.boundary_labels)]
+        ) + "\n")
+        m2 = mesh_from_file(str(path))
         assert np.array_equal(m.vertices, m2.vertices)
         assert np.array_equal(m.triangles, m2.triangles)
         assert np.array_equal(m.boundary_edges, m2.boundary_edges)
@@ -494,13 +501,13 @@ class TestInvariantChecks:
         # a grid keeps its natural order, whose band (22 on square{20}) is
         # about half its RCM order's (41); a disk takes RCM (24, natural 33)
         depths = []
-        lower_band = fem_module._lower_band
+        band_cholesky = fem_module._band_cholesky
 
-        def recorded(i, j, values, n):
+        def recorded(i, j, values, n, shift=0.0):
             depths.append(int((i - j).max()))
-            return lower_band(i, j, values, n)
+            return band_cholesky(i, j, values, n, shift)
 
-        monkeypatch.setattr(fem_module, "_lower_band", recorded)
+        monkeypatch.setattr(fem_module, "_band_cholesky", recorded)
         assemble(build_mesh(spec), zeta=0.5)
         # M's band; K's may be narrower, where entries cancel to zero
         assert depths[1] == band
@@ -952,41 +959,38 @@ class TestBandedCertificatesMatchDenseEigenvalues:
         assert peak < 16e6
 
 
-class TestBoundaryNorm:
-    """||C|| by bisection on the banded Gram matrix against a dense SVD."""
+class TestResidualScale:
+    """The residual weights are the largest column 2-norms of K, C and M."""
 
     @pytest.mark.parametrize("spec,zeta", CROSS_CHECK_CASES)
-    def test_bisection_matches_svd(self, spec, zeta, monkeypatch):
-        # these rims take the dense SVD; without the switch, the bisection
-        c = assemble(build_mesh(spec), zeta=zeta).c
-        expected = sla.svdvals(c.toarray())[0]
-        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
-        monkeypatch.setattr(fem_module, "DENSE_RIM_NORM", 0)
-        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
+    def test_scales_bound_the_dense_norms_from_below(self, spec, zeta, monkeypatch):
+        q = assemble(build_mesh(spec), zeta=zeta)
+        for x in (q.k, q.c, q.m):
+            assert fem_module._column_norm(x) <= np.linalg.norm(x.toarray(), 2)
+        # a smaller weight gives a larger backward error for the same pair
+        n_want = 16 if q.dim < 128 else 32
+        reported = solve_qep(q, n_want=n_want)
+        monkeypatch.setattr(fem_module, "_column_norm", lambda x: np.linalg.norm(x.toarray(), 2))
+        exact = solve_qep(q, n_want=n_want)
+        assert ([(e.re_lambda, e.im_lambda) for e in reported.entries]
+                == [(e.re_lambda, e.im_lambda) for e in exact.entries])
+        assert all(a.residual >= b.residual for a, b in zip(reported.entries, exact.entries))
 
-    @pytest.mark.parametrize("zeta", [0.5, 0.3 + 0.4j, 1e300, 1e-300j])
-    def test_long_rim_at_any_scale(self, zeta):
-        # C / 2^e keeps the Gram matrix in range where its squares would not be
-        c = assemble(build_mesh("disk_polygon{1,300}"), zeta=zeta).c
-        assert fem_module.DENSE_RIM_NORM < 300
-        expected = sla.svdvals(c.toarray())[0]
-        assert fem_module._spectral_norm_boundary(c) == pytest.approx(expected, rel=1e-12, abs=0)
+    @pytest.mark.parametrize("zeta", [1e300, 1e-300j])
+    def test_rim_scale_at_any_magnitude(self, zeta):
+        # C / 2^e keeps the squares in range where those of C would not be;
+        # a rim vertex of a regular polygon carries the column (h / 6) zeta
+        # (1, 4, 1) of the P1 edge mass, whose 2-norm is |zeta| h / sqrt(2)
+        q = assemble(build_mesh("disk_polygon{1,300}"), zeta=zeta)
+        h = 2.0 * np.sin(np.pi / 300)
+        scale = fem_module._column_norm(q.c)
+        assert np.isfinite(scale)
+        assert scale == pytest.approx(abs(zeta) * h / np.sqrt(2.0), rel=1e-12, abs=0)
 
-    def test_rim_heavy_norm_allocates_no_dense_block(self):
-        # 2047 rim vertices: the dense block took 4.2 s and 33 MB
-        q = assemble(build_mesh("disk_polygon{1,2047}"), zeta=0.5)
-        tracemalloc.start()
-        try:
-            norm = fem_module._spectral_norm_boundary(q.c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
-        # the rim is a regular 2047-gon on the unit circle, and C is 0.5 times
-        # its P1 edge mass matrix, whose eigenvalues (4 + 2 cos(2 pi k / n)) h
-        # / 6 are largest at k = 0, where they equal h, the edge length
-        h = 2.0 * np.sin(np.pi / 2047)
-        assert norm == pytest.approx(0.5 * h, rel=1e-12, abs=0)
+    def test_empty_damping_scales_by_zero(self):
+        q = assemble(build_mesh("square{4}"), zeta=0.0)
+        assert q.c.nnz == 0
+        assert fem_module._column_norm(q.c) == 0.0
 
 
 class TestShiftInvertMatchesDense:
