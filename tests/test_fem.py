@@ -976,7 +976,7 @@ class TestResidualScale:
                 == [(e.re_lambda, e.im_lambda) for e in exact.entries])
         assert all(a.residual >= b.residual for a, b in zip(reported.entries, exact.entries))
 
-    @pytest.mark.parametrize("zeta", [1e300, 1e-300j])
+    @pytest.mark.parametrize("zeta", [0.5, 0.3 + 0.4j, 1e300, 1e-300j])
     def test_rim_scale_at_any_magnitude(self, zeta):
         # C / 2^e keeps the squares in range where those of C would not be;
         # a rim vertex of a regular polygon carries the column (h / 6) zeta
@@ -986,6 +986,19 @@ class TestResidualScale:
         scale = fem_module._column_norm(q.c)
         assert np.isfinite(scale)
         assert scale == pytest.approx(abs(zeta) * h / np.sqrt(2.0), rel=1e-12, abs=0)
+
+    def test_rim_heavy_scale_allocates_no_dense_block(self):
+        # 2047 rim vertices: a dense C would take 67 MB, its CSC arrays 0.1 MB
+        q = assemble(build_mesh("disk_polygon{1,2047}"), zeta=0.5)
+        tracemalloc.start()
+        try:
+            scale = fem_module._column_norm(q.c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        h = 2.0 * np.sin(np.pi / 2047)
+        assert scale == pytest.approx(0.5 * h / np.sqrt(2.0), rel=1e-12, abs=0)
 
     def test_empty_damping_scales_by_zero(self):
         q = assemble(build_mesh("square{4}"), zeta=0.0)
