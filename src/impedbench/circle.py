@@ -9,8 +9,9 @@ scale orthonormal, that action becomes the doubly weighted Toeplitz section
 with w_n = (1 + n^2)^{s/2}. Whether the high-frequency corner of B_N decays
 as N grows is a computable stand-in for compactness of the multiplier from
 the smoothness-s space into its dual, and the gate below turns that decay
-into a three-way verdict. A first-order diagonal symbol is included as the
-canonical non-compact control.
+into a three-way verdict. A diagonal Fourier symbol of order one,
+DiagonalSymbol(1.0, 1j), is the canonical non-compact control: its section
+at s = 1/2 is i times the identity.
 """
 
 import math
@@ -31,7 +32,8 @@ DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # cutoffs 64-1024 take 1.3 s and 128 MB peak resident for a complex sampled
 # coefficient, 0.30 s and 71 MB for power(0.3), whose sections are real and
 # centrosymmetric (one thread, 2-vCPU VM). A 2049 x 2049 complex section
-# (67 MB) is built only for Hermitian complex data or a dense fallback.
+# (67 MB) is built only for Hermitian complex data, for data whose FFT
+# products lose accuracy, and once the Lanczos step budget has run out.
 MAX_SECTION_CUTOFF = 1024
 
 # Verdict thresholds, pinned by the golden fixtures in the test suite.
@@ -170,9 +172,8 @@ class ImpedanceCoefficient:
             return out
         if self.kind == "sampled":
             m = max(1024, 8 * (n_max + 1))
-            theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
-            vals = self._evaluate(theta)
-            if vals.shape != theta.shape:
+            vals = self._grid_values(m)
+            if vals.shape != (m,):
                 raise InvalidInputError("sampled coefficient must map grids to grids")
             # theta_j = -pi + 2 pi j / m, so the quadrature sum for c_k is
             # (-1)^k times the k-th DFT coefficient (index taken mod m)
@@ -200,25 +201,57 @@ class ImpedanceCoefficient:
             if aq >= 1.0:
                 return float("inf")
             return float(abs(self.amplitude) * (np.pi**-aq / (1.0 - aq)) ** (1.0 / q))
-        theta = -np.pi + 2.0 * np.pi * np.arange(8192) / 8192
-        vals = np.abs(self._evaluate(theta))
+        vals = np.abs(self._grid_values(8192))
         # scaled by the largest sample, the power cannot overflow
         top = vals.max()
         if top == 0.0:
             return 0.0
         return float(top * np.mean((vals / top) ** q) ** (1.0 / q))
 
-    def _evaluate(self, theta):
+    def _grid_values(self, m: int) -> np.ndarray:
+        """Values at theta_j = -pi + 2 pi j / m, j = 0..m-1."""
         if self.kind == "sampled":
+            theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
             vals = np.asarray(self.func(theta), dtype=complex)
             if not np.isfinite(vals).all():
                 raise InvalidInputError("sampled coefficient values must be finite")
             return vals
         if self.kind == "fourier":
+            # e^{i k theta_j} = (-1)^k e^{2 pi i k j / m}: one inverse DFT of
+            # the (-1)^k c_k folded mod m, no m x K array
             half = (self.stored.size - 1) // 2
             freqs = np.arange(-half, half + 1)
-            return np.exp(1j * np.outer(theta, freqs)) @ self.stored
+            folded = np.zeros(m, dtype=complex)
+            np.add.at(folded, freqs % m, (1 - 2 * (freqs % 2)) * self.stored)
+            return np.fft.ifft(folded, norm="forward")
         raise InvalidInputError("pointwise evaluation undefined for this kind")
+
+
+@dataclass(frozen=True)
+class DiagonalSymbol:
+    """Fourier multiplier n -> amplitude (1 + n^2)^{order/2} on the circle.
+
+    Its section at smoothness s is diagonal, with entries
+    amplitude (1 + n^2)^{order/2 - s}. Order one models a boundary operator
+    of derivative order one, whose entries never decay for s <= 1/2: the
+    control the gate must classify as non-compact.
+    """
+
+    order: float
+    amplitude: complex = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.order) and np.isfinite(complex(self.amplitude))):
+            raise InvalidInputError("symbol order and amplitude must be finite")
+
+    @property
+    def label(self) -> str:
+        return f"symbol(order={float(self.order)!r},c={fmt_complex(complex(self.amplitude))})"
+
+    def section_entries(self, scale: SobolevScale, n_cut: int) -> np.ndarray:
+        """Diagonal of the section at cutoff n_cut, frequencies -N..N."""
+        n = np.arange(-n_cut, n_cut + 1, dtype=float)
+        return self.amplitude * (1.0 + n * n) ** (self.order / 2 - scale.s)
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +302,6 @@ def multiplier_section(
         coeffs[center - 2 * n_cut : center + 2 * n_cut + 1],
         scale.weight(np.arange(-n_cut, n_cut + 1)),
     )
-
-
-def first_order_symbol_section(scale: SobolevScale, n_cut: int) -> np.ndarray:
-    """Diagonal section of i (1 + n^2)^{1/2} seen through the scale weights.
-
-    This models a boundary operator of derivative order one; its weighted
-    entries are i (1 + n^2)^{1/2 - s}, which never decay for s <= 1/2. It is
-    the control the gate must classify as non-compact.
-    """
-    if n_cut < 1:
-        raise InvalidInputError("section cutoff must be at least 1")
-    idx = np.arange(-n_cut, n_cut + 1, dtype=float)
-    entries = 1j * (1.0 + idx * idx) ** (0.5 - scale.s)
-    return np.diag(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +453,20 @@ def _circulant_products(data: np.ndarray, w: np.ndarray):
     return product(spectrum), product(spectrum.conj()), np.abs(spectrum).max()
 
 
-def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray):
+def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray, dense: bool = False):
     """Spectral norm of the section of centred data c(-2N..2N), and the steps.
 
     Golub-Kahan-Lanczos with the circulant products, run on the data over
     the power of two at or below the largest part of a section entry, as
     for a dense section. Past the step budget the section is built and its
-    dense SVD answers, with step count None. A product is exact to about
+    dense SVD answers, with step count None; with dense set (an earlier
+    cutoff ran past it) the SVD answers at once. A product is exact to about
     eps max|fft(col)| ||x||, so where that maximum exceeds FFT_SPREAD ||S||
     (data whose mass sits behind large weights) the section is built and
     the dense Lanczos run answers instead.
     """
+    if dense:
+        return float(np.linalg.svd(_weighted_toeplitz(data, w), compute_uv=False)[0]), None
     n_cut = (w.size - 1) // 2
     # the largest part of a section entry: per diagonal k the entry of the
     # middle column (|k| <= N) or of the first or last row (|k| > N) has the
@@ -467,41 +489,13 @@ def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray):
     return _largest_singular_value(_weighted_toeplitz(data, w))
 
 
-def _smallest_hermitian_part_eigenvalue(section: np.ndarray):
-    """min eig (S + S^H)/2 and the arithmetic ("real" or "complex") it took.
-
-    A persymmetric S (J S J = S^T, J the exchange matrix), as every
-    coefficient section is, has a centro-Hermitian H = (S + S^H)/2
-    (J H J = conj(H)), unitarily similar to the real symmetric
-    U^H H U = Re H - Im(H J) with U = (I + i J)/sqrt(2). That form is
-    assembled from S.real and S.imag row block by row block; the Hermitian
-    part of any other complex S is formed in complex arithmetic.
-    """
-    n = section.shape[0]
-    persymmetric = np.iscomplexobj(section) and np.array_equal(section, section.T[::-1, ::-1])
-    real = persymmetric or np.isrealobj(section)
-    form = np.empty((n, n), dtype=float if real else complex)
-    # halving before adding keeps the sums of finite entries finite
-    for lo in range(0, n, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        if persymmetric:
-            np.divide(section.real[rows], 2.0, out=form[rows])
-            form[rows] += section.real[:, rows].T / 2.0
-            # rows of Im(H J): Im H[i, n-1-j] = (Im S[i, n-1-j] - Im S[n-1-j, i]) / 2
-            mirror = section.imag[rows, ::-1] / 2.0
-            mirror -= section.imag[::-1, rows].T / 2.0
-            form[rows] -= mirror
-        else:
-            np.divide(section[rows], 2.0, out=form[rows])
-            form[rows] += section[:, rows].T.conj() / 2.0
-    return float(np.linalg.eigvalsh(form)[0]), "real" if real else "complex"
-
-
 def _toeplitz_hermitian_part_minimum(data: np.ndarray, w: np.ndarray) -> float:
     """min eig (S + S^H)/2 for the section S of centred data c(-2N..2N).
 
-    (S + S^H)/2 is the section of h(k) = (c(k) + conj c(-k))/2, and its real
-    form Re H - Im(H J) (see _smallest_hermitian_part_eigenvalue) is the
+    S is persymmetric (J S J = S^T, J the exchange matrix), so H = (S + S^H)/2
+    is centro-Hermitian (J H J = conj(H)) and unitarily similar to the real
+    symmetric U^H H U = Re H - Im(H J), U = (I + i J)/sqrt(2). H is the
+    section of h(k) = (c(k) + conj c(-k))/2, and that real form is the
     Toeplitz-minus-Hankel F[i, j] = (Re h(i - j) - Im h(i + j)) / (w_i w_j),
     built from strided windows of h 64 rows at a time. The data are halved
     before adding and each part is divided by the weights before the
@@ -543,53 +537,6 @@ def _even_odd_split(a: np.ndarray, bj: np.ndarray, middle=None) -> np.ndarray:
     return np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(a - bj)])
 
 
-def _even_odd_eigenvalues(section: np.ndarray) -> np.ndarray:
-    """Eigenvalues, unsorted, of a real symmetric section with J S J = S."""
-    n = section.shape[0]
-    m = n // 2
-    middle = (section[m, :m], section[m, m]) if n % 2 else None
-    return _even_odd_split(section[:m, :m], section[:m, ::-1][:, :m], middle)
-
-
-def _hermitian_cutoff(eigs, corner, arithmetic: str, dense: bool, last: bool):
-    # singular values of a Hermitian matrix are the moduli of its
-    # eigenvalues; the corner is a principal block, so Hermitian too, and
-    # herm(S) = S
-    defect = (float(eigs.min()), arithmetic) if last else None
-    return max(-eigs.min(), eigs.max()), None, np.sort(np.abs(corner))[::-1], dense, defect
-
-
-def _section_cutoff(section: np.ndarray, n_cut: int, dense: bool, last: bool):
-    """The gate's numbers for one dense section.
-
-    Returns (||S||, Lanczos steps or None, corner singular values largest
-    first, dense, (min eig herm(S), its arithmetic) or None). dense is set
-    once a cutoff runs past the Lanczos budget, and every later cutoff takes
-    the dense SVD; the Hermitian part is solved at the last cutoff only.
-    """
-    # S == S^H exactly, tested on the parts: no conjugate copy
-    hermitian = np.array_equal(section.real, section.real.T) and (
-        np.isrealobj(section) or np.array_equal(section.imag, -section.imag.T)
-    )
-    if hermitian:
-        # the corner of a centrosymmetric section is centrosymmetric too
-        if np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1]):
-            solve = _even_odd_eigenvalues
-        else:
-            solve = np.linalg.eigvalsh
-        arithmetic = "complex" if np.iscomplexobj(section) else "real"
-        return _hermitian_cutoff(
-            solve(section), solve(_corner_block(section, n_cut)), arithmetic, dense, last
-        )
-    if dense:
-        full, steps = np.linalg.svd(section, compute_uv=False)[0], None
-    else:
-        full, steps = _largest_singular_value(section)
-        dense = steps is None
-    sig = np.linalg.svd(_corner_block(section, n_cut), compute_uv=False)
-    return full, steps, sig, dense, _smallest_hermitian_part_eigenvalue(section) if last else None
-
-
 def _divided(block, w_rows, w_cols, real: bool) -> np.ndarray:
     """block / (w_rows w_cols^T) in the arithmetic of the block, as a section
     divides it; its real part where the data are real."""
@@ -598,15 +545,18 @@ def _divided(block, w_rows, w_cols, real: bool) -> np.ndarray:
 
 
 def _coefficient_cutoff(coeffs, scale: SobolevScale, n_cut: int, dense: bool, last: bool):
-    """_section_cutoff for the section of centred coefficients coeffs.
+    """The gate's numbers for the section of centred coefficients coeffs.
 
-    Reads the central slice c(-2N..2N) of the coefficients and the weights
-    w_{-N..N}: with finite data and weights of finite square every entry is
-    finite, so no entry is tested. The section itself is built, and handed
-    to _section_cutoff, only for Hermitian complex data, whose eigensolves
-    run on it, and once the Lanczos budget has run out. Every entry that
-    reaches a decomposition is divided as multiplier_section divides it, so
-    the corner and the even and odd halves are bitwise those of the section.
+    Returns (||S||, Lanczos steps or None, corner singular values largest
+    first, dense, (min eig herm(S), its arithmetic) or None); dense is set
+    once a cutoff runs past the Lanczos budget. Reads the central slice
+    c(-2N..2N) of the coefficients and the weights w_{-N..N}: with finite
+    data and weights of finite square every entry is finite, so no entry is
+    tested. The section is built only for Hermitian complex data, whose
+    eigensolves run on it, and where the norm falls back on a dense route.
+    Every entry that reaches a decomposition is divided as multiplier_section
+    divides it, so the corner and the even and odd halves are bitwise those
+    of the section.
     """
     center = (coeffs.size - 1) // 2
     data = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1]
@@ -618,11 +568,17 @@ def _coefficient_cutoff(coeffs, scale: SobolevScale, n_cut: int, dense: bool, la
     hermitian = np.array_equal(data.real, data.real[::-1]) and (
         real or np.array_equal(data.imag, -data.imag[::-1])
     )
-    if dense or (hermitian and not real):
-        section = _weighted_toeplitz(data, w)
-        return _section_cutoff(section.real if real else section, n_cut, dense, last)
     toeplitz, hankel = _toeplitz_windows(data, w.size)
-    if hermitian:
+    if not hermitian:
+        full, steps = _toeplitz_largest_singular_value(data.real if real else data, w, dense)
+        # the corner's rows and columns are the first and the last r
+        outer = np.concatenate((w[:r], w[-r:]))
+        corner = _divided(_corner_block(toeplitz, n_cut), outer, outer, real)
+        sig = np.linalg.svd(corner, compute_uv=False)
+        # a coefficient section is persymmetric: its Hermitian part has a real form
+        defect = (_toeplitz_hermitian_part_minimum(data, w), "real") if last else None
+        return full, steps, sig, steps is None, defect
+    if real:
         # real and even data: J S J = S, with A the leading N x N block of
         # the Toeplitz part and B J that of the Hankel part c(i + j - 2N);
         # the corner's halves are their leading r x r blocks
@@ -631,31 +587,26 @@ def _coefficient_cutoff(coeffs, scale: SobolevScale, n_cut: int, dense: bool, la
         row = _divided(toeplitz[n_cut, : n_cut + 1], 1.0, w[: n_cut + 1], real)[0]
         eigs = _even_odd_split(a, bj, (row[:n_cut], row[n_cut]))
         corner = _even_odd_split(a[:r, :r], bj[:r, :r])
-        return _hermitian_cutoff(eigs, corner, "real", dense, last)
-    full, steps = _toeplitz_largest_singular_value(data.real if real else data, w)
-    # the corner's rows and columns are the first and the last r
-    outer = np.concatenate((w[:r], w[-r:]))
-    corner = _divided(_corner_block(toeplitz, n_cut), outer, outer, real)
-    sig = np.linalg.svd(corner, compute_uv=False)
-    # a coefficient section is persymmetric: its Hermitian part has a real form
-    defect = (_toeplitz_hermitian_part_minimum(data, w), "real") if last else None
-    return full, steps, sig, steps is None, defect
+    else:
+        section = _weighted_toeplitz(data, w)
+        eigs = np.linalg.eigvalsh(section)
+        corner = np.linalg.eigvalsh(_corner_block(section, n_cut))
+    # singular values of a Hermitian matrix are the moduli of its
+    # eigenvalues; the corner is a principal block, so Hermitian too, and
+    # herm(S) = S
+    defect = (float(eigs.min()), "real" if real else "complex") if last else None
+    return max(-eigs.min(), eigs.max()), None, np.sort(np.abs(corner))[::-1], dense, defect
 
 
-def _provided_section(provider, n_cut: int) -> np.ndarray:
-    section = np.asarray(provider(n_cut))
-    section = section.astype(np.result_type(section, float), copy=False)
-    expected = 2 * n_cut + 1
-    if section.shape != (expected, expected):
-        raise InvalidInputError(
-            f"provider returned shape {section.shape} at cutoff {n_cut}, "
-            f"expected ({expected}, {expected})"
-        )
-    if not np.isfinite(section).all():
-        raise InvalidInputError(f"section at cutoff {n_cut} has non-finite entries")
-    if np.iscomplexobj(section) and not section.imag.any():
-        section = section.real
-    return section
+def _symbol_cutoff(symbol: DiagonalSymbol, scale: SobolevScale, n_cut: int, last: bool):
+    """The gate's numbers for a diagonal section in closed form: its singular
+    values are the moduli of its entries, its Hermitian part their real parts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = symbol.section_entries(scale, n_cut)
+        moduli = np.abs(d)
+    corner = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
+    defect = (float(d.real.min()), "real") if last else None
+    return moduli.max(), None, np.sort(moduli[corner])[::-1], False, defect
 
 
 def compactness_gate(
@@ -666,12 +617,12 @@ def compactness_gate(
 ) -> CompactnessReport:
     """Classify a boundary action as compact, non-compact, or inconclusive.
 
-    target is either an ImpedanceCoefficient (read from its Fourier data
-    and the weights, without a dense section where none is needed) or a
-    callable N -> section matrix. The indicator at each cutoff is the
-    spectral norm of the high-frequency corner relative to the full section;
-    a decaying indicator certifies the finite sections are norm-approximated
-    by low-frequency blocks, the numerical shadow of compactness.
+    target is an ImpedanceCoefficient, read from its Fourier data and the
+    weights without a dense section where none is needed, or a DiagonalSymbol,
+    read in closed form. The indicator at each cutoff is the spectral norm of
+    the high-frequency corner relative to the full section; a decaying
+    indicator certifies the finite sections are norm-approximated by
+    low-frequency blocks, the numerical shadow of compactness.
     """
     scale = SobolevScale(s)
     schedule = tuple(int(n) for n in schedule)
@@ -701,18 +652,16 @@ def compactness_gate(
             raise InvalidInputError(f"Fourier coefficients of {target.label} overflow")
         if not coeffs.imag.any():
             coeffs = coeffs.real
-        label = label or target.label
-    elif callable(target):
-        label = label or getattr(target, "__name__", "custom-section")
-    else:
-        raise InvalidInputError("gate target must be a coefficient or a provider")
+    elif not isinstance(target, DiagonalSymbol):
+        raise InvalidInputError("gate target must be a coefficient or a diagonal symbol")
+    label = label or target.label
 
     indicators, norms, corner_sigmas, norm_steps = [], [], {}, []
     dense = False  # set once a cutoff runs past the Lanczos budget
     for n_cut in schedule:
         last = n_cut == schedule[-1]
         if coeffs is None:
-            cut = _section_cutoff(_provided_section(target, n_cut), n_cut, dense, last)
+            cut = _symbol_cutoff(target, scale, n_cut, last)
         else:
             cut = _coefficient_cutoff(coeffs, scale, n_cut, dense, last)
         full, steps, sig, dense, defect = cut

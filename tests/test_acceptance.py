@@ -12,12 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from impedbench import extensions as ex
-from impedbench.circle import (
-    ImpedanceCoefficient,
-    SobolevScale,
-    compactness_gate,
-    first_order_symbol_section,
-)
+from impedbench.circle import DiagonalSymbol, ImpedanceCoefficient, compactness_gate
 from impedbench.fem import (
     assemble,
     build_mesh,
@@ -150,10 +145,7 @@ def test_criterion_05_multiplier_gate():
     for a in (0.3, 0.5, 0.9):
         coef = ImpedanceCoefficient.power(a)
         verdicts[f"power-{a}"] = compactness_gate(coef, s=0.5).verdict
-    scale = SobolevScale(0.5)
-    control = compactness_gate(
-        lambda n: first_order_symbol_section(scale, n), s=0.5, label="order-one"
-    )
+    control = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5, label="order-one")
     verdicts["order-one"] = control.verdict
     flat = all(
         np.allclose(np.asarray(control.corner_sigmas[n]), 1.0, atol=1e-12)

@@ -15,10 +15,10 @@ import scipy.special
 from impedbench import circle, cli
 from impedbench.circle import (
     MAX_SECTION_CUTOFF,
+    DiagonalSymbol,
     ImpedanceCoefficient,
     SobolevScale,
     compactness_gate,
-    first_order_symbol_section,
     lq_report,
     multiplier_section,
 )
@@ -50,17 +50,12 @@ def bench_coefficient(seed: int = 1) -> ImpedanceCoefficient:
         return cli.parse_coefficient("file:" + os.path.join(tmp, workloads.COEFFICIENT_FILE))
 
 
-def random_complex_section(n_cut: int) -> np.ndarray:
-    rng = np.random.default_rng(n_cut)
-    shape = (2 * n_cut + 1, 2 * n_cut + 1)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def rank_one_section(n_cut: int) -> np.ndarray:
-    idx = np.arange(-n_cut, n_cut + 1)
-    u = np.exp(0.7j * idx) / (1.0 + (idx - 1) ** 2)
-    v = (1.0 + np.abs(idx)) ** -0.5 + 0.2j * np.sin(idx)
-    return np.outer(u, v.conj())
+def even_odd_eigenvalues(block: np.ndarray) -> np.ndarray:
+    """Eigenvalues, unsorted, of a real symmetric block with J S J = S, split
+    into its even and odd halves from the block's own entries."""
+    m = block.shape[0] // 2
+    middle = (block[m, :m], block[m, m]) if block.shape[0] % 2 else None
+    return circle._even_odd_split(block[:m, :m], block[:m, ::-1][:, :m], middle)
 
 
 # (a zero-argument factory of the target, whether its sections are exactly
@@ -92,20 +87,20 @@ GATE_TARGETS = {
         None,
     ),
     "sampled-bench-complex": (bench_coefficient, False, "real"),
-    "first-order": (
-        lambda: lambda n: first_order_symbol_section(SobolevScale(0.5), n),
+    "first-order": (lambda: DiagonalSymbol(1.0, 1j), False, "real"),
+    # the order-one symbol's entries at s = 0.3, run at s = 0.5: its top
+    # singular values (1 + n^2)^{0.2} at n = N, N - 1, ... cluster
+    "first-order-0.3": (lambda: DiagonalSymbol(1.4, 1j), False, "real"),
+    # a decaying symbol with a positive real part
+    "half-order": (lambda: DiagonalSymbol(0.5, 1 - 1j), False, "real"),
+    # c_k = e^{0.3i} e^{0.7ik}: every section is rank one and not Hermitian
+    "rank-one": (
+        lambda: ImpedanceCoefficient.fourier(
+            np.exp(0.3j + 0.7j * np.arange(-256, 257)), "rank-one"
+        ),
         False,
         "real",
     ),
-    # its top singular values (1 + n^2)^{0.2} at n = N, N - 1, ... cluster
-    "first-order-0.3": (
-        lambda: lambda n: first_order_symbol_section(SobolevScale(0.3), n),
-        False,
-        "real",
-    ),
-    # not persymmetric: the Hermitian part's eigensolve runs in complex arithmetic
-    "random-complex": (lambda: random_complex_section, False, "complex"),
-    "rank-one": (lambda: rank_one_section, False, "complex"),
 }
 
 
@@ -121,13 +116,14 @@ COEFFICIENT_TARGETS = (
     "fourier-hermitian",
     "sampled-real",
     "sampled-bench-complex",
+    "rank-one",
 )
 
 
 def reference_sections(target, scale, schedule):
     """The sections of a target, float64 where the coefficient data are real."""
-    if callable(target):
-        return [np.asarray(target(n), dtype=complex) for n in schedule]
+    if isinstance(target, DiagonalSymbol):
+        return [np.diag(target.section_entries(scale, n)) for n in schedule]
     coeffs = target.fourier_coeffs(2 * schedule[-1])
     if not coeffs.imag.any():
         coeffs = coeffs.real
@@ -310,6 +306,30 @@ class TestLqNorm:
         with pytest.raises(InvalidInputError, match="q"):
             ImpedanceCoefficient.constant(1.0).lq_norm(0.5)
 
+    @pytest.mark.parametrize("half, m", [(16, 64), (40, 64), (300, 1024)])
+    def test_fourier_grid_values_match_direct_sum(self, half, m):
+        # more modes than grid points fold onto the same point mod m
+        rng = np.random.default_rng(half)
+        coeffs = rng.standard_normal(2 * half + 1) + 1j * rng.standard_normal(2 * half + 1)
+        theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
+        direct = np.exp(1j * np.outer(theta, np.arange(-half, half + 1))) @ coeffs
+        got = ImpedanceCoefficient.fourier(coeffs, "f")._grid_values(m)
+        assert np.abs(got - direct).max() <= 1e-13 * np.abs(coeffs).sum()
+
+    def test_long_fourier_file_takes_no_grid_by_mode_array(self):
+        # 4097 modes on the 8192-point grid: one folded vector and its inverse
+        # FFT, where an 8192 x 4097 complex array takes 537 MB
+        rng = np.random.default_rng(4097)
+        coef = ImpedanceCoefficient.fourier(rng.standard_normal(4097) / 64, "long")
+        coef.lq_norm(2.0)
+        tracemalloc.start()
+        try:
+            coef.lq_norm(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
 
 class TestMultiplierSection:
     def test_constant_section_is_diagonal(self):
@@ -372,14 +392,32 @@ class TestMultiplierSection:
 
 class TestFirstOrderSymbol:
     def test_unit_modulus_at_matched_smoothness(self):
-        b = first_order_symbol_section(SobolevScale(0.5), 5)
-        assert np.allclose(np.diag(b), 1j * np.ones(11), atol=1e-15)
+        d = DiagonalSymbol(1.0, 1j).section_entries(SobolevScale(0.5), 5)
+        assert np.array_equal(d, 1j * np.ones(11))
 
     def test_decays_for_smoother_scale(self):
-        b = first_order_symbol_section(SobolevScale(1.0), 5)
-        d = np.diag(b)
+        d = DiagonalSymbol(1.0, 1j).section_entries(SobolevScale(1.0), 5)
         assert abs(d[5] - 1j) < 1e-15
         assert abs(d[-1]) < 0.2
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_entries_of_the_order_one_symbol(self, s):
+        # amplitude (1 + n^2)^{order/2 - s}, bit for bit the closed form of
+        # i (1 + n^2)^{1/2} seen through the weights
+        idx = np.arange(-40, 41, dtype=float)
+        d = DiagonalSymbol(1.0, 1j).section_entries(SobolevScale(s), 40)
+        assert np.array_equal(d, 1j * (1.0 + idx * idx) ** (0.5 - s))
+
+    @pytest.mark.parametrize("order, amplitude", [
+        (float("nan"), 1j), (float("inf"), 1j), (-float("inf"), 1.0),
+        (1.0, complex(float("nan"), 1.0)), (1.0, float("inf")), (1.0, complex(0.0, -float("inf"))),
+    ])
+    def test_refuses_non_finite_data(self, order, amplitude):
+        with pytest.raises(InvalidInputError, match="finite"):
+            DiagonalSymbol(order, amplitude)
+
+    def test_label_reads_back_order_and_amplitude(self):
+        assert DiagonalSymbol(1.0, 1j).label == "symbol(order=1.0,c=0+1j)"
 
 
 class TestCompactnessGate:
@@ -407,14 +445,18 @@ class TestCompactnessGate:
         assert 0.8 < rate < 0.9
 
     def test_first_order_symbol_noncompact(self):
-        scale = SobolevScale(0.5)
-        g = compactness_gate(
-            lambda n: first_order_symbol_section(scale, n), s=0.5, label="order-one"
-        )
+        g = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5, label="order-one")
         assert g.verdict == "noncompact"
-        assert np.allclose(g.indicators, 1.0, atol=1e-14)
-        assert abs(g.re_defect) < 1e-13
+        # the section is i times the identity: every number is exact
+        assert g.indicators == [1.0] * len(g.schedule)
+        assert all(np.array_equal(g.corner_sigmas[n], np.ones(16)) for n in g.schedule)
+        assert g.re_defect == 0.0
         assert g.label == "order-one"
+        assert g.metadata == {"norm_steps": [None] * 4, "re_defect_arithmetic": "real"}
+
+    def test_symbol_that_overflows_is_refused(self):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            compactness_gate(DiagonalSymbol(400.0, 1j), s=0.5)
 
     def test_smooth_sampled_compact(self):
         c = ImpedanceCoefficient.sampled(lambda t: 1.0 + 0.3 * np.cos(t), "smooth")
@@ -574,22 +616,37 @@ class TestCompactnessGate:
     @pytest.mark.parametrize("name", COEFFICIENT_TARGETS)
     def test_coefficient_route_matches_dense_route(self, name):
         # the gate reads a coefficient's data and never builds its sections
-        # where it need not; a provider of the same sections takes the dense
-        # route. The corners are the same divisions of the same numbers
+        # where it need not; the same decompositions applied to the sections
+        # themselves give bitwise the same corners, since the corners are the
+        # same divisions of the same numbers
         coef = GATE_TARGETS[name][0]()
         assert isinstance(coef, ImpedanceCoefficient)
         schedule = (16, 32, 64)
-        sections = dict(zip(schedule, reference_sections(coef, SobolevScale(0.5), schedule)))
-        structured = compactness_gate(coef, s=0.5, schedule=schedule)
-        dense = compactness_gate(sections.__getitem__, s=0.5, schedule=schedule)
-        assert structured.verdict == dense.verdict
-        for n_cut in schedule:
-            assert np.array_equal(structured.corner_sigmas[n_cut], dense.corner_sigmas[n_cut])
-        assert structured.to_csv() == dense.to_csv()
-        np.testing.assert_allclose(structured.section_norms, dense.section_norms, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(structured.indicators, dense.indicators, rtol=1e-13, atol=0)
-        assert structured.re_defect == pytest.approx(dense.re_defect, rel=1e-13, abs=0)
-        assert structured.metadata["re_defect_arithmetic"] == dense.metadata["re_defect_arithmetic"]
+        sections = reference_sections(coef, SobolevScale(0.5), schedule)
+        g = compactness_gate(coef, s=0.5, schedule=schedule)
+        eps = np.finfo(float).eps
+        for n_cut, section, norm, t in zip(schedule, sections, g.section_norms, g.indicators):
+            corner = circle._corner_block(section, n_cut)
+            if not np.array_equal(section, section.conj().T):
+                full = np.linalg.svd(section, compute_uv=False)[0]
+                sig = np.linalg.svd(corner, compute_uv=False)
+            else:
+                # eigenvalue moduli, from even and odd halves where J S J = S
+                centro = np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1])
+                solve = even_odd_eigenvalues if centro else np.linalg.eigvalsh
+                full, sig = np.abs(solve(section)).max(), np.sort(np.abs(solve(corner)))[::-1]
+            # the gate writes the top 16, those below the rounding floor as 0
+            top = sig[:16].astype(float)
+            top[top < sig.size * eps * top[0]] = 0.0
+            assert np.array_equal(g.corner_sigmas[n_cut], top)
+            assert norm == pytest.approx(full, rel=1e-13, abs=0)
+            assert t == pytest.approx(sig[0] / full, rel=1e-13, abs=0)
+        last = sections[-1]
+        re_defect = np.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
+        # a defect near 0 (the rank-one target) is rounding noise of ||S||
+        assert g.re_defect == pytest.approx(re_defect, rel=1e-13, abs=1e-14 * g.section_norms[-1])
+        hermitian_complex = np.iscomplexobj(last) and np.array_equal(last, last.conj().T)
+        assert g.metadata["re_defect_arithmetic"] == ("complex" if hermitian_complex else "real")
 
     def test_bench_coefficient_lanczos_steps(self):
         # the benchmark's sampled coefficient: 14 Golub-Kahan steps at every
@@ -604,34 +661,34 @@ class TestCompactnessGate:
             assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-12, abs=0)
 
     def test_budget_overrun_sends_later_cutoffs_to_svd(self, monkeypatch):
-        # equally spaced singular values 1 + 1e-9 j outrun the step budget at
-        # the first cutoff; the rank-one sections after it would converge at once
-        def provider(n_cut):
-            if n_cut == 32:
-                return np.exp(0.3j) * np.diag(1.0 + 1e-9 * np.arange(2 * n_cut + 1))
-            return rank_one_section(n_cut)
-
+        # at s = 1e-6 the benchmark's coefficient has clustered top singular
+        # values: cutoff 16 converges in 31 steps, cutoff 32 outruns its
+        # budget of 32, and cutoff 64 goes to the SVD without a Lanczos run
+        coef = bench_coefficient()
         lanczos_dims, svd_dims = [], []
-        lanczos, svd = circle._largest_singular_value, np.linalg.svd
+        lanczos, svd = circle._golub_kahan_norm, np.linalg.svd
 
-        def counted_lanczos(section):
-            lanczos_dims.append(section.shape[0])
-            return lanczos(section)
+        def counted_lanczos(apply, adjoint, dim, dtype):
+            lanczos_dims.append(dim)
+            return lanczos(apply, adjoint, dim, dtype)
 
         def counted_svd(a, *args, **kwargs):
             svd_dims.append(a.shape[0])
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(circle, "_largest_singular_value", counted_lanczos)
+        monkeypatch.setattr(circle, "_golub_kahan_norm", counted_lanczos)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        schedule = (32, 64, 128)
-        g = compactness_gate(provider, s=0.5, schedule=schedule)
-        assert lanczos_dims == [65]
-        # one full-section SVD per cutoff (the first after the overrun) and
-        # one corner SVD per cutoff
-        assert sorted(svd_dims) == sorted([65, 129, 257] + [2 * (n - n // 2) for n in schedule])
-        assert g.metadata["norm_steps"] == [None, None, None]
-        assert g.section_norms[0] == pytest.approx(1.0 + 64e-9, rel=1e-15)
+        schedule = (16, 32, 64)
+        g = compactness_gate(coef, s=1e-6, schedule=schedule)
+        monkeypatch.undo()
+        assert lanczos_dims == [33, 65]
+        assert g.metadata["norm_steps"] == [31, None, None]
+        # one full-section SVD per cutoff from the overrun on, and one
+        # corner SVD per cutoff
+        assert sorted(svd_dims) == sorted([65, 129] + [2 * (n - n // 2) for n in schedule])
+        sections = reference_sections(coef, SobolevScale(1e-6), schedule)
+        for norm, section in zip(g.section_norms, sections):
+            assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-12, abs=0)
 
     def test_corner_rounding_noise_written_as_zero(self):
         # at s = 60 the corner's small singular values are rounding noise
@@ -652,15 +709,15 @@ class TestCompactnessGate:
         section = multiplier_section(None, SobolevScale(0.5), n_cut, coeffs=coeffs)
         assert np.array_equal(section, section[::-1, ::-1])
         for block in (section, circle._corner_block(section, n_cut)):
-            halves = circle._even_odd_eigenvalues(block)
+            halves = even_odd_eigenvalues(block)
             expected = np.linalg.eigvalsh(block)
             assert halves.size == expected.size
             np.testing.assert_allclose(np.sort(halves), expected, rtol=0,
                                        atol=1e-14 * abs(expected).max())
 
     def test_even_odd_split_only_for_centrosymmetric_sections(self, monkeypatch):
-        # counts the order of each matrix split, whether its halves come from
-        # a provider's section or straight from a coefficient's data
+        # counts the order of each matrix split, its halves taken straight
+        # from a coefficient's data
         split, solve = [], circle._even_odd_split
 
         def counted(a, bj, middle=None):
@@ -668,22 +725,11 @@ class TestCompactnessGate:
             return solve(a, bj, middle)
 
         monkeypatch.setattr(circle, "_even_odd_split", counted)
-        # real symmetric, but J S J != S: the full eigensolve runs
-        def provider(n_cut):
-            idx = np.arange(-n_cut, n_cut + 1)
-            return np.diag(1.0 / (1.0 + idx + n_cut)) + 0.01 * np.ones((idx.size, idx.size))
-
         schedule = (8, 16, 32)
-        g = compactness_gate(provider, s=0.5, schedule=schedule)
+        # real data that are not even: no Hermitian section to split
+        real_not_even = ImpedanceCoefficient.fourier([0.1, 1.0, 0.3], "real")
+        compactness_gate(real_not_even, s=0.5, schedule=schedule)
         assert split == []
-        for n_cut, norm, t in zip(schedule, g.section_norms, g.indicators):
-            section = provider(n_cut)
-            outer = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
-            full = scipy.linalg.svdvals(section)[0]
-            assert norm == pytest.approx(full, rel=1e-12, abs=0)
-            corner = scipy.linalg.svdvals(section[np.ix_(outer, outer)])[0]
-            assert t == pytest.approx(corner / full, rel=1e-12, abs=0)
-        assert g.metadata["re_defect_arithmetic"] == "real"
         # a real even coefficient splits each section and its corner
         compactness_gate(ImpedanceCoefficient.power(0.3), s=0.5, schedule=schedule)
         assert split == [d for n in schedule for d in (2 * n + 1, 2 * (n - n // 2))]
@@ -709,10 +755,6 @@ class TestCompactnessGate:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
 
-    def test_provider_shape_checked(self):
-        with pytest.raises(InvalidInputError, match="shape"):
-            compactness_gate(lambda n: np.eye(3), s=0.5, label="bad")
-
     def test_csv_and_json_deterministic(self):
         c = ImpedanceCoefficient.power(0.5)
         g1 = compactness_gate(c, s=0.5)
@@ -727,6 +769,9 @@ class TestCompactnessGate:
     def test_gate_rejects_plain_matrix_target(self):
         with pytest.raises(InvalidInputError, match="target"):
             compactness_gate(np.eye(5), s=0.5)
+        # nor a callable that returns sections
+        with pytest.raises(InvalidInputError, match="target"):
+            compactness_gate(lambda n: np.eye(2 * n + 1), s=0.5)
 
 
 class TestLqReport:
