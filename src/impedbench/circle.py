@@ -315,9 +315,14 @@ def _corner_block(section: np.ndarray, n_cut: int) -> np.ndarray:
 
 
 def _reorthogonalize(vector: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Remove the span of the orthonormal rows of basis, in two passes."""
+    """Remove the span of the orthonormal rows of basis, in two passes.
+
+    The coefficients conj(basis) vector are taken as conj(basis conj(vector)):
+    conjugation only flips signs, so these are the same numbers, and only the
+    vector is conjugated, not the basis.
+    """
     for _ in range(2):
-        vector = vector - basis.T @ (basis.conj() @ vector)
+        vector = vector - basis.T @ (basis @ vector.conj()).conj()
     return vector
 
 
@@ -341,13 +346,15 @@ def _golub_kahan_norm(apply, adjoint, dim: int, dtype):
     right = np.empty((budget + 1, dim), dtype=dtype)
     left = np.empty((budget, dim), dtype=dtype)
     alphas, betas = np.zeros(budget), np.zeros(budget)
+    # B_k^H B_k grows by one row per step; eigh reads only the lower triangle
+    tri = np.zeros((budget, budget))
     start = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     right[0] = start / np.linalg.norm(start)
     for k in range(budget):
         u = apply(right[k])
         if k:
             u -= betas[k - 1] * left[k - 1]
-        u = _reorthogonalize(u, left[:k])
+            u = _reorthogonalize(u, left[:k])
         alpha = alphas[k] = np.linalg.norm(u)
         beta = 0.0
         if alpha > 0:
@@ -355,11 +362,11 @@ def _golub_kahan_norm(apply, adjoint, dim: int, dtype):
             v = adjoint(left[k]) - alpha * right[k]
             v = _reorthogonalize(v, right[: k + 1])
             beta = np.linalg.norm(v)
-        diag = alphas[: k + 1] ** 2
-        diag[1:] += betas[:k] ** 2
-        # eigh reads only the lower triangle
-        off = alphas[:k] * betas[:k]
-        theta, y = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        tri[k, k] = alphas[k] * alphas[k]
+        if k:
+            tri[k, k] += betas[k - 1] * betas[k - 1]
+            tri[k, k - 1] = alphas[k - 1] * betas[k - 1]
+        theta, y = np.linalg.eigh(tri[: k + 1, : k + 1])
         if beta * abs(alpha * y[k, k]) <= 4.0 * eps * theta[k]:
             return math.sqrt(theta[k]), k + 1
         betas[k] = beta

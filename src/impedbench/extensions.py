@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import as_complex_matrix, null_space
+from .linalg import as_complex_matrix, null_space, spectral_norm
 from .reports import fmt_complex
 from .tuples import (
     BoundaryTupleModel,
@@ -41,41 +41,54 @@ DEFAULT_RESOLVENT_POINTS = (1j, 2j, 1.0 + 1j, -1.0 + 3j)
 # Cayley transform between accretive operators and contractions
 
 
-def cayley(z) -> np.ndarray:
-    """Map z to (z - I)(z + I)^{-1}; rejects z with -1 in its spectrum."""
-    z = as_complex_matrix(np.atleast_2d(z), "cayley input")
-    if z.shape[0] != z.shape[1]:
-        raise InvalidInputError("cayley input must be square")
-    eye = np.eye(z.shape[0])
-    den = z + eye
+def _square_stack(x, what: str) -> np.ndarray:
+    """A square matrix or a stack of them (..., p, p), validated per member."""
+    m = as_complex_matrix(np.atleast_2d(x), what, stack=True)
+    if m.shape[-1] != m.shape[-2]:
+        raise InvalidInputError(f"{what} must be square")
+    return m
+
+
+def _refuse_singular(den: np.ndarray, message: str) -> None:
     sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
-        raise InvalidInputError("cayley transform undefined: -1 is in the spectrum")
-    return np.linalg.solve(den.T, (z - eye).T).T
+    if np.any(sv[..., -1] <= RCOND_FLOOR * np.maximum(sv[..., 0], 1.0)):
+        raise InvalidInputError(message)
+
+
+def cayley(z) -> np.ndarray:
+    """Map z to (z - I)(z + I)^{-1}; rejects z with -1 in its spectrum.
+
+    Like every map in this section, it takes one matrix or a stack of them
+    (..., p, p), mapped member by member with the same LAPACK calls.
+    """
+    z = _square_stack(z, "cayley input")
+    eye = np.eye(z.shape[-1])
+    den = z + eye
+    _refuse_singular(den, "cayley transform undefined: -1 is in the spectrum")
+    return _solve_right(den, z - eye)
 
 
 def inverse_cayley(k) -> np.ndarray:
     """Map k to (I - k)^{-1}(I + k); rejects k with 1 in its spectrum."""
-    k = as_complex_matrix(np.atleast_2d(k), "inverse cayley input")
-    if k.shape[0] != k.shape[1]:
-        raise InvalidInputError("inverse cayley input must be square")
-    eye = np.eye(k.shape[0])
+    k = _square_stack(k, "inverse cayley input")
+    eye = np.eye(k.shape[-1])
     den = eye - k
-    sv = np.linalg.svd(den, compute_uv=False)
-    if sv[-1] <= RCOND_FLOOR * max(sv[0], 1.0):
-        raise InvalidInputError(
-            "inverse cayley undefined: 1 is in the spectrum of the contraction"
-        )
+    _refuse_singular(den, "inverse cayley undefined: 1 is in the spectrum of the contraction")
     return np.linalg.solve(den, eye + k)
 
 
-def cayley_identity_defect(z) -> float:
+def _solve_right(a, b) -> np.ndarray:
+    """b a^{-1}, as the transpose of a^T x = b^T."""
+    return np.linalg.solve(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def cayley_identity_defect(z):
     """Residual of the algebraic identity cayley(z) + I = 2 z (z + I)^{-1}."""
-    z = as_complex_matrix(np.atleast_2d(z), "cayley input")
-    eye = np.eye(z.shape[0])
+    z = _square_stack(z, "cayley input")
+    eye = np.eye(z.shape[-1])
     lhs = cayley(z) + eye
-    rhs = 2.0 * np.linalg.solve((z + eye).T, z.T).T
-    return float(np.linalg.norm(lhs - rhs, 2))
+    rhs = 2.0 * _solve_right(z + eye, z)
+    return spectral_norm(lhs - rhs)
 
 
 def impedance_to_contraction(z, fx: TupleFixture) -> np.ndarray:
@@ -86,7 +99,7 @@ def impedance_to_contraction(z, fx: TupleFixture) -> np.ndarray:
     Cayley image of that. Accretive z yields a contraction in the metric
     fx.boundary.gram_pivot.
     """
-    z = _as_trace_operator(z, fx.boundary)
+    z = _as_trace_operator(z, fx.boundary, stack=True)
     t = fx.transform
     return cayley(t.v_natural @ z @ t.v)
 
@@ -94,11 +107,10 @@ def impedance_to_contraction(z, fx: TupleFixture) -> np.ndarray:
 def contraction_to_impedance(k, fx: TupleFixture) -> np.ndarray:
     """Invert impedance_to_contraction; returns z in the original trace coords."""
     t = fx.transform
-    if np.atleast_2d(k).shape[0] != fx.boundary.gram_pivot.dim:
+    if np.atleast_2d(k).shape[-2] != fx.boundary.gram_pivot.dim:
         raise InvalidInputError("contraction does not match the fixture pivot space")
     z_piv = inverse_cayley(k)
-    rhs = np.linalg.solve(t.v.T, z_piv.T).T  # z_piv v^{-1}
-    return np.linalg.solve(t.v_natural, rhs)
+    return np.linalg.solve(t.v_natural, _solve_right(t.v, z_piv))  # v_nat^{-1} z_piv v^{-1}
 
 
 # ---------------------------------------------------------------------------

@@ -19,25 +19,26 @@ __all__ = [
     "GramMatrix",
     "gram_operator_norm",
     "null_space",
+    "spectral_norm",
 ]
 
 # Dense solves get slow and memory-hungry past this edge length.
 DENSE_DIM_CAP = 4096
 
 
-def as_complex_matrix(a, what: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-d complex ndarray with finite entries."""
+def as_complex_matrix(a, what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Validate and convert to a 2-d complex ndarray with finite entries
+    (with stack set, also a stack (..., m, n), each member checked)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise InvalidInputError(f"{what}: expected a 2-d array, got ndim={m.ndim}")
     if m.size == 0:
         raise InvalidInputError(f"{what}: empty matrix")
-    if max(m.shape) > DENSE_DIM_CAP:
-        raise InvalidInputError(
-            f"{what}: dimension {max(m.shape)} exceeds dense cap {DENSE_DIM_CAP}"
-        )
+    edge = max(m.shape[-2:])
+    if edge > DENSE_DIM_CAP:
+        raise InvalidInputError(f"{what}: dimension {edge} exceeds dense cap {DENSE_DIM_CAP}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{what}: entries must be finite")
     return m
@@ -68,12 +69,6 @@ class GramMatrix:
         self.dim = n
         self.chol_upper = np.ascontiguousarray(r)
 
-    def inner(self, u, v) -> complex:
-        """(u|v) = v^H G u."""
-        u = np.asarray(u, dtype=complex).reshape(-1)
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return complex(v.conj() @ (self.matrix @ u))
-
     def solve_factor(self, rhs, adjoint: bool = False) -> np.ndarray:
         """R^{-1} rhs, or R^{-H} rhs when adjoint, for the cached factor R.
 
@@ -81,13 +76,15 @@ class GramMatrix:
         multipliers on an upper triangular matrix, so np.linalg.solve is back
         substitution here. R^H is lower triangular; reversing its rows and
         columns makes it upper triangular, and the right-hand side and the
-        solution are reversed with it.
+        solution are reversed with it. rhs is a vector, a matrix or a stack
+        of matrices (..., n, m).
         """
         rhs = np.asarray(rhs)
         if not adjoint:
             return np.linalg.solve(self.chol_upper, rhs)
         flipped = self.chol_upper.conj().T[::-1, ::-1]
-        return np.linalg.solve(flipped, rhs[::-1])[::-1]
+        rows = max(rhs.ndim - 2, 0)
+        return np.flip(np.linalg.solve(flipped, np.flip(rhs, rows)), rows)
 
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} rhs via the cached factor."""
@@ -115,18 +112,26 @@ def gram_operator_norm(m, gram_in: GramMatrix, gram_out: GramMatrix) -> float:
 
     Computed as the largest singular value of R_out m R_in^{-1} with R the
     upper Cholesky factors, i.e. the norm after both spaces are isometrically
-    flattened to Euclidean coordinates.
+    flattened to Euclidean coordinates. A stack (..., m, n) gets one norm
+    per member.
     """
-    a = as_complex_matrix(m, "operator")
-    if a.shape[1] != gram_in.dim or a.shape[0] != gram_out.dim:
+    a = as_complex_matrix(m, "operator", stack=True)
+    if a.shape[-1] != gram_in.dim or a.shape[-2] != gram_out.dim:
         raise InvalidInputError(
             f"operator shape {a.shape} does not match grams ({gram_out.dim}, {gram_in.dim})"
         )
     x = gram_out.chol_upper @ a
     # Right-multiply by R_in^{-1}: X R_in^{-1} = (R_in^{-H} X^H)^H.
-    y = gram_in.solve_factor(x.conj().T, adjoint=True).conj().T
-    s = np.linalg.svd(y, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    y = gram_in.solve_factor(x.conj().swapaxes(-1, -2), adjoint=True)
+    return spectral_norm(y.conj().swapaxes(-1, -2))
+
+
+def spectral_norm(a):
+    """Largest singular value of a matrix, or of each member of a stack:
+    numpy.linalg runs one LAPACK call per member, so each is bit for bit
+    the value the member gets alone."""
+    s = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(s) if s.ndim == 0 else s
 
 
 def null_space(a, rcond: float) -> np.ndarray:

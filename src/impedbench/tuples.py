@@ -102,12 +102,6 @@ class BoundaryTupleModel:
     def trace_dim(self) -> int:
         return self.pairing.shape[0]
 
-    def pair_plus_minus(self, x_plus, y_minus) -> complex:
-        """pair(x, y) = y^H P x for x in plus coordinates, y in minus coordinates."""
-        x = np.asarray(x_plus, dtype=complex).reshape(-1)
-        y = np.asarray(y_minus, dtype=complex).reshape(-1)
-        return complex(y.conj() @ (self.pairing @ x))
-
 
 @dataclass
 class TupleTransform:
@@ -158,7 +152,7 @@ class TupleFixture:
     model: OperatorModel
     boundary: BoundaryTupleModel
     transform: TupleTransform
-    # grid-aware sampler of smooth state vectors: rng -> state vector
+    # grid-aware sampler of smooth states: (rng, count) -> count x dim array
     smooth_sampler: object = field(repr=False)
 
     def __post_init__(self):
@@ -170,25 +164,42 @@ class TupleFixture:
         return self.model.label
 
     def sample_state(self, rng) -> np.ndarray:
-        return self.smooth_sampler(rng)
+        return self.smooth_sampler(rng, 1)[0]
 
 
-def green_defect(model: OperatorModel, tup: BoundaryTupleModel, f, g) -> complex:
-    """Defect of the integration-by-parts identity at the pair (f, g)."""
-    f = np.asarray(f, dtype=complex).reshape(-1)
-    g = np.asarray(g, dtype=complex).reshape(-1)
+def _apply(m, x):
+    """m x_i for each row x_i of a stack, as rows: one gemv per row, the
+    product a single vector gets (one gemm over the stack sums otherwise)."""
+    return (m @ x[:, :, None])[:, :, 0]
+
+
+def _forms(y, m, x):
+    """y_i^H m x_i for the rows x_i, y_i of two stacks."""
+    return (y.conj()[:, None, :] @ _apply(m, x)[:, :, None])[:, 0, 0]
+
+
+def green_defect(model: OperatorModel, tup: BoundaryTupleModel, f, g):
+    """Defect of the integration-by-parts identity at the pair (f, g).
+
+    f and g are states of length n, or stacks of k states as rows (k, n);
+    a stack gets an array of k defects, each the one its pair gets alone.
+    """
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     n = model.dim
-    if f.shape[0] != n or g.shape[0] != n:
+    single = f.ndim < 2 and g.ndim < 2
+    f, g = np.atleast_2d(f, g)
+    if f.ndim != 2 or f.shape != g.shape or f.shape[1] != n:
         raise InvalidInputError(f"state vectors must have length {n}")
     if not (np.all(np.isfinite(f.view(float))) and np.all(np.isfinite(g.view(float)))):
         raise InvalidInputError("state vectors must be finite")
-    af, ag = model.astar @ f, model.astar @ g
-    gx = model.gram_x
-    lhs = gx.inner(af, g) - gx.inner(f, ag)
-    t0f, t1f = tup.gamma0 @ f, tup.gamma1 @ f
-    t0g, t1g = tup.gamma0 @ g, tup.gamma1 @ g
-    rhs = tup.pair_plus_minus(t1f, t0g) - np.conj(tup.pair_plus_minus(t1g, t0f))
-    return complex(lhs - rhs)
+    gram = model.gram_x.matrix
+    af, ag = _apply(model.astar, f), _apply(model.astar, g)
+    lhs = _forms(g, gram, af) - _forms(ag, gram, f)
+    t0f, t1f = _apply(tup.gamma0, f), _apply(tup.gamma1, f)
+    t0g, t1g = _apply(tup.gamma0, g), _apply(tup.gamma1, g)
+    rhs = _forms(t0g, tup.pairing, t1f) - np.conj(_forms(t0f, tup.pairing, t1g))
+    d = lhs - rhs
+    return complex(d[0]) if single else d
 
 
 def to_boundary_triple(tup: BoundaryTupleModel, t: TupleTransform):
@@ -223,12 +234,13 @@ def accretivity_defect(z, tup: BoundaryTupleModel) -> float:
     return float(tup.gram_minus.eigvalsh(herm)[0])
 
 
-def _as_trace_operator(z, tup: BoundaryTupleModel) -> np.ndarray:
-    """Accept a scalar or a q x p matrix acting minus -> plus."""
+def _as_trace_operator(z, tup: BoundaryTupleModel, stack: bool = False) -> np.ndarray:
+    """Accept a scalar or a q x p matrix acting minus -> plus (with stack set,
+    also a stack of them)."""
     if np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0):
         return complex(z) * np.eye(tup.trace_dim, dtype=complex)
-    z = as_complex_matrix(z, "trace operator")
-    q, p = z.shape
+    z = as_complex_matrix(z, "trace operator", stack)
+    q, p = z.shape[-2:]
     if p != tup.gamma0.shape[0] or q != tup.gamma1.shape[0]:
         raise InvalidInputError(
             f"trace operator must be {tup.gamma1.shape[0]}x{tup.gamma0.shape[0]}, got {q}x{p}"

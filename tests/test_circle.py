@@ -39,12 +39,18 @@ def fresnel_cosine_moment(n: int) -> float:
     return float(np.sqrt(2.0 * np.pi / n) * c / np.pi)
 
 
-def bench_coefficient(seed: int = 1) -> ImpedanceCoefficient:
-    """The complex sampled coefficient the boundary-checks benchmark gates."""
+def bench_workloads():
+    """bench/workloads.py, which writes the benchmark's input files."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_coefficient(seed: int = 1) -> ImpedanceCoefficient:
+    """The complex sampled coefficient the boundary-checks benchmark gates."""
+    workloads = bench_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         workloads.write_inputs("boundary-checks", seed, tmp)
         return cli.parse_coefficient("file:" + os.path.join(tmp, workloads.COEFFICIENT_FILE))
@@ -772,6 +778,117 @@ class TestCompactnessGate:
         # nor a callable that returns sections
         with pytest.raises(InvalidInputError, match="target"):
             compactness_gate(lambda n: np.eye(2 * n + 1), s=0.5)
+
+
+def reference_golub_kahan_norm(apply, adjoint, dim, dtype):
+    """circle._golub_kahan_norm as it ran before its bookkeeping was trimmed:
+    a fresh tridiagonal and a freshly conjugated basis at every step, and a
+    reorthogonalization against the empty basis at step 0."""
+    budget = max(32, dim // 8)
+    eps = np.finfo(float).eps
+
+    def reorthogonalize(vector, basis):
+        for _ in range(2):
+            vector = vector - basis.T @ (basis.conj() @ vector)
+        return vector
+
+    right = np.empty((budget + 1, dim), dtype=dtype)
+    left = np.empty((budget, dim), dtype=dtype)
+    alphas, betas = np.zeros(budget), np.zeros(budget)
+    start = np.random.default_rng(circle.LANCZOS_SEED).standard_normal(dim)
+    right[0] = start / np.linalg.norm(start)
+    for k in range(budget):
+        u = apply(right[k])
+        if k:
+            u -= betas[k - 1] * left[k - 1]
+        u = reorthogonalize(u, left[:k])
+        alpha = alphas[k] = np.linalg.norm(u)
+        beta = 0.0
+        if alpha > 0:
+            left[k] = u / alpha
+            v = reorthogonalize(adjoint(left[k]) - alpha * right[k], right[: k + 1])
+            beta = np.linalg.norm(v)
+        diag = alphas[: k + 1] ** 2
+        diag[1:] += betas[:k] ** 2
+        off = alphas[:k] * betas[:k]
+        theta, y = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+        if beta * abs(alpha * y[k, k]) <= 4.0 * eps * theta[k]:
+            return float(np.sqrt(theta[k])), k + 1
+        betas[k] = beta
+        right[k + 1] = v / beta
+    return None, None
+
+
+# gate inputs whose outputs the trimmed Golub-Kahan loop must leave byte for
+# byte as the reference loop writes them: zeta (files are written to the
+# test's directory) and schedule
+GATE_ZETAS = {
+    "power-0.3": "power:a=0.3",
+    "power-0.5": "power:a=0.5",
+    "power-0.9": "power:a=0.9",
+    "sampled-bench": "file:coefficient.json",
+    "sampled-real": "file:real.json",
+    "sampled-complex": "file:complex.json",
+    "const-complex": "const:1,0.5",
+    "power-0.4-complex": "power:a=0.4,c=1+1j",
+}
+GATE_SCHEDULES = ("16,32,64,128", "16,32,64,128,256", "64,128,256,512")
+
+
+class TestGolubKahanBookkeeping:
+    # (norm, steps) of the benchmark's seed-1 coefficient per cutoff, as the
+    # untrimmed loop returned them
+    PINNED = {
+        16: (1.031060186634357, 14),
+        32: (1.0310601866343574, 14),
+        64: (1.0310598379050686, 14),
+        128: (1.0310598322460496, 14),
+        256: (1.0310598307173804, 14),
+    }
+
+    @pytest.mark.parametrize("n_cut", sorted(PINNED))
+    def test_bench_coefficient_norm_pinned(self, n_cut, monkeypatch):
+        data = bench_coefficient().fourier_coeffs(2 * n_cut)
+        w = SobolevScale(0.5).weight(np.arange(-n_cut, n_cut + 1))
+        norm, steps = circle._toeplitz_largest_singular_value(data, w)
+        pinned_norm, pinned_steps = self.PINNED[n_cut]
+        assert steps == pinned_steps
+        # the products run through BLAS, whose kernels differ between CPUs,
+        # so the literals are held to rounding; against the reference loop
+        # on the same host the norm is the same bits
+        assert norm == pytest.approx(pinned_norm, rel=4 * np.finfo(float).eps, abs=0)
+        monkeypatch.setattr(circle, "_golub_kahan_norm", reference_golub_kahan_norm)
+        assert circle._toeplitz_largest_singular_value(data, w) == (norm, steps)
+
+    def test_real_operator_matches_reference(self):
+        # real data keep the bases real, so .conj() is the identity there
+        n_cut = 64
+        data = ImpedanceCoefficient.power(0.4, 1.0).fourier_coeffs(2 * n_cut).real
+        data = data * np.linspace(1.0, 2.0, data.size)  # not even, so not Hermitian
+        w = SobolevScale(0.5).weight(np.arange(-n_cut, n_cut + 1))
+        apply, adjoint, _ = circle._circulant_products(data, w)
+        got = circle._golub_kahan_norm(apply, adjoint, w.size, data.dtype)
+        assert got[1] is not None
+        assert got == reference_golub_kahan_norm(apply, adjoint, w.size, data.dtype)
+
+    @pytest.mark.parametrize("schedule", GATE_SCHEDULES)
+    @pytest.mark.parametrize("name", sorted(GATE_ZETAS))
+    def test_gate_outputs_byte_identical(self, name, schedule, tmp_path, monkeypatch, capsys):
+        workloads = bench_workloads()
+        workloads.write_inputs("boundary-checks", 1, str(tmp_path))
+        (tmp_path / "real.json").write_text("[[1, 0], [1.2, 0], [0.9, 0], [1.1, 0], [0.7, 0]]")
+        (tmp_path / "complex.json").write_text("[[1, 0], [1.2, 0.1], [0.9, -0.2], [1.1, 0.05]]")
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for tag in ("trimmed", "reference"):
+            if tag == "reference":
+                monkeypatch.setattr(circle, "_golub_kahan_norm", reference_golub_kahan_norm)
+            argv = ["gate", "--zeta", GATE_ZETAS[name], "--sections", schedule, "--out", f"{tag}.csv"]
+            assert cli.main(argv) == 0
+            outputs.append([(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert outputs[0] == outputs[1]
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == stdout[1]
 
 
 class TestLqReport:

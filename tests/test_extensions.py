@@ -351,3 +351,105 @@ class TestResolventRank:
         # with both differences zero there is nothing to count
         r = ex.resolvent_difference_rank(fx, 0.2, 0.2, tol=tol)
         assert (r.rank_resolvent, r.rank_parameter) == (0, 0)
+
+
+def reference_cayley_trials(fx, seed, trials):
+    """Per-trial (round trip, identity defect, contraction norm) of the
+    `extension cayley` sweep as its per-trial loop computed them: one pair of
+    normal draws and 2-D numpy.linalg calls per trial."""
+    rng = np.random.default_rng(seed)
+    t = fx.transform
+    dim = fx.boundary.trace_dim
+    eye = np.eye(dim)
+    r = fx.boundary.gram_pivot.chol_upper
+    flipped = r.conj().T[::-1, ::-1]
+
+    def cayley(z):
+        return np.linalg.solve((z + eye).T, (z - eye).T).T
+
+    rows = []
+    for _ in range(trials):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        herm, skew = a + a.conj().T, a - a.conj().T
+        shift = max(0.0, -float(np.linalg.eigvalsh(herm)[0])) + 0.1
+        z = 0.5 * (herm + skew) + shift * np.eye(dim)
+        k = cayley(t.v_natural @ z @ t.v)
+        z_piv = np.linalg.solve(eye - k, eye + k)
+        back = np.linalg.solve(t.v_natural, np.linalg.solve(t.v.T, z_piv.T).T)
+        round_trip = float(np.abs(back - z).max()) / max(np.abs(z).max(), 1.0)
+        identity = np.linalg.norm(cayley(z) + eye - 2.0 * np.linalg.solve((z + eye).T, z.T).T, 2)
+        y = np.linalg.solve(flipped, (r @ k).conj().T[::-1])[::-1].conj().T
+        rows.append((round_trip, float(identity), float(np.linalg.svd(y, compute_uv=False)[0])))
+    return np.array(rows)
+
+
+class TestStackedCayleySweep:
+    @pytest.mark.parametrize("seed", [1, 5, 20240801])
+    @pytest.mark.parametrize("name", ["transport-32", "transport-64", "transport-64-weighted",
+                                      "transport2-48"])
+    def test_sweep_matches_per_trial_loop(self, name, seed, tmp_path, capsys):
+        from impedbench import cli
+
+        ref = reference_cayley_trials(get_fixture(name), seed, 513)
+        # trial counts around the chunk edges
+        for trials in (1, 255, 256, 257, 513):
+            out = tmp_path / f"cayley-{trials}.json"
+            assert cli.main(["extension", "cayley", "--fixture", name, "--seed", str(seed),
+                             "--trials", str(trials), "--out", str(out)]) == 0
+            got = json.loads(out.read_text())
+            worst = [max(0.0, float(col)) for col in ref[:trials].max(axis=0)]
+            assert [got["max_round_trip"], got["max_identity_defect"],
+                    got["max_contraction_norm"]] == worst
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stack_equals_members(self, p):
+        rng = np.random.default_rng(SEED + 20 + p)
+        zs = np.stack([random_accretive(rng, p) for _ in range(7)])
+        ks = np.stack([ex.cayley(z) for z in zs])
+        for fn, stack in ((ex.cayley, zs), (ex.inverse_cayley, ks)):
+            got = fn(stack)
+            assert got.shape == stack.shape
+            for member, one in zip(got, stack):
+                assert np.array_equal(member, fn(one))
+        assert ex.cayley_identity_defect(zs).tolist() == [ex.cayley_identity_defect(z) for z in zs]
+        a = random_square(rng, p)
+        g_in, g_out = GramMatrix(a @ a.conj().T + np.eye(p)), GramMatrix(np.diag(np.arange(1.0, p + 1)))
+        norms = gram_operator_norm(ks, g_in, g_out)
+        assert norms.tolist() == [gram_operator_norm(k, g_in, g_out) for k in ks]
+
+    @pytest.mark.parametrize("name", ["transport-64-weighted", "transport2-48"])
+    def test_fixture_maps_stack_equals_members(self, name):
+        fx = get_fixture(name)
+        rng = np.random.default_rng(SEED + 30)
+        zs = np.stack([random_accretive(rng, fx.boundary.trace_dim) for _ in range(5)])
+        ks = ex.impedance_to_contraction(zs, fx)
+        back = ex.contraction_to_impedance(ks, fx)
+        for z, k, b in zip(zs, ks, back):
+            assert np.array_equal(k, ex.impedance_to_contraction(z, fx))
+            assert np.array_equal(b, ex.contraction_to_impedance(k, fx))
+
+    def test_stack_refuses_a_singular_member(self):
+        zs = np.stack([2.0 * np.eye(2), np.diag([-1.0, 3.0]), np.eye(2)])
+        with pytest.raises(InvalidInputError, match="cayley transform undefined: -1 is in the spectrum"):
+            ex.cayley(zs)
+        with pytest.raises(InvalidInputError, match="-1 is in the spectrum"):
+            ex.cayley_identity_defect(zs)
+        ks = np.stack([0.5 * np.eye(2), np.diag([0.2, 1.0])])
+        with pytest.raises(InvalidInputError,
+                           match="inverse cayley undefined: 1 is in the spectrum of the contraction"):
+            ex.inverse_cayley(ks)
+
+    def test_stack_members_validated(self):
+        zs = np.stack([np.eye(2), np.eye(2)])
+        zs[1, 0, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="cayley input: entries must be finite"):
+            ex.cayley(zs)
+        with pytest.raises(InvalidInputError, match="inverse cayley input must be square"):
+            ex.inverse_cayley(np.zeros((3, 2, 1)))
+        # the dense cap applies to a member's edge, before any allocation
+        with pytest.raises(InvalidInputError, match="exceeds dense cap"):
+            ex.cayley(np.zeros((1, 1, 4097)))
+        g = GramMatrix(np.eye(2))
+        with pytest.raises(InvalidInputError, match="does not match grams"):
+            gram_operator_norm(np.zeros((4, 2, 3)), g, g)

@@ -3,6 +3,7 @@ import pytest
 
 from impedbench.errors import InvalidInputError
 from impedbench.fixtures import (
+    _unit_interval_collocation,
     differentiation_matrix,
     fixture_registry,
     get_fixture,
@@ -77,7 +78,7 @@ class TestGreenIdentity:
         # with zero traces the defect is 2i Im (A f | f), which must vanish
         assert abs(d) < GREEN_TOL
         af = fx.model.astar @ f
-        assert abs(fx.model.gram_x.inner(af, f).imag) < GREEN_TOL
+        assert abs((f.conj() @ fx.model.gram_x.matrix @ af).imag) < GREEN_TOL
 
     def test_zero_vector(self):
         fx = get_fixture("transport-32")
@@ -208,3 +209,87 @@ class TestTupleValidation:
             b = get_fixture(name).boundary
             s = np.linalg.svd(np.vstack([b.gamma0, b.gamma1]), compute_uv=False)
             assert np.count_nonzero(s > 1e-10 * s[0]) == 2 * b.trace_dim
+
+
+def reference_states(fx, rng, count):
+    """count states drawn one at a time, as the per-state sampler drew them:
+    scalar draws term by term, each term added to the state on its own."""
+    channels = fx.boundary.trace_dim
+    grid = _unit_interval_collocation(fx.model.dim // channels)[0]
+    states = []
+    for _ in range(count):
+        parts = []
+        for _ in range(channels):
+            f = np.zeros_like(grid, dtype=complex)
+            for _ in range(3):
+                amp = rng.standard_normal() + 1j * rng.standard_normal()
+                freq = rng.uniform(0.0, 6.0)
+                phase = rng.uniform(0.0, 2 * np.pi)
+                f += amp * np.sin(freq * grid + phase)
+            amp = rng.standard_normal() + 1j * rng.standard_normal()
+            rate = rng.uniform(-1.5, 1.5)
+            f += amp * np.exp(rate * grid)
+            parts.append(f)
+        states.append(np.concatenate(parts))
+    return states
+
+
+def reference_green_defect(model, tup, f, g):
+    """The defect of one pair through 1-D products, as the per-pair loop took it."""
+    gram, pairing = model.gram_x.matrix, tup.pairing
+    af, ag = model.astar @ f, model.astar @ g
+    lhs = complex(g.conj() @ (gram @ af)) - complex(ag.conj() @ (gram @ f))
+    t0f, t1f, t0g, t1g = tup.gamma0 @ f, tup.gamma1 @ f, tup.gamma0 @ g, tup.gamma1 @ g
+    rhs = complex(t0g.conj() @ (pairing @ t1f)) - np.conj(complex(t0f.conj() @ (pairing @ t1g)))
+    return complex(lhs - rhs)
+
+
+class TestStackedGreenCheck:
+    @pytest.mark.parametrize("name", ["transport-32", "transport-64", "transport-64-weighted",
+                                      "transport2-48"])
+    def test_sampler_rows_are_single_draws(self, name):
+        fx = get_fixture(name)
+        ref = reference_states(fx, np.random.default_rng(3), 7)
+        rng = np.random.default_rng(3)
+        stack = fx.smooth_sampler(rng, 5)
+        assert stack.shape == (5, fx.model.dim)
+        assert np.array_equal(stack, ref[:5])
+        # the stream goes on where the stack left it
+        assert np.array_equal(fx.sample_state(rng), ref[5])
+
+    @pytest.mark.parametrize("seed", [1, 5, 20240801])
+    @pytest.mark.parametrize("name", ["transport-32", "transport-64", "transport-64-weighted",
+                                      "transport2-48"])
+    def test_green_check_matches_per_pair_loop(self, name, seed):
+        fx = get_fixture(name)
+        states = reference_states(fx, np.random.default_rng(seed), 2 * 513)
+        defects = [abs(reference_green_defect(fx.model, fx.boundary, f, g))
+                   for f, g in zip(states[0::2], states[1::2])]
+        # trial counts around the chunk edges
+        for trials in (1, 255, 256, 257, 513):
+            assert green_check(fx, trials=trials, seed=seed).max_defect == max(defects[:trials])
+
+    @pytest.mark.parametrize("name", ["transport-64-weighted", "transport2-48"])
+    def test_stacked_defect_equals_single_pairs(self, name):
+        fx = get_fixture(name)
+        rng = np.random.default_rng(12)
+        f = rng.standard_normal((6, fx.model.dim)) + 1j * rng.standard_normal((6, fx.model.dim))
+        g = fx.smooth_sampler(rng, 6)
+        for tup in (fx.boundary, to_boundary_triple(fx.boundary, fx.transform)):
+            stacked = green_defect(fx.model, tup, f, g)
+            assert stacked.shape == (6,)
+            singles = [green_defect(fx.model, tup, a, b) for a, b in zip(f, g)]
+            assert all(isinstance(d, complex) for d in singles)
+            assert stacked.tolist() == singles
+            assert singles == [reference_green_defect(fx.model, tup, a, b) for a, b in zip(f, g)]
+
+    def test_stacked_defect_validation(self):
+        fx = get_fixture("transport-32")
+        f = np.ones((3, 32))
+        with pytest.raises(InvalidInputError, match="length 32"):
+            green_defect(fx.model, fx.boundary, f, np.ones((2, 32)))
+        with pytest.raises(InvalidInputError, match="length 32"):
+            green_defect(fx.model, fx.boundary, np.ones((3, 31)), np.ones((3, 31)))
+        f[2, 5] = np.inf
+        with pytest.raises(InvalidInputError, match="finite"):
+            green_defect(fx.model, fx.boundary, f, np.ones((3, 32)))
