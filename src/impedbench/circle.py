@@ -30,10 +30,11 @@ DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # Largest section cutoff. The gate's cost grows up to about 8x per doubling of
 # the cutoff, in the corner SVD and the real Hermitian-part eigensolve;
 # cutoffs 64-1024 take 1.3 s and 128 MB peak resident for a complex sampled
-# coefficient, 0.30 s and 71 MB for power(0.3), whose sections are real and
-# centrosymmetric (one thread, 2-vCPU VM). A 2049 x 2049 complex section
-# (67 MB) is built only for Hermitian complex data, for data whose FFT
-# products lose accuracy, and once the Lanczos step budget has run out.
+# coefficient, 2.7 s and 127 MB for Hermitian complex Fourier data, 0.30 s and
+# 71 MB for power(0.3), whose sections are real and centrosymmetric (one
+# thread, 2-vCPU VM). A 2049 x 2049 complex section (67 MB) is built only for
+# data whose FFT products lose accuracy and once the Lanczos step budget has
+# run out.
 MAX_SECTION_CUTOFF = 1024
 
 # Verdict thresholds, pinned by the golden fixtures in the test suite.
@@ -555,53 +556,44 @@ def _coefficient_cutoff(coeffs, scale: SobolevScale, n_cut: int, dense: bool, la
     """The gate's numbers for the section of centred coefficients coeffs.
 
     Returns (||S||, Lanczos steps or None, corner singular values largest
-    first, dense, (min eig herm(S), its arithmetic) or None); dense is set
-    once a cutoff runs past the Lanczos budget. Reads the central slice
-    c(-2N..2N) of the coefficients and the weights w_{-N..N}: with finite
-    data and weights of finite square every entry is finite, so no entry is
-    tested. The section is built only for Hermitian complex data, whose
-    eigensolves run on it, and where the norm falls back on a dense route.
-    Every entry that reaches a decomposition is divided as multiplier_section
-    divides it, so the corner and the even and odd halves are bitwise those
-    of the section.
+    first, dense, min eig herm(S) or None); dense is set once a cutoff runs
+    past the Lanczos budget. Reads the central slice c(-2N..2N) of the
+    coefficients and the weights w_{-N..N}: with finite data and weights of
+    finite square every entry is finite, so no entry is tested. The section
+    is built only where the norm falls back on a dense route. Every entry
+    that reaches a decomposition is divided as multiplier_section divides
+    it, so the corner and the even and odd halves are bitwise those of the
+    section.
     """
     center = (coeffs.size - 1) // 2
     data = coeffs[center - 2 * n_cut : center + 2 * n_cut + 1]
     w = scale.weight(np.arange(-n_cut, n_cut + 1))
     r = n_cut - n_cut // 2
     real = np.isrealobj(data) or not data.imag.any()
-    # c(-k) = conj c(k) makes the section Hermitian: its mirrored entries
-    # are the same divisions of the same numbers
-    hermitian = np.array_equal(data.real, data.real[::-1]) and (
-        real or np.array_equal(data.imag, -data.imag[::-1])
-    )
     toeplitz, hankel = _toeplitz_windows(data, w.size)
-    if not hermitian:
+    # real c(-k) = c(k) makes the section real symmetric with J S J = S: its
+    # mirrored entries are the same divisions of the same numbers
+    if not (real and np.array_equal(data, data[::-1])):
         full, steps = _toeplitz_largest_singular_value(data.real if real else data, w, dense)
         # the corner's rows and columns are the first and the last r
         outer = np.concatenate((w[:r], w[-r:]))
         corner = _divided(_corner_block(toeplitz, n_cut), outer, outer, real)
         sig = np.linalg.svd(corner, compute_uv=False)
         # a coefficient section is persymmetric: its Hermitian part has a real form
-        defect = (_toeplitz_hermitian_part_minimum(data, w), "real") if last else None
+        defect = _toeplitz_hermitian_part_minimum(data, w) if last else None
         return full, steps, sig, steps is None, defect
-    if real:
-        # real and even data: J S J = S, with A the leading N x N block of
-        # the Toeplitz part and B J that of the Hankel part c(i + j - 2N);
-        # the corner's halves are their leading r x r blocks
-        a = _divided(toeplitz[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
-        bj = _divided(hankel[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
-        row = _divided(toeplitz[n_cut, : n_cut + 1], 1.0, w[: n_cut + 1], real)[0]
-        eigs = _even_odd_split(a, bj, (row[:n_cut], row[n_cut]))
-        corner = _even_odd_split(a[:r, :r], bj[:r, :r])
-    else:
-        section = _weighted_toeplitz(data, w)
-        eigs = np.linalg.eigvalsh(section)
-        corner = np.linalg.eigvalsh(_corner_block(section, n_cut))
-    # singular values of a Hermitian matrix are the moduli of its
-    # eigenvalues; the corner is a principal block, so Hermitian too, and
+    # A is the leading N x N block of the Toeplitz part and B J that of the
+    # Hankel part c(i + j - 2N); the corner's halves are their leading r x r
+    # blocks
+    a = _divided(toeplitz[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
+    bj = _divided(hankel[:n_cut, :n_cut], w[:n_cut], w[:n_cut], real)
+    row = _divided(toeplitz[n_cut, : n_cut + 1], 1.0, w[: n_cut + 1], real)[0]
+    eigs = _even_odd_split(a, bj, (row[:n_cut], row[n_cut]))
+    corner = _even_odd_split(a[:r, :r], bj[:r, :r])
+    # singular values of a symmetric matrix are the moduli of its
+    # eigenvalues; the corner is a principal block, so symmetric too, and
     # herm(S) = S
-    defect = (float(eigs.min()), "real" if real else "complex") if last else None
+    defect = float(eigs.min()) if last else None
     return max(-eigs.min(), eigs.max()), None, np.sort(np.abs(corner))[::-1], dense, defect
 
 
@@ -612,7 +604,7 @@ def _symbol_cutoff(symbol: DiagonalSymbol, scale: SobolevScale, n_cut: int, last
         d = symbol.section_entries(scale, n_cut)
         moduli = np.abs(d)
     corner = np.abs(np.arange(-n_cut, n_cut + 1)) > n_cut // 2
-    defect = (float(d.real.min()), "real") if last else None
+    defect = float(d.real.min()) if last else None
     return moduli.max(), None, np.sort(moduli[corner])[::-1], False, defect
 
 
@@ -671,7 +663,7 @@ def compactness_gate(
             cut = _symbol_cutoff(target, scale, n_cut, last)
         else:
             cut = _coefficient_cutoff(coeffs, scale, n_cut, dense, last)
-        full, steps, sig, dense, defect = cut
+        full, steps, sig, dense, re_defect = cut
         # the indicator is scale-invariant, but an overflowed norm reads as 0
         if not (np.isfinite(full) and np.isfinite(sig).all()):
             raise InvalidInputError(f"section norm at cutoff {n_cut} overflows")
@@ -696,7 +688,6 @@ def compactness_gate(
     else:
         verdict = "inconclusive"
 
-    re_defect, arithmetic = defect
     if not np.isfinite(re_defect):
         raise InvalidInputError("smallest eigenvalue of the Hermitian part overflows")
 
@@ -715,7 +706,7 @@ def compactness_gate(
             "monotone_slack": MONOTONE_SLACK,
             "rate_compact": RATE_COMPACT,
         },
-        metadata={"norm_steps": norm_steps, "re_defect_arithmetic": arithmetic},
+        metadata={"norm_steps": norm_steps},
     )
 
 

@@ -13,6 +13,7 @@ routines apply to them directly.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -167,14 +168,20 @@ class ExtensionModel:
     def dim(self) -> int:
         return self.op.shape[0]
 
+    @cached_property
+    def _imaginary_part_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues, ascending, of the Hermitian h = (op - op^H) / 2i."""
+        return np.linalg.eigvalsh((self.op - self.op.conj().T) / 2j)
+
     def hermitian_defect(self) -> float:
+        """||op - op^H|| / max(||op||, 1), with ||op - op^H|| = 2 max |eig h|."""
+        eigs = self._imaginary_part_eigenvalues
         scale = max(np.linalg.norm(self.op, 2), 1.0)
-        return float(np.linalg.norm(self.op - self.op.conj().T, 2) / scale)
+        return float(2.0 * max(-eigs[0], eigs[-1]) / scale)
 
     def max_im_numrange(self) -> float:
-        """Largest imaginary part over the numerical range of op."""
-        h = (self.op - self.op.conj().T) / 2j
-        return float(np.linalg.eigvalsh(h)[-1])
+        """Largest imaginary part over the numerical range of op: max eig h."""
+        return float(self._imaginary_part_eigenvalues[-1])
 
     def eigenvalues(self) -> np.ndarray:
         vals = np.linalg.eigvals(self.op)

@@ -79,28 +79,22 @@ def _smooth_interval_sampler(grid: np.ndarray, channels: int = 1):
     """Random analytic functions on the grid: (rng, count) -> count rows.
 
     Per state and channel, three terms amp sin(freq x + phase) and one term
-    amp exp(rate x), their scalars drawn term by term. The terms of all rows
-    are then evaluated at once, elementwise, so each row is bit for bit the
-    state drawn alone.
+    amp exp(rate x), from 16 uniforms u drawn in one call per chunk: per
+    term, the amplitude sqrt(-2 log(1 - u0)) e^{2 pi i u1} (Box-Muller, real
+    and imaginary parts standard normal), freq 6 u2 or rate 3 u2 - 1.5, and
+    phase 2 pi u3. Row r of the draw is state r's uniforms, and the terms of
+    all rows are evaluated at once, elementwise, so each row is bit for bit
+    the state drawn alone.
     """
 
     def sample(rng, count: int) -> np.ndarray:
-        normal, uniform, two_pi = rng.standard_normal, rng.uniform, 2 * np.pi
-
-        # a generator, so that the chunk's draws never all live as floats
-        def draws():
-            for _ in range(count * channels):
-                for _ in range(3):
-                    yield from (normal(), normal(), uniform(0.0, 6.0), uniform(0.0, two_pi))
-                yield from (normal(), normal(), uniform(-1.5, 1.5), 0.0)
-
-        # (row, term, [amp.re, amp.im, freq or rate, phase], 1)
-        t = np.fromiter(draws(), float, 16 * count * channels).reshape(-1, 4, 4, 1)
-        amp = t[:, :, 0] + 1j * t[:, :, 1]
-        f = np.zeros((t.shape[0], grid.size), dtype=complex)
+        # (row, term, [u0, u1, u2, u3], 1)
+        u = rng.random((count * channels, 4, 4, 1))
+        amp = np.sqrt(-2.0 * np.log1p(-u[:, :, 0])) * np.exp(2j * np.pi * u[:, :, 1])
+        f = np.zeros((u.shape[0], grid.size), dtype=complex)
         for j in range(3):
-            f += amp[:, j] * np.sin(t[:, j, 2] * grid + t[:, j, 3])
-        f += amp[:, 3] * np.exp(t[:, 3, 2] * grid)
+            f += amp[:, j] * np.sin(6.0 * u[:, j, 2] * grid + 2 * np.pi * u[:, j, 3])
+        f += amp[:, 3] * np.exp((3.0 * u[:, 3, 2] - 1.5) * grid)
         return f.reshape(count, channels * grid.size)
 
     return sample

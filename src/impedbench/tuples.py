@@ -163,9 +163,6 @@ class TupleFixture:
     def label(self) -> str:
         return self.model.label
 
-    def sample_state(self, rng) -> np.ndarray:
-        return self.smooth_sampler(rng, 1)[0]
-
 
 def _apply(m, x):
     """m x_i for each row x_i of a stack, as rows: one gemv per row, the

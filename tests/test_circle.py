@@ -64,48 +64,48 @@ def even_odd_eigenvalues(block: np.ndarray) -> np.ndarray:
     return circle._even_odd_split(block[:m, :m], block[:m, ::-1][:, :m], middle)
 
 
-# (a zero-argument factory of the target, whether its sections are exactly
-# Hermitian, the arithmetic of the re_defect eigensolve; None where either
-# rests on the rounding of the FFT)
+# (a zero-argument factory of the target, whether its sections are real and
+# symmetric: real even data, whose sections the gate splits into even and odd
+# halves with no Lanczos steps)
 GATE_TARGETS = {
-    "const-real": (lambda: ImpedanceCoefficient.constant(-1.5), True, "real"),
+    "const-real": (lambda: ImpedanceCoefficient.constant(-1.5), True),
     # squares of the section's entries overflow and underflow; for the
     # subnormal constant 2^-e, the reciprocal of its largest entry's scale,
     # overflows too
-    "const-huge-imag": (lambda: ImpedanceCoefficient.constant(1e200j), False, "real"),
-    "const-tiny-imag": (lambda: ImpedanceCoefficient.constant(1e-170j), False, "real"),
-    "const-subnormal-imag": (lambda: ImpedanceCoefficient.constant(4e-322j), False, "real"),
-    "power-0.3": (lambda: ImpedanceCoefficient.power(0.3), True, "real"),
-    "power-0.4-complex": (lambda: ImpedanceCoefficient.power(0.4, 1 + 1j), False, "real"),
-    # c_{-k} = conj(c_k) exactly: a real-valued coefficient with complex modes
+    "const-huge-imag": (lambda: ImpedanceCoefficient.constant(1e200j), False),
+    "const-tiny-imag": (lambda: ImpedanceCoefficient.constant(1e-170j), False),
+    "const-subnormal-imag": (lambda: ImpedanceCoefficient.constant(4e-322j), False),
+    "power-0.3": (lambda: ImpedanceCoefficient.power(0.3), True),
+    "power-0.4-complex": (lambda: ImpedanceCoefficient.power(0.4, 1 + 1j), False),
+    # c_{-k} = conj(c_k) exactly: a real-valued coefficient with complex
+    # modes, whose Hermitian sections take the circulant route of all complex
+    # data
     "fourier-hermitian": (
         lambda: ImpedanceCoefficient.fourier(
             [0.05j, 0.1 - 0.2j, 0.3 + 0.1j, 2.0, 0.3 - 0.1j, 0.1 + 0.2j, -0.05j], "hermitian"
         ),
-        True,
-        "complex",
+        False,
     ),
+    # the sine's modes c(+-3) = -+0.1i make the data complex
     "sampled-real": (
         lambda: ImpedanceCoefficient.sampled(
             lambda t: 1.0 + 0.3 * np.cos(t) + 0.2 * np.sin(3 * t), "real"
         ),
-        None,
-        None,
+        False,
     ),
-    "sampled-bench-complex": (bench_coefficient, False, "real"),
-    "first-order": (lambda: DiagonalSymbol(1.0, 1j), False, "real"),
+    "sampled-bench-complex": (bench_coefficient, False),
+    "first-order": (lambda: DiagonalSymbol(1.0, 1j), False),
     # the order-one symbol's entries at s = 0.3, run at s = 0.5: its top
     # singular values (1 + n^2)^{0.2} at n = N, N - 1, ... cluster
-    "first-order-0.3": (lambda: DiagonalSymbol(1.4, 1j), False, "real"),
+    "first-order-0.3": (lambda: DiagonalSymbol(1.4, 1j), False),
     # a decaying symbol with a positive real part
-    "half-order": (lambda: DiagonalSymbol(0.5, 1 - 1j), False, "real"),
+    "half-order": (lambda: DiagonalSymbol(0.5, 1 - 1j), False),
     # c_k = e^{0.3i} e^{0.7ik}: every section is rank one and not Hermitian
     "rank-one": (
         lambda: ImpedanceCoefficient.fourier(
             np.exp(0.3j + 0.7j * np.arange(-256, 257)), "rank-one"
         ),
         False,
-        "real",
     ),
 }
 
@@ -458,7 +458,7 @@ class TestCompactnessGate:
         assert all(np.array_equal(g.corner_sigmas[n], np.ones(16)) for n in g.schedule)
         assert g.re_defect == 0.0
         assert g.label == "order-one"
-        assert g.metadata == {"norm_steps": [None] * 4, "re_defect_arithmetic": "real"}
+        assert g.metadata == {"norm_steps": [None] * 4}
 
     def test_symbol_that_overflows_is_refused(self):
         with pytest.raises(InvalidInputError, match="overflows"):
@@ -503,19 +503,17 @@ class TestCompactnessGate:
 
     @pytest.mark.parametrize("name", sorted(GATE_TARGETS))
     def test_matches_svd_and_full_eigensolve(self, name):
-        # eigenvalue moduli stand in for singular values on Hermitian
+        # eigenvalue moduli stand in for singular values on real symmetric
         # sections, Lanczos for the norm of the others, a real eigensolve for
         # a centro-Hermitian herm(S); every route must agree with a plain SVD
         # and a full complex eigensolve
-        factory, hermitian, arithmetic = GATE_TARGETS[name]
+        factory, even = GATE_TARGETS[name]
         target = factory()
         schedule = (16, 32, 64)
         g = compactness_gate(target, s=0.5, schedule=schedule, label=name)
         sections = reference_sections(target, SobolevScale(0.5), schedule)
-        if hermitian is not None:
-            assert np.array_equal(sections[-1], sections[-1].conj().T) == hermitian
-        if arithmetic is not None:
-            assert g.metadata["re_defect_arithmetic"] == arithmetic
+        last = sections[-1]
+        assert (np.isrealobj(last) and np.array_equal(last, last.T)) == even
         eps = np.finfo(float).eps
         for n_cut, section, t, norm, steps in zip(
             schedule, sections, g.indicators, g.section_norms, g.metadata["norm_steps"]
@@ -532,13 +530,15 @@ class TestCompactnessGate:
             assert np.all(got[nonzero] >= floor)
             np.testing.assert_allclose(got[nonzero], corner[:16][nonzero], rtol=1e-12)
             assert np.all(corner[:16][~nonzero] <= floor * (1 + 1e-12))
-            if hermitian:
+            # a diagonal symbol is read in closed form
+            if even or isinstance(target, DiagonalSymbol):
                 assert steps is None
+            else:
+                assert isinstance(steps, int)
             if name == "rank-one":
                 # the Krylov space of S^H S from the start vector v is
                 # span{v, S^H u}; Lanczos stops when it is exhausted
                 assert steps <= 2
-        last = sections[-1]
         re_defect = scipy.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
         assert abs(g.re_defect - re_defect) <= 1e-12 * max(abs(re_defect), 1.0)
 
@@ -633,14 +633,14 @@ class TestCompactnessGate:
         eps = np.finfo(float).eps
         for n_cut, section, norm, t in zip(schedule, sections, g.section_norms, g.indicators):
             corner = circle._corner_block(section, n_cut)
-            if not np.array_equal(section, section.conj().T):
+            if np.isrealobj(section) and np.array_equal(section, section.T):
+                # eigenvalue moduli, from even and odd halves: J S J = S
+                full = np.abs(even_odd_eigenvalues(section)).max()
+                sig = np.sort(np.abs(even_odd_eigenvalues(corner)))[::-1]
+            else:
+                # complex sections, Hermitian ones included
                 full = np.linalg.svd(section, compute_uv=False)[0]
                 sig = np.linalg.svd(corner, compute_uv=False)
-            else:
-                # eigenvalue moduli, from even and odd halves where J S J = S
-                centro = np.isrealobj(section) and np.array_equal(section, section[::-1, ::-1])
-                solve = even_odd_eigenvalues if centro else np.linalg.eigvalsh
-                full, sig = np.abs(solve(section)).max(), np.sort(np.abs(solve(corner)))[::-1]
             # the gate writes the top 16, those below the rounding floor as 0
             top = sig[:16].astype(float)
             top[top < sig.size * eps * top[0]] = 0.0
@@ -651,8 +651,8 @@ class TestCompactnessGate:
         re_defect = np.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
         # a defect near 0 (the rank-one target) is rounding noise of ||S||
         assert g.re_defect == pytest.approx(re_defect, rel=1e-13, abs=1e-14 * g.section_norms[-1])
-        hermitian_complex = np.iscomplexobj(last) and np.array_equal(last, last.conj().T)
-        assert g.metadata["re_defect_arithmetic"] == ("complex" if hermitian_complex else "real")
+        if name == "fourier-hermitian":
+            assert all(isinstance(steps, int) for steps in g.metadata["norm_steps"])
 
     def test_bench_coefficient_lanczos_steps(self):
         # the benchmark's sampled coefficient: 14 Golub-Kahan steps at every
@@ -732,9 +732,11 @@ class TestCompactnessGate:
 
         monkeypatch.setattr(circle, "_even_odd_split", counted)
         schedule = (8, 16, 32)
-        # real data that are not even: no Hermitian section to split
+        # real data that are not even, and Hermitian complex data: no real
+        # symmetric section to split
         real_not_even = ImpedanceCoefficient.fourier([0.1, 1.0, 0.3], "real")
         compactness_gate(real_not_even, s=0.5, schedule=schedule)
+        compactness_gate(GATE_TARGETS["fourier-hermitian"][0](), s=0.5, schedule=schedule)
         assert split == []
         # a real even coefficient splits each section and its corner
         compactness_gate(ImpedanceCoefficient.power(0.3), s=0.5, schedule=schedule)

@@ -520,7 +520,7 @@ class TestOutputs:
         assert sidecar["verdict"] == "compact"
         assert len(sidecar["indicators"]) == 3
         # real diagonal sections: symmetric eigensolves throughout
-        assert sidecar["metadata"] == {"norm_steps": [None] * 3, "re_defect_arithmetic": "real"}
+        assert sidecar["metadata"] == {"norm_steps": [None] * 3}
         capsys.readouterr()
 
     def test_gate_norm_survives_extreme_coefficient_scale(self, tmp_path, capsys):
@@ -576,7 +576,6 @@ class TestOutputs:
             # the complex sampled coefficient takes the Lanczos norm
             metadata = json.loads((tmp_path / "gate-file.json").read_text())["metadata"]
             assert all(isinstance(steps, int) for steps in metadata["norm_steps"])
-            assert metadata["re_defect_arithmetic"] == "real"
 
     def test_lq_json(self, tmp_path, capsys):
         out = tmp_path / "lq.json"

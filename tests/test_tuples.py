@@ -55,7 +55,7 @@ class TestGreenIdentity:
         fx = get_fixture("transport-64")
         rng = np.random.default_rng(7)
         for _ in range(20):
-            f, g = fx.sample_state(rng), fx.sample_state(rng)
+            f, g = fx.smooth_sampler(rng, 1)[0], fx.smooth_sampler(rng, 1)[0]
             assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_transport_rough_vectors(self):
@@ -89,14 +89,14 @@ class TestGreenIdentity:
         fx = get_fixture("transport-64-weighted")
         rng = np.random.default_rng(9)
         for _ in range(10):
-            f, g = fx.sample_state(rng), fx.sample_state(rng)
+            f, g = fx.smooth_sampler(rng, 1)[0], fx.smooth_sampler(rng, 1)[0]
             assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_two_channel_fixture(self):
         fx = get_fixture("transport2-48")
         rng = np.random.default_rng(10)
         for _ in range(10):
-            f, g = fx.sample_state(rng), fx.sample_state(rng)
+            f, g = fx.smooth_sampler(rng, 1)[0], fx.smooth_sampler(rng, 1)[0]
             assert abs(green_defect(fx.model, fx.boundary, f, g)) < GREEN_TOL
 
     def test_green_check_runner(self):
@@ -119,7 +119,7 @@ class TestBoundaryTriple:
         triple = to_boundary_triple(fx.boundary, fx.transform)
         rng = np.random.default_rng(11)
         for _ in range(8):
-            f, g = fx.sample_state(rng), fx.sample_state(rng)
+            f, g = fx.smooth_sampler(rng, 1)[0], fx.smooth_sampler(rng, 1)[0]
             assert abs(green_defect(fx.model, triple, f, g)) < GREEN_TOL
 
     def test_triple_metrics_are_pivot(self):
@@ -212,8 +212,8 @@ class TestTupleValidation:
 
 
 def reference_states(fx, rng, count):
-    """count states drawn one at a time, as the per-state sampler drew them:
-    scalar draws term by term, each term added to the state on its own."""
+    """count states drawn one at a time: per state, channel and term four
+    scalar uniforms, each term added to the state on its own."""
     channels = fx.boundary.trace_dim
     grid = _unit_interval_collocation(fx.model.dim // channels)[0]
     states = []
@@ -221,14 +221,13 @@ def reference_states(fx, rng, count):
         parts = []
         for _ in range(channels):
             f = np.zeros_like(grid, dtype=complex)
-            for _ in range(3):
-                amp = rng.standard_normal() + 1j * rng.standard_normal()
-                freq = rng.uniform(0.0, 6.0)
-                phase = rng.uniform(0.0, 2 * np.pi)
-                f += amp * np.sin(freq * grid + phase)
-            amp = rng.standard_normal() + 1j * rng.standard_normal()
-            rate = rng.uniform(-1.5, 1.5)
-            f += amp * np.exp(rate * grid)
+            for term in range(4):
+                u0, u1, u2, u3 = (rng.random() for _ in range(4))
+                amp = np.sqrt(-2.0 * np.log1p(-u0)) * np.exp(2j * np.pi * u1)
+                if term < 3:
+                    f += amp * np.sin(6.0 * u2 * grid + 2 * np.pi * u3)
+                else:
+                    f += amp * np.exp((3.0 * u2 - 1.5) * grid)
             parts.append(f)
         states.append(np.concatenate(parts))
     return states
@@ -255,7 +254,7 @@ class TestStackedGreenCheck:
         assert stack.shape == (5, fx.model.dim)
         assert np.array_equal(stack, ref[:5])
         # the stream goes on where the stack left it
-        assert np.array_equal(fx.sample_state(rng), ref[5])
+        assert np.array_equal(fx.smooth_sampler(rng, 1)[0], ref[5])
 
     @pytest.mark.parametrize("seed", [1, 5, 20240801])
     @pytest.mark.parametrize("name", ["transport-32", "transport-64", "transport-64-weighted",
