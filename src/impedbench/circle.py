@@ -315,37 +315,27 @@ def _corner_block(section: np.ndarray, n_cut: int) -> np.ndarray:
     return section[np.ix_(mask, mask)]
 
 
-def _reorthogonalize(vector: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Remove the span of the orthonormal rows of basis, in two passes.
-
-    The coefficients conj(basis) vector are taken as conj(basis conj(vector)):
-    conjugation only flips signs, so these are the same numbers, and only the
-    vector is conjugated, not the basis.
-    """
-    for _ in range(2):
-        vector = vector - basis.T @ (basis @ vector.conj()).conj()
-    return vector
-
-
 def _golub_kahan_norm(apply, adjoint, dim: int, dtype):
     """Spectral norm of a square operator given by its products, and the steps.
 
     Golub-Kahan-Lanczos bidiagonalization S V_k = U_k B_k, with B_k upper
-    bidiagonal (alpha on the diagonal, beta above it) and both bases fully
-    reorthogonalized. The top eigenpair (theta, y) of the tridiagonal
-    B_k^H B_k is a Ritz pair of S^H S with residual norm beta_k |alpha_k y_k|;
-    theta is accepted once that is at most 4 eps theta. Past a budget of
+    bidiagonal (alpha on the diagonal, beta above it). Only the right basis
+    V_k is kept, reorthogonalized in full by two Gram-Schmidt passes; the
+    left recurrence needs only u_{k-1}. One-sided reorthogonalization keeps
+    the singular values of B_k accurate (Simon and Zha, SIAM J. Sci. Comput.
+    21, 2000). The top eigenpair (theta, y) of the tridiagonal B_k^H B_k is a
+    Ritz pair of S^H S with residual norm beta_k |alpha_k y_k|; theta is
+    accepted once that is at most 4 eps theta. Past a budget of
     max(32, dim // 8) steps it gives up and returns (None, None). The caller
     scales S by a power of two so that the squares of alpha and beta neither
     overflow nor underflow.
     """
     budget = max(32, dim // 8)
     eps = np.finfo(float).eps
-    # the bases grow by one row of length dim per step; no dim x dim array.
-    # A real operator keeps them real: its recurrence from a real start
-    # vector never leaves the reals
+    # the basis grows by one row of length dim per step; no dim x dim array.
+    # A real operator keeps it real: its recurrence from a real start vector
+    # never leaves the reals
     right = np.empty((budget + 1, dim), dtype=dtype)
-    left = np.empty((budget, dim), dtype=dtype)
     alphas, betas = np.zeros(budget), np.zeros(budget)
     # B_k^H B_k grows by one row per step; eigh reads only the lower triangle
     tri = np.zeros((budget, budget))
@@ -354,14 +344,17 @@ def _golub_kahan_norm(apply, adjoint, dim: int, dtype):
     for k in range(budget):
         u = apply(right[k])
         if k:
-            u -= betas[k - 1] * left[k - 1]
-            u = _reorthogonalize(u, left[:k])
+            u -= betas[k - 1] * left
         alpha = alphas[k] = np.linalg.norm(u)
         beta = 0.0
         if alpha > 0:
-            left[k] = u / alpha
-            v = adjoint(left[k]) - alpha * right[k]
-            v = _reorthogonalize(v, right[: k + 1])
+            left = u / alpha
+            v = adjoint(left) - alpha * right[k]
+            # the coefficients conj(V) v are taken as conj(V conj(v)), the
+            # same numbers, so no pass conjugates the basis
+            basis = right[: k + 1]
+            for _ in range(2):
+                v = v - basis.T @ (basis @ v.conj()).conj()
             beta = np.linalg.norm(v)
         tri[k, k] = alphas[k] * alphas[k]
         if k:
@@ -394,28 +387,6 @@ def _over_power_of_two(array: np.ndarray, e: int) -> np.ndarray:
         array = array * 2.0 ** -(e // 2)
         array *= 2.0 ** (e // 2 - e)
     return array
-
-
-def _largest_singular_value(section: np.ndarray):
-    """Spectral norm of a square section and the Lanczos steps it took.
-
-    Golub-Kahan-Lanczos (_golub_kahan_norm) on the section divided by the
-    power of two at or below its largest real or imaginary part, so the
-    step count does not depend on its scale. Past the step budget the dense
-    SVD answers instead, and the step count is None.
-    """
-    e = _largest_part_exponent(section)
-    section = _over_power_of_two(section, e)
-    norm, steps = _golub_kahan_norm(
-        lambda x: section @ x,
-        # S^H u without forming S^H
-        lambda u: (u.conj() @ section).conj(),
-        section.shape[0],
-        section.dtype,
-    )
-    if steps is None:
-        norm = float(np.linalg.svd(section, compute_uv=False)[0])
-    return 2.0**e * norm, steps
 
 
 def _fft_length(n: int) -> int:
@@ -464,14 +435,15 @@ def _circulant_products(data: np.ndarray, w: np.ndarray):
 def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray, dense: bool = False):
     """Spectral norm of the section of centred data c(-2N..2N), and the steps.
 
-    Golub-Kahan-Lanczos with the circulant products, run on the data over
-    the power of two at or below the largest part of a section entry, as
-    for a dense section. Past the step budget the section is built and its
+    Golub-Kahan-Lanczos (_golub_kahan_norm) with the circulant products, run
+    on the data over the power of two at or below the largest part of a
+    section entry, so the step count does not depend on the data's scale. A
+    product is exact to about eps max|fft(col)| ||x||, so where that maximum
+    exceeds FFT_SPREAD ||S|| (data whose mass sits behind large weights), or
+    is infinite, the section is built once from the scaled data and the same
+    run takes exact products with it. Past the step budget the section's
     dense SVD answers, with step count None; with dense set (an earlier
-    cutoff ran past it) the SVD answers at once. A product is exact to about
-    eps max|fft(col)| ||x||, so where that maximum exceeds FFT_SPREAD ||S||
-    (data whose mass sits behind large weights) the section is built and
-    the dense Lanczos run answers instead.
+    cutoff ran past it) the SVD answers at once.
     """
     if dense:
         return float(np.linalg.svd(_weighted_toeplitz(data, w), compute_uv=False)[0]), None
@@ -487,14 +459,25 @@ def _toeplitz_largest_singular_value(data: np.ndarray, w: np.ndarray, dense: boo
     apply, adjoint, spread = _circulant_products(scaled, w)
     # an infinite spread, possible only near the overflow of the weights,
     # would make the products infinite
-    if np.isfinite(spread):
+    exact = not np.isfinite(spread)
+    if not exact:
         norm, steps = _golub_kahan_norm(apply, adjoint, w.size, scaled.dtype)
-        if steps is None:
-            section = _weighted_toeplitz(scaled, w)
-            return 2.0**e * float(np.linalg.svd(section, compute_uv=False)[0]), None
-        if spread <= FFT_SPREAD * norm:
+        if steps is not None and spread <= FFT_SPREAD * norm:
             return 2.0**e * norm, steps
-    return _largest_singular_value(_weighted_toeplitz(data, w))
+        # past the budget the SVD answers; short of it the products lost accuracy
+        exact = steps is not None
+    section = _weighted_toeplitz(scaled, w)
+    if exact:
+        norm, steps = _golub_kahan_norm(
+            lambda x: section @ x,
+            # S^H u without forming S^H
+            lambda u: (u.conj() @ section).conj(),
+            w.size,
+            section.dtype,
+        )
+    if steps is None:
+        norm = float(np.linalg.svd(section, compute_uv=False)[0])
+    return 2.0**e * norm, steps
 
 
 def _toeplitz_hermitian_part_minimum(data: np.ndarray, w: np.ndarray) -> float:

@@ -49,10 +49,15 @@ def lgl_points_weights(n_points: int):
     dcoeffs = npleg.legder(coeffs)
     interior = np.real(npleg.legroots(dcoeffs))
     x = np.concatenate(([-1.0], np.sort(interior), [1.0]))
-    # two Newton sweeps on P_n' sharpen the companion-matrix roots to ~1e-16
-    d2 = npleg.legder(coeffs, 2)
+    # two Newton sweeps on P_n' sharpen the companion-matrix roots to ~1e-16.
+    # legval runs Clenshaw on each column of a 2-D coefficient array, so P_n'
+    # and P_n'' share one pass; the zero padding P_n'' adds an exact first step
+    second = npleg.legder(coeffs, 2)
+    both = np.zeros((dcoeffs.size, 2))
+    both[:, 0], both[: second.size, 1] = dcoeffs, second
     for _ in range(2):
-        x[1:-1] -= npleg.legval(x[1:-1], dcoeffs) / npleg.legval(x[1:-1], d2)
+        d1, d2 = npleg.legval(x[1:-1], both)
+        x[1:-1] -= d1 / d2
     w = 2.0 / (n * (n + 1) * npleg.legval(x, coeffs) ** 2)
     return x, w
 

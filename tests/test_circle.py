@@ -110,6 +110,16 @@ GATE_TARGETS = {
 }
 
 
+def high_modes_data() -> np.ndarray:
+    """Fourier data c(-200..200): random complex modes at |k| >= 100 next to a
+    mean of 1e-3. Behind the weights of s = 5 the FFT products lose accuracy."""
+    idx = np.arange(-200, 201)
+    rng = np.random.default_rng(0)
+    data = np.where(np.abs(idx) >= 100, rng.standard_normal(idx.size) + 1j, 0.0)
+    data[200] = 1e-3
+    return data
+
+
 # the targets that are coefficients, whose sections the gate never builds
 # unless it must
 COEFFICIENT_TARGETS = (
@@ -542,20 +552,32 @@ class TestCompactnessGate:
         re_defect = scipy.linalg.eigvalsh((last + last.conj().T) / 2.0)[0]
         assert abs(g.re_defect - re_defect) <= 1e-12 * max(abs(re_defect), 1.0)
 
-    def test_lanczos_steps_do_not_depend_on_scale(self):
-        # the recurrence runs on the section over a power of two, so scaling
-        # it by another (exact in floating point) changes nothing but the
-        # result's scale, even where the squares of its entries would leave
-        # the range of doubles
-        section = reference_sections(bench_coefficient(), SobolevScale(0.5), (64,))[0]
-        base, steps = circle._largest_singular_value(section)
+    def test_lanczos_steps_do_not_depend_on_scale(self, monkeypatch):
+        # where the FFT products lose accuracy the run takes exact products
+        # with a section built from the data over a power of two, so scaling
+        # the data by another (exact in floating point) changes nothing but
+        # the result's scale, even where the squares of the section's entries
+        # would leave the range of doubles
+        n_cut, scale = 64, SobolevScale(5.0)
+        data = high_modes_data()[200 - 2 * n_cut : 200 + 2 * n_cut + 1]
+        w = scale.weight(np.arange(-n_cut, n_cut + 1))
+        section = multiplier_section(None, scale, n_cut, coeffs=data)
+        built, build = [], circle._weighted_toeplitz
+
+        def counted(data, w):
+            built.append(w.size)
+            return build(data, w)
+
+        monkeypatch.setattr(circle, "_weighted_toeplitz", counted)
+        base, steps = circle._toeplitz_largest_singular_value(data, w)
         assert steps is not None
+        assert base == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-14, abs=0)
         for power in (-600, -40, 40, 600):
-            scaled = section * 2.0**power
-            norm, scaled_steps = circle._largest_singular_value(scaled)
+            norm, scaled_steps = circle._toeplitz_largest_singular_value(data * 2.0**power, w)
             assert scaled_steps == steps
             assert norm == pytest.approx(base * 2.0**power, rel=1e-15, abs=0)
-            assert norm == pytest.approx(scipy.linalg.svdvals(scaled)[0], rel=1e-12, abs=0)
+        # one section per call: every run took the exact products
+        assert built == [w.size] * 5
 
     def test_lanczos_steps_do_not_depend_on_scale_of_the_data(self):
         # the same for the circulant products of a coefficient's data: the
@@ -600,22 +622,28 @@ class TestCompactnessGate:
         # modes at |k| >= 100 behind weights (1 + k^2)^{5/2}, next to a small
         # mean: the circulant's largest eigenvalue is about 6e4 ||S|| at
         # cutoff 128, and the FFT products would lose that many ulps of the
-        # norm; both cutoffs take the dense Lanczos run
-        idx = np.arange(-200, 201)
-        rng = np.random.default_rng(0)
-        data = np.where(np.abs(idx) >= 100, rng.standard_normal(idx.size) + 1j, 0.0)
-        data[200] = 1e-3
-        coef = ImpedanceCoefficient.fourier(data, "high-modes")
-        dense_dims, dense = [], circle._largest_singular_value
+        # norm; at both cutoffs _toeplitz_largest_singular_value builds the
+        # section once and reruns Golub-Kahan on exact products with it
+        coef = ImpedanceCoefficient.fourier(high_modes_data(), "high-modes")
+        built, lanczos_dims = [], []
+        build, lanczos = circle._weighted_toeplitz, circle._golub_kahan_norm
 
-        def counted(section):
-            dense_dims.append(section.shape[0])
-            return dense(section)
+        def counted_build(data, w):
+            built.append(w.size)
+            return build(data, w)
 
-        monkeypatch.setattr(circle, "_largest_singular_value", counted)
+        def counted_lanczos(apply, adjoint, dim, dtype):
+            lanczos_dims.append(dim)
+            return lanczos(apply, adjoint, dim, dtype)
+
+        monkeypatch.setattr(circle, "_weighted_toeplitz", counted_build)
+        monkeypatch.setattr(circle, "_golub_kahan_norm", counted_lanczos)
         schedule = (64, 128)
         g = compactness_gate(coef, s=5.0, schedule=schedule)
-        assert dense_dims == [129, 257]
+        assert built == [129, 257]
+        # the FFT run, then the exact one, at each cutoff
+        assert lanczos_dims == [129, 129, 257, 257]
+        assert g.metadata["norm_steps"] == [4, 4]
         for norm, section in zip(g.section_norms, reference_sections(coef, SobolevScale(5.0), schedule)):
             assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-14, abs=0)
 
@@ -783,8 +811,9 @@ class TestCompactnessGate:
 
 
 def reference_golub_kahan_norm(apply, adjoint, dim, dtype):
-    """circle._golub_kahan_norm as it ran before its bookkeeping was trimmed:
-    a fresh tridiagonal and a freshly conjugated basis at every step, and a
+    """circle._golub_kahan_norm as it ran before its bookkeeping was trimmed
+    and its left basis dropped: both bases stored and reorthogonalized, a
+    fresh tridiagonal and a freshly conjugated basis at every step, and a
     reorthogonalization against the empty basis at step 0."""
     budget = max(32, dim // 8)
     eps = np.finfo(float).eps
@@ -821,9 +850,9 @@ def reference_golub_kahan_norm(apply, adjoint, dim, dtype):
     return None, None
 
 
-# gate inputs whose outputs the trimmed Golub-Kahan loop must leave byte for
-# byte as the reference loop writes them: zeta (files are written to the
-# test's directory) and schedule
+# gate inputs whose CSV and stdout the one-sided Golub-Kahan loop must leave
+# byte for byte as the reference loop writes them: zeta (files are written to
+# the test's directory) and schedule
 GATE_ZETAS = {
     "power-0.3": "power:a=0.3",
     "power-0.5": "power:a=0.5",
@@ -839,13 +868,15 @@ GATE_SCHEDULES = ("16,32,64,128", "16,32,64,128,256", "64,128,256,512")
 
 class TestGolubKahanBookkeeping:
     # (norm, steps) of the benchmark's seed-1 coefficient per cutoff, as the
-    # untrimmed loop returned them
+    # one-sided loop returns them; the two-sided reference took the same
+    # steps to norms 1 and 2 ulps off at cutoffs 16 and 256, the same bits
+    # at the others
     PINNED = {
-        16: (1.031060186634357, 14),
+        16: (1.0310601866343567, 14),
         32: (1.0310601866343574, 14),
         64: (1.0310598379050686, 14),
         128: (1.0310598322460496, 14),
-        256: (1.0310598307173804, 14),
+        256: (1.03105983071738, 14),
     }
 
     @pytest.mark.parametrize("n_cut", sorted(PINNED))
@@ -856,22 +887,32 @@ class TestGolubKahanBookkeeping:
         pinned_norm, pinned_steps = self.PINNED[n_cut]
         assert steps == pinned_steps
         # the products run through BLAS, whose kernels differ between CPUs,
-        # so the literals are held to rounding; against the reference loop
-        # on the same host the norm is the same bits
-        assert norm == pytest.approx(pinned_norm, rel=4 * np.finfo(float).eps, abs=0)
+        # so the literals are held to rounding
+        eps = np.finfo(float).eps
+        assert norm == pytest.approx(pinned_norm, rel=4 * eps, abs=0)
+        section = multiplier_section(None, SobolevScale(0.5), n_cut, coeffs=data)
+        assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-14, abs=0)
+        # reorthogonalizing the right basis alone keeps the two-sided
+        # reference's steps and its norm to rounding
         monkeypatch.setattr(circle, "_golub_kahan_norm", reference_golub_kahan_norm)
-        assert circle._toeplitz_largest_singular_value(data, w) == (norm, steps)
+        ref_norm, ref_steps = circle._toeplitz_largest_singular_value(data, w)
+        assert steps == ref_steps
+        assert norm == pytest.approx(ref_norm, rel=4 * eps, abs=0)
 
     def test_real_operator_matches_reference(self):
-        # real data keep the bases real, so .conj() is the identity there
+        # real data keep the basis real, so .conj() is the identity there
         n_cut = 64
         data = ImpedanceCoefficient.power(0.4, 1.0).fourier_coeffs(2 * n_cut).real
         data = data * np.linspace(1.0, 2.0, data.size)  # not even, so not Hermitian
         w = SobolevScale(0.5).weight(np.arange(-n_cut, n_cut + 1))
         apply, adjoint, _ = circle._circulant_products(data, w)
-        got = circle._golub_kahan_norm(apply, adjoint, w.size, data.dtype)
-        assert got[1] is not None
-        assert got == reference_golub_kahan_norm(apply, adjoint, w.size, data.dtype)
+        norm, steps = circle._golub_kahan_norm(apply, adjoint, w.size, data.dtype)
+        assert steps is not None
+        ref_norm, ref_steps = reference_golub_kahan_norm(apply, adjoint, w.size, data.dtype)
+        assert steps == ref_steps
+        assert norm == pytest.approx(ref_norm, rel=4 * np.finfo(float).eps, abs=0)
+        section = multiplier_section(None, SobolevScale(0.5), n_cut, coeffs=data)
+        assert norm == pytest.approx(scipy.linalg.svdvals(section)[0], rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("schedule", GATE_SCHEDULES)
     @pytest.mark.parametrize("name", sorted(GATE_ZETAS))
@@ -881,16 +922,23 @@ class TestGolubKahanBookkeeping:
         (tmp_path / "real.json").write_text("[[1, 0], [1.2, 0], [0.9, 0], [1.1, 0], [0.7, 0]]")
         (tmp_path / "complex.json").write_text("[[1, 0], [1.2, 0.1], [0.9, -0.2], [1.1, 0.05]]")
         monkeypatch.chdir(tmp_path)
-        outputs = []
-        for tag in ("trimmed", "reference"):
+        csvs, reports = [], []
+        for tag in ("one-sided", "reference"):
             if tag == "reference":
                 monkeypatch.setattr(circle, "_golub_kahan_norm", reference_golub_kahan_norm)
             argv = ["gate", "--zeta", GATE_ZETAS[name], "--sections", schedule, "--out", f"{tag}.csv"]
             assert cli.main(argv) == 0
-            outputs.append([(tmp_path / f"{tag}.{ext}").read_bytes() for ext in ("csv", "json")])
-        assert outputs[0] == outputs[1]
+            csvs.append((tmp_path / f"{tag}.csv").read_bytes())
+            reports.append(json.loads((tmp_path / f"{tag}.json").read_text()))
+        assert csvs[0] == csvs[1]
         stdout = capsys.readouterr().out.splitlines()
         assert stdout[0] == stdout[1]
+        # the norms, and the indicators divided by them, move in their last
+        # bits at most; every other entry, steps and verdict included, is equal
+        for key in ("section_norms", "indicators"):
+            got, ref = (report.pop(key) for report in reports)
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+        assert reports[0] == reports[1]
 
 
 class TestLqReport:
