@@ -533,11 +533,9 @@ def _cmd_march(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    import numpy as np
-
     from .fem import convergence_study, convergence_table_csv
     from .models import ContourTables, disk_mode_roots
-    from .reports import ModeEntry, SpectrumReport, write_json, write_text_atomic
+    from .reports import write_json, write_text_atomic
 
     zeta, shown = _constant(args.zeta, "converge", args.allow_nonaccretive)
     oracle_work = {}
@@ -546,11 +544,11 @@ def _cmd_converge(args) -> int:
             raise _UsageError(
                 "the square ladder has a closed-form reference only for zeta = 0"
             )
-        ref = SpectrumReport("square-exact", [ModeEntry(float(np.pi), 0.0, 0.0, "exact")])
+        ref = [complex(cmath.pi)]
     else:
         # the references are the lowest roots of sectors 0 and 1, which
         # share their contour sweeps
-        entries = []
+        ref = []
         tables = ContourTables(1)
         for m in (0, 1):
             oracle = disk_mode_roots(m, zeta, lowest=1, tables=tables)
@@ -559,11 +557,9 @@ def _cmd_converge(args) -> int:
                     f"the disk oracle finds no root of sector {m} in its search box, "
                     "so this zeta has no reference"
                 )
-            lam = oracle["roots"][0]
             oracle_work[str(m)] = oracle["work"]
-            entries.append(ModeEntry(float(lam.real), float(lam.imag), 0.0, f"m{m}"))
+            ref.append(complex(oracle["roots"][0]))
         del tables  # no contour table outlives the oracle's search
-        ref = SpectrumReport("disk-oracle", entries)
     study = convergence_study(args.shape, args.levels, zeta, ref)
     if oracle_work:
         study["oracle_work"] = oracle_work

@@ -635,6 +635,20 @@ def _column_norm(a) -> float:
     return math.ldexp(math.sqrt(np.bincount(column, weights=squares).max()), e)
 
 
+def _column_norms(cols: np.ndarray) -> np.ndarray:
+    """The 2-norms of the columns of the dense complex cols.
+
+    Each column is first divided by the power of two at or below its largest
+    real or imaginary part, exactly, as in _column_norm, so that its squares
+    do not overflow.
+    """
+    top = np.maximum(np.abs(cols.real).max(axis=0), np.abs(cols.imag).max(axis=0))
+    e = np.frexp(top)[1] - 1
+    scaled = np.empty(cols.shape, dtype=complex)
+    scaled.real, scaled.imag = np.ldexp(cols.real, -e), np.ldexp(cols.imag, -e)
+    return np.ldexp(np.linalg.norm(scaled, axis=0), e)
+
+
 def _is_constant_direction(p: np.ndarray) -> bool:
     nrm = np.linalg.norm(p)
     if nrm == 0.0:
@@ -955,7 +969,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
         denom = (
             np.abs(lam_sel) ** 2 * norm_m + np.abs(lam_sel) * norm_c + norm_k
         ) * np.linalg.norm(p_sel, axis=0)
-        residuals = np.linalg.norm(qep_cols, axis=0) / denom
+        residuals = _column_norms(qep_cols) / denom
 
     entries = []
     tags = ["fem"] * len(kept_idx) + ["quotient-artifact"] * len(artifact_idx)
@@ -1037,11 +1051,13 @@ def ladder_spec(shape: str, n: int) -> str:
     return f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
 
 
-def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -> dict:
-    """Eigenvalue errors against a trusted reference over a refinement ladder.
+def convergence_study(shape: str, h_schedule, zeta, reference) -> dict:
+    """Eigenvalue errors against trusted reference eigenvalues over a
+    refinement ladder.
 
     shape is 'square' or 'disk_polygon', level n the mesh ladder_spec(shape, n).
-    Each reference eigenvalue pairs with the nearest computed non-artifact
+    reference holds complex eigenvalues, taken sorted by (Re, Im). Each
+    reference eigenvalue pairs with the nearest computed non-artifact
     eigenvalue when the gap is below MATCH_GAP; unmatched references are
     reported, not fatal.
 
@@ -1056,7 +1072,7 @@ def convergence_study(shape: str, h_schedule, zeta, reference: SpectrumReport) -
         raise InvalidInputError("h_schedule must be strictly increasing with >= 2 levels")
     if shape not in ("square", "disk_polygon"):
         raise InvalidInputError("convergence shapes are 'square' and 'disk_polygon'")
-    ref_vals = [complex(e.re_lambda, e.im_lambda) for e in reference.entries]
+    ref_vals = sorted(map(complex, reference), key=lambda v: (v.real, v.imag))
     if not ref_vals:
         raise InvalidInputError("reference spectrum is empty")
 

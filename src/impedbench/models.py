@@ -493,63 +493,58 @@ def _count_in(char, box: SearchBox, samples: int, rng, work: dict, failure: str)
         sub = box.perturbed(rng, spacing * (attempt + 1))
 
 
-def _newton_batch(problem: DiskModeProblem, starts, boxes, work: dict):
-    """Newton iterations from every start, each on one-point cylinder columns.
+def _polish(problem: DiskModeProblem, box: SearchBox, work: dict):
+    """One root in the leaf box, by Newton steps on one-point cylinder columns.
 
-    Iterate i stops when its step falls below 1e-13 max(|lam|, 1), and drops
-    out when the derivative vanishes, when it leaves boxes[i] widened by
-    2 diameter + 0.5, or when it lies past the cylinder functions' argument
-    cap BESSEL_ARG_CAP (a start there never runs); it takes at most 60
-    steps. A root is accepted when its residual, relative to max(1, |zeta|)
+    Newton starts from the box center, then from three shifted starts. An
+    iterate stops when its step falls below 1e-13 max(|lam|, 1), and the
+    start fails when the derivative vanishes, when the iterate leaves the box
+    widened by 2 diameter + 0.5, or when it lies past the cylinder functions'
+    argument cap BESSEL_ARG_CAP (a start there never runs); it takes at most
+    60 steps. A root is accepted when its residual, relative to max(1, |zeta|)
     because the characteristic carries a factor zeta, is at most 1e-10 and
-    it lies in its box: the contour count attributed the zero to that box,
+    it lies in the box: the contour count attributed the zero to that box,
     so a polished point far outside (e.g. the trivial origin zero of higher
-    sectors) is a miss. work["newton_steps"] counts the evaluations and
-    work["newton_evals"] the steps of the batch run in lockstep, the most
-    any iterate took.
-    Returns (lam, residual) or None per start.
+    sectors) is a miss. work["newton_steps"] counts the evaluations.
+    Returns (lam, residual) from the first start accepted, or None.
     """
 
-    def inside(box, z, pad):
+    def inside(z, pad):
         return (
             box.re_min - pad <= z.real <= box.re_max + pad
             and box.im_min - pad <= z.imag <= box.im_max + pad
         )
 
-    lams, kept, evals = [], [], 0
-    for i, (lam, box) in enumerate(zip(starts, boxes)):
-        lam = np.complex128(lam)
-        lams.append(lam)
+    slack = 2.0 * box.diameter + 0.5
+    scale = problem.scale  # max(1, |zeta|) scale cannot overflow
+    divisor = max(scale, abs(complex(problem.zeta) * scale))
+    shifts = (0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.3j)
+    for start in (box.center, *(box.center + s * box.diameter for s in shifts)):
+        lam = np.complex128(start)
         if not abs(lam) <= BESSEL_ARG_CAP:
             continue
-        slack = 2.0 * box.diameter + 0.5
         for steps in range(1, 61):
             f, df = problem.char_and_deriv(lam)
             if df == 0.0:
+                lam = None
                 break
             step = f / df
             lam = lam - step
-            if not inside(box, lam, slack) or abs(lam) > BESSEL_ARG_CAP:
+            if not inside(lam, slack) or abs(lam) > BESSEL_ARG_CAP:
+                lam = None
                 break
             if abs(step) < 1e-13 * max(abs(lam), 1.0):
-                kept.append(i)
                 break
-        else:
-            kept.append(i)
-        lams[i] = lam
-        evals = max(evals, steps)
         work["newton_steps"] += steps
-    work["newton_evals"] += evals
-    out = [None] * len(lams)
-    if kept:
-        # the columns of the surviving iterates, read as one table
-        table = np.array([_bessel_column(problem.m + 2, lams[i]) for i in kept]).T
-        scale = problem.scale  # max(1, |zeta|) scale cannot overflow
-        resid = np.abs(problem.char_on(table)) / max(scale, abs(complex(problem.zeta) * scale))
-        for i, r in zip(kept, resid):
-            if r <= 1e-10 and inside(boxes[i], lams[i], 1e-6):
-                out[i] = (complex(lams[i]), float(r))
-    return out
+        if lam is None:
+            continue
+        # the residual through char_on's array products, on a one-column
+        # table: numpy's scalar products can differ from them in the last bit
+        table = np.array([_bessel_column(problem.m + 2, lam)]).T
+        (resid,) = np.abs(problem.char_on(table)) / divisor
+        if resid <= 1e-10 and inside(lam, 1e-6):
+            return complex(lam), float(resid)
+    return None
 
 
 def _merge_roots(roots, residuals):
@@ -572,15 +567,16 @@ def disk_mode_roots(
 
     Counts zeros by the phase winding of the characteristic function along
     the box boundary and bisects until each sub-box holds one (or shrinks
-    below 2e-2 around a cluster). Those leaf boxes are then polished together
-    by batched Newton steps from their centers, then from three shifted
-    starts; a leaf that still fails is bisected further. When a zero sits on
-    a contour the box is nudged outward a few times before giving up.
+    below 2e-2 around a cluster). Each such leaf is polished as soon as it is
+    isolated, by Newton steps from its center, then from three shifted
+    starts (_polish); a leaf that still fails is bisected further. When a
+    zero sits on a contour the box is nudged outward a few times before
+    giving up.
 
-    By default every root in the box is found. With lowest=k only the k roots
-    of lowest real part are wanted, and the bisection runs best-first: the
-    box of lowest re_min is refined next, each leaf is polished as soon as it
-    is isolated, and a box whose re_min exceeds the real part of the k-th
+    By default every root in the box is found, the pending boxes taken last
+    in, first out. With lowest=k only the k roots of lowest real part are
+    wanted, and the bisection runs best-first: the box of lowest re_min is
+    refined next, and a box whose re_min exceeds the real part of the k-th
     lowest root polished so far is dropped without being counted. The roots
     returned are then the first k of the full search, bit for bit unless a
     box had to be nudged (see docs/derivations.md section 7).
@@ -611,11 +607,7 @@ def disk_mode_roots(
         box = SearchBox(0.05, 20.0, -5.0, 0.05)
     rng = np.random.default_rng(BOX_NUDGE_SEED)
     work = dict.fromkeys(
-        (
-            "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps",
-            "max_depth",
-        ),
-        0,
+        ("contour_points", "boxes_counted", "box_nudges", "newton_steps", "max_depth"), 0
     )
 
     def char(sub, n):
@@ -639,58 +631,36 @@ def disk_mode_roots(
     # Each entry carries its bisection depth, the outer box's being 0.
     stack = [(outer, expected, 0)] if expected else []
     while stack:
-        leaves = []
-        while stack:
-            if lowest is not None:
-                # best-first: polish each leaf as soon as it is isolated, and
-                # refine the box of lowest re_min next, dropping every box
-                # whose roots all lie right of the cut
-                if leaves:
-                    break
-                stack = [item for item in stack if item[0].re_min <= cut]
-                stack.sort(key=lambda item: item[0].re_min, reverse=True)
-                if not stack:
-                    break
-            current, count, depth = stack.pop()
-            if count is None:
-                current, count = _count_in(
-                    char, current, INNER_SAMPLES, rng, work,
-                    "bisection could not isolate the characteristic zeros",
-                )
-                work["max_depth"] = max(work["max_depth"], depth)
-                if not count:
-                    continue
-            if count == 1 or current.diameter < 2e-2:
-                leaves.append((current, count, depth))
-            else:
-                stack.extend((piece, None, depth + 1) for piece in current.split())
-        boxes = [leaf for leaf, _, _ in leaves]
-        got = _newton_batch(problem, [b.center for b in boxes], boxes, work)
-        # fall back on a few shifted starts before splitting further
-        for shift in (0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.3j):
-            retry = [i for i, g in enumerate(got) if g is None]
-            if not retry:
+        if lowest is not None:
+            # best-first: refine the box of lowest re_min next, dropping every
+            # box whose roots all lie right of the cut
+            stack = [item for item in stack if item[0].re_min <= cut]
+            stack.sort(key=lambda item: item[0].re_min, reverse=True)
+            if not stack:
                 break
-            again = _newton_batch(
-                problem,
-                [boxes[i].center + shift * boxes[i].diameter for i in retry],
-                [boxes[i] for i in retry],
-                work,
+        current, count, depth = stack.pop()
+        if count is None:
+            current, count = _count_in(
+                char, current, INNER_SAMPLES, rng, work,
+                "bisection could not isolate the characteristic zeros",
             )
-            for i, g in zip(retry, again):
-                got[i] = g
-        for (current, count, depth), g in zip(leaves, got):
-            if g is not None:
-                # count > 1 only for a tight cluster the contour says holds
-                # several zeros
-                roots.extend([g[0]] * count)
-                residuals.extend([g[1]] * count)
-            elif current.diameter < 1e-6:
+            work["max_depth"] = max(work["max_depth"], depth)
+            if not count:
+                continue
+        # polish a box once it is isolated; split it otherwise, or when its
+        # polish fails
+        got = _polish(problem, current, work) if count == 1 or current.diameter < 2e-2 else None
+        if got is None:
+            if current.diameter < 1e-6:
                 raise NumericalFailureError(
                     f"failed to converge on a root near {current.center:g}"
                 )
-            else:
-                stack.extend((piece, None, depth + 1) for piece in current.split())
+            stack.extend((piece, None, depth + 1) for piece in current.split())
+            continue
+        # count > 1 only for a tight cluster the contour says holds several
+        # zeros
+        roots.extend([got[0]] * count)
+        residuals.extend([got[1]] * count)
         if lowest is not None:
             found, _ = _merge_roots(roots, residuals)
             if len(found) >= lowest:

@@ -27,7 +27,6 @@ from impedbench.fem import (
     square_mesh,
 )
 from impedbench.models import disk_mode_roots
-from impedbench.reports import ModeEntry, SpectrumReport
 
 SEED = 20240801
 MIXED_ZETA = {"bottom": 1.0, "right": 0.0, "top": 0.0, "left": 0.0}
@@ -1005,6 +1004,21 @@ class TestResidualScale:
         assert q.c.nnz == 0
         assert fem_module._column_norm(q.c) == 0.0
 
+    def test_residual_column_norms_scaled_exactly(self):
+        # each column is divided by a power of two before its squares are
+        # summed: the norms are numpy's bit for bit, and stay finite where
+        # numpy's squares overflow, and nonzero where they underflow
+        rng = np.random.default_rng(SEED)
+        cols = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+        cols *= [1.0, 1e-3, 1e5, 0.0, 2.0**-700]
+        norms = fem_module._column_norms(cols)
+        assert norms[:4].tobytes() == np.linalg.norm(cols[:, :4], axis=0).tobytes()
+        assert norms[4] == np.linalg.norm(cols[:, 4] * 2.0**700) * 2.0**-700 > 0.0
+        huge = cols * 2.0**900
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(huge, axis=0)[0])
+        assert fem_module._column_norms(huge).tobytes() == (norms * 2.0**900).tobytes()
+
 
 class TestShiftInvertMatchesDense:
     """The dense companion is the reference for the shift-invert path."""
@@ -1198,8 +1212,7 @@ class TestEnergyMarch:
 
 class TestConvergence:
     def test_neumann_square_second_order(self):
-        ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
-        study = convergence_study("square", [8, 16, 32], 0.0, ref)
+        study = convergence_study("square", [8, 16, 32], 0.0, [complex(np.pi)])
         errs = [row[0] for row in study["errors"]]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
         assert errs[-1] / np.pi < 0.01
@@ -1207,22 +1220,16 @@ class TestConvergence:
         assert study["unmatched"] == 0
 
     def test_unmatched_reference_reported_not_fatal(self):
-        ref = SpectrumReport(
-            "exact",
-            [ModeEntry(np.pi, 0.0, 0.0, "exact"), ModeEntry(99.0, 0.0, 0.0, "exact")],
-        )
-        study = convergence_study("square", [4, 8], 0.0, ref)
+        study = convergence_study("square", [4, 8], 0.0, [99.0, complex(np.pi)])
+        # the references are taken sorted by (Re, Im)
+        assert study["reference"] == [[np.pi, 0.0], [99.0, 0.0]]
         assert study["errors"][0][1] is None
         assert study["unmatched"] == 2
         assert study["finest_orders"][1] is None
 
     @staticmethod
     def disk_reference(zeta):
-        entries = []
-        for m in (0, 1):
-            lam = disk_mode_roots(m, zeta, lowest=1)["roots"][0]
-            entries.append(ModeEntry(lam.real, lam.imag, 0.0, f"m{m}"))
-        return SpectrumReport("disk-oracle", entries)
+        return [complex(disk_mode_roots(m, zeta, lowest=1)["roots"][0]) for m in (0, 1)]
 
     @staticmethod
     def record_requests(monkeypatch):
@@ -1240,12 +1247,11 @@ class TestConvergence:
 
     def test_one_mode_requested_per_reference(self, monkeypatch):
         ref = self.disk_reference(0.5)
-        refs = [complex(e.re_lambda, e.im_lambda) for e in ref.entries]
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], 0.5, ref)
         # each level is assembled once and solved once per reference, for
         # the one mode nearest it
-        assert requests == [(1, r) for r in refs] * 2
+        assert requests == [(1, r) for r in sorted(ref, key=lambda v: (v.real, v.imag))] * 2
         assert solved[0][0] is solved[1][0] and solved[2][0] is solved[3][0]
         assert solved[1][0] is not solved[2][0]
         assert study["modes_requested"] == [[1, 1], [1, 1]]
@@ -1278,10 +1284,7 @@ class TestConvergence:
         # zeta = 0 shifts K p = mu M p at Re(ref)^2; each FEM mode lies just
         # above its reference, and its mu, the only one returned at k = 1,
         # ends the certified interval itself, so the first run certifies
-        if shape == "square":
-            ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
-        else:
-            ref = self.disk_reference(0.0)
+        ref = [complex(np.pi)] if shape == "square" else self.disk_reference(0.0)
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study(shape, levels, 0.0, ref)
         assert study["unmatched"] == 0
@@ -1309,7 +1312,7 @@ class TestConvergence:
         assert sum(m["operator_applications"] for m in metas) <= 100
 
     def test_schedule_validation(self):
-        ref = SpectrumReport("exact", [ModeEntry(np.pi, 0.0, 0.0, "exact")])
+        ref = [complex(np.pi)]
         with pytest.raises(InvalidInputError, match="increasing"):
             convergence_study("square", [8, 8], 0.0, ref)
         with pytest.raises(InvalidInputError, match="increasing"):

@@ -243,17 +243,17 @@ class TestBesselColumn:
             models._bessel_column(MAX_BESSEL_ORDER + 1, 1.0)
 
     def test_newton_reads_no_table(self, monkeypatch):
-        # the iterates and their acceptance residuals run on columns
+        # the iterates and their acceptance residual run on columns
         def table(m_max, z):
             raise AssertionError("Newton swept a table")
 
         monkeypatch.setattr(models, "_bessel_table", table)
         box = SearchBox(5.0, 7.0, -1.0, 0.0)
-        work = {"newton_evals": 0, "newton_steps": 0}
-        got = models._newton_batch(DiskModeProblem(m=2, zeta=0.5), [box.center] * 2, [box] * 2,
-                                   work)
-        assert got[0] is not None and got[0] == got[1]
-        assert work["newton_steps"] == 2 * work["newton_evals"]
+        problem = DiskModeProblem(m=2, zeta=0.5)
+        work = {"newton_steps": 0}
+        got = models._polish(problem, box, work)
+        assert got is not None and got == models._polish(problem, box, work)
+        assert work["newton_steps"] > 0 and work["newton_steps"] % 2 == 0
 
 class TestString:
     def test_half_load_ladder(self):
@@ -562,50 +562,110 @@ class TestLowestRoots:
         assert float(result["residuals"][0]).hex() == residual
         assert result["expected_count"] == 6
         assert result["work"] == {
-            "contour_points": 4096, "boxes_counted": 3, "box_nudges": 0, "newton_evals": 7,
-            "newton_steps": 7, "max_depth": 2,
+            "contour_points": 4096, "boxes_counted": 3, "box_nudges": 0, "newton_steps": 7,
+            "max_depth": 2,
         }
+
+    @pytest.mark.parametrize("m, zeta, roots, work", [
+        # the centre start of the lowest leaf fails, and a shifted start polishes it
+        (5, 0.0, [
+            ("0x1.9a99756d54222p+2", "0x1.4000000000000p-132", "0x1.8000000000000p-53"),
+            ("0x1.50a2b3456a4e3p+3", "0x1.0000000000000p-126", "0x1.0000000000000p-56"),
+            ("0x1.bf970c9c2df0ap+3", "0x1.2000000000000p-89", "0x1.8000000000000p-52"),
+            ("0x1.1501671fe4385p+4", "-0x1.4000000000000p-120", "0x1.c400000000000p-52"),
+        ], {"contour_points": 10240, "boxes_counted": 9, "box_nudges": 0,
+            "newton_steps": 210, "max_depth": 4}),
+        # two boxes are nudged off a root near a bisection edge
+        (1, -0.3j, [
+            ("0x1.7038242b369afp+0", "-0x1.8000000000000p-94", "0x1.8000000000000p-54"),
+            ("0x1.4264860202f1ap+2", "-0x1.0000000000000p-130", "0x1.e000000000000p-53"),
+            ("0x1.07dd36e2f2cf9p+3", "0x1.4000000000000p-112", "0x1.0000000000000p-53"),
+            ("0x1.6d4fcfc8e9795p+3", "-0x1.8000000000000p-131", "0x1.0000000000000p-54"),
+            ("0x1.d25b1bb2fae26p+3", "0x1.6000000000000p-113", "0x1.1800000000000p-51"),
+            ("0x1.1b9b98af611e7p+4", "-0x1.c000000000000p-121", "0x1.2000000000000p-54"),
+        ], {"contour_points": 34816, "boxes_counted": 19, "box_nudges": 2,
+            "newton_steps": 57, "max_depth": 4}),
+    ])
+    def test_full_searches_pinned(self, m, zeta, roots, work):
+        # frozen from the search that polished its leaves as one batch once
+        # the bisection stack was empty: polishing each leaf as it is
+        # isolated changes no bit and no counter
+        result = disk_mode_roots(m, zeta)
+        assert [(lam.real.hex(), lam.imag.hex(), float(res).hex())
+                for lam, res in zip(result["roots"], result["residuals"])] == roots
+        assert result["expected_count"] == len(roots) and result["count_matches"]
+        assert result["work"] == work
 
     def test_lowest_validation(self):
         with pytest.raises(InvalidInputError, match="lowest"):
             disk_mode_roots(0, 0.5, lowest=0)
 
 
-class TestBatchedNewton:
-    def test_matches_one_start_at_a_time(self):
-        # the reference runs the same iteration on one start at a time
-        problem = DiskModeProblem(m=2, zeta=0.5)
-        boxes = [
-            *SearchBox(0.05, 20.0, -5.0, 0.05).split(),
-            SearchBox(5.0, 7.0, -1.0, 0.0),
-            SearchBox(8.0, 8.5, 2.0, 2.5),  # no root inside
-            SearchBox(11.0, 14.0, -2.0, 0.0),
-        ]
-        starts = [b.center for b in boxes[:-1]] + [12.5 - 0.6j]
-        work = {"newton_evals": 0, "newton_steps": 0}
-        batched = models._newton_batch(problem, starts, boxes, work)
-        alone = [
-            models._newton_batch(problem, [start], [box], dict(work))[0]
-            for start, box in zip(starts, boxes)
-        ]
-        assert [g is None for g in batched] == [False, False, False, True, False]
-        assert [g is None for g in alone] == [g is None for g in batched]
-        for got, ref in zip(batched, alone):
-            if got is not None:
-                assert abs(got[0] - ref[0]) <= 1e-14 * abs(ref[0])
-        # newton_evals counts the steps of the batch in lockstep, the most any
-        # iterate took, and newton_steps the evaluations of every iterate
-        assert work["newton_evals"] < work["newton_steps"] <= len(starts) * work["newton_evals"]
+class TestLeafPolish:
+    @staticmethod
+    def record_polish(monkeypatch):
+        """Record (problem, box, result) of each _polish call."""
+        calls = []
+        polish = models._polish
 
-    def test_start_past_argument_cap_drops_out(self):
-        # a shifted start past |lam| = 200 is never evaluated; the others run
-        problem = DiskModeProblem(m=0, zeta=0.5)
-        box = SearchBox(198.0, 199.0, -1.0, 0.0)
-        work = {"newton_evals": 0, "newton_steps": 0}
-        got = models._newton_batch(problem, [200.5 - 0.5j, box.center], [box, box], work)
-        assert got[0] is None
-        assert got[1] is not None and abs(got[1][0] - (198.703 - 0.549j)) < 1e-3
-        assert work["newton_steps"] == work["newton_evals"]
+        def recording(problem, box, work):
+            calls.append((problem, box, polish(problem, box, work)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(models, "_polish", recording)
+        return calls
+
+    @pytest.mark.parametrize("m, zeta, lowest", [
+        (5, 0.0, None), (1, -0.3j, None), (2, 0.5, None), (0, 0.3 + 0.4j, None),
+        (1, 0.5, 1), (3, 2.0, 3),
+    ])
+    def test_each_leaf_alone_gives_the_search_root(self, monkeypatch, m, zeta, lowest):
+        calls = self.record_polish(monkeypatch)
+        result = disk_mode_roots(m, zeta, lowest=lowest)
+        monkeypatch.undo()
+
+        def bits(got):
+            return got[0].real.hex(), got[0].imag.hex(), got[1].hex()
+
+        work = {"newton_steps": 0}
+        found = []
+        for problem, box, got in calls:
+            alone = models._polish(problem, box, work)
+            assert got is not None and bits(alone) == bits(got)
+            found.append(got)
+        assert work["newton_steps"] == result["work"]["newton_steps"]
+        # a root found twice, through overlapping nudged boxes, is merged
+        roots, residuals = models._merge_roots(*zip(*found))
+        assert result["roots"].tolist() == roots[:lowest]
+        assert result["residuals"].tolist() == residuals[:lowest]
+
+    def test_box_without_a_root_fails(self):
+        # every start runs, and none ends on a root inside the box
+        work = {"newton_steps": 0}
+        assert models._polish(DiskModeProblem(m=2, zeta=0.5), SearchBox(8.0, 8.5, 2.0, 2.5),
+                              work) is None
+        assert 4 <= work["newton_steps"] <= 4 * 60
+
+    def test_start_past_argument_cap_drops_out(self, monkeypatch):
+        # the centre 200.1 - 0.5i and the first shifted start lie past
+        # |lam| = 200 and are never evaluated; the second polishes the root
+        # near 198.703 - 0.549i
+        points = []
+        evaluate = DiskModeProblem.char_and_deriv
+
+        def recording(problem, lam):
+            points.append(complex(lam))
+            return evaluate(problem, lam)
+
+        monkeypatch.setattr(DiskModeProblem, "char_and_deriv", recording)
+        box = SearchBox(198.2, 202.0, -1.0, 0.0)
+        assert abs(box.center) > models.BESSEL_ARG_CAP
+        work = {"newton_steps": 0}
+        got = models._polish(DiskModeProblem(m=0, zeta=0.5), box, work)
+        assert got is not None and abs(got[0] - (198.703 - 0.549j)) < 1e-3
+        assert points[0] == box.center + (-0.25 + 0.1j) * box.diameter
+        assert work["newton_steps"] == len(points)
+        assert max(map(abs, points)) <= models.BESSEL_ARG_CAP
 
     def test_work_counts(self):
         result = disk_mode_roots(0, 0.5)
@@ -613,8 +673,7 @@ class TestBatchedNewton:
         assert work["contour_points"] >= 2048
         assert work["boxes_counted"] >= 2 * result["expected_count"] - 1
         assert work["box_nudges"] == 0
-        # the batch of leaves steps in lockstep, each leaf one evaluation a step
-        assert work["newton_evals"] < work["newton_steps"]
+        # each leaf takes at least one evaluation
         assert work["newton_steps"] >= result["roots"].size
 
     def test_depth_counted(self):
@@ -643,11 +702,25 @@ class TestBatchedNewton:
         assert disk_mode_roots(0, 0.0, box=box)["work"]["box_nudges"] >= 1
 
     def test_unconverged_leaf_reported(self, monkeypatch):
-        monkeypatch.setattr(
-            models, "_newton_batch", lambda problem, starts, boxes, work: [None] * len(starts)
-        )
+        monkeypatch.setattr(models, "_polish", lambda problem, box, work: None)
         with pytest.raises(NumericalFailureError, match="failed to converge on a root near"):
             disk_mode_roots(0, 0.0, box=SearchBox(3.0, 4.5, -0.5, 0.05))
+
+    def test_failed_leaf_is_split(self, monkeypatch):
+        # a leaf whose polish fails is bisected, and its halves are counted
+        # and polished in turn
+        polish = models._polish
+        monkeypatch.setattr(
+            models, "_polish",
+            lambda problem, box, work: polish(problem, box, work) if box.diameter < 1.0 else None,
+        )
+        box = SearchBox(3.0, 4.5, -0.5, 0.05)
+        split = disk_mode_roots(0, 0.0, box=box)
+        monkeypatch.undo()
+        whole = disk_mode_roots(0, 0.0, box=box)
+        assert whole["work"]["max_depth"] == 0 < split["work"]["max_depth"]
+        assert split["count_matches"] and split["roots"].size == 1
+        assert abs(split["roots"][0] - whole["roots"][0]) <= 1e-14
 
 
 class TestSharedContourTables:
@@ -682,8 +755,7 @@ class TestDiskSpectrum:
         assert sorted(work) == ["0", "1"]
         for counts in work.values():
             assert set(counts) == {
-                "contour_points", "boxes_counted", "box_nudges", "newton_evals", "newton_steps",
-                "max_depth",
+                "contour_points", "boxes_counted", "box_nudges", "newton_steps", "max_depth",
             }
             assert all(isinstance(v, int) and v >= 0 for v in counts.values())
 
