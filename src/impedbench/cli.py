@@ -533,33 +533,11 @@ def _cmd_march(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    from .fem import convergence_study, convergence_table_csv
-    from .models import ContourTables, disk_mode_roots
+    from .fem import convergence_references, convergence_study, convergence_table_csv
     from .reports import write_json, write_text_atomic
 
     zeta, shown = _constant(args.zeta, "converge", args.allow_nonaccretive)
-    oracle_work = {}
-    if args.shape == "square":
-        if zeta != 0:
-            raise _UsageError(
-                "the square ladder has a closed-form reference only for zeta = 0"
-            )
-        ref = [complex(cmath.pi)]
-    else:
-        # the references are the lowest roots of sectors 0 and 1, which
-        # share their contour sweeps
-        ref = []
-        tables = ContourTables(1)
-        for m in (0, 1):
-            oracle = disk_mode_roots(m, zeta, lowest=1, tables=tables)
-            if not oracle["roots"].size:
-                raise InvalidInputError(
-                    f"the disk oracle finds no root of sector {m} in its search box, "
-                    "so this zeta has no reference"
-                )
-            oracle_work[str(m)] = oracle["work"]
-            ref.append(complex(oracle["roots"][0]))
-        del tables  # no contour table outlives the oracle's search
+    ref, oracle_work = convergence_references(args.shape, zeta)
     study = convergence_study(args.shape, args.levels, zeta, ref)
     if oracle_work:
         study["oracle_work"] = oracle_work
@@ -685,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_march)
 
     p = sub.add_parser("converge", help="FEM refinement study against oracles")
-    p.add_argument("--shape", choices=("square", "disk_polygon"), default="square")
+    p.add_argument("--shape", default="square")
     p.add_argument("--levels", type=parse_int_list, default=[8, 16, 32])
     p.add_argument("--zeta", default="0", help=ZETA_HELP)
     p.add_argument("--allow-nonaccretive", action="store_true")
@@ -710,10 +688,7 @@ def main(argv=None) -> int:
 
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except InvalidInputError as exc:
+    except (_UsageError, InvalidInputError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InvariantViolationError as exc:

@@ -25,11 +25,12 @@ certifies that none nearer it was missed; otherwise the dense companion,
 the sparse path's test reference, computes all. Every returned mode must
 pass QEP_RESIDUAL_TOL on its backward error, weighted by the largest column
 2-norms of K, C and M: lower bounds on their 2-norms, read in O(nnz) from the
-stored arrays, so the gate is at least as strict as with the exact norms. A
-convergence study centres one such solve on each reference eigenvalue. The
-Crank-Nicolson march factors its system once by sparse LU and satisfies a
-per-step energy identity exactly, so decay checks test the model rather
-than integrator artifacts.
+stored arrays, so the gate is at least as strict as with the exact norms.
+convergence_references alone says which (shape, zeta) pairs have reference
+eigenvalues; convergence_study centres one such solve on each. The
+Crank-Nicolson march factors its system, equilibrated by powers of two,
+once by sparse LU and satisfies a per-step energy identity exactly, so
+decay checks test the model rather than integrator artifacts.
 """
 
 import math
@@ -924,7 +925,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
         )
     k_s, m_s, c_s = q.k, q.m, q.c
     if max(abs(k_s.imag).max(), abs(m_s.imag).max()) > 1e-14 * max(abs(k_s).max(), 1.0):
-        raise InvalidInputError("stiffness and mass must be real symmetric")
+        raise InvalidInputError("stiffness and mass must be real")
     k_s, m_s = k_s.real, m_s.real
     # assemble leaves Im C exactly zero for real zeta, Re C for imaginary zeta
     if c_s.nnz == 0:
@@ -1020,8 +1021,13 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
         lhs = m + 0.25 * dt * dt * k + 0.5 * dt * c
     if not np.isfinite(lhs.data).all():
         raise InvalidInputError(f"time-step matrix is not finite at dt = {dt:g}")
+    # rim rows carry zeta dt h / 2 and swamp rows of mass size, so the LU and
+    # its pivot test see D^-1 A D^-1, D_ii = 2^floor(log2 sqrt|A_ii|) (1 where
+    # A_ii = 0): exact powers of two, so A^-1 b = D^-1 (D^-1 A D^-1)^-1 D^-1 b
+    frac, expo = np.frexp(np.abs(lhs.diagonal()))
+    inv_d = np.where(frac > 0, np.ldexp(1.0, -((expo - 1) // 2)), 1.0)
     try:
-        lu = splu(lhs)
+        lu = splu(lhs.multiply(inv_d[:, None]).multiply(inv_d[None, :]).tocsc())
     except RuntimeError as exc:  # exactly singular
         raise NumericalFailureError("time-step system is singular at this dt") from exc
     diag = np.abs(lu.U.diagonal())
@@ -1034,7 +1040,7 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
 
     energies = [energy(u, p)]
     for _ in range(steps):
-        p_next = lu.solve(rhs @ p - dt * (k @ u))
+        p_next = inv_d * lu.solve(inv_d * (rhs @ p - dt * (k @ u)))
         u = u + 0.5 * dt * (p + p_next)
         p = p_next
         energies.append(energy(u, p))
@@ -1049,6 +1055,33 @@ def cn_energy_march(q: QepMatrices, initial, dt: float, steps: int) -> EnergyTra
 def ladder_spec(shape: str, n: int) -> str:
     """Level n of a refinement ladder: square{n}, or disk_polygon{n,4n}."""
     return f"square{{{n}}}" if shape == "square" else f"disk_polygon{{{n},{4 * n}}}"
+
+
+def convergence_references(shape: str, zeta) -> tuple:
+    """(references, oracle work per sector) of a convergence study of shape
+    at zeta: pi on the square at zeta = 0, or the disk oracle's lowest roots
+    of sectors 0 and 1, which share their contour sweeps."""
+    if shape == "square":
+        if zeta != 0:
+            raise InvalidInputError(
+                "the square ladder has a closed-form reference only for zeta = 0"
+            )
+        return [complex(math.pi)], {}
+    if shape != "disk_polygon":
+        raise InvalidInputError("convergence shapes are 'square' and 'disk_polygon'")
+    from .models import ContourTables, disk_mode_roots  # importing fem loads no oracle
+
+    references, work, tables = [], {}, ContourTables(1)
+    for m in (0, 1):
+        oracle = disk_mode_roots(m, zeta, lowest=1, tables=tables)
+        if not oracle["roots"].size:
+            raise InvalidInputError(
+                f"the disk oracle finds no root of sector {m} in its search box, "
+                "so this zeta has no reference"
+            )
+        work[str(m)] = oracle["work"]
+        references.append(complex(oracle["roots"][0]))
+    return references, work
 
 
 def convergence_study(shape: str, h_schedule, zeta, reference) -> dict:
@@ -1076,10 +1109,8 @@ def convergence_study(shape: str, h_schedule, zeta, reference) -> dict:
     if not ref_vals:
         raise InvalidInputError("reference spectrum is empty")
 
-    specs, errors = [], []
-    for n in levels:
-        spec = ladder_spec(shape, n)
-        specs.append(spec)
+    specs, errors = [ladder_spec(shape, n) for n in levels], []
+    for spec in specs:
         # the matrices go out of scope before the next level is assembled
         q = assemble(build_mesh(spec), zeta=zeta)
         row = []

@@ -17,6 +17,7 @@ from impedbench.fem import (
     assemble,
     build_mesh,
     cn_energy_march,
+    convergence_references,
     convergence_study,
     solve_qep,
 )
@@ -250,12 +251,9 @@ def test_criterion_09_fem_convergence():
     sq_rel = sq["errors"][-1][0] / math.pi
     sq_order = sq["finest_orders"][0]
 
-    def disk_ref(zeta):
-        return [complex(disk_mode_roots(m, zeta)["roots"][0]) for m in (0, 1)]
-
     worst_rel = {}
     for zeta in (0.0, 0.5):
-        ref = disk_ref(zeta)
+        ref, _ = convergence_references("disk_polygon", zeta)
         study = convergence_study("disk_polygon", [4, 8, 16], zeta, ref)
         refs = [complex(re, im) for re, im in study["reference"]]
         rels = [

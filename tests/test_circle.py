@@ -470,6 +470,17 @@ class TestCompactnessGate:
         assert g.label == "order-one"
         assert g.metadata == {"norm_steps": [None] * 4}
 
+    def test_oscillating_indicators_inconclusive(self):
+        # c_{+-40} = 1 puts the section's corner mass at alternating cutoffs:
+        # the indicators are not monotone, neither small nor large throughout
+        coeffs = np.zeros(81, dtype=complex)
+        coeffs[[0, 80]] = 1.0
+        g = compactness_gate(ImpedanceCoefficient.fourier(coeffs, "ring40"), s=0.5)
+        assert g.schedule == (16, 32, 64, 128)
+        assert g.indicators[0] == 0.0 and g.indicators[2] == 0.0
+        assert abs(g.indicators[1] - 0.811) < 1e-3 and abs(g.indicators[3] - 0.054) < 1e-3
+        assert g.verdict == "inconclusive"
+
     def test_symbol_that_overflows_is_refused(self):
         with pytest.raises(InvalidInputError, match="overflows"):
             compactness_gate(DiagonalSymbol(400.0, 1j), s=0.5)

@@ -349,6 +349,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "orders [2.00, 2.00], unmatched 0" in out
 
+    def test_march_huge_zeta_exit0(self, capsys):
+        # the time-step system is badly scaled, not singular: its LU runs on
+        # the equilibrated matrix
+        assert run(["march", "--n", "4", "--zeta", "1e18", "--steps", "3"]) == 0
+        assert "3 steps, E_end/E_0 1.000000e+00" in capsys.readouterr().out
+
     def test_fem_huge_zeta_small_group_exit4(self, capsys):
         # a finite residual now, but the modes near -i sigma / zeta are still
         # solved in the unscaled pencil, and they miss the gate
@@ -600,6 +606,14 @@ class TestOutputs:
         assert payload["theorem_applies"] is True
         capsys.readouterr()
 
+    def test_gate_fourier_file_inconclusive(self, tmp_path, capsys):
+        # c_{+-40} = 1: indicators 0, 0.811, 0, 0.054 are not monotone
+        path = tmp_path / "ring40.json"
+        coeffs = [[1, 0]] + [[0, 0]] * 79 + [[1, 0]]
+        path.write_text(json.dumps({"kind": "fourier", "coeffs": coeffs}))
+        assert run(["gate", "--zeta", f"file:{path}"]) == 0
+        assert "verdict inconclusive" in capsys.readouterr().out
+
     def test_lq_fourier_file(self, tmp_path, capsys):
         # 1 + cos(theta) has mean square 1.5 over the circle
         path = tmp_path / "coef.json"
@@ -791,6 +805,12 @@ class TestOutputs:
     def test_converge_square_needs_zero_zeta(self, capsys):
         assert run(["converge", "--shape", "square", "--zeta", "0.5"]) == 3
         capsys.readouterr()
+
+    def test_converge_unknown_shape_exit3(self, capsys):
+        assert run(["converge", "--shape", "hexagon"]) == 3
+        assert capsys.readouterr().err == (
+            "invalid input: convergence shapes are 'square' and 'disk_polygon'\n"
+        )
 
     @pytest.mark.parametrize("argv,head", [
         (["gate", "--zeta", "const:1.0000001,0", "--sections", "8,16"],

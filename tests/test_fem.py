@@ -21,6 +21,7 @@ from impedbench.fem import (
     assemble,
     build_mesh,
     cn_energy_march,
+    convergence_references,
     convergence_study,
     mesh_from_file,
     solve_qep,
@@ -692,6 +693,17 @@ class TestSolveQep:
         with pytest.raises(InvalidInputError, match="n_want"):
             solve_qep(q, n_want=0)
 
+    @pytest.mark.parametrize("part", ["k", "m"])
+    def test_complex_stiffness_or_mass_refused(self, part):
+        # the solve tests only that K and M are real; assemble certifies
+        # their symmetry
+        q = assemble(build_mesh("square{4}"), zeta=1.0)
+        mats = {"k": q.k_stiff, "m": q.m_mass}
+        mats[part] = mats[part] + 1e-3j * np.eye(q.dim)
+        bad = QepMatrices(k_stiff=mats["k"], c_bdry=q.c_bdry, m_mass=mats["m"])
+        with pytest.raises(InvalidInputError, match="stiffness and mass must be real$"):
+            solve_qep(bad, n_want=2)
+
     def test_dense_cap(self):
         mesh = build_mesh("square{46}")  # 2209 vertices
         q = assemble(mesh, zeta=0.0)
@@ -1209,6 +1221,18 @@ class TestEnergyMarch:
         with pytest.raises(NumericalFailureError, match="singular"):
             cn_energy_march(degenerate, (np.zeros(n), np.zeros(n)), dt=1e-3, steps=1)
 
+    @pytest.mark.parametrize("spec", ["square{4}", "disk_polygon{4,16}"])
+    @pytest.mark.parametrize("zeta", [1e18, 1e300])
+    def test_huge_zeta_is_badly_scaled_not_singular(self, spec, zeta):
+        # rim rows of size zeta dt h swamp rows of mass size; the pivot test
+        # reads the factor of the equilibrated system, which is not singular
+        q = assemble(build_mesh(spec), zeta=zeta)
+        rng = np.random.default_rng(SEED)
+        initial = (rng.standard_normal(q.dim), rng.standard_normal(q.dim))
+        trace = cn_energy_march(q, initial, dt=1e-3, steps=3)
+        assert trace.steps == 3
+        assert trace.max_step_increase() <= 1e-12 * trace.energies[0]
+
 
 class TestConvergence:
     def test_neumann_square_second_order(self):
@@ -1228,10 +1252,6 @@ class TestConvergence:
         assert study["finest_orders"][1] is None
 
     @staticmethod
-    def disk_reference(zeta):
-        return [complex(disk_mode_roots(m, zeta, lowest=1)["roots"][0]) for m in (0, 1)]
-
-    @staticmethod
     def record_requests(monkeypatch):
         """Record (n_want, center) of each solve_qep call, and (q, report)."""
         requests, solved = [], []
@@ -1246,7 +1266,7 @@ class TestConvergence:
         return requests, solved
 
     def test_one_mode_requested_per_reference(self, monkeypatch):
-        ref = self.disk_reference(0.5)
+        ref, _ = convergence_references("disk_polygon", 0.5)
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], 0.5, ref)
         # each level is assembled once and solved once per reference, for
@@ -1263,7 +1283,7 @@ class TestConvergence:
         # overdamped rim modes crowd the origin at large zeta; the mode each
         # reference is matched with is still the nearest of all FEM modes,
         # which the dense companion computes
-        ref = self.disk_reference(zeta)
+        ref, _ = convergence_references("disk_polygon", zeta)
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study("disk_polygon", [4, 8], zeta, ref)
         assert study["unmatched"] == 0
@@ -1284,7 +1304,7 @@ class TestConvergence:
         # zeta = 0 shifts K p = mu M p at Re(ref)^2; each FEM mode lies just
         # above its reference, and its mu, the only one returned at k = 1,
         # ends the certified interval itself, so the first run certifies
-        ref = [complex(np.pi)] if shape == "square" else self.disk_reference(0.0)
+        ref, _ = convergence_references(shape, 0.0)
         requests, solved = self.record_requests(monkeypatch)
         study = convergence_study(shape, levels, 0.0, ref)
         assert study["unmatched"] == 0
@@ -1302,7 +1322,7 @@ class TestConvergence:
         # the convergence benchmark's six k = 1 solves: a basis of 2k + 1
         # vectors (at least 8) stops each run once its mode converges, where
         # ARPACK's default basis of 20 applied the operator 21 times in each
-        ref = self.disk_reference(0.5)
+        ref, _ = convergence_references("disk_polygon", 0.5)
         _, solved = self.record_requests(monkeypatch)
         convergence_study("disk_polygon", [4, 8, 12], 0.5, ref)
         metas = [rep.metadata for _, rep in solved]
@@ -1310,6 +1330,21 @@ class TestConvergence:
         assert all(m["arpack_ncv"] == min(max(2 * m["arpack_k"] + 1, 8), 2 * m["dim"])
                    for m in metas)
         assert sum(m["operator_applications"] for m in metas) <= 100
+
+    def test_references_of_the_square(self):
+        assert convergence_references("square", 0.0) == ([complex(np.pi)], {})
+        with pytest.raises(InvalidInputError, match="only for zeta = 0"):
+            convergence_references("square", 0.5)
+        with pytest.raises(InvalidInputError, match="convergence shapes"):
+            convergence_references("hexagon", 0.0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.5])
+    def test_disk_references_are_the_lowest_oracle_roots(self, zeta):
+        # the lowest=1 search gives the full search's first root bit for bit
+        ref, work = convergence_references("disk_polygon", zeta)
+        assert ref == [complex(disk_mode_roots(m, zeta)["roots"][0]) for m in (0, 1)]
+        assert sorted(work) == ["0", "1"]
+        assert all(w["newton_steps"] > 0 for w in work.values())
 
     def test_schedule_validation(self):
         ref = [complex(np.pi)]
