@@ -595,7 +595,6 @@ def compactness_gate(
     target,
     s: float = 0.5,
     schedule=DEFAULT_SCHEDULE,
-    label: str = None,
 ) -> CompactnessReport:
     """Classify a boundary action as compact, non-compact, or inconclusive.
 
@@ -636,7 +635,6 @@ def compactness_gate(
             coeffs = coeffs.real
     elif not isinstance(target, DiagonalSymbol):
         raise InvalidInputError("gate target must be a coefficient or a diagonal symbol")
-    label = label or target.label
 
     indicators, norms, corner_sigmas, norm_steps = [], [], {}, []
     dense = False  # set once a cutoff runs past the Lanczos budget
@@ -675,7 +673,7 @@ def compactness_gate(
         raise InvalidInputError("smallest eigenvalue of the Hermitian part overflows")
 
     return CompactnessReport(
-        label=label,
+        label=target.label,
         s=s,
         schedule=schedule,
         indicators=indicators,

@@ -20,12 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import as_complex_matrix, null_space, spectral_norm
 from .reports import fmt_complex
-from .tuples import (
-    BoundaryTupleModel,
-    TupleFixture,
-    _as_trace_operator,
-    to_boundary_triple,
-)
+from .tuples import BoundaryTupleModel, TupleFixture, _as_trace_operator
 
 # Relative singular value cutoff separating a constraint's row space from
 # its nullspace.
@@ -101,17 +96,15 @@ def impedance_to_contraction(z, fx: TupleFixture) -> np.ndarray:
     fx.boundary.gram_pivot.
     """
     z = _as_trace_operator(z, fx.boundary, stack=True)
-    t = fx.transform
-    return cayley(t.v_natural @ z @ t.v)
+    return cayley(fx.v_natural @ z @ fx.v)
 
 
 def contraction_to_impedance(k, fx: TupleFixture) -> np.ndarray:
     """Invert impedance_to_contraction; returns z in the original trace coords."""
-    t = fx.transform
     if np.atleast_2d(k).shape[-2] != fx.boundary.gram_pivot.dim:
         raise InvalidInputError("contraction does not match the fixture pivot space")
     z_piv = inverse_cayley(k)
-    return np.linalg.solve(t.v_natural, _solve_right(t.v, z_piv))  # v_nat^{-1} z_piv v^{-1}
+    return np.linalg.solve(fx.v_natural, _solve_right(fx.v, z_piv))  # v_nat^{-1} z_piv v^{-1}
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +192,7 @@ def restrict_extension(fx: TupleFixture, k=None, z=None) -> ExtensionModel:
         raise InvalidInputError("pass exactly one of k and z")
     tup = fx.boundary
     if k is not None:
-        triple = to_boundary_triple(tup, fx.transform)
-        constraint = constraint_from_contraction(k, triple)
+        constraint = constraint_from_contraction(k, fx.triple)
         source = "from-contraction"
     else:
         constraint = constraint_from_impedance(z, tup)
@@ -298,21 +290,20 @@ class ResolventRankReport:
 def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
     """Shared boundary-value machinery for resolvents at a fixed point z.
 
-    Returns (y0, hb, triple, m_z, e) where y0 is the resolvent of the
-    reference condition gamma1_v = 0 composed with the projection onto its
-    attainable range, hb spans the state vectors whose image under (op - z)
-    is invisible to that range, triple is the fixture's boundary triple,
-    m_z = astar - z and e is an orthonormal basis of the attainable range.
+    Returns (y0, hb, m_z, e) where y0 is the resolvent of the reference
+    condition gamma1_v = 0 (on the fixture's boundary triple) composed with
+    the projection onto its attainable range, hb spans the state vectors
+    whose image under (op - z) is invisible to that range, m_z = astar - z
+    and e is an orthonormal basis of the attainable range.
     Every resolvent realized from these pieces maps onto its constraint
     kernel and agrees with y0 up to an hb-correction. A z so large that
     (astar - z) on the reference kernel overflows is refused as invalid.
     """
     tup = fx.boundary
-    triple = to_boundary_triple(tup, fx.transform)
     gram_x = fx.model.gram_x
     n = tup.state_dim
 
-    ref_basis = gram_x.orthonormalize(constraint_nullspace(triple.gamma1, n))
+    ref_basis = gram_x.orthonormalize(constraint_nullspace(fx.triple.gamma1, n))
     m_z = fx.model.astar - z * np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = m_z @ ref_basis
@@ -335,7 +326,7 @@ def _realize_resolvent_pieces(fx: TupleFixture, z: complex):
             "unexpected surrogate deficiency dimension "
             f"{hb.shape[1]} (expected {tup.trace_dim}) at z={fmt_complex(z)}"
         )
-    return y0, hb, triple, m_z, e
+    return y0, hb, m_z, e
 
 
 def _resolvent_for_constraint(constraint, y0, hb):
@@ -367,9 +358,9 @@ def resolvent_difference_rank(
     times the largest; tol must be positive unless both differences vanish.
     """
     z = complex(z)
-    y0, hb, triple, m_z, e = _realize_resolvent_pieces(fx, z)
-    c1 = constraint_from_contraction(k1, triple)
-    c2 = constraint_from_contraction(k2, triple)
+    y0, hb, m_z, e = _realize_resolvent_pieces(fx, z)
+    c1 = constraint_from_contraction(k1, fx.triple)
+    c2 = constraint_from_contraction(k2, fx.triple)
     r1 = _resolvent_for_constraint(c1, y0, hb)
     r2 = _resolvent_for_constraint(c2, y0, hb)
 

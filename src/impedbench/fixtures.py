@@ -17,13 +17,7 @@ from numpy.polynomial import legendre as npleg
 
 from .errors import InvalidInputError
 from .linalg import GramMatrix
-from .tuples import (
-    BoundaryTupleModel,
-    OperatorModel,
-    TupleFixture,
-    TupleTransform,
-    green_defect,
-)
+from .tuples import BoundaryTupleModel, OperatorModel, TupleFixture, green_defect
 
 __all__ = [
     "lgl_points_weights",
@@ -59,6 +53,8 @@ def lgl_points_weights(n_points: int):
         d1, d2 = npleg.legval(x[1:-1], both)
         x[1:-1] -= d1 / d2
     w = 2.0 / (n * (n + 1) * npleg.legval(x, coeffs) ** 2)
+    # P_n(+-1) = +-1 exactly, where legval rounds
+    w[0] = w[-1] = 2.0 / (n * (n + 1))
     return x, w
 
 
@@ -141,14 +137,13 @@ def _transport(n_points: int, speeds: tuple, label: str, weighted: bool = False)
         gamma1=gamma1,
         gram_minus=GramMatrix(eye * shrink**2),
         gram_pivot=GramMatrix(eye),
-        gram_plus=GramMatrix(eye / stretch**2),
         pairing=eye * shrink / stretch,
     )
     model = OperatorModel(astar=astar, gram_x=GramMatrix(np.diag(np.tile(w, k))), label=label)
     return TupleFixture(
         model=model,
         boundary=boundary,
-        transform=TupleTransform.from_v(eye / shrink, boundary),
+        v=eye / shrink,
         smooth_sampler=_smooth_interval_sampler(grid, channels=k),
     )
 

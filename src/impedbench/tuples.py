@@ -23,16 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .linalg import GramMatrix, as_complex_matrix
 
 __all__ = [
     "OperatorModel",
     "BoundaryTupleModel",
-    "TupleTransform",
     "TupleFixture",
     "green_defect",
-    "to_boundary_triple",
     "accretivity_defect",
 ]
 
@@ -65,14 +63,15 @@ class BoundaryTupleModel:
     gamma0 maps into the minus space (p coordinates), gamma1 into the plus
     space (q coordinates). ``pairing`` is the p x q matrix of the duality
     between them; it must be square and invertible for the duality to be
-    non-degenerate, which every operation here relies on.
+    non-degenerate, which every operation here relies on. The plus-space
+    metric is not stored: it is the dual of the minus metric under the
+    pairing, P^H G_-^{-1} P.
     """
 
     gamma0: np.ndarray
     gamma1: np.ndarray
     gram_minus: GramMatrix
     gram_pivot: GramMatrix
-    gram_plus: GramMatrix
     pairing: np.ndarray
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class BoundaryTupleModel:
             raise InvalidInputError("trace maps must share the state dimension")
         if p != q:
             raise InvalidInputError("pairing must be square for a non-degenerate duality")
-        if self.gram_minus.dim != p or self.gram_plus.dim != q:
+        if self.gram_minus.dim != p:
             raise InvalidInputError("trace gram dimensions disagree with trace maps")
         s = np.linalg.svd(self.pairing, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
@@ -104,60 +103,45 @@ class BoundaryTupleModel:
 
 
 @dataclass
-class TupleTransform:
-    """Invertible map v from the pivot space onto the minus trace space.
+class TupleFixture:
+    """A shipped, self-validating model: operator, tuple and transform v.
 
-    ``v_natural`` is the pairing-adjoint of v, pinned by the identity
-    pair_reverse(v f, g) = (f | v_natural g)_pivot. The constructor verifies
-    that identity; ``from_v`` computes v_natural from it directly.
+    v maps the pivot space onto the minus trace space. Its pairing-adjoint
+    v_natural, pinned by pair_reverse(v f, g) = (f | v_natural g)_pivot, and
+    the boundary triple over the pivot space are derived here, once.
     """
 
+    model: OperatorModel
+    boundary: BoundaryTupleModel
     v: np.ndarray
-    v_natural: np.ndarray
+    # grid-aware sampler of smooth states: (rng, count) -> count x dim array
+    smooth_sampler: object = field(repr=False)
+    v_natural: np.ndarray = field(init=False, repr=False)
+    triple: BoundaryTupleModel = field(init=False, repr=False)
 
     def __post_init__(self):
+        tup = self.boundary
+        if tup.state_dim != self.model.dim:
+            raise InvalidInputError("trace maps do not match the state dimension")
         self.v = as_complex_matrix(self.v, "v")
-        self.v_natural = as_complex_matrix(self.v_natural, "v_natural")
         if self.v.shape[0] != self.v.shape[1]:
             raise InvalidInputError("v must be square (pivot and minus space dimensions agree)")
         s = np.linalg.svd(self.v, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
             raise InvalidInputError("v must be invertible")
-
-    @classmethod
-    def from_v(cls, v, tup: BoundaryTupleModel) -> "TupleTransform":
-        v = as_complex_matrix(v, "v")
         g_h = tup.gram_pivot
-        v_nat = g_h.solve(v.conj().T @ tup.pairing)
-        return cls(v=v, v_natural=v_nat)
-
-    def verify(self, tup: BoundaryTupleModel, tol: float = 1e-10) -> float:
-        """Residual of the defining identity, must be <= tol * scale."""
-        # pair(v f, g) = (f | v_nat g): P^H v == v_nat^H G_pivot as matrices.
-        lhs = tup.pairing.conj().T @ self.v
-        rhs = self.v_natural.conj().T @ tup.gram_pivot.matrix
-        residual = float(np.linalg.norm(lhs - rhs))
-        scale = 1.0 + float(np.linalg.norm(self.v))
-        if residual > tol * scale:
-            raise NumericalFailureError(
-                f"transform pairing identity residual {residual:.3e} exceeds {tol:.1e}"
-            )
-        return residual
-
-
-@dataclass
-class TupleFixture:
-    """A shipped, self-validating model: operator + tuple + transform."""
-
-    model: OperatorModel
-    boundary: BoundaryTupleModel
-    transform: TupleTransform
-    # grid-aware sampler of smooth states: (rng, count) -> count x dim array
-    smooth_sampler: object = field(repr=False)
-
-    def __post_init__(self):
-        if self.boundary.state_dim != self.model.dim:
-            raise InvalidInputError("trace maps do not match the state dimension")
+        if self.v.shape[0] != tup.trace_dim or self.v.shape[1] != g_h.dim:
+            raise InvalidInputError("transform dimensions do not match the tuple")
+        self.v_natural = g_h.solve(self.v.conj().T @ tup.pairing)
+        # traces v^{-1} gamma0 and v_natural gamma1; every metric on the
+        # triple is the pivot gram, and its pairing the pivot inner product
+        self.triple = BoundaryTupleModel(
+            gamma0=np.linalg.solve(self.v, tup.gamma0),
+            gamma1=self.v_natural @ tup.gamma1,
+            gram_minus=g_h,
+            gram_pivot=g_h,
+            pairing=g_h.matrix.copy(),
+        )
 
     @property
     def label(self) -> str:
@@ -197,26 +181,6 @@ def green_defect(model: OperatorModel, tup: BoundaryTupleModel, f, g):
     rhs = _forms(t0g, tup.pairing, t1f) - np.conj(_forms(t0f, tup.pairing, t1g))
     d = lhs - rhs
     return complex(d[0]) if single else d
-
-
-def to_boundary_triple(tup: BoundaryTupleModel, t: TupleTransform):
-    """Flatten a tuple with explicit duality to a triple over the pivot space.
-
-    The triple has traces v^{-1} gamma0 and v_natural gamma1; every metric
-    on it is the pivot gram, and the pairing equals the pivot inner product.
-    """
-    t.verify(tup)
-    g_h = tup.gram_pivot
-    if t.v.shape[0] != tup.trace_dim or t.v.shape[1] != g_h.dim:
-        raise InvalidInputError("transform dimensions do not match the tuple")
-    return BoundaryTupleModel(
-        gamma0=np.linalg.solve(t.v, tup.gamma0),
-        gamma1=t.v_natural @ tup.gamma1,
-        gram_minus=g_h,
-        gram_pivot=g_h,
-        gram_plus=g_h,
-        pairing=g_h.matrix.copy(),
-    )
 
 
 def accretivity_defect(z, tup: BoundaryTupleModel) -> float:

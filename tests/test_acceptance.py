@@ -145,7 +145,7 @@ def test_criterion_05_multiplier_gate():
     for a in (0.3, 0.5, 0.9):
         coef = ImpedanceCoefficient.power(a)
         verdicts[f"power-{a}"] = compactness_gate(coef, s=0.5).verdict
-    control = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5, label="order-one")
+    control = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5)
     verdicts["order-one"] = control.verdict
     flat = all(
         np.allclose(np.asarray(control.corner_sigmas[n]), 1.0, atol=1e-12)

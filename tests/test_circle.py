@@ -461,13 +461,13 @@ class TestCompactnessGate:
         assert 0.8 < rate < 0.9
 
     def test_first_order_symbol_noncompact(self):
-        g = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5, label="order-one")
+        g = compactness_gate(DiagonalSymbol(1.0, 1j), s=0.5)
         assert g.verdict == "noncompact"
         # the section is i times the identity: every number is exact
         assert g.indicators == [1.0] * len(g.schedule)
         assert all(np.array_equal(g.corner_sigmas[n], np.ones(16)) for n in g.schedule)
         assert g.re_defect == 0.0
-        assert g.label == "order-one"
+        assert g.label == "symbol(order=1.0,c=0+1j)"
         assert g.metadata == {"norm_steps": [None] * 4}
 
     def test_oscillating_indicators_inconclusive(self):
@@ -531,7 +531,7 @@ class TestCompactnessGate:
         factory, even = GATE_TARGETS[name]
         target = factory()
         schedule = (16, 32, 64)
-        g = compactness_gate(target, s=0.5, schedule=schedule, label=name)
+        g = compactness_gate(target, s=0.5, schedule=schedule)
         sections = reference_sections(target, SobolevScale(0.5), schedule)
         last = sections[-1]
         assert (np.isrealobj(last) and np.array_equal(last, last.T)) == even

@@ -292,8 +292,8 @@ class TestResolventRank:
     def test_resolvent_maps_into_constraint_kernel(self):
         fx = get_fixture("transport-64")
         z = 1j
-        y0, hb, triple, m_z, e = ex._realize_resolvent_pieces(fx, z)
-        c = ex.constraint_from_contraction(np.array([[0.3 + 0.2j]]), triple)
+        y0, hb, m_z, e = ex._realize_resolvent_pieces(fx, z)
+        c = ex.constraint_from_contraction(np.array([[0.3 + 0.2j]]), fx.triple)
         r = ex._resolvent_for_constraint(c, y0, hb)
         assert np.linalg.norm(c @ r, 2) < 1e-10 * np.linalg.norm(r, 2)
 
@@ -358,7 +358,6 @@ def reference_cayley_trials(fx, seed, trials):
     `extension cayley` sweep as its per-trial loop computed them: one pair of
     normal draws and 2-D numpy.linalg calls per trial."""
     rng = np.random.default_rng(seed)
-    t = fx.transform
     dim = fx.boundary.trace_dim
     eye = np.eye(dim)
     r = fx.boundary.gram_pivot.chol_upper
@@ -373,9 +372,9 @@ def reference_cayley_trials(fx, seed, trials):
         herm, skew = a + a.conj().T, a - a.conj().T
         shift = max(0.0, -float(np.linalg.eigvalsh(herm)[0])) + 0.1
         z = 0.5 * (herm + skew) + shift * np.eye(dim)
-        k = cayley(t.v_natural @ z @ t.v)
+        k = cayley(fx.v_natural @ z @ fx.v)
         z_piv = np.linalg.solve(eye - k, eye + k)
-        back = np.linalg.solve(t.v_natural, np.linalg.solve(t.v.T, z_piv.T).T)
+        back = np.linalg.solve(fx.v_natural, np.linalg.solve(fx.v.T, z_piv.T).T)
         round_trip = float(np.abs(back - z).max()) / max(np.abs(z).max(), 1.0)
         identity = np.linalg.norm(cayley(z) + eye - 2.0 * np.linalg.solve((z + eye).T, z.T).T, 2)
         y = np.linalg.solve(flipped, (r @ k).conj().T[::-1])[::-1].conj().T

@@ -13,9 +13,9 @@ from impedbench.fixtures import (
 from impedbench.linalg import GramMatrix
 from impedbench.tuples import (
     BoundaryTupleModel,
+    TupleFixture,
     accretivity_defect,
     green_defect,
-    to_boundary_triple,
 )
 
 # the integration-by-parts defect every shipped fixture meets; green_check's
@@ -34,9 +34,8 @@ class TestCollocation:
         # here by Newton at 40 digits from the returned nodes; the weights are
         # 2 / (n (n + 1) P_n(x)^2). Measured: nodes within 2, 1 and 1 ulps;
         # interior weights within 5.6e-15, 1.8e-14 and 1.8e-14 relative, and
-        # the end weights, where P_n(+-1) = +-1 but legval rounds, exact, 1.1e-14
-        # and 4.6e-14 off. The mdiss check's margin under its absolute bound
-        # rests on this accuracy.
+        # the end weights, where P_n(+-1) = +-1, exact. The mdiss check's
+        # margin under its absolute bound rests on this accuracy.
         mpmath = pytest.importorskip("mpmath")
         x, w = lgl_points_weights(n_points)
         n = n_points - 1
@@ -61,7 +60,7 @@ class TestCollocation:
                 exact = 2 / (n * (n + 1) * p * p)
                 assert float(abs(wi - exact) / exact) <= 2e-14
         end = 2.0 / (n * (n + 1))
-        assert abs(w[0] - end) <= 5e-14 * end and abs(w[-1] - end) <= 5e-14 * end
+        assert w[0] == end and w[-1] == end
 
     def test_lgl_endpoints(self):
         x, _ = lgl_points_weights(16)
@@ -151,7 +150,7 @@ class TestGreenIdentity:
 class TestBoundaryTriple:
     def test_triple_keeps_identity(self):
         fx = get_fixture("transport-64-weighted")
-        triple = to_boundary_triple(fx.boundary, fx.transform)
+        triple = fx.triple
         rng = np.random.default_rng(11)
         for _ in range(8):
             f, g = fx.smooth_sampler(rng, 1)[0], fx.smooth_sampler(rng, 1)[0]
@@ -159,15 +158,14 @@ class TestBoundaryTriple:
 
     def test_triple_metrics_are_pivot(self):
         fx = get_fixture("transport-64-weighted")
-        triple = to_boundary_triple(fx.boundary, fx.transform)
+        triple = fx.triple
         g = fx.boundary.gram_pivot.matrix
         assert np.allclose(triple.gram_minus.matrix, g)
-        assert np.allclose(triple.gram_plus.matrix, g)
         assert np.allclose(triple.pairing, g)
 
     def test_identity_transform_is_noop(self):
         fx = get_fixture("transport-64")
-        triple = to_boundary_triple(fx.boundary, fx.transform)
+        triple = fx.triple
         assert np.allclose(triple.gamma0, fx.boundary.gamma0)
         assert np.allclose(triple.gamma1, fx.boundary.gamma1)
 
@@ -175,9 +173,24 @@ class TestBoundaryTriple:
         # the shipped weighted fixture is a rescaling of the plain one
         plain = get_fixture("transport-64")
         weighted = get_fixture("transport-64-weighted")
-        triple = to_boundary_triple(weighted.boundary, weighted.transform)
+        triple = weighted.triple
         assert np.allclose(triple.gamma0, plain.boundary.gamma0, atol=1e-12)
         assert np.allclose(triple.gamma1, plain.boundary.gamma1, atol=1e-12)
+
+    @pytest.mark.parametrize("name", fixture_registry())
+    def test_v_natural_is_pairing_adjoint(self, name):
+        # pair(v f, g) = (f | v_natural g)_pivot: P^H v == v_natural^H G_pivot
+        fx = get_fixture(name)
+        b = fx.boundary
+        lhs = b.pairing.conj().T @ fx.v
+        rhs = fx.v_natural.conj().T @ b.gram_pivot.matrix
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+    def test_weighted_plus_metric_is_dual_of_minus(self):
+        # the plus metric P^H G_-^{-1} P of the weighted fixture: 1 / stretch^2
+        b = get_fixture("transport-64-weighted").boundary
+        g_plus = b.pairing.conj().T @ b.gram_minus.solve(b.pairing)
+        assert np.allclose(g_plus, np.eye(1) / 9, rtol=1e-14, atol=0)
 
 
 class TestAccretivityDefect:
@@ -222,7 +235,6 @@ class TestTupleValidation:
                 gamma1=np.ones((1, 4)),
                 gram_minus=GramMatrix(np.eye(1)),
                 gram_pivot=GramMatrix(np.eye(1)),
-                gram_plus=GramMatrix(np.eye(1)),
                 pairing=np.zeros((1, 1)),
             )
 
@@ -233,9 +245,18 @@ class TestTupleValidation:
                 gamma1=np.ones((1, 4)),
                 gram_minus=GramMatrix(np.eye(2)),
                 gram_pivot=GramMatrix(np.eye(1)),
-                gram_plus=GramMatrix(np.eye(1)),
                 pairing=np.ones((2, 1)),
             )
+
+    def test_fixture_refuses_bad_v(self):
+        fx = get_fixture("transport2-48")
+        parts = dict(model=fx.model, boundary=fx.boundary, smooth_sampler=fx.smooth_sampler)
+        with pytest.raises(InvalidInputError, match="v must be invertible"):
+            TupleFixture(v=np.array([[1.0, 2.0], [2.0, 4.0]]), **parts)
+        with pytest.raises(InvalidInputError, match="v must be square"):
+            TupleFixture(v=np.ones((2, 3)), **parts)
+        with pytest.raises(InvalidInputError, match="transform dimensions"):
+            TupleFixture(v=np.eye(3), **parts)
 
     def test_trace_rank_full(self):
         # full row rank of [gamma0; gamma1] is the desk-scale stand-in for
@@ -309,7 +330,7 @@ class TestStackedGreenCheck:
         rng = np.random.default_rng(12)
         f = rng.standard_normal((6, fx.model.dim)) + 1j * rng.standard_normal((6, fx.model.dim))
         g = fx.smooth_sampler(rng, 6)
-        for tup in (fx.boundary, to_boundary_triple(fx.boundary, fx.transform)):
+        for tup in (fx.boundary, fx.triple):
             stacked = green_defect(fx.model, tup, f, g)
             assert stacked.shape == (6,)
             singles = [green_defect(fx.model, tup, a, b) for a, b in zip(f, g)]
