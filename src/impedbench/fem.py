@@ -17,15 +17,16 @@ Hermitian part of C on the rim is semidefinite. On disk_polygon{12,48} (577
 vertices) assemble takes about 2 ms, on square{63} about 15 ms, and on a
 mesh whose 4096 vertices all lie on the rim about 15 ms. The eigensolve and
 the march read the stored CSC arrays; only the dense companion solve
-densifies them. Both eigensolvers use one first-order pencil, real when C
-is real or purely imaginary. When at most n/6 modes are wanted on n
-vertices, shift-invert Lanczos/Arnoldi through one n x n sparse LU computes
-only those nearest a requested centre (the origin by default) and
-certifies that none nearer it was missed; otherwise the dense companion,
-the sparse path's test reference, computes all. Every returned mode must
-pass QEP_RESIDUAL_TOL on its backward error, weighted by the largest column
-2-norms of K, C and M: lower bounds on their 2-norms, read in O(nnz) from the
-stored arrays, so the gate is at least as strict as with the exact norms.
+densifies them. Both eigensolvers deflate the exact pair (lam, p) = (0, 1)
+and use one first-order pencil, real when C is real or purely imaginary.
+When at most n/6 modes are wanted on n vertices, shift-invert
+Lanczos/Arnoldi through one n x n sparse LU computes only those nearest a
+requested centre (the origin by default) and certifies that none nearer it
+was missed; otherwise the dense companion, the sparse path's test reference,
+computes all. Every returned mode must pass QEP_RESIDUAL_TOL on its backward
+error, weighted by the largest column 2-norms of K, C and M: lower bounds on
+their 2-norms, read in O(nnz) from the stored arrays, so the gate is at
+least as strict as with the exact norms.
 convergence_references alone says which (shape, zeta) pairs have reference
 eigenvalues; convergence_study centres one such solve on each. The
 Crank-Nicolson march factors its system, equilibrated by powers of two,
@@ -45,7 +46,6 @@ from .reports import EnergyTrace, ModeEntry, SpectrumReport, fmt_float
 MIN_TRIANGLE_AREA = 1e-14
 SPD_FLOOR = 1e-10
 QEP_RESIDUAL_TOL = 1e-8
-ARTIFACT_RADIUS = 1e-8
 # companion matrices are dense 2n x 2n; past this the desk-scale pitch breaks
 MAX_SOLVE_VERTICES = 2048
 # assembly builds K, C and M as CSC arrays; the cap is checked before any of
@@ -650,49 +650,34 @@ def _column_norms(cols: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.norm(scaled, axis=0), e)
 
 
-def _is_constant_direction(p: np.ndarray) -> bool:
-    nrm = np.linalg.norm(p)
-    if nrm == 0.0:
-        return False
-    return np.linalg.norm(p - p.mean()) <= 1e-6 * nrm
+def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray):
+    """lam = +-sqrt(mu) for eigenpairs of K p = mu M p but the kernel's."""
+    root = np.sqrt(np.maximum(mu, 0.0))
+    return np.stack([root, -root], 1).ravel().astype(complex), np.repeat(vecs, 2, 1).astype(complex)
 
 
-def _lambdas_from_mu(mu: np.ndarray, vecs: np.ndarray, mu_top: float):
-    """lam = +-sqrt(mu) for ascending eigenpairs of K p = mu M p.
-
-    mu_top is the largest mu or an estimate of it; it scales the roundoff
-    floor under which the constant mode counts as mu = 0.
-    """
-    # the constant mode sits at mu = 0 up to roundoff; clamp it so the
-    # genuine zero eigenvalue is reported once instead of as +-sqrt(eps)
-    floor = 1e-12 * max(abs(mu_top), 1.0)
-    lams, pvecs = [], []
-    for j, m_j in enumerate(mu):
-        zero = abs(m_j) <= floor and _is_constant_direction(vecs[:, j])
-        root = 0.0 if zero else math.sqrt(max(m_j, 0.0))
-        for lam in (root, -root) if root > 0.0 else (root,):
-            lams.append(complex(lam))
-            pvecs.append(vecs[:, j].astype(complex))
-    return np.array(lams), np.array(pvecs).T
+def _with_kernel(lams: np.ndarray, pvecs: np.ndarray):
+    """The exact pair (0, 1) of K 1 = 0 at index 0, then lams and pvecs."""
+    return np.insert(lams, 0, 0.0), np.insert(pvecs, 0, 1.0, axis=1)
 
 
-def _select_modes(lams: np.ndarray, pvecs: np.ndarray, n_want: int, center: complex,
-                  zeta_zero: bool):
-    """Indices of the n_want genuine modes nearest center and of the quotient
-    artifacts nearer it than the last of them, each in order of the
-    distances |lam - center|, also returned."""
+def _undeflated(p: np.ndarray, wp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The p-vectors of eigenvectors (p + a 1, w p) of the kernel-deflated
+    pencil, whatever the constants a: mean(p) is read from w p."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # w = 0 fails the residual gate
+        return p - p.mean(axis=0) + wp.mean(axis=0) / w
+
+
+def _select_modes(lams: np.ndarray, n_want: int, center: complex, zeta_zero: bool):
+    """Indices of the n_want genuine modes nearest center and, if nearer, of
+    the kernel lams[0], a quotient artifact unless zeta = 0; each in order of
+    the distances |lam - center|, also returned."""
     dist = np.abs(lams - center)
     kept_idx, artifact_idx = [], []
     for j in np.argsort(dist, kind="stable"):
         if len(kept_idx) == n_want:
             break
-        p = pvecs[:, j]
-        if not np.any(p):
-            continue
-        if not zeta_zero and abs(lams[j]) < ARTIFACT_RADIUS and _is_constant_direction(p):
-            artifact_idx.append(j)
-        else:
-            kept_idx.append(j)
+        (artifact_idx if j == 0 and not zeta_zero else kept_idx).append(j)
     return kept_idx, artifact_idx, dist
 
 
@@ -717,37 +702,49 @@ def _linearization(path: str, c):
 def _solve_dense(k_s, c_s, m_s, path: str):
     """All eigenpairs (lams, p-vectors) of the dense companion of K, C and M,
     by the eigensolver that path names: hermitian, real-rotated, real-direct or
-    complex. The CSC arrays are densified here, C already of class path."""
+    complex, the kernel's as the exact pair at index 0, where Brauer's shift
+    moved it off the spectrum. The CSC arrays are densified here, C already
+    of class path."""
     kr, mr = k_s.toarray(), m_s.toarray()
     n = kr.shape[0]
     if path == "hermitian":
-        mu, vecs = sla.eigh(kr, mr)
-        return _lambdas_from_mu(mu, vecs, mu[-1])
-    # the companion [[M^{-1} D, sigma_K M^{-1} K], [I, 0]] on [w p; p]
+        mu, vecs = sla.eigh(kr, mr)  # K >= 0 with the kernel 1 alone: mu[0] is the kernel's
+        return _with_kernel(*_lambdas_from_mu(mu[1:], vecs[:, 1:]))
+    # the companion [[M^{-1} D, sigma_K M^{-1} K], [I, theta 1 1^T / n]] on [w p; p]
     rho, d, sigma_k, _ = _linearization(path, c_s.toarray())
     try:
         top = np.hstack([sla.solve(mr, d, assume_a="pos"),
                          sigma_k * sla.solve(mr, kr, assume_a="pos")])
-        if not np.isfinite(top).all():
+        # lam = i t, t^2 = tr K / tr M a mean mu, lies off an accretive spectrum
+        # (w = -t for real C); imaginary C takes w = -t too, on its real spectrum
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            t = math.sqrt(np.trace(kr) / np.trace(mr))
+        theta = 1j * t if path == "complex" else -t
+        if not (np.isfinite(top).all() and np.isfinite(theta)):
             raise NumericalFailureError("companion matrix has non-finite entries")
-        w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.zeros((n, n))])]))
+        w, v = sla.eig(np.vstack([top, np.hstack([np.eye(n), np.full((n, n), theta / n)])]))
     except sla.LinAlgError as exc:
         raise NumericalFailureError(f"companion eigensolve failed: {exc}") from exc
+    keep = np.arange(2 * n) != np.argmin(np.abs(w - theta))
+    w, v = w[keep], v[:, keep]
     lams = w / rho
     if not np.all(np.isfinite(lams)):
         raise NumericalFailureError("companion pencil produced non-finite eigenvalues")
-    return lams, v[n:, :]
+    return _with_kernel(lams, _undeflated(v[n:], v[:n], w))
 
 
 def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
-    """(A - sigma_w B)^{-1} B on [p; w p] for A = [[0, I], [sigma_K K, D]] and
-    B = diag(I, M), the pencil of w^2 M p = w D p + sigma_K K p.
+    """(A' - sigma_w B)^{-1} B on [p; w p] for A = [[0, I], [sigma_K K, D]]
+    and B = diag(I, M), the pencil of w^2 M p = w D p + sigma_K K p, and
+    A' = A + theta B v v^T / n at theta -> infinity, v = [1; 0] its kernel.
 
     (A - sigma_w B) z = B x gives z2 = x1 + sigma_w z1 and, with
     tau = sigma_K sigma_w, (K + tau D - sigma_K sigma_w^2 M) z1 =
     M (tau x1 + sigma_K x2) - sigma_K D x1: one sparse n x n LU, factored
     here once in a fill-reducing order for its symmetric pattern, real when D
-    and sigma_w are. Raises RuntimeError if it is singular.
+    and sigma_w are. As (A - sigma_w B) v = -sigma_w B v, Sherman-Morrison
+    takes no further solve: it subtracts the mean of z1, and the kernel's nu
+    is 0. Raises RuntimeError if the factor is singular.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -760,7 +757,7 @@ def _pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w):
     def matvec(x):
         x1 = x[:n]
         z1 = lu.solve(m_s @ (tau * x1 + sigma_k * x[n:]) - d_s @ (sigma_k * x1))
-        return np.concatenate([z1, x1 + sigma_w * z1])
+        return np.concatenate([z1 - z1.mean(), x1 + sigma_w * z1])
 
     return spla.LinearOperator((2 * n, 2 * n), matvec=matvec, dtype=shifted.dtype)
 
@@ -787,36 +784,38 @@ def _unreturned_distance(mu: np.ndarray, sigma: float, center: complex) -> float
 
 
 def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearization: str,
-                        accretive: bool, rng, mu_top: float):
+                        accretive: bool, rng):
     """The modes nearest center by shift-invert ARPACK on the sparse K, C (of
     class linearization) and M from a start vector rng draws: (path, lams,
-    p-vectors, info), info holding the arithmetic, the final ARPACK k and
-    basis size ncv = 2k + 1 (at least 8), and the count of operator
-    applications over all runs, or None when the dense companion should take
-    over. mu_top estimates the largest mu.
+    p-vectors, info), the kernel's as the exact pair at index 0, info holding
+    the arithmetic, the final ARPACK k and basis size ncv = 2k + 1 (at least
+    8), and the count of operator applications over all runs, or None when
+    the dense companion should take over.
 
+    Both operators deflate the kernel to nu = 0, which ARPACK never returns.
     C = 0: Lanczos on K p = mu M p at sigma_mu = -s^2, so K - sigma_mu M is
     SPD and lam = +-sqrt(mu) stays exactly real; centred at c != 0, at
-    sigma_mu = a^2 with a = Re c. Otherwise standard-mode Arnoldi on
-    _pencil_operator at sigma_w = rho sigma, sigma = i s (s for purely
-    imaginary C), or sigma = c itself in complex arithmetic, whose
-    eigenvalues nu give lam = (sigma_w + 1/nu) / rho at |lam - sigma| =
-    1/|nu|. Every mode not returned lies at least R = max |lam_j - sigma|
-    from sigma, so none nearer c than r, the distance of the n_want-th
-    genuine mode from c, was missed when r + |sigma - c| <= R; for C = 0,
-    when r is at most _unreturned_distance. Centred, r and R are read from
-    the same returned values, so a first k of n_want certifies whenever the
-    mode nearest c is genuine and, for C = 0, lies above Re c. Otherwise k
-    grows by half (by at least one), up to a quarter of the pencil
-    dimension.
+    sigma_mu = a^2 with a = Re c. Its solve is followed by the M-orthogonal
+    projection off 1, the shift K + theta M 1 1^T M / 1^T M 1 at theta ->
+    infinity. Otherwise standard-mode Arnoldi on _pencil_operator at
+    sigma_w = rho sigma, sigma = i s (s for purely imaginary C), or sigma = c
+    itself in complex arithmetic, whose eigenvalues nu give
+    lam = (sigma_w + 1/nu) / rho at |lam - sigma| = 1/|nu|. Every mode not
+    returned, but the kernel, lies at least R = max |lam_j - sigma| from
+    sigma, so none nearer c than r, the distance of the n_want-th genuine
+    mode from c, was missed when r + |sigma - c| <= R; for C = 0, when r is
+    at most _unreturned_distance. Centred, r and R are read from the same
+    returned values, so a first k of n_want certifies unless, for C = 0, the
+    mode nearest c lies below Re c. Otherwise k grows by half (by at least
+    one), up to a quarter of the pencil dimension.
     """
     import scipy.sparse.linalg as spla
 
     n = k_s.shape[0]
     zeta_zero = linearization == "hermitian"
     # sqrt(tr K / (n tr M)) is of the order of the lowest nonzero |lam|; a
-    # quarter of it keeps sigma well off the artifact at lam = 0 while the
-    # certificate needs few modes beyond the wanted ones
+    # quarter of it keeps sigma well off lam = 0, where A - sigma B is
+    # singular, while the certificate needs few modes beyond the wanted ones
     s = 0.25 * math.sqrt(k_s.trace() / (n * m_s.trace()))
     # off the origin the first k is the request; at the origin it also covers
     # the thin band beyond the wanted modes that the certificate needs (each
@@ -826,7 +825,8 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
             path, sigma = "shift-invert-lanczos", center.real * center.real if center else -s * s
             n_eig = n_want if center else n_want // 2 + 4 + n_want // 16
             lu = spla.splu(k_s - sigma * m_s, permc_spec="MMD_AT_PLUS_A")
-            inner = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+            m1 = m_s @ np.ones(n) / m_s.sum()
+            inner = spla.LinearOperator((n, n), lambda b: (y := lu.solve(b)) - m1 @ y, dtype=float)
         else:
             rho, d_s, sigma_k, shift = _linearization(linearization, c_s)
             if center:
@@ -868,12 +868,14 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
             return None
         if zeta_zero:
             order = np.argsort(vals, kind="stable")
-            lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order], mu_top)
+            lams, pvecs = _lambdas_from_mu(vals[order], vecs[:, order])
         else:
             # (sigma_w + 1/nu) / rho, with the zero signs of i (s - 1/nu) for real C
-            lams, pvecs = (-sigma_w - 1.0 / vals) * (-1 / rho), vecs[:n, :]
+            lams = (-sigma_w - 1.0 / vals) * (-1 / rho)
+            pvecs = _undeflated(vecs[:n], vecs[n:], sigma_w + 1.0 / vals)
             far = np.abs(lams - sigma).max()
-        kept_idx, _, dist = _select_modes(lams, pvecs, n_want, center, zeta_zero)
+        lams, pvecs = _with_kernel(lams, pvecs)
+        kept_idx, _, dist = _select_modes(lams, n_want, center, zeta_zero)
         if len(kept_idx) >= n_want:
             r = dist[kept_idx[-1]]
             if zeta_zero:
@@ -892,8 +894,8 @@ def _solve_shift_invert(k_s, c_s, m_s, n_want: int, center: complex, linearizati
 
 def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> SpectrumReport:
     """Eigenvalues of lam^2 M p + i lam C p - K p = 0: the n_want genuine
-    modes nearest center (default the origin), and the quotient artifacts
-    nearer it than the last of them.
+    modes nearest center (default the origin), and the quotient artifact if
+    it is nearer it than the last of them.
 
     C is classified once, by exact-zero tests: zero (hermitian), real
     (real-rotated), purely imaginary (real-direct) or complex. Each nonzero
@@ -907,9 +909,10 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
     shift-invert operator applications (metadata["operator_applications"]).
     Otherwise, or when it cannot certify them, the dense companion of the
     pencil (a generalized Hermitian solve when C = 0) computes every mode,
-    within its cap. metadata["path"] names the solver that ran. Near-zero
-    pairs whose eigenvector is constant are tagged quotient-artifact: they
-    live in the direction the stiffness energy cannot see. Each residual is
+    within its cap. metadata["path"] names the solver that ran. As K 1 = 0,
+    both deflate the exact pair (0, 1) (Brauer's rank-one shift) and report
+    it exactly, tagged quotient-artifact unless C = 0: it lives in the
+    direction the stiffness energy cannot see. Each residual is
     the backward error of its pair with the largest column 2-norms of K, C
     and M (_column_norm) as weights: they are lower bounds on the 2-norms,
     so no residual is smaller than with the exact norms.
@@ -935,16 +938,12 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
     else:
         linearization = "complex" if np.any(c_s.data.real) else "real-direct"
     rng = np.random.default_rng(ARPACK_SEED)
-    # the shift-invert start vector is the generator's second n-vector, as in
-    # earlier versions, so that their eigenvalues are reproduced bit for bit
-    rng.standard_normal(n)
     norm_k, norm_c, norm_m = (_column_norm(x) for x in (q.k, q.c, q.m))
 
     solved = None
     if sparse:
         accretive = q.meta.get("min_sampled_re_zeta", 0.0) >= 0.0
-        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, center, linearization, accretive,
-                                     rng, norm_k / norm_m)
+        solved = _solve_shift_invert(k_s, c_s, m_s, n_want, center, linearization, accretive, rng)
         if solved is None and n > MAX_SOLVE_VERTICES:
             raise NumericalFailureError(
                 f"shift-invert gave no certified set of {n_want} modes and the dense "
@@ -956,8 +955,7 @@ def solve_qep(q: QepMatrices, n_want: int = 24, center: complex = 0.0) -> Spectr
 
     # classify first, then check residuals for the selected columns in one
     # pass instead of a matvec per eigenpair
-    kept_idx, artifact_idx, _ = _select_modes(lams, pvecs, n_want, center,
-                                              linearization == "hermitian")
+    kept_idx, artifact_idx, _ = _select_modes(lams, n_want, center, linearization == "hermitian")
     selected = kept_idx + artifact_idx
     lam_sel = lams[selected]
     p_sel = pvecs[:, selected]

@@ -31,6 +31,9 @@ from impedbench.models import disk_mode_roots
 
 SEED = 20240801
 MIXED_ZETA = {"bottom": 1.0, "right": 0.0, "top": 0.0, "left": 0.0}
+# a reactive rim whose imaginary values sum to zero: 1^T C 1 = 0, so lam = 0
+# is a Jordan block of the undeflated pencil
+ZERO_SUM_RIM = {"bottom": 0.5j, "right": -0.5j, "top": 0.5j, "left": -0.5j}
 
 
 def reference_triangle_mesh():
@@ -731,16 +734,16 @@ class TestSolveQep:
         calls = []
         eigs = spla.eigs
 
-        def nearest_nine(*args, **kwargs):
-            # the artifact and the eight genuine modes nearest sigma (largest
-            # |nu| = 1/|lam - sigma|): enough modes, but by the triangle
-            # inequality never a certified set
+        def nearest_eight(*args, **kwargs):
+            # the eight modes nearest sigma (largest |nu| = 1/|lam - sigma|):
+            # enough modes, but by the triangle inequality never a certified
+            # set (the deflated kernel is never among them)
             calls.append(kwargs["k"])
             vals, vecs = eigs(*args, **kwargs)
-            keep = np.argsort(-np.abs(vals))[:9]
+            keep = np.argsort(-np.abs(vals))[:8]
             return vals[keep], vecs[:, keep]
 
-        monkeypatch.setattr(spla, "eigs", nearest_nine)
+        monkeypatch.setattr(spla, "eigs", nearest_eight)
         monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w: True)
         q = assemble(build_mesh("square{8}"), zeta=0.5)
         rep = solve_qep(q, n_want=8)
@@ -772,8 +775,10 @@ class TestSolveQep:
         n, s = q.dim, 0.7
         c = q.c_bdry if np.any(q.c_bdry.imag) else q.c_bdry.real
         rho, d, sigma_k, shift = fem_module._linearization(path, c)
-        # eigenpairs of the dense companion solve w^2 M p = w D p + sigma_K K p
+        # eigenpairs of the dense companion solve w^2 M p = w D p + sigma_K K p,
+        # the exact kernel pair (0, 1) first
         lams, pvecs = fem_module._solve_dense(q.k.real, sp.csc_array(c), q.m.real, path)
+        assert lams[0] == 0.0 and np.all(pvecs[:, 0] == 1.0)
         w, p = rho * lams[:8], pvecs[:, :8]
         res = (q.m_mass @ p) * w**2 - (d @ p) * w - sigma_k * (q.k_stiff @ p)
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(q.k_stiff @ p)
@@ -781,7 +786,9 @@ class TestSolveQep:
         sigma_w = shift * s
         op = fem_module._pencil_operator(k_s, d_s, m_s, sigma_k, sigma_w)
         assert op.dtype == (complex if path == "complex" else float)
-        # the 2n x 2n pencil the operator stands for
+        # the 2n x 2n pencil the operator stands for, with its kernel
+        # v = [1; 0] deflated to nu = 0: z is (A - sigma_w B)^{-1} B x less
+        # its component along v that leaves the first block's mean zero
         eye = np.eye(n)
         a = np.block([[np.zeros((n, n)), eye], [sigma_k * q.k_stiff, d]])
         b = np.block([[eye, np.zeros((n, n))], [np.zeros((n, n)), q.m_mass]])
@@ -792,7 +799,11 @@ class TestSolveQep:
         z = op.matvec(x)
         assert z.dtype == op.dtype
         bx = b @ x
-        assert np.linalg.norm((a - sigma_w * b) @ z - bx) <= 1e-12 * np.linalg.norm(bx)
+        v = np.concatenate([np.ones(n), np.zeros(n)])
+        gap = (a - sigma_w * b) @ z - bx
+        assert abs(z[:n].mean()) <= 1e-14 * np.linalg.norm(z)
+        assert np.linalg.norm(gap - gap[0] * v) <= 1e-12 * np.linalg.norm(bx)
+        assert np.allclose(op.matvec(v), 0.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("spec", ["square{16}", "disk_polygon{8,32}", "disk_polygon{12,48}"])
     @pytest.mark.parametrize("zeta", [0.5, 1.0])
@@ -836,11 +847,11 @@ CROSS_CHECK_CASES = [
     ("square{16}", MIXED_ZETA),
     # the finest mesh of the convergence benchmark
     ("disk_polygon{12,48}", 0.5),
-    # reactive rims, shifted by a real s; not one whose imaginary values sum
-    # to zero, where lam = 0 is a Jordan block that both paths split
+    # reactive rims, shifted by a real s, one of them with a Jordan block at 0
     ("disk_polygon{12,48}", 0.5j),
     ("square{16}", -0.3j),
     ("square{16}", {"bottom": 1j, "right": -0.2j, "top": 0.3j, "left": -0.9j}),
+    ("square{16}", ZERO_SUM_RIM),
 ]
 
 
@@ -1102,12 +1113,13 @@ class TestShiftInvertMatchesDense:
         assert abs(a.re_lambda - np.pi) / np.pi < 0.01
         assert abs(a.re_lambda - b.re_lambda) <= 1e-10
 
-    def test_artifact_nearest_the_center_grows_k(self, monkeypatch):
+    def test_artifact_nearest_the_center_takes_no_arpack_slot(self, monkeypatch):
         # at centre 1e-3 the quotient artifact at lam = 0 is the nearest
-        # mode, so the first ARPACK k of 1 holds no genuine mode
+        # mode; deflated to nu = 0, it is never returned, so the first ARPACK
+        # k of 1 holds the genuine mode and certifies it
         q = assemble(build_mesh("disk_polygon{4,16}"), zeta=0.5)
         sparse, dense = self.nearest_on_both_paths(monkeypatch, q, 1e-3)
-        assert sparse.metadata["arpack_k"] > 1
+        assert sparse.metadata["arpack_k"] == 1
         for rep in (sparse, dense):
             assert (rep.metadata["returned"], rep.metadata["artifacts"]) == (1, 1)
         (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
@@ -1139,6 +1151,57 @@ class TestShiftInvertMatchesDense:
             (a,), (b,) = ([complex(e.re_lambda, e.im_lambda)
                            for e in rep.entries if e.mode_tag == "fem"] for rep in (sparse, dense))
             assert abs(a - b) <= 1e-10
+
+
+class TestKernelDeflation:
+    """Both paths deflate the exact pair (0, 1) and report it exactly, so a
+    second mode near 0 comes back simple."""
+
+    @staticmethod
+    def both_paths(monkeypatch, q, n_want):
+        for forced in (True, False):
+            monkeypatch.setattr(fem_module, "_uses_shift_invert", lambda n, w, f=forced: f)
+            rep = solve_qep(q, n_want=n_want)
+            assert rep.metadata["path"].startswith("shift-invert") == forced
+            (kernel,) = [e for e in rep.entries if e.mode_tag == "quotient-artifact"]
+            assert (kernel.re_lambda, kernel.im_lambda) == (0.0, 0.0)
+            yield rep, np.array([complex(e.re_lambda, e.im_lambda)
+                                 for e in rep.entries if e.mode_tag == "fem"])
+
+    @pytest.mark.parametrize("spec", ["square{4}", "square{8}", "disk_polygon{2,8}"])
+    @pytest.mark.parametrize("zeta", [1e-320, 1e-300, 1e-100, 1e-20, 1e-12, 1e-9, 1e-8,
+                                      1e-8j, 1e-8 + 1e-8j])
+    def test_small_zeta_mode_near_zero(self, monkeypatch, spec, zeta):
+        # 1^T Q(lam) p = lam (lam 1^T M p + i 1^T C p) with 1^T C 1 = zeta
+        # |boundary| and 1^T M 1 = |area| puts the mode near 0 at
+        # -i zeta |boundary| / |area| up to O(zeta^2), below rounding on the
+        # spectrum's scale here; next to an undeflated 0 it formed a
+        # near-Jordan pair split by about sqrt(eps), into the upper half-plane
+        mesh = build_mesh(spec)
+        q = assemble(mesh, zeta=zeta)
+        expected = -1j * zeta * mesh.boundary_lengths().sum() / mesh.signed_areas().sum()
+        scale = np.sqrt(q.k.diagonal().sum() / q.m.diagonal().sum())
+        for rep, vals in self.both_paths(monkeypatch, q, 3):
+            assert abs(vals[np.argmin(np.abs(vals))] - expected) <= 64 * np.finfo(float).eps * scale
+            assert rep.max_im(include_tags={"fem"}) <= 1e-8
+            assert all(e.residual <= QEP_RESIDUAL_TOL for e in rep.entries)
+
+    def test_mode_at_w_zero_is_refused_without_a_warning(self):
+        # at zeta = 1e100 the companion returns a mode at w = 0 exactly, whose
+        # constant mean(w p) / w is 0 / 0; the residual gate refuses it, and
+        # no RuntimeWarning (an error here) escapes
+        q = assemble(build_mesh("disk_polygon{1,4}"), zeta=1e100)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            solve_qep(q, n_want=1)
+
+    def test_zero_sum_rim_keeps_one_simple_zero(self, monkeypatch):
+        # deflation moves one copy of the Jordan block's 0, and the other
+        # comes back simple, not as a pair split by about sqrt(eps)
+        q = assemble(build_mesh("square{16}"), zeta=ZERO_SUM_RIM)
+        assert q.c.sum() == 0.0
+        for _, vals in self.both_paths(monkeypatch, q, 16):
+            near = vals[np.abs(vals) < 1e-6]
+            assert len(near) == 1 and abs(near[0]) <= 1e-12
 
 
 class TestEnergyMarch:
